@@ -38,10 +38,12 @@ from .constraints import (
 from .certify import (
     Certificate,
     CertificateKind,
+    CertificateSource,
     FeasibilityReport,
     FeasibilityStatus,
     SpanCheck,
     feasibility_report,
+    ray_certificate,
     search_certificate,
     span_contains_positive,
     validate,
@@ -75,8 +77,9 @@ __all__ = [
     "Provenance", "RawConstraint", "SupportReduction", "add_trace_preserving",
     "assemble", "embed_solution", "hermitize", "instance_system",
     "is_diagonal_instance", "joint_support_reduce", "prune_dependent",
-    "Certificate", "CertificateKind", "FeasibilityReport", "FeasibilityStatus",
-    "SpanCheck", "feasibility_report", "search_certificate",
+    "Certificate", "CertificateKind", "CertificateSource", "FeasibilityReport",
+    "FeasibilityStatus", "SpanCheck", "feasibility_report", "ray_certificate",
+    "search_certificate",
     "span_contains_positive", "validate",
     "BarrierConfig", "ExpSolveConfig", "SolveOutcome", "SolveStatus",
     "VerifyReport", "analytic_center", "barrier_sweep", "gradient",

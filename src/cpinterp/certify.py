@@ -4,16 +4,23 @@ A real coefficient vector x with ``sum x_i C(i) >= 0`` and ``sum x_i b_i < 0``
 proves that no ``X >= 0`` can satisfy ``tr(C(i) X) = b_i`` (pair X against the
 nonnegative combination).  With ``sum x_i b_i <= 0`` and x nonzero it still
 proves that no strictly positive solution exists, provided the C(i) are
-linearly independent.  Validation of a certificate is an exact eigenvalue
-check, independent of how the certificate was found; the search itself is a
-heuristic penalized descent over the unit sphere and its failure to find one
-proves nothing.
+linearly independent.
+
+A system that pruning accepted gets its certificate from three steps, tried
+in order.  First the divergence ray: when the exponential potential is
+unbounded below, its iterates run off along a direction d with
+``sum d C <= 0`` and ``d . b > 0``, so the normalized ``-x`` at solver exit is
+a PSD-excluding certificate up to an ``O(1/|x|)`` lag.  Second, a short hinge
+descent repairs a ray that misses the cone by that lag.  Only when neither
+yields a PSD-excluding certificate does a heuristic penalized-descent search
+over the unit sphere run; its failure to find one proves nothing.  Whatever
+the source, a certificate is returned only after the exact eigenvalue check
+in ``validate``, which is independent of how the certificate was found.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +37,12 @@ class CertificateKind(enum.Enum):
     EXCLUDES_PD = "excludes-pd"
 
 
+class CertificateSource(enum.Enum):
+    LINEAR_SYSTEM = "linear-system"
+    DIVERGENCE_RAY = "divergence-ray"
+    SEARCH = "search"
+
+
 class FeasibilityStatus(enum.Enum):
     FEASIBLE = "feasible"
     CERTIFIED_INFEASIBLE = "certified-infeasible"
@@ -42,13 +55,16 @@ class Certificate:
     """A normalized coefficient vector witnessing infeasibility.
 
     ``objective`` is ``sum x_i b_i`` and ``min_eigenvalue`` that of
-    ``sum x_i C(i)``; both are recomputed during validation.
+    ``sum x_i C(i)``; both are recomputed during validation.  ``source``
+    names the mechanism that found the certificate (None when it was read
+    back from a report); it plays no part in validation.
     """
 
     coefficients: np.ndarray
     kind: CertificateKind
     objective: float
     min_eigenvalue: float
+    source: CertificateSource | None = None
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float)
@@ -173,7 +189,7 @@ def _repair_into_cone(sys: ConstraintSystem, x: np.ndarray, tol: float) -> np.nd
 
 
 def _classify(
-    sys: ConstraintSystem, x: np.ndarray, tol: float
+    sys: ConstraintSystem, x: np.ndarray, tol: float, source: CertificateSource
 ) -> Certificate | None:
     """Build the strongest certificate the vector supports, if any."""
     norm = float(np.linalg.norm(x))
@@ -191,7 +207,39 @@ def _classify(
         kind = CertificateKind.EXCLUDES_PD
     else:
         return None
-    return Certificate(x, kind, objective, mineig)
+    return Certificate(x, kind, objective, mineig, source)
+
+
+def ray_certificate(
+    sys: ConstraintSystem,
+    coefficients: np.ndarray | None,
+    tol: float = DEFAULT_VALIDATION_TOL,
+) -> Certificate | None:
+    """PSD-excluding certificate read off the exp solver's final iterate.
+
+    Classifies the normalized ``-coefficients``; when that misses the cone
+    (typically by the ``O(1/|x|)`` lag of a diverging iterate) it repairs the
+    vector onto the cone and classifies again.  Returns a certificate only
+    when it excludes every PSD solution and passes ``validate``; None proves
+    nothing.
+    """
+    if coefficients is None or len(coefficients) != sys.q:
+        return None
+    norm = float(np.linalg.norm(coefficients))
+    if not np.isfinite(norm) or norm == 0.0:
+        return None
+    ray = -np.asarray(coefficients, dtype=float) / norm
+    source = CertificateSource.DIVERGENCE_RAY
+    cert = _classify(sys, ray, tol, source)
+    if cert is None or cert.kind is not CertificateKind.EXCLUDES_PSD:
+        cert = _classify(sys, _repair_into_cone(sys, ray, tol), tol, source)
+    if (
+        cert is not None
+        and cert.kind is CertificateKind.EXCLUDES_PSD
+        and validate(cert, sys, tol)
+    ):
+        return cert
+    return None
 
 
 def search_certificate(
@@ -199,7 +247,6 @@ def search_certificate(
     seed: int = 0,
     budget: int = 8,
     tol: float = DEFAULT_VALIDATION_TOL,
-    parallel: bool = False,
 ) -> Certificate | None:
     """Heuristic search for an infeasibility certificate.
 
@@ -220,28 +267,18 @@ def search_certificate(
         starts.append(-sys.targets / bn)
     starts.extend(rng.standard_normal(sys.q) for _ in range(budget))
     rho0 = 10.0 * (1.0 + bn)
+    source = CertificateSource.SEARCH
 
-    def attempt(x0: np.ndarray) -> list[Certificate]:
-        found = []
-        direct = _classify(sys, x0, tol)
-        if direct is not None:
-            found.append(direct)
+    found = []
+    for x0 in starts:
+        found.append(_classify(sys, x0, tol, source))
         x = _penalized_descent(sys, x0, rho0)
         for cand in (x, _repair_into_cone(sys, x, tol)):
-            cert = _classify(sys, cand, tol)
-            if cert is not None:
-                found.append(cert)
-        return found
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            batches = list(pool.map(attempt, starts))
-    else:
-        batches = [attempt(x0) for x0 in starts]
+            found.append(_classify(sys, cand, tol, source))
 
     best: Certificate | None = None
-    for cert in (c for batch in batches for c in batch):
-        if not validate(cert, sys, tol):  # defense in depth; _classify matches
+    for cert in found:
+        if cert is None or not validate(cert, sys, tol):  # defense in depth
             continue
         if best is None:
             best = cert
@@ -251,6 +288,24 @@ def search_certificate(
         if rank > best_rank:
             best = cert
     return best
+
+
+def find_certificate(
+    sys: ConstraintSystem,
+    coefficients: np.ndarray | None,
+    seed: int = 0,
+    budget: int = 8,
+    tol: float = DEFAULT_VALIDATION_TOL,
+) -> Certificate | None:
+    """The divergence-ray certificate if there is one, else the search's best.
+
+    No search result ranks above a validated PSD-excluding certificate, so
+    running the search only when the ray gives none loses no verdict.
+    """
+    cert = ray_certificate(sys, coefficients, tol)
+    if cert is None:
+        cert = search_certificate(sys, seed=seed, budget=budget, tol=tol)
+    return cert
 
 
 def span_contains_positive(
@@ -309,9 +364,8 @@ def feasibility_report(
     seed: int = 0,
     budget: int = 8,
     tol: float = DEFAULT_VALIDATION_TOL,
-    parallel: bool = False,
 ) -> FeasibilityReport:
-    """Solve, and on failure search for a certificate.
+    """Solve, and on failure look for a certificate (see ``find_certificate``).
 
     Outcomes: ``feasible`` with a positive solution; ``certified-infeasible``
     (no PSD solution at all); ``certified-no-strict`` (no strictly positive
@@ -321,7 +375,7 @@ def feasibility_report(
 
     When the potential has an unattained infimum the minimizing sequence can
     satisfy the residual tolerance with a nearly singular witness; such
-    marginal solves are corroborated by the certificate search, and a
+    marginal solves are corroborated by ``find_certificate``, and a
     validated PD-excluding certificate downgrades them to
     ``certified-no-strict``.
     """
@@ -333,7 +387,7 @@ def feasibility_report(
         )
         if outcome.min_eigenvalue > boundary:
             return FeasibilityReport(FeasibilityStatus.FEASIBLE, outcome, None, span)
-        cert = search_certificate(sys, seed=seed, budget=budget, tol=tol, parallel=parallel)
+        cert = find_certificate(sys, outcome.coefficients, seed=seed, budget=budget, tol=tol)
         if cert is None:
             return FeasibilityReport(FeasibilityStatus.FEASIBLE, outcome, None, span)
         status = (
@@ -342,7 +396,7 @@ def feasibility_report(
             else FeasibilityStatus.CERTIFIED_NO_STRICT
         )
         return FeasibilityReport(status, outcome, cert, span)
-    cert = search_certificate(sys, seed=seed, budget=budget, tol=tol, parallel=parallel)
+    cert = find_certificate(sys, outcome.coefficients, seed=seed, budget=budget, tol=tol)
     if cert is None:
         status = FeasibilityStatus.UNDETERMINED
     elif cert.kind is CertificateKind.EXCLUDES_PSD:

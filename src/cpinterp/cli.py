@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``solve`` (full pipeline to a report), ``certify`` (feasibility
-characterization with certificate search), ``apply`` (evaluate a solved map),
+characterization with certificates), ``apply`` (evaluate a solved map),
 ``kraus`` (print operation elements), ``verify`` (independently re-check a
 report).  Exit codes for solve/certify: 0 feasible, 2 certified infeasible,
 3 undetermined (including certified-no-strict), 4 input error.  ``verify``
@@ -56,7 +56,6 @@ class SolveOptions:
     max_iters: int = 10000
     seed: int = 0
     trace_preserving: bool | None = None  # None: take the instance file's flag
-    parallel: bool = False
     certify_budget: int = 6
 
 
@@ -64,10 +63,12 @@ def _tool_block() -> dict:
     return {"name": "cpinterp", "version": __version__}
 
 
-def _certificate_block(coefficients: np.ndarray, kind: str, system: ConstraintSystem) -> dict:
+def _certificate_block(cert: certify.Certificate, system: ConstraintSystem) -> dict:
+    coefficients = cert.coefficients
     combo = system.aggregate(coefficients)
     return {
-        "kind": kind,
+        "kind": cert.kind.value,
+        "source": cert.source.value,
         "coefficients": [float(v) for v in coefficients],
         "objective": float(coefficients @ system.targets),
         "min_eigenvalue": float(linalg.min_eigenvalue(combo))
@@ -75,6 +76,35 @@ def _certificate_block(coefficients: np.ndarray, kind: str, system: ConstraintSy
         else 0.0,
         "constraints": [str(t) for t in system.provenance],
     }
+
+
+def _report_inconsistent(report: dict, exc: InconsistentSystemError) -> int:
+    """Fill the report for a contradictory linear system; return the exit code.
+
+    Pruning decides dependence with a tolerance, so on ill-conditioned data
+    its certificate can fail the exact check; then nothing is proven and the
+    verdict is undetermined.
+    """
+    cert = certify.Certificate(
+        exc.certificate_coefficients,
+        certify.CertificateKind.EXCLUDES_PSD,
+        objective=float(exc.certificate_coefficients @ exc.system.targets),
+        min_eigenvalue=0.0,
+        source=certify.CertificateSource.LINEAR_SYSTEM,
+    )
+    valid = certify.validate(cert, exc.system)
+    report["status"] = "certified-infeasible" if valid else "undetermined"
+    report["solver"] = {
+        "method": "none",
+        "status": "inconsistent-linear-system",
+        "iterations": 0,
+        "message": str(exc) if valid else (
+            f"{exc}; its certificate fails validation, so infeasibility is not proven"
+        ),
+    }
+    report["constraints"] = [str(t) for t in exc.system.provenance]
+    report["certificate"] = _certificate_block(cert, exc.system) if valid else None
+    return EXIT_CERTIFIED_INFEASIBLE if valid else EXIT_UNDETERMINED
 
 
 def _solver_block(outcome, method: str) -> dict:
@@ -109,29 +139,12 @@ def run_solve(inst: ProblemInstance, options: SolveOptions) -> tuple[dict, int]:
         base = instance_system(inst, trace_preserving=tp)
         pruned = prune_dependent(base)
     except InconsistentSystemError as exc:
-        cert = certify.Certificate(
-            exc.certificate_coefficients,
-            certify.CertificateKind.EXCLUDES_PSD,
-            objective=float(exc.certificate_coefficients @ exc.system.targets),
-            min_eigenvalue=0.0,
-        )
-        assert certify.validate(cert, exc.system)
-        report["status"] = "certified-infeasible"
-        report["solver"] = {
-            "method": "none",
-            "status": "inconsistent-linear-system",
-            "iterations": 0,
-            "message": str(exc),
-        }
-        report["constraints"] = [str(t) for t in exc.system.provenance]
+        code = _report_inconsistent(report, exc)
         report["targets"] = [float(b) for b in exc.system.targets]
         report["choi"] = None
         report["kraus"] = None
-        report["certificate"] = _certificate_block(
-            cert.coefficients, cert.kind.value, exc.system
-        )
         report["timing"] = {"seconds": time.perf_counter() - started}
-        return report, EXIT_CERTIFIED_INFEASIBLE
+        return report, code
 
     report["constraints"] = [str(t) for t in base.provenance]
     report["targets"] = [float(b) for b in base.targets]
@@ -178,21 +191,21 @@ def run_solve(inst: ProblemInstance, options: SolveOptions) -> tuple[dict, int]:
         report["timing"] = {"seconds": time.perf_counter() - started}
         return report, EXIT_FEASIBLE
 
-    cert = certify.search_certificate(
-        pruned,
-        seed=options.seed,
-        budget=options.certify_budget,
-        parallel=options.parallel,
+    # The reduced system keeps pruned's rows in order, and every pruned C
+    # equals P C P for the support projector P, so a coefficient vector
+    # certifies on one system exactly when it certifies on the other.
+    cert = certify.find_certificate(
+        pruned, outcome.coefficients, seed=options.seed, budget=options.certify_budget
     )
     report["choi"] = None
     report["kraus"] = None
     if cert is not None and cert.kind is certify.CertificateKind.EXCLUDES_PSD:
         report["status"] = "certified-infeasible"
-        report["certificate"] = _certificate_block(cert.coefficients, cert.kind.value, pruned)
+        report["certificate"] = _certificate_block(cert, pruned)
         code = EXIT_CERTIFIED_INFEASIBLE
     elif cert is not None:
         report["status"] = "certified-no-strict"
-        report["certificate"] = _certificate_block(cert.coefficients, cert.kind.value, pruned)
+        report["certificate"] = _certificate_block(cert, pruned)
         code = EXIT_UNDETERMINED
     else:
         report["status"] = "undetermined"
@@ -203,7 +216,7 @@ def run_solve(inst: ProblemInstance, options: SolveOptions) -> tuple[dict, int]:
 
 
 def run_certify(inst: ProblemInstance, options: SolveOptions) -> tuple[dict, int]:
-    """Feasibility characterization: solve, and on failure search certificates."""
+    """Feasibility characterization: solve, and on failure look for certificates."""
     started = time.perf_counter()
     tp = inst.trace_preserving if options.trace_preserving is None else options.trace_preserving
     report: dict = {
@@ -221,29 +234,16 @@ def run_certify(inst: ProblemInstance, options: SolveOptions) -> tuple[dict, int
         base = instance_system(inst, trace_preserving=tp)
         pruned = prune_dependent(base)
     except InconsistentSystemError as exc:
-        report["status"] = "certified-infeasible"
-        report["constraints"] = [str(t) for t in exc.system.provenance]
-        report["certificate"] = _certificate_block(
-            exc.certificate_coefficients / np.linalg.norm(exc.certificate_coefficients),
-            certify.CertificateKind.EXCLUDES_PSD.value,
-            exc.system,
-        )
-        report["solver"] = {
-            "method": "none",
-            "status": "inconsistent-linear-system",
-            "iterations": 0,
-            "message": str(exc),
-        }
+        code = _report_inconsistent(report, exc)
         report["span_check"] = None
         report["timing"] = {"seconds": time.perf_counter() - started}
-        return report, EXIT_CERTIFIED_INFEASIBLE
+        return report, code
 
     result = certify.feasibility_report(
         pruned,
         exp_config=ExpSolveConfig(gradient_tol=options.tol, max_iterations=options.max_iters),
         seed=options.seed,
         budget=options.certify_budget,
-        parallel=options.parallel,
     )
     report["constraints"] = [str(t) for t in pruned.provenance]
     report["solver"] = _solver_block(result.solve_outcome, "exp")
@@ -269,9 +269,7 @@ def run_certify(inst: ProblemInstance, options: SolveOptions) -> tuple[dict, int
         report["choi"] = None
         report["kraus"] = None
         if result.certificate is not None:
-            report["certificate"] = _certificate_block(
-                result.certificate.coefficients, result.certificate.kind.value, pruned
-            )
+            report["certificate"] = _certificate_block(result.certificate, pruned)
         else:
             report["certificate"] = None
         code = (
@@ -432,8 +430,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
                         help="seed for the certificate search (default 0)")
     parser.add_argument("--trace-preserving", action="store_true", default=None,
                         help="require a quantum channel (trace preserving)")
-    parser.add_argument("--parallel", action="store_true",
-                        help="parallelize certificate-search restarts")
     parser.add_argument("--out", default=None, help="write the report to this path")
 
 
@@ -446,7 +442,6 @@ def _options_from_args(args, file_options: dict) -> SolveOptions:
     )
     opts.seed = args.seed if args.seed is not None else file_options.get("seed", 0)
     opts.trace_preserving = True if args.trace_preserving else None
-    opts.parallel = bool(args.parallel)
     if opts.tol <= 0:
         raise InstanceFormatError("--tol must be positive")
     if opts.max_iters < 1:
@@ -469,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="characterize feasibility with certificates")
     p_cert.add_argument("instance", help="instance JSON file")
     p_cert.add_argument("--budget", type=int, default=6,
-                        help="random restarts for the certificate search")
+                        help="random restarts for the fallback certificate search")
     _add_solver_flags(p_cert)
 
     p_apply = sub.add_parser("apply", help="apply a solved map to a matrix")

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from cpinterp import certify
 from cpinterp.certify import (
     Certificate,
     CertificateKind,
+    CertificateSource,
     FeasibilityStatus,
     feasibility_report,
+    ray_certificate,
     search_certificate,
     span_contains_positive,
     validate,
@@ -106,13 +109,27 @@ def test_search_finds_pd_certificate():
     assert validate(cert, sys, tol=1e-9)
 
 
-def test_parallel_search_matches_serial():
-    inst = ProblemInstance(2, 2, [(np.eye(2), -np.eye(2))])
-    sys = prune_dependent(instance_system(inst))
-    serial = search_certificate(sys, seed=1, budget=4, parallel=False)
-    parallel = search_certificate(sys, seed=1, budget=4, parallel=True)
-    assert serial is not None and parallel is not None
-    assert np.abs(serial.coefficients - parallel.coefficients).max() < 1e-15
+# ---------------------------------------------------------------------------
+# ray_certificate
+
+
+def test_ray_certificate_repairs_a_ray_just_outside_the_cone():
+    sys = system_of([e11(), np.diag([0.0, 1.0])], [-1.0, -1.0])
+    coefficients = -np.array([1.0, -1e-3])  # a diverging x runs along minus the ray
+    raw = Certificate(-coefficients, CertificateKind.EXCLUDES_PSD, 0.0, 0.0)
+    assert not validate(raw, sys, tol=1e-9)  # the raw ray's min eigenvalue is about -1e-3
+    cert = ray_certificate(sys, coefficients, tol=1e-9)
+    assert cert is not None
+    assert cert.kind is CertificateKind.EXCLUDES_PSD
+    assert cert.source is CertificateSource.DIVERGENCE_RAY
+    assert validate(cert, sys, tol=1e-9)
+
+
+def test_ray_certificate_gives_none_without_a_psd_excluding_ray():
+    sys = system_of([e11()], [0.0])  # only a PD-excluding certificate exists
+    assert ray_certificate(sys, np.array([-1.0])) is None
+    assert ray_certificate(sys, None) is None
+    assert ray_certificate(sys, np.zeros(1)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +173,25 @@ def test_report_certified_infeasible():
     assert rep.status is FeasibilityStatus.CERTIFIED_INFEASIBLE
     assert rep.certificate is not None
     assert validate(rep.certificate, sys, tol=1e-9)
+
+
+def test_report_certifies_planted_infeasible_from_the_ray(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the restart search ran")
+
+    monkeypatch.setattr(certify, "search_certificate", no_search)
+    rng = np.random.default_rng(2024)
+    instances = [ProblemInstance(2, 2, [(np.eye(2), -np.eye(2))])]
+    for trial in range(20):
+        n = 2 + trial % 2
+        planted, _ = planted_instance(rng, n, n, n)
+        instances.append(ProblemInstance(n, n, planted.pairs + [(np.eye(n), -np.eye(n))]))
+    for inst in instances:
+        sys = prune_dependent(instance_system(inst))
+        rep = feasibility_report(sys)
+        assert rep.status is FeasibilityStatus.CERTIFIED_INFEASIBLE
+        assert rep.certificate.source is CertificateSource.DIVERGENCE_RAY
+        assert validate(rep.certificate, sys, tol=1e-9)
 
 
 def test_report_no_strict_singleton():

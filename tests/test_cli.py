@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cpinterp import cli
+from cpinterp.constraints import InconsistentSystemError
 from cpinterp.reports import (
     InstanceFormatError,
     dumps_canonical,
@@ -120,6 +121,7 @@ def test_solve_infeasible_instance(tmp_path):
     assert cert["kind"] == "excludes-psd"
     assert cert["objective"] < -1e-9
     assert cert["min_eigenvalue"] >= -1e-9
+    assert cert["source"] == "divergence-ray"
     assert len(cert["coefficients"]) == len(cert["constraints"])
 
 
@@ -157,6 +159,24 @@ def test_solve_inconsistent_targets(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["status"] == "certified-infeasible"
     assert rep["certificate"] is not None
+    assert rep["certificate"]["source"] == "linear-system"
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_invalid_linear_system_certificate_is_undetermined(tmp_path, monkeypatch, command):
+    def contradiction(system, *args, **kwargs):
+        # objective b . b > 0: this vector can never validate
+        raise InconsistentSystemError("planted contradiction", system,
+                                      system.targets.copy(), system.provenance[0])
+
+    monkeypatch.setattr(cli, "prune_dependent", contradiction)
+    out = tmp_path / "report.json"
+    code = cli.main([command, str(GOLDEN_INSTANCE), "--out", str(out)])
+    assert code == 3
+    rep = json.loads(out.read_text())
+    assert rep["status"] == "undetermined"
+    assert rep["certificate"] is None
+    assert "fails validation" in rep["solver"]["message"]
 
 
 def test_solve_missing_file_is_input_error(tmp_path, capsys):
@@ -268,6 +288,17 @@ def test_verify_validates_certificate_report(tmp_path, capsys):
     assert "certificate validates" in out
 
 
+def test_certify_ray_certificate_round_trip(tmp_path, capsys):
+    inst_path = write_json(tmp_path / "bad.json", infeasible_doc())
+    rep_path = tmp_path / "report.json"
+    assert cli.main(["certify", str(inst_path), "--out", str(rep_path)]) == 2
+    rep = json.loads(rep_path.read_text())
+    assert rep["status"] == "certified-infeasible"
+    assert rep["certificate"]["source"] == "divergence-ray"
+    assert cli.main(["verify", str(rep_path), str(inst_path)]) == 0
+    assert "certificate validates" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # options
 
@@ -304,15 +335,6 @@ def test_trace_preserving_cli_flag_overrides_file(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["problem"]["trace_preserving"] is True
     assert any(tag.startswith("trace(") for tag in rep["constraints"])
-
-
-def test_parallel_flag_matches_serial(tmp_path):
-    inst_path = write_json(tmp_path / "bad.json", infeasible_doc())
-    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert cli.main(["solve", str(inst_path), "--out", str(r1)]) == 2
-    assert cli.main(["solve", str(inst_path), "--parallel", "--out", str(r2)]) == 2
-    d1, d2 = json.loads(r1.read_text()), json.loads(r2.read_text())
-    assert d1["certificate"] == d2["certificate"]
 
 
 def test_seventeen_digit_floats(tmp_path):
