@@ -10,7 +10,8 @@ A system that pruning accepted gets its certificate from three steps, tried
 in order.  First the divergence ray: when the exponential potential is
 unbounded below, its iterates run off along a direction d with
 ``sum d C <= 0`` and ``d . b > 0``, so the normalized ``-x`` at solver exit is
-a PSD-excluding certificate up to an ``O(1/|x|)`` lag.  Second, a short hinge
+a PSD-excluding certificate: an exact one when the solver stopped on its
+recession test, otherwise one up to an ``O(1/|x|)`` lag.  Second, a short hinge
 descent repairs a ray that misses the cone by that lag.  Only when neither
 yields a PSD-excluding certificate does a heuristic penalized-descent search
 over the unit sphere run; its failure to find one proves nothing.  Whatever

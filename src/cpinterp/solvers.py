@@ -11,8 +11,11 @@ Two routes to a feasible ``X >= 0`` with ``tr(C(i) X) = b_i``:
   constraint residuals of ``X = exp(sum x C + s I)``, so a critical point is
   an exact strictly positive solution; V is coercive precisely when such a
   solution exists, and unbounded growth of the iterates witnesses that none
-  does.  The scalar offset ``s`` shifts the exponent by a multiple of the
-  identity; it changes which feasible point is found but not feasibility.
+  does.  The solver stops as soon as an iterate x proves it: with
+  ``sum x C <= 0`` and ``b . x > 0`` the potential falls without bound along
+  the ray through x, and ``-x`` is itself an infeasibility certificate.  The
+  scalar offset ``s`` shifts the exponent by a multiple of the identity; it
+  changes which feasible point is found but not feasibility.
 
 * ``analytic_center`` minimizes the log-det barrier ``-ln det a(x)`` with
   ``a(x) = a0 + sum x_i C(i)`` over the slice ``sum b_i x_i = level`` by an
@@ -157,11 +160,13 @@ class _Objective:
 
     ``value_grad`` returns ``(f, g)`` with ``f = inf`` (and ``g = None``) on
     exponential overflow, which the line searches treat as a step that went
-    too far.
+    too far.  ``recedes(x)`` is True when the function is provably unbounded
+    below along the ray through x.
     """
 
     value_grad: Callable[[np.ndarray], tuple[float, np.ndarray | None]]
     hessian: Callable[[np.ndarray], np.ndarray]
+    recedes: Callable[[np.ndarray], bool]
 
 
 def _exp_objective(sys: ConstraintSystem, offset: float) -> _Objective:
@@ -191,7 +196,13 @@ def _exp_objective(sys: ConstraintSystem, offset: float) -> _Objective:
         rot = np.einsum("ai,qab,bj->qij", u.conj(), mats, u)
         return np.einsum("ab,iab,jab->ij", phi, rot, rot.conj()).real
 
-    return _Objective(value_grad, hessian)
+    def recedes(x):
+        # sum x C <= 0 keeps tr exp bounded along t x while -t b.x falls
+        if float(x @ targets) <= 0.0:
+            return False
+        return float(np.linalg.eigvalsh(linalg.hermitian_part(sys.aggregate(x)))[-1]) <= 0.0
+
+    return _Objective(value_grad, hessian, recedes)
 
 
 def _diag_objective(coeffs: np.ndarray, targets: np.ndarray, offset: float) -> _Objective:
@@ -208,7 +219,10 @@ def _diag_objective(coeffs: np.ndarray, targets: np.ndarray, offset: float) -> _
         es = np.exp(np.clip(coeffs.T @ x + offset, None, linalg.EXP_ARG_LIMIT))
         return (coeffs * es) @ coeffs.T
 
-    return _Objective(value_grad, hessian)
+    def recedes(x):
+        return float(x @ targets) > 0.0 and float(np.max(coeffs.T @ x)) <= 0.0
+
+    return _Objective(value_grad, hessian, recedes)
 
 
 def _wolfe_search(fg_line, f0, slope0, c1, c2, alpha0):
@@ -287,6 +301,11 @@ def _minimize_cg(obj: _Objective, x0: np.ndarray, cfg: ExpSolveConfig) -> _Minim
         gnorm = float(np.linalg.norm(g))
         if gnorm <= cfg.gradient_tol:
             return _MinimizeResult(x, g, iterations, True, False)
+        if obj.recedes(x):
+            return _MinimizeResult(
+                x, g, iterations, False, True,
+                "the objective is unbounded below along the ray through the iterate",
+            )
         if float(np.linalg.norm(x)) > divergence_cap:
             return _MinimizeResult(
                 x, g, iterations, False, True,
@@ -420,9 +439,10 @@ def solve_exp(
     Convergence of the gradient (2-norm below ``cfg.gradient_tol``) certifies
     feasibility: the returned ``X = exp(sum x C + offset I)`` is positive
     definite by construction and its residuals equal the final gradient.
-    Divergence of the iterates while the potential keeps falling reports that
-    no strictly positive solution exists (the potential is coercive exactly
-    when one does).  Hitting the iteration cap is a soft outcome.
+    Divergence reports that no strictly positive solution exists (the
+    potential is coercive exactly when one does).  It is declared at the
+    first iterate whose ray the potential provably falls along without bound,
+    or else when the iterates outgrow ``cfg.divergence_threshold``.  Hitting the iteration cap is a soft outcome.
     """
     cfg = cfg or ExpSolveConfig()
     obj = _exp_objective(sys, cfg.exponent_offset)

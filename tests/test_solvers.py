@@ -3,6 +3,7 @@ import pytest
 
 from cpinterp.constraints import (
     ConstraintSystem,
+    ProblemInstance,
     instance_system,
     joint_support_reduce,
     prune_dependent,
@@ -185,6 +186,32 @@ def test_solve_exp_detects_no_strict_solution():
     out = solve_exp(sys)
     assert out.status is SolveStatus.NO_STRICTLY_POSITIVE_SOLUTION
     assert out.solution is None
+
+
+def test_solve_exp_stops_on_recession_ray():
+    # planted data plus (I, -I): the solver stops at the first iterate x with
+    # sum x C <= 0 and b . x > 0, not on the norm cap
+    rng = np.random.default_rng(64)
+    eye = np.eye(3, dtype=complex)
+    for _ in range(5):
+        inst, _ = planted_instance(rng, 3, 3, 3)
+        inst = ProblemInstance(3, 3, inst.pairs + [(eye, -eye)])
+        sys = prune_dependent(instance_system(inst))
+        out = solve_exp(sys)
+        assert out.status is SolveStatus.NO_STRICTLY_POSITIVE_SOLUTION
+        assert "unbounded below" in out.message
+        x = out.coefficients
+        assert np.linalg.eigvalsh(sys.aggregate(x))[-1] <= 0.0
+        assert x @ sys.targets > 0.0
+
+
+def test_solve_diagonal_stops_on_recession_ray():
+    # 1 x = -1 has no positive solution; the potential falls along x -> -inf
+    sys = system_of([np.array([[1.0]])], [-1.0])
+    out = solve_diagonal(sys)
+    assert out.status is SolveStatus.NO_STRICTLY_POSITIVE_SOLUTION
+    assert "unbounded below" in out.message
+    assert out.coefficients[0] < 0.0
 
 
 def test_solve_exp_non_hermitian_data():
