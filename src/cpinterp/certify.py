@@ -125,6 +125,11 @@ def _min_eig_pair(combo: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[0]), u[:, 0]
 
 
+def _eig_gradient(sys: ConstraintSystem, u: np.ndarray) -> np.ndarray:
+    """``u^* C(i) u`` for every row: the gradient of an eigenvalue with vector u."""
+    return sys.traces(np.outer(u, u.conj()))
+
+
 def _penalized_descent(
     sys: ConstraintSystem, x0: np.ndarray, rho0: float, rounds: int = 3, steps: int = 80
 ) -> np.ndarray:
@@ -139,7 +144,7 @@ def _penalized_descent(
         f = float(b @ x) + rho * hinge**2
         for _ in range(steps):
             if hinge > 0.0:
-                eig_grad = np.einsum("i,qij,j->q", u.conj(), sys.matrices, u).real
+                eig_grad = _eig_gradient(sys, u)
                 g = b - 2.0 * rho * hinge * eig_grad
             else:
                 g = b.copy()
@@ -170,7 +175,7 @@ def _repair_into_cone(sys: ConstraintSystem, x: np.ndarray, tol: float) -> np.nd
     for _ in range(200):
         if mineig >= -tol / 2:
             break
-        eig_grad = np.einsum("i,qij,j->q", u.conj(), sys.matrices, u).real
+        eig_grad = _eig_gradient(sys, u)
         g = -eig_grad
         g -= (g @ x) * x
         gn = float(np.linalg.norm(g))
@@ -321,7 +326,7 @@ def span_contains_positive(
     First tries to hit the identity exactly by least squares; otherwise runs
     supergradient ascent from seeded starts.
     """
-    vecs = sys.matrices.reshape(sys.q, -1)
+    vecs = sys.flat
     target = np.eye(sys.p, dtype=complex).ravel()
     design = np.concatenate([vecs.real, vecs.imag], axis=1).T
     rhs = np.concatenate([target.real, target.imag])
@@ -340,7 +345,7 @@ def span_contains_positive(
         lr = 0.2
         mineig, u = _min_eig_pair(sys.aggregate(x))
         for _ in range(steps):
-            g = np.einsum("i,qij,j->q", u.conj(), sys.matrices, u).real
+            g = _eig_gradient(sys, u)
             g -= (g @ x) * x
             if float(np.linalg.norm(g)) < 1e-14:
                 break

@@ -91,8 +91,12 @@ class ProblemInstance:
 class ConstraintSystem:
     """Selfadjoint constraint matrices with real targets.
 
-    ``matrices`` has shape (q, p, p); ``targets`` shape (q,).  ``provenance``
-    tracks the origin of every row for reporting.
+    ``matrices`` has shape (q, p, p) and is stored C-contiguous, so ``flat``
+    is a (q, p*p) view of the same memory: row i is C(i) read row by row.
+    The trace pairings ``tr(C(i) X)``, the combinations ``sum_i x_i C(i)``
+    and the Gram matrix are then single GEMV/GEMM calls on ``flat``.
+    ``targets`` has shape (q,).  ``provenance`` tracks the origin of every
+    row for reporting.
     """
 
     p: int
@@ -101,7 +105,7 @@ class ConstraintSystem:
     provenance: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.matrices = np.asarray(self.matrices, dtype=complex)
+        self.matrices = np.ascontiguousarray(self.matrices, dtype=complex)
         self.targets = np.asarray(self.targets, dtype=float)
         if self.matrices.shape != (len(self.targets), self.p, self.p):
             raise ValueError(
@@ -117,17 +121,31 @@ class ConstraintSystem:
     def q(self) -> int:
         return len(self.targets)
 
+    @property
+    def flat(self) -> np.ndarray:
+        """The (q, p*p) view of ``matrices``."""
+        return self.matrices.reshape(self.q, self.p * self.p)
+
+    def traces(self, x: np.ndarray) -> np.ndarray:
+        """Real parts of ``tr(C(i) x)`` for every row, as one GEMV."""
+        return (self.flat @ np.asarray(x, dtype=complex).T.ravel()).real
+
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Per-constraint residuals ``tr(C(i) x) - b_i`` for Hermitian x."""
-        return np.einsum("qij,ji->q", self.matrices, np.asarray(x, dtype=complex)).real - self.targets
+        return self.traces(x) - self.targets
 
     def aggregate(self, coeffs: np.ndarray) -> np.ndarray:
         """Real linear combination ``sum_i coeffs[i] C(i)``."""
-        return np.tensordot(np.asarray(coeffs, dtype=float), self.matrices, axes=1)
+        return (np.asarray(coeffs, dtype=float) @ self.flat).reshape(self.p, self.p)
 
     def gram(self) -> np.ndarray:
-        """Real Gram matrix of the constraints in the trace inner product."""
-        return np.einsum("aij,bji->ab", self.matrices, self.matrices).real
+        """Real Gram matrix of the constraints in the trace inner product.
+
+        ``tr(C(a) C(b))`` equals the Frobenius product of C(a) and C(b)
+        because every C(b) is selfadjoint.
+        """
+        flat = self.flat
+        return (flat @ flat.conj().T).real
 
 
 @dataclass
@@ -336,13 +354,6 @@ def add_trace_preserving(sys: ConstraintSystem, n: int, k: int) -> ConstraintSys
     )
 
 
-def _realify(matrices: np.ndarray) -> np.ndarray:
-    """Flatten Hermitian matrices to real vectors preserving the trace pairing."""
-    q = matrices.shape[0]
-    flat = matrices.reshape(q, -1)
-    return np.concatenate([flat.real, flat.imag], axis=1)
-
-
 def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> ConstraintSystem:
     """Keep a maximal real-linearly-independent subset, in order.
 
@@ -351,30 +362,42 @@ def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> Cons
     retained ones.  Its target must match that combination; otherwise the
     whole system is contradictory and an ``InconsistentSystemError`` with a
     certificate is raised.
+
+    The orthonormalized kept rows fill one preallocated array, so each of the
+    two Gram-Schmidt passes is a pair of GEMVs.  The loop also records the
+    triangular factor ``T`` with ``vecs[kept] = T @ ortho``; a dependent row
+    ``h @ ortho`` then has the coefficients ``solve(T^T, h)`` on the kept rows.
     """
-    vecs = _realify(sys.matrices)
-    norms2 = np.einsum("ij,ij->i", vecs, vecs)
+    # real vectors whose dot products are the trace pairings of the C(i)
+    vecs = np.concatenate([sys.flat.real, sys.flat.imag], axis=1)
+    norms2 = np.sum(vecs * vecs, axis=1)
     if sys.q == 0 or np.max(norms2) == 0.0:
         raise ValueError("cannot prune a system of zero constraints")
     pivot_cut = tol * float(np.max(norms2))
     b_cut = 100.0 * tol * (1.0 + float(np.max(np.abs(sys.targets))))
 
+    rank_cap = min(vecs.shape)
+    ortho = np.empty((rank_cap, vecs.shape[1]))
+    tri = np.zeros((rank_cap, rank_cap))
     kept_idx: list[int] = []
-    ortho: list[np.ndarray] = []
     for i in range(sys.q):
-        v = vecs[i].copy()
-        for u in ortho:
-            v -= (u @ vecs[i]) * u
+        r = len(kept_idx)
+        basis = ortho[:r]
+        h = basis @ vecs[i]
+        v = vecs[i] - h @ basis
         # second pass stabilizes near-dependent rows
-        for u in ortho:
-            v -= (u @ v) * u
+        h2 = basis @ v
+        v -= h2 @ basis
+        h += h2
         pivot = float(v @ v)
         if pivot > pivot_cut:
             kept_idx.append(i)
-            ortho.append(v / np.sqrt(pivot))
+            ortho[r] = v / np.sqrt(pivot)
+            tri[r, :r] = h
+            tri[r, r] = np.sqrt(pivot)
             continue
         # dependent: recover coefficients on the kept rows and check the target
-        coeffs, *_ = np.linalg.lstsq(vecs[kept_idx].T, vecs[i], rcond=None)
+        coeffs = np.linalg.solve(tri[:r, :r].T, h)
         predicted = float(coeffs @ sys.targets[kept_idx])
         gap = sys.targets[i] - predicted
         if abs(gap) > b_cut:
@@ -413,27 +436,20 @@ def joint_support_reduce(
 ) -> tuple[ConstraintSystem, SupportReduction]:
     """Compress the system onto the joint support of its constraint matrices.
 
-    With K the common kernel and W an orthonormal basis of its complement,
-    every C(i) satisfies C(i) = P C(i) P for the projector P = W W^*, so
-    ``tr(C(i) W X' W^*) = tr(W^* C(i) W X')`` and the compressed system
-    ``(W^* C(i) W, b_i)`` has the same feasible targets.  For all-diagonal
-    systems the basis is the coordinate one, preserving diagonality.
+    With K the common kernel and W an orthonormal basis of its complement
+    (``linalg.joint_support``), every C(i) satisfies C(i) = P C(i) P for the
+    projector P = W W^*, so ``tr(C(i) W X' W^*) = tr(W^* C(i) W X')`` and the
+    compressed system ``(W^* C(i) W, b_i)`` has the same feasible targets.
+    For all-diagonal systems the basis is the coordinate one, preserving
+    diagonality.  When the kernel is trivial the basis is the identity and
+    ``sys`` itself is returned, uncompressed.
     """
-    stack_scale = linalg.scale_tol(sys.matrices.reshape(-1, sys.p))
-    cut = stack_scale if tol is None else tol
-    if _all_diagonal(sys.matrices):
-        diag = np.abs(np.einsum("qii->qi", sys.matrices)).max(axis=0)
-        keep = np.flatnonzero(diag > cut)
-        w = np.eye(sys.p, dtype=complex)[:, keep]
-    else:
-        _, s, vh = np.linalg.svd(np.vstack(list(sys.matrices)))
-        sigma = np.zeros(sys.p)
-        sigma[: len(s)] = s
-        if np.all(sigma > cut):
-            w = np.eye(sys.p, dtype=complex)
-        else:
-            w = vh[sigma > cut].conj().T
-    reduced = np.einsum("ai,qab,bj->qij", w.conj(), sys.matrices, w)
+    w, _ = linalg.joint_support(
+        sys.matrices.reshape(-1, sys.p), tol, diagonal=_all_diagonal(sys.matrices)
+    )
+    if w.shape[1] == sys.p:
+        return sys, SupportReduction(basis=np.eye(sys.p, dtype=complex))
+    reduced = w.conj().T @ sys.matrices @ w
     reduced = (reduced + np.conj(np.swapaxes(reduced, 1, 2))) / 2
     return (
         ConstraintSystem(w.shape[1], reduced, sys.targets.copy(), list(sys.provenance)),

@@ -113,13 +113,39 @@ def min_eigenvalue(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitian_part(as_complex_matrix(h)))[0])
 
 
+def joint_support(
+    stack: np.ndarray, tol: float | None = None, diagonal: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the joint support and the common kernel of a family.
+
+    ``stack`` is the family of p x p matrices stacked vertically, shape
+    (m p, p).  Returns ``(support, kernel)``, p x r and p x (p - r) arrays
+    whose columns together form a unitary.  A right singular direction of the
+    stack is in the kernel when its singular value is at most ``tol``, by
+    default ``scale_tol(stack)``.  The thin SVD never forms the (m p) x (m p)
+    left factor.  With ``diagonal=True`` the family is known to be diagonal:
+    the singular values are the column norms of the stack and both bases are
+    sets of coordinate vectors.
+    """
+    p = stack.shape[1]
+    if tol is None:
+        tol = scale_tol(stack)
+    if diagonal:
+        sigma = np.linalg.norm(stack, axis=0)
+        vh = np.eye(p, dtype=complex)
+    else:
+        _, sigma, vh = np.linalg.svd(stack, full_matrices=False)
+    above = sigma > tol
+    return vh[above].conj().T, vh[~above].conj().T
+
+
 def common_nullspace(hs: Sequence[np.ndarray], tol: float | None = None) -> np.ndarray:
     """Orthonormal basis of the joint kernel of a family of Hermitian matrices.
 
     Returns a ``p x d`` array whose columns span the intersection of the
     kernels; ``d = 0`` (an empty basis) is allowed.  Kernel membership is
-    decided by a singular-value threshold: ``tol`` if given, otherwise
-    ``1e-10 * (1 + Frobenius norm of the stacked family)``.
+    decided by ``joint_support``'s singular-value threshold: ``tol`` if
+    given, otherwise ``1e-10 * (1 + Frobenius norm of the stacked family)``.
     """
     mats = [as_complex_matrix(h) for h in hs]
     if not mats:
@@ -128,10 +154,4 @@ def common_nullspace(hs: Sequence[np.ndarray], tol: float | None = None) -> np.n
     for m in mats:
         if m.shape != (p, p):
             raise ValueError(f"dimension mismatch in family: {m.shape} vs ({p}, {p})")
-    stack = np.vstack(mats)
-    if tol is None:
-        tol = scale_tol(stack)
-    _, s, vh = np.linalg.svd(stack)
-    sigma = np.zeros(p)
-    sigma[: len(s)] = s
-    return vh[sigma <= tol].conj().T
+    return joint_support(np.vstack(mats), tol)[1]

@@ -181,8 +181,7 @@ def _exp_objective(sys: ConstraintSystem, offset: float) -> _Objective:
             return np.inf, None
         ex = (u * np.exp(w)) @ u.conj().T
         f = float(np.sum(np.exp(w)) - x @ targets)
-        g = np.einsum("qij,ji->q", mats, ex).real - targets
-        return f, g
+        return f, sys.residuals(ex)
 
     def hessian(x):
         s = linalg.hermitian_part(sys.aggregate(x)) + offset * eye
@@ -193,8 +192,9 @@ def _exp_objective(sys: ConstraintSystem, offset: float) -> _Objective:
         near = np.abs(dw) < 1e-12
         dw_safe = np.where(near, 1.0, dw)
         phi = np.where(near, (ew[:, None] + ew[None, :]) / 2, (ew[:, None] - ew[None, :]) / dw_safe)
-        rot = np.einsum("ai,qab,bj->qij", u.conj(), mats, u)
-        return np.einsum("ab,iab,jab->ij", phi, rot, rot.conj()).real
+        # H_ij = sum_ab phi_ab (U^* C(i) U)_ab conj((U^* C(j) U)_ab)
+        rot = (u.conj().T @ mats @ u).reshape(sys.q, -1)
+        return ((rot * phi.ravel()) @ rot.conj().T).real
 
     def recedes(x):
         # sum x C <= 0 keeps tr exp bounded along t x while -t b.x falls
@@ -582,14 +582,15 @@ def analytic_center(
         a = linalg.hermitian_part(a0 + sys.aggregate(x))
         ainv = np.linalg.inv(a)
         ainv = linalg.hermitian_part(ainv)
-        gvec = -np.einsum("qij,ji->q", sys.matrices, ainv).real
+        gvec = -sys.traces(ainv)
         r_dual = gvec + w * b
         r_pri = float(b @ x - lam)
         rnorm = float(np.sqrt(np.linalg.norm(r_dual) ** 2 + r_pri**2))
         if rnorm <= rtol:
             break
-        m = np.einsum("ab,qbc->qac", ainv, sys.matrices)  # a^{-1} C(i)
-        hess = np.einsum("aij,bji->ab", m, m).real  # tr(a^{-1} C(i) a^{-1} C(j))
+        m = ainv @ sys.matrices  # a^{-1} C(i)
+        # tr(a^{-1} C(i) a^{-1} C(j)): row i of m against the transpose of row j
+        hess = (m.reshape(sys.q, -1) @ np.swapaxes(m, 1, 2).reshape(sys.q, -1).T).real
         kkt = np.zeros((sys.q + 1, sys.q + 1))
         kkt[: sys.q, : sys.q] = hess
         kkt[: sys.q, sys.q] = b
@@ -609,7 +610,7 @@ def analytic_center(
             at = linalg.hermitian_part(a0 + sys.aggregate(xt))
             if _chol_pd(at) is not None:
                 ainv_t = linalg.hermitian_part(np.linalg.inv(at))
-                g_t = -np.einsum("qij,ji->q", sys.matrices, ainv_t).real
+                g_t = -sys.traces(ainv_t)
                 rd_t = g_t + (w + t * dw) * b
                 rp_t = float(b @ xt - lam)
                 if np.sqrt(np.linalg.norm(rd_t) ** 2 + rp_t**2) <= (1 - 0.01 * t) * rnorm:
@@ -625,7 +626,7 @@ def analytic_center(
 
     a = linalg.hermitian_part(a0 + sys.aggregate(x))
     ainv = linalg.hermitian_part(np.linalg.inv(a))
-    moments = np.einsum("qij,ji->q", sys.matrices, ainv).real
+    moments = sys.traces(ainv)
     r_pri = float(b @ x - lam)
     if abs(r_pri) > np.sqrt(rtol) * (1.0 + abs(lam)):
         message = (

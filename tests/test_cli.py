@@ -13,7 +13,7 @@ from cpinterp.reports import (
     instance_to_jsonable,
     parse_instance,
 )
-from helpers import A1, A2, B1, B2, X_REF
+from helpers import A1, A2, B1, B2, X_REF, planted_diagonal_instance
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 GOLDEN_INSTANCE = GOLDEN_DIR / "qubit_pair.json"
@@ -348,3 +348,28 @@ def test_seventeen_digit_floats(tmp_path):
     # a representative float is printed with full precision
     token = f"{phi[0, 0].real:.17g}"
     assert token in text
+
+
+# ---------------------------------------------------------------------------
+# ill-conditioned diagonal draws
+
+
+@pytest.mark.parametrize("seed, index", [(580057656, 7), (203, 57), (303, 102)])
+def test_ill_conditioned_diagonal_draws_end_in_a_checked_verdict(tmp_path, seed, index):
+    # draws of the test suite's diagonal recipe whose n x n input diagonals
+    # have condition numbers 6e5, 2.8e4 and 1.3e4: whatever the verdict, it
+    # must be one that is checked or one that claims nothing
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        inst, _ = planted_diagonal_instance(rng, 4, 4, 6)
+    report, code = cli.run_solve(inst, cli.SolveOptions())
+    assert report["status"] in ("feasible", "undetermined")
+    if report["status"] == "undetermined":
+        assert code == cli.EXIT_UNDETERMINED
+        assert report["certificate"] is None
+        return
+    assert code == cli.EXIT_FEASIBLE
+    instance_path = write_json(tmp_path / "instance.json", instance_to_jsonable(inst))
+    report_path = tmp_path / "report.json"
+    report_path.write_text(dumps_canonical(report))
+    assert cli.main(["verify", str(report_path), str(instance_path)]) == 0

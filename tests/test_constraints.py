@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpinterp import certify
 from cpinterp.choi import ChoiMatrix, KrausSet, apply_choi, kraus_to_choi, matrix_unit
 from cpinterp.constraints import (
     ConstraintSystem,
@@ -201,8 +202,74 @@ def test_prune_preserves_solution_set():
     assert full_res <= 3 * kept_res + 1e-12
 
 
+def planted_dependent_system(rng, p, independent, dependent):
+    """Random constraints with real combinations of earlier rows mixed in.
+
+    Targets come from a planted Hermitian X, so the system is consistent.
+    Returns the system and the positions of the planted dependent rows.
+    """
+    mats = [random_hermitian(rng, p) for _ in range(independent)]
+    positions = []
+    for _ in range(dependent):
+        at = int(rng.integers(1, len(mats) + 1))
+        coeffs = rng.standard_normal(at) * (rng.uniform(size=at) < 0.5)
+        mats.insert(at, np.tensordot(coeffs, np.array(mats[:at]), axes=1))
+        positions = [i + (i >= at) for i in positions] + [at]
+    x = random_hermitian(rng, p)
+    return base_system(mats, [np.trace(c @ x).real for c in mats]), sorted(positions)
+
+
+def reference_kept_rows(sys):
+    """Rows that raise the rank of the rows kept before them (real flattening)."""
+    flat = sys.matrices.reshape(sys.q, -1)
+    vecs = np.concatenate([flat.real, flat.imag], axis=1)
+    kept = []
+    for i in range(sys.q):
+        if np.linalg.matrix_rank(vecs[kept + [i]]) > len(kept):
+            kept.append(i)
+    return kept
+
+
+def test_prune_keeps_the_rank_increasing_rows():
+    rng = np.random.default_rng(25)
+    for p, independent, dependent in [(2, 3, 2), (3, 6, 4), (4, 10, 6), (4, 16, 5)]:
+        sys, positions = planted_dependent_system(rng, p, independent, dependent)
+        kept = reference_kept_rows(sys)
+        assert kept == [i for i in range(sys.q) if i not in positions]
+        pruned = prune_dependent(sys)
+        assert [t.indices[0] - 1 for t in pruned.provenance] == kept
+
+
+def test_prune_certificate_validates_on_a_perturbed_target():
+    rng = np.random.default_rng(26)
+    for p, independent, dependent in [(2, 3, 2), (3, 6, 4), (4, 10, 6)]:
+        sys, _ = planted_dependent_system(rng, p, independent, dependent)
+        dropped = sorted(set(range(sys.q)) - set(reference_kept_rows(sys)))
+        targets = sys.targets.copy()
+        targets[dropped[-1]] += 1.0
+        with pytest.raises(InconsistentSystemError) as err:
+            prune_dependent(base_system(sys.matrices, targets))
+        exc = err.value
+        cert = certify.Certificate(
+            exc.certificate_coefficients,
+            certify.CertificateKind.EXCLUDES_PSD,
+            objective=float(exc.certificate_coefficients @ exc.system.targets),
+            min_eigenvalue=0.0,
+        )
+        assert certify.validate(cert, exc.system)
+
+
 # ---------------------------------------------------------------------------
 # joint_support_reduce / embed_solution
+
+
+def test_reduce_full_rank_system_is_returned_uncompressed():
+    rng = np.random.default_rng(32)
+    sys = base_system([random_hermitian(rng, 4) for _ in range(5)], rng.standard_normal(5))
+    reduced, red = joint_support_reduce(sys)
+    assert np.array_equal(red.basis, np.eye(4))
+    x = random_hermitian(rng, 4)
+    assert np.array_equal(reduced.residuals(x), sys.residuals(x))
 
 
 def test_reduce_to_first_coordinate():

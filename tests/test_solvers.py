@@ -101,6 +101,35 @@ def test_gradient_matches_finite_differences():
         assert np.abs(g - fd).max() <= 1e-6 * (1 + np.abs(fd).max())
 
 
+def test_exp_hessian_matches_finite_differences():
+    from cpinterp.solvers import _exp_objective
+
+    rng = np.random.default_rng(57)
+    p, support = 6, 4
+    # constraints supported on the first 4 of 6 coordinates, planted solution
+    mats = np.zeros((10, p, p), dtype=complex)
+    for c in mats:
+        c[:support, :support] = random_hermitian(rng, support)
+    s = np.tensordot(rng.uniform(-0.5, 0.5, size=len(mats)), mats, axes=1)
+    w, u = np.linalg.eigh(s)
+    x_true = (u * np.exp(w)) @ u.conj().T
+    pruned = prune_dependent(system_of(mats, [np.trace(c @ x_true).real for c in mats]))
+    reduced, red = joint_support_reduce(pruned)
+    assert red.reduced_dim < p
+    step = 1e-5
+    for sys in (pruned, reduced):
+        obj = _exp_objective(sys, -1.0)
+        for _ in range(3):
+            x = rng.uniform(-0.3, 0.3, size=sys.q)
+            h = obj.hessian(x)
+            fd = np.zeros_like(h)
+            for i in range(sys.q):
+                e = np.zeros(sys.q)
+                e[i] = step
+                fd[:, i] = (obj.value_grad(x + e)[1] - obj.value_grad(x - e)[1]) / (2 * step)
+            assert np.linalg.norm(h - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
 def test_potential_overflow_is_diagnosed():
     sys = system_of([np.array([[1.0]])], [1.0])
     with pytest.raises(OverflowError):
