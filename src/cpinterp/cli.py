@@ -11,7 +11,6 @@ exits 1 on the first failing check.
 from __future__ import annotations
 
 import argparse
-import json
 import sys as _sys
 import time
 from dataclasses import dataclass
@@ -98,6 +97,8 @@ def _report_inconsistent(report: dict, exc: InconsistentSystemError) -> int:
         "method": "none",
         "status": "inconsistent-linear-system",
         "iterations": 0,
+        "cg_iterations": 0,
+        "newton_steps": 0,
         "message": str(exc) if valid else (
             f"{exc}; its certificate fails validation, so infeasibility is not proven"
         ),
@@ -112,6 +113,8 @@ def _solver_block(outcome, method: str) -> dict:
         "method": method,
         "status": outcome.status.value,
         "iterations": int(outcome.iterations),
+        "cg_iterations": int(outcome.cg_iterations),
+        "newton_steps": int(outcome.newton_steps),
         "message": outcome.message,
     }
 
@@ -289,12 +292,7 @@ def run_apply(report_path: str | Path, matrix_path: str | Path) -> np.ndarray:
     if not isinstance(n, int) or not isinstance(k, int):
         raise InstanceFormatError("report lacks problem dimensions")
     phi = reports.report_matrix(doc, "choi", n * k, n * k)
-    try:
-        matrix_doc = json.loads(Path(matrix_path).read_text())
-    except OSError as exc:
-        raise InstanceFormatError(f"cannot read {matrix_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"{matrix_path} is not valid JSON: {exc}") from exc
+    matrix_doc = reports.load_json(matrix_path)
     if isinstance(matrix_doc, dict) and "A" in matrix_doc:
         matrix_doc = matrix_doc["A"]
     a = reports.matrix_from_json(matrix_doc, n, n, "input matrix")
@@ -485,11 +483,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command in ("solve", "certify"):
-            inst = reports.parse_instance(args.instance)
-            file_options = reports.solver_options_from_jsonable(
-                json.loads(Path(args.instance).read_text())
-            )
-            options = _options_from_args(args, file_options)
+            doc = reports.load_json(args.instance)
+            inst = reports.instance_from_jsonable(doc)
+            options = _options_from_args(args, reports.solver_options_from_jsonable(doc))
             if args.command == "solve":
                 report, code = run_solve(inst, options)
             else:

@@ -423,7 +423,7 @@ def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> Cons
 
 
 def _all_diagonal(matrices: np.ndarray) -> bool:
-    off = matrices - np.einsum("qii->qi", matrices)[:, :, None] * np.eye(
+    off = matrices - np.diagonal(matrices, axis1=1, axis2=2)[:, :, None] * np.eye(
         matrices.shape[1]
     )
     return float(np.max(np.abs(off))) <= STRUCTURE_RTOL * (

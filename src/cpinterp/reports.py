@@ -59,15 +59,19 @@ def matrix_to_jsonable(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def parse_instance(path: str | Path) -> ProblemInstance:
-    """Read and validate an instance file."""
+def load_json(path: str | Path) -> Any:
+    """Read and decode a JSON file; failures become ``InstanceFormatError``."""
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return instance_from_jsonable(doc)
+
+
+def parse_instance(path: str | Path) -> ProblemInstance:
+    """Read and validate an instance file."""
+    return instance_from_jsonable(load_json(path))
 
 
 def instance_from_jsonable(doc: Any) -> ProblemInstance:
@@ -92,11 +96,7 @@ def instance_from_jsonable(doc: Any) -> ProblemInstance:
     tp = doc.get("trace_preserving", False)
     if not isinstance(tp, bool):
         raise InstanceFormatError("'trace_preserving' must be a boolean")
-    solver = doc.get("solver", {})
-    if not isinstance(solver, dict):
-        raise InstanceFormatError("'solver' must be an object")
-    inst = ProblemInstance(n=n, k=k, pairs=pairs, trace_preserving=tp)
-    return inst
+    return ProblemInstance(n=n, k=k, pairs=pairs, trace_preserving=tp)
 
 
 def solver_options_from_jsonable(doc: Any) -> dict:
@@ -183,12 +183,7 @@ def dumps_canonical(obj: Any, indent: int = 0) -> str:
 
 
 def read_report(path: str | Path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from exc
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise InstanceFormatError("report document must be a JSON object")
     return doc

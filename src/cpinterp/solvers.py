@@ -6,16 +6,25 @@ Two routes to a feasible ``X >= 0`` with ``tr(C(i) X) = b_i``:
 
       V(x) = tr(exp(sum_i x_i C(i) + s I)) - sum_i x_i b_i
 
-  by Polak-Ribiere+ conjugate gradients with a strong-Wolfe line search and
-  a damped-Newton polish.  The gradient components of V are exactly the
-  constraint residuals of ``X = exp(sum x C + s I)``, so a critical point is
-  an exact strictly positive solution; V is coercive precisely when such a
-  solution exists, and unbounded growth of the iterates witnesses that none
-  does.  The solver stops as soon as an iterate x proves it: with
-  ``sum x C <= 0`` and ``b . x > 0`` the potential falls without bound along
-  the ray through x, and ``-x`` is itself an infeasibility certificate.  The
-  scalar offset ``s`` shifts the exponent by a multiple of the identity; it
-  changes which feasible point is found but not feasibility.
+  by Polak-Ribiere+ conjugate gradients with a strong-Wolfe line search,
+  handed to damped Newton with the exact Hessian once the gradient norm has
+  fallen ``1 / NEWTON_HANDOFF``-fold.  CG converges only linearly, Newton
+  quadratically from there.  Should Newton stall short of the tolerance, CG
+  resumes from its point with the rest of the iteration budget and no second
+  hand-off, and a CG run that stalls or hits the cap still ends in a Newton
+  polish.  The gradient components of V are exactly the constraint
+  residuals of ``X = exp(sum x C + s I)``, so a critical point is an exact
+  strictly positive solution; V is coercive precisely when such a solution
+  exists, and unbounded growth of the iterates witnesses that none does.
+  The solver stops as soon as an iterate x proves it: with ``sum x C <= 0``
+  and ``b . x > 0`` the potential falls without bound along the ray through
+  x, and ``-x`` is itself an infeasibility certificate.  On such data the
+  gradient, a residual vector of a positive definite matrix, stays away from
+  zero unless the data are only weakly infeasible, so a hand-off there is
+  rare; should one happen, Newton cannot converge and the resumed CG stops
+  on the recession test as before.  The scalar offset ``s`` shifts the
+  exponent by a multiple of the identity; it changes which feasible point is
+  found but not feasibility.
 
 * ``analytic_center`` minimizes the log-det barrier ``-ln det a(x)`` with
   ``a(x) = a0 + sum x_i C(i)`` over the slice ``sum b_i x_i = level`` by an
@@ -46,15 +55,28 @@ class SolveStatus(enum.Enum):
     ITERATION_LIMIT = "iteration-limit"
 
 
+# CG hands the exp potential to Newton once the gradient norm is at most this
+# fraction of its starting value.  Polak-Ribiere+ CG cuts the gradient only
+# about 4x every 4 steps; from this point damped Newton with the exact Hessian
+# needs about 3 steps on planted n = k = 4 data, where CG alone takes about
+# 55.  On planted infeasible data the recession test fires before the
+# gradient falls this far, so those runs are CG only.
+NEWTON_HANDOFF = 1e-2
+
+
 @dataclass
 class ExpSolveConfig:
-    """Settings for the exponential-potential conjugate-gradient solver."""
+    """Settings for the exponential-potential minimizer.
+
+    ``max_iterations`` caps the CG steps of a run; each Newton phase takes at
+    most ``_newton_polish``'s 50 steps.  ``newton_polish=False`` runs CG
+    alone, with neither the hand-off nor the polish.
+    """
 
     gradient_tol: float = 1e-9
     max_iterations: int = 10000
     sufficient_decrease: float = 1e-4
     curvature: float = 0.4
-    restart_period: int | None = None  # None: restart every q iterations
     divergence_threshold: float = 1e4
     exponent_offset: float = -1.0
     newton_polish: bool = True
@@ -66,8 +88,6 @@ class ExpSolveConfig:
             raise ValueError("max_iterations must be at least 1")
         if not 0 < self.sufficient_decrease < self.curvature < 1:
             raise ValueError("need 0 < sufficient_decrease < curvature < 1")
-        if self.restart_period is not None and self.restart_period < 1:
-            raise ValueError("restart_period must be at least 1")
         if self.divergence_threshold <= 0:
             raise ValueError("divergence_threshold must be positive")
 
@@ -96,14 +116,25 @@ class BarrierConfig:
 
 @dataclass
 class SolveOutcome:
+    """Result of a solver run.
+
+    ``cg_iterations`` counts conjugate-gradient steps and ``newton_steps``
+    Newton steps (all of the barrier method's steps are Newton steps).
+    """
+
     status: SolveStatus
     solution: np.ndarray | None
     coefficients: np.ndarray | None
     residuals: np.ndarray
     max_residual: float
     min_eigenvalue: float
-    iterations: int
+    cg_iterations: int
+    newton_steps: int
     message: str = ""
+
+    @property
+    def iterations(self) -> int:
+        return self.cg_iterations + self.newton_steps
 
 
 @dataclass
@@ -192,9 +223,10 @@ def _exp_objective(sys: ConstraintSystem, offset: float) -> _Objective:
         near = np.abs(dw) < 1e-12
         dw_safe = np.where(near, 1.0, dw)
         phi = np.where(near, (ew[:, None] + ew[None, :]) / 2, (ew[:, None] - ew[None, :]) / dw_safe)
-        # H_ij = sum_ab phi_ab (U^* C(i) U)_ab conj((U^* C(j) U)_ab)
-        rot = (u.conj().T @ mats @ u).reshape(sys.q, -1)
-        return ((rot * phi.ravel()) @ rot.conj().T).real
+        # H_ij = Re sum_ab phi_ab (U^* C(i) U)_ab conj((U^* C(j) U)_ab); phi
+        # is real, so this is a real GEMM on the interleaved (re, im) parts
+        rot = (u.conj().T @ mats @ u).view(np.float64).reshape(sys.q, -1)
+        return (rot * np.repeat(phi.ravel(), 2)) @ rot.T
 
     def recedes(x):
         # sum x C <= 0 keeps tr exp bounded along t x while -t b.x falls
@@ -277,40 +309,61 @@ def _wolfe_search(fg_line, f0, slope0, c1, c2, alpha0):
 class _MinimizeResult:
     x: np.ndarray
     grad: np.ndarray
-    iterations: int
+    cg_iterations: int
+    newton_steps: int
     converged: bool
     diverged: bool
     message: str = ""
 
 
-def _minimize_cg(obj: _Objective, x0: np.ndarray, cfg: ExpSolveConfig) -> _MinimizeResult:
-    """Polak-Ribiere+ conjugate gradients with periodic restarts."""
+# Why a CG run stopped, besides convergence, and how a message puts it.
+_CG_STOPS = {
+    "recedes": "found the objective unbounded below along the ray through the iterate",
+    "norm-cap": "saw the iterates diverge with the objective still decreasing",
+    "stalled": "stalled in the line search",
+    "limit": "hit the iteration limit",
+}
+_DIVERGED = ("recedes", "norm-cap")
+
+
+def _minimize_cg(
+    obj: _Objective,
+    x0: np.ndarray,
+    cfg: ExpSolveConfig,
+    budget: int,
+    handoff: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, int, str]:
+    """Polak-Ribiere+ conjugate gradients with periodic restarts.
+
+    Takes at most ``budget`` steps and declares divergence once
+    ``|x| > cfg.divergence_threshold * (1 + |x0|)``.  Returns the last
+    iterate, its gradient, the step count and why the run stopped:
+    ``"converged"``, ``"handoff"`` (the gradient norm fell to ``handoff``
+    times its starting value; 0 never hands off) or a key of ``_CG_STOPS``.
+    """
     q = len(x0)
-    restart_every = cfg.restart_period or max(q, 10)
+    restart_every = max(q, 10)
     divergence_cap = cfg.divergence_threshold * (1.0 + float(np.linalg.norm(x0)))
 
     x = np.asarray(x0, dtype=float).copy()
     f, g = obj.value_grad(x)
     if not np.isfinite(f):
         raise ValueError("objective overflows at the starting point")
+    handoff_norm = handoff * float(np.linalg.norm(g))
     since_restart = 0
     d = -g
     iterations = 0
 
-    while iterations < cfg.max_iterations:
+    while iterations < budget:
         gnorm = float(np.linalg.norm(g))
         if gnorm <= cfg.gradient_tol:
-            return _MinimizeResult(x, g, iterations, True, False)
+            return x, g, iterations, "converged"
         if obj.recedes(x):
-            return _MinimizeResult(
-                x, g, iterations, False, True,
-                "the objective is unbounded below along the ray through the iterate",
-            )
+            return x, g, iterations, "recedes"
         if float(np.linalg.norm(x)) > divergence_cap:
-            return _MinimizeResult(
-                x, g, iterations, False, True,
-                "iterates diverged with the objective still decreasing",
-            )
+            return x, g, iterations, "norm-cap"
+        if gnorm <= handoff_norm:
+            return x, g, iterations, "handoff"
         slope = float(g @ d)
         if slope >= 0:  # not a descent direction: restart on steepest descent
             d = -g
@@ -331,9 +384,7 @@ def _minimize_cg(obj: _Objective, x0: np.ndarray, cfg: ExpSolveConfig) -> _Minim
         )
         iterations += 1
         if alpha is None or alpha == 0.0:
-            return _MinimizeResult(
-                x, g, iterations, False, False, "line search stalled"
-            )
+            return x, g, iterations, "stalled"
         x = x + alpha * d
         f_new, g_new = state.get(alpha, (None, None))
         if g_new is None:
@@ -347,7 +398,7 @@ def _minimize_cg(obj: _Objective, x0: np.ndarray, cfg: ExpSolveConfig) -> _Minim
         d = -g_new + beta * d
         f, g = f_new, g_new
 
-    return _MinimizeResult(x, g, iterations, False, False, "iteration limit reached")
+    return x, g, iterations, "limit"
 
 
 def _newton_polish(
@@ -384,17 +435,40 @@ def _newton_polish(
     return x, g, steps
 
 
-def _maybe_polish(
-    obj: _Objective, result: _MinimizeResult, cfg: ExpSolveConfig
-) -> _MinimizeResult:
-    if result.diverged or result.converged or not cfg.newton_polish:
-        return result
-    x, g, extra = _newton_polish(obj, result.x, result.grad, cfg.gradient_tol)
-    converged = float(np.linalg.norm(g)) <= cfg.gradient_tol
-    return _MinimizeResult(
-        x, g, result.iterations + extra, converged, False,
-        "" if converged else result.message,
-    )
+def _minimize(obj: _Objective, x0: np.ndarray, cfg: ExpSolveConfig) -> _MinimizeResult:
+    """CG, handed to Newton at ``NEWTON_HANDOFF``, with CG as the stall fallback.
+
+    If Newton stalls short of ``cfg.gradient_tol``, CG resumes from Newton's
+    point with the rest of the CG budget and without a second hand-off.  From
+    there the run ends as a CG-only run does: on convergence, on the
+    recession test or the norm cap, or on a stall or the iteration cap
+    followed by a Newton polish.  The resumed run measures the norm cap from
+    Newton's point: on ill-conditioned data the minimizer can lie beyond the
+    cap of the first start, and Newton may have walked most of the way there.
+    """
+    handoff = NEWTON_HANDOFF if cfg.newton_polish else 0.0
+    x, g, cg_steps, stop = _minimize_cg(obj, x0, cfg, cfg.max_iterations, handoff)
+    newton_steps = 0
+    phase = "CG"
+    if stop == "handoff":
+        x, g, newton_steps = _newton_polish(obj, x, g, cfg.gradient_tol)
+        if float(np.linalg.norm(g)) <= cfg.gradient_tol:
+            return _MinimizeResult(x, g, cg_steps, newton_steps, True, False)
+        x, g, more, stop = _minimize_cg(obj, x, cfg, cfg.max_iterations - cg_steps)
+        cg_steps += more
+        phase = "Newton stalled after hand-off; CG resumed and"
+    if stop == "converged":
+        return _MinimizeResult(x, g, cg_steps, newton_steps, True, False)
+    message = f"{phase} {_CG_STOPS[stop]}"
+    if stop in _DIVERGED:
+        return _MinimizeResult(x, g, cg_steps, newton_steps, False, True, message)
+    if cfg.newton_polish:
+        x, g, more = _newton_polish(obj, x, g, cfg.gradient_tol)
+        newton_steps += more
+        if float(np.linalg.norm(g)) <= cfg.gradient_tol:
+            return _MinimizeResult(x, g, cg_steps, newton_steps, True, False)
+        message += "; Newton polish did not converge"
+    return _MinimizeResult(x, g, cg_steps, newton_steps, False, False, message)
 
 
 def _outcome_from_point(
@@ -412,8 +486,9 @@ def _outcome_from_point(
             residuals=result.grad,
             max_residual=float(np.max(np.abs(result.grad))),
             min_eigenvalue=float("nan"),
-            iterations=result.iterations,
-            message=result.message or "potential has no attained minimum",
+            cg_iterations=result.cg_iterations,
+            newton_steps=result.newton_steps,
+            message=result.message,
         )
     solution = builder(x)
     res = sys.residuals(solution)
@@ -426,7 +501,8 @@ def _outcome_from_point(
         residuals=res,
         max_residual=max_res,
         min_eigenvalue=linalg.min_eigenvalue(solution),
-        iterations=result.iterations,
+        cg_iterations=result.cg_iterations,
+        newton_steps=result.newton_steps,
         message=result.message,
     )
 
@@ -436,19 +512,23 @@ def solve_exp(
 ) -> SolveOutcome:
     """Find a strictly positive solution by minimizing the exponential potential.
 
-    Convergence of the gradient (2-norm below ``cfg.gradient_tol``) certifies
-    feasibility: the returned ``X = exp(sum x C + offset I)`` is positive
-    definite by construction and its residuals equal the final gradient.
-    Divergence reports that no strictly positive solution exists (the
-    potential is coercive exactly when one does).  It is declared at the
-    first iterate whose ray the potential provably falls along without bound,
-    or else when the iterates outgrow ``cfg.divergence_threshold``.  Hitting the iteration cap is a soft outcome.
+    CG runs until the gradient norm has fallen ``1 / NEWTON_HANDOFF``-fold,
+    then damped Newton finishes; if Newton stalls, CG resumes (see
+    ``_minimize``).  Convergence of the gradient (2-norm below
+    ``cfg.gradient_tol``) certifies feasibility: the returned
+    ``X = exp(sum x C + offset I)`` is positive definite by construction and
+    its residuals equal the final gradient.  Divergence reports that no
+    strictly positive solution exists (the potential is coercive exactly
+    when one does).  It is declared at the first iterate whose ray the
+    potential provably falls along without bound, or else when the iterates
+    outgrow ``cfg.divergence_threshold``.
+
+    Hitting the iteration cap is a soft outcome.
     """
     cfg = cfg or ExpSolveConfig()
     obj = _exp_objective(sys, cfg.exponent_offset)
     start = np.zeros(sys.q) if x0 is None else np.asarray(x0, dtype=float).copy()
-    result = _minimize_cg(obj, start, cfg)
-    result = _maybe_polish(obj, result, cfg)
+    result = _minimize(obj, start, cfg)
 
     def build(x):
         s = linalg.hermitian_part(sys.aggregate(x)) + cfg.exponent_offset * np.eye(sys.p)
@@ -466,14 +546,15 @@ def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> 
     matrix exponential is entrywise on the diagonal.
     """
     cfg = cfg or ExpSolveConfig()
-    diag = np.einsum("qii->qi", sys.matrices)
+    diag = np.diagonal(sys.matrices, axis1=1, axis2=2)
     if float(np.max(np.abs(diag.imag))) > 1e-12:
         raise ValueError("constraint matrices are not selfadjoint")
     diag = diag.real.copy()
-    off_mass = np.array(
-        [linalg.frobenius(sys.matrices[i] - np.diag(diag[i])) for i in range(sys.q)]
-    )
-    scale = 1e-12 * (1.0 + float(np.max(np.abs(sys.matrices))))
+    mass = np.abs(sys.flat)
+    scale = 1e-12 * (1.0 + float(np.max(mass)))
+    # off-diagonal mass of every row: one GEMV on the squared magnitudes
+    mass *= mass
+    off_mass = np.sqrt(mass @ (1.0 - np.eye(sys.p).ravel()))
     active = off_mass <= scale
     for i in np.flatnonzero(~active):
         if float(np.linalg.norm(diag[i])) > scale or abs(sys.targets[i]) > 1e-12:
@@ -485,8 +566,7 @@ def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> 
     targets = sys.targets[active]
 
     obj = _diag_objective(coeffs, targets, cfg.exponent_offset)
-    result = _minimize_cg(obj, np.zeros(len(targets)), cfg)
-    result = _maybe_polish(obj, result, cfg)
+    result = _minimize(obj, np.zeros(len(targets)), cfg)
 
     def build(x):
         return np.diag(np.exp(coeffs.T @ x + cfg.exponent_offset)).astype(complex)
@@ -565,7 +645,8 @@ def analytic_center(
         return SolveOutcome(
             status=SolveStatus.ITERATION_LIMIT,
             solution=None, coefficients=empty, residuals=empty,
-            max_residual=float("nan"), min_eigenvalue=float("nan"), iterations=0,
+            max_residual=float("nan"), min_eigenvalue=float("nan"),
+            cg_iterations=0, newton_steps=0,
             message=(
                 f"level {lam:.6g} is unattainable: all targets vanish"
                 if lam != 0.0
@@ -641,7 +722,7 @@ def analytic_center(
             status=SolveStatus.ITERATION_LIMIT,
             solution=None, coefficients=x, residuals=np.full(sys.q, np.nan),
             max_residual=float("nan"), min_eigenvalue=float("nan"),
-            iterations=iterations, message=message,
+            cg_iterations=0, newton_steps=iterations, message=message,
         )
     solution = linalg.hermitian_part(ainv / mu)
     res = sys.residuals(solution)
@@ -653,7 +734,8 @@ def analytic_center(
         residuals=res,
         max_residual=max_res,
         min_eigenvalue=linalg.min_eigenvalue(solution),
-        iterations=iterations,
+        cg_iterations=0,
+        newton_steps=iterations,
         message="" if max_res <= feas_tol else
         f"center found but residuals {max_res:.3g} exceed {feas_tol:.3g}",
     )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cpinterp import cli
-from cpinterp.constraints import InconsistentSystemError
+from cpinterp.constraints import InconsistentSystemError, ProblemInstance
 from cpinterp.reports import (
     InstanceFormatError,
     dumps_canonical,
@@ -13,7 +13,16 @@ from cpinterp.reports import (
     instance_to_jsonable,
     parse_instance,
 )
-from helpers import A1, A2, B1, B2, X_REF, planted_diagonal_instance
+from helpers import (
+    A1,
+    A2,
+    B1,
+    B2,
+    X_REF,
+    planted_diagonal_instance,
+    random_complex,
+    random_hermitian,
+)
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 GOLDEN_INSTANCE = GOLDEN_DIR / "qubit_pair.json"
@@ -179,6 +188,42 @@ def test_invalid_linear_system_certificate_is_undetermined(tmp_path, monkeypatch
     assert "fails validation" in rep["solver"]["message"]
 
 
+@pytest.mark.parametrize("args", [[], ["--method", "barrier", "--tol", "1e-6"]])
+def test_solver_block_splits_cg_and_newton_steps(tmp_path, args):
+    out = tmp_path / "report.json"
+    assert cli.main(["solve", str(GOLDEN_INSTANCE), *args, "--out", str(out)]) == 0
+    solver = json.loads(out.read_text())["solver"]
+    assert solver["cg_iterations"] + solver["newton_steps"] == solver["iterations"]
+    assert solver["newton_steps"] >= 1
+    if solver["method"] == "barrier":
+        assert solver["cg_iterations"] == 0
+
+
+def test_unitary_channel_solves_to_one_kraus_element(tmp_path):
+    # B = U A U*: the solve ends at the rank-one Choi matrix of conjugation
+    # by U, a boundary instance where the potential's infimum is not attained;
+    # without the hand-off the solve takes 2334 steps
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(random_complex(rng, 3, 3))
+    pairs = []
+    for _ in range(6):
+        a = random_hermitian(rng, 3)
+        pairs.append((a, u @ a @ u.conj().T))
+    inst = ProblemInstance(3, 3, pairs)
+    report, code = cli.run_solve(inst, cli.SolveOptions())
+    assert code == cli.EXIT_FEASIBLE
+    assert report["kraus_count"] == 1
+    assert report["solver"]["iterations"] < 1000
+    assert_verify_accepts(tmp_path, inst, report)
+
+
+def assert_verify_accepts(tmp_path, inst, report):
+    instance_path = write_json(tmp_path / "instance.json", instance_to_jsonable(inst))
+    report_path = tmp_path / "report.json"
+    report_path.write_text(dumps_canonical(report))
+    assert cli.main(["verify", str(report_path), str(instance_path)]) == 0
+
+
 def test_solve_missing_file_is_input_error(tmp_path, capsys):
     code = cli.main(["solve", str(tmp_path / "absent.json")])
     assert code == 4
@@ -312,6 +357,15 @@ def test_file_solver_section_sets_method(tmp_path):
     assert json.loads(out.read_text())["solver"]["method"] == "barrier"
 
 
+@pytest.mark.parametrize("command", ["solve", "certify"])
+@pytest.mark.parametrize("section", [[], {"method": "bogus"}])
+def test_malformed_solver_section_is_input_error(tmp_path, capsys, command, section):
+    doc = json.loads(GOLDEN_INSTANCE.read_text())
+    doc["solver"] = section
+    assert cli.main([command, str(write_json(tmp_path / "inst.json", doc))]) == 4
+    assert "solver" in capsys.readouterr().err
+
+
 def test_trace_preserving_flag(tmp_path):
     # the identity map is a channel: interpolate phi(E_11) = E_11 with TP on
     doc = {"n": 2, "k": 2, "trace_preserving": True,
@@ -373,3 +427,16 @@ def test_ill_conditioned_diagonal_draws_end_in_a_checked_verdict(tmp_path, seed,
     report_path = tmp_path / "report.json"
     report_path.write_text(dumps_canonical(report))
     assert cli.main(["verify", str(report_path), str(instance_path)]) == 0
+
+
+@pytest.mark.parametrize("seed, index", [(203, 57), (303, 102)])
+def test_ill_conditioned_diagonal_draws_solve_feasible(tmp_path, seed, index):
+    # CG alone stops these at the norm cap or the iteration cap; after the
+    # hand-off Newton reaches the minimizer, which lies beyond the norm cap
+    # of the first start for seed 203
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        inst, _ = planted_diagonal_instance(rng, 4, 4, 6)
+    report, code = cli.run_solve(inst, cli.SolveOptions())
+    assert (report["status"], code) == ("feasible", cli.EXIT_FEASIBLE)
+    assert_verify_accepts(tmp_path, inst, report)

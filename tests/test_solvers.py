@@ -243,6 +243,34 @@ def test_solve_diagonal_stops_on_recession_ray():
     assert out.coefficients[0] < 0.0
 
 
+def test_solve_exp_hands_planted_data_to_newton():
+    # CG stops once the gradient has fallen 100-fold and Newton finishes;
+    # CG run down to the tolerance takes 55 steps on average here, 85 at most
+    rng = np.random.default_rng(404)
+    for _ in range(40):
+        inst, _ = planted_instance(rng, 4, 4, 6)
+        out = solve_exp(prune_dependent(instance_system(inst)))
+        assert out.status is SolveStatus.FEASIBLE
+        assert out.cg_iterations <= 30
+        assert out.newton_steps >= 1
+        assert out.iterations == out.cg_iterations + out.newton_steps
+
+
+def test_solve_exp_resumes_cg_when_newton_stalls(monkeypatch):
+    from cpinterp import solvers
+
+    sys = golden_system()
+    handoff = solve_exp(sys).cg_iterations
+    monkeypatch.setattr(solvers, "_newton_polish", lambda obj, x, g, tol: (x, g, 0))
+    out = solve_exp(sys, ExpSolveConfig(max_iterations=handoff + 1))
+    # the resumed CG gets only what is left of the budget
+    assert out.status is SolveStatus.ITERATION_LIMIT
+    assert (out.cg_iterations, out.newton_steps) == (handoff + 1, 0)
+    assert out.message.startswith(
+        "Newton stalled after hand-off; CG resumed and hit the iteration limit"
+    )
+
+
 def test_solve_exp_non_hermitian_data():
     rng = np.random.default_rng(63)
     inst, _ = planted_instance(rng, 2, 2, 2, hermitian_data=False)
