@@ -11,11 +11,17 @@ generally not selfadjoint; ``hermitize`` rewrites each complex equation as up
 to two real equations with selfadjoint matrices ``C + C^*`` and
 ``i(C - C^*)``.  The resulting system "find X >= 0 with tr(C(i) X) = b_i" is
 what the solvers consume.
+
+``instance_system`` builds that system without the raw list: every raw
+matrix is a Kronecker product of an n x n and a k x k matrix, so each
+hermitization decision is made on the n x n data, and each output row is
+written once into one stack.  ``prune_dependent`` then drops the real-linearly
+dependent rows, reading every pivot off one QR factorization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -187,23 +193,21 @@ def assemble(inst: ProblemInstance) -> list[RawConstraint]:
     """Raw constraint list: one complex equation per pair and output entry.
 
     ``C(nu, m, l) = A_nu^T kron E_lm`` with target ``B_nu[m, l]``; the count
-    is ``count * k**2``.  Indices in the provenance are 1-based.
+    is ``count * k**2``, ordered by nu, then m, then l.  Indices in the
+    provenance are 1-based.  The matrices are views into one stack, filled by
+    a single indexed assignment.
     """
-    raw = []
-    for nu, (a, b) in enumerate(inst.pairs, start=1):
-        at = a.T
-        for m in range(inst.k):
-            for l in range(inst.k):
-                unit_lm = np.zeros((inst.k, inst.k), dtype=complex)
-                unit_lm[l, m] = 1.0
-                raw.append(
-                    RawConstraint(
-                        matrix=linalg.kron(at, unit_lm),
-                        target=complex(b[m, l]),
-                        origin=Provenance("value", (nu, m + 1, l + 1)),
-                    )
-                )
-    return raw
+    n, k, count = inst.n, inst.k, inst.count
+    stack = np.zeros((count, k, k, n, k, n, k), dtype=complex)
+    m, l = np.indices((k, k))
+    # entry ((i, l), (j, m)) of C(nu, m, l) is A_nu[j, i]
+    stack[:, m, l, :, l, :, m] = np.array([a.T for a, _ in inst.pairs])
+    matrices = stack.reshape(count * k * k, n * k, n * k)
+    targets = np.array([b for _, b in inst.pairs]).ravel().tolist()
+    return [
+        RawConstraint(matrices[r], targets[r], Provenance("value", (nu + 1, m + 1, l + 1)))
+        for r, (nu, m, l) in enumerate(np.ndindex(count, k, k))
+    ]
 
 
 def _conjugate_partner(origin: Provenance) -> tuple | None:
@@ -217,27 +221,63 @@ def _conjugate_partner(origin: Provenance) -> tuple | None:
     return None
 
 
-def _adjoint_paired(raw: Sequence[RawConstraint]) -> bool:
-    """True when every raw constraint's conjugate partner is its exact adjoint.
+_WHOLE, _RE, _IM = 0, 1, 2
+_PART_NAMES = ("whole", "re", "im")
 
-    For "value" constraints this holds exactly when all A_nu and B_nu are
-    selfadjoint, in which case the (m, l) and (l, m) equations carry the same
-    information for Hermitian X and only one of each pair need be kept.
+
+def _plan_rows(
+    origins: list, targets: np.ndarray, selfadjoint: np.ndarray, norms: np.ndarray,
+    raw_scale: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Decide which hermitized rows a list of kept raw constraints gives.
+
+    ``origins`` holds each raw row's provenance kind and indices, ``norms``
+    its ``||C||``, ``||C + C^*||`` and ``||C - C^*||`` as columns.  A
+    selfadjoint row gives its "whole" row, after the check that its target
+    is real; any other row gives "re", then "im".  A row whose matrix
+    vanishes (norm at most ``STRUCTURE_RTOL * (1 + raw_scale)``) is dropped,
+    and contradicts the system unless its target is zero.
+
+    Returns the raw row and the part of every output row, then the targets
+    and provenance of the output rows followed by those of the
+    contradictions, each in raw-row order.
     """
-    by_indices = {(rc.origin.kind, rc.origin.indices): rc for rc in raw}
-    for rc in raw:
-        partner_idx = _conjugate_partner(rc.origin)
-        partner = by_indices.get((rc.origin.kind, partner_idx))
-        if partner is None:
-            return False
-        scale = linalg.scale_tol(rc.matrix, STRUCTURE_RTOL)
-        if linalg.frobenius(partner.matrix - rc.matrix.conj().T) > scale:
-            return False
-        if abs(partner.target - np.conj(rc.target)) > STRUCTURE_RTOL * (
-            1.0 + abs(rc.target)
-        ):
-            return False
-    return True
+    t = np.asarray(targets, dtype=complex)
+    sa = np.asarray(selfadjoint)[:, None]
+    # two slots per raw row: (target check, whole) if selfadjoint, else (re, im)
+    part = np.where(sa, [_IM, _WHOLE], [_RE, _IM])
+    value = np.where(
+        sa,
+        np.stack([-2.0 * t.imag, t.real], axis=1),
+        np.stack([2.0 * t.real, -2.0 * t.imag], axis=1),
+    )
+    norm = np.where(sa, np.stack([np.zeros(len(t)), norms[:, 0]], axis=1), norms[:, 1:])
+    emit = norm > STRUCTURE_RTOL * (1.0 + raw_scale)
+    # tr(0 X) = b is contradictory unless b = 0
+    bad = ~emit & (np.abs(value) > 1e-12)
+    bad[:, 0] = np.where(
+        sa[:, 0], np.abs(t.imag) > STRUCTURE_RTOL * (1.0 + np.abs(t)), bad[:, 0]
+    )
+    kept = np.flatnonzero(emit)
+    order = np.concatenate([kept, np.flatnonzero(bad)])
+    parts = part.ravel()
+    provenance = [
+        Provenance(*origins[s // 2], _PART_NAMES[parts[s]]) for s in order.tolist()
+    ]
+    return kept // 2, parts[kept], value.ravel()[order], provenance
+
+
+def _contradiction(system: ConstraintSystem, first: int) -> InconsistentSystemError:
+    """The error for the vanishing row ``first`` of ``system``, whose target is not zero."""
+    coeffs = np.zeros(system.q)
+    coeffs[first] = -np.sign(system.targets[first])
+    return InconsistentSystemError(
+        f"constraint {system.provenance[first]} is contradictory: "
+        f"tr(0 @ X) = {system.targets[first]:.6g} has no solution",
+        system,
+        coeffs,
+        system.provenance[first],
+    )
 
 
 def hermitize(raw: Sequence[RawConstraint]) -> ConstraintSystem:
@@ -245,9 +285,14 @@ def hermitize(raw: Sequence[RawConstraint]) -> ConstraintSystem:
 
     Each raw ``(C, b)`` becomes ``(C + C^*, 2 Re b)`` and ``(i(C - C^*), -2 Im b)``;
     constraints that are already selfadjoint with real targets pass through
-    unchanged.  When the data is conjugate-paired (all A_nu, B_nu selfadjoint),
-    only the couples with m <= l are kept, the rest being redundant for
-    Hermitian X.
+    unchanged.  When the data is conjugate-paired (every constraint's
+    partner, ``(nu, l, m)`` for ``(nu, m, l)``, is its adjoint with the
+    conjugate target, as when all A_nu, B_nu are selfadjoint), only the first
+    of each couple is kept, the rest being redundant for Hermitian X.
+
+    Works on any list, with array operations on the stacked matrices;
+    ``instance_system`` builds the same rows for an instance from its n x n
+    data.
 
     Raises ``InconsistentSystemError`` when a selfadjoint constraint carries a
     non-real target (no Hermitian X can satisfy it).
@@ -255,68 +300,125 @@ def hermitize(raw: Sequence[RawConstraint]) -> ConstraintSystem:
     raw = list(raw)
     if not raw:
         raise ValueError("empty constraint list")
-    p = raw[0].matrix.shape[0]
+    stack = np.array([rc.matrix for rc in raw], dtype=complex)
+    adj = stack.conj().swapaxes(1, 2)
+    targets = np.array([rc.target for rc in raw], dtype=complex)
+    origins = [(rc.origin.kind, rc.origin.indices) for rc in raw]
+    norms = np.stack(
+        [np.linalg.norm(h, axis=(1, 2)) for h in (stack, stack + adj, stack - adj)], axis=1
+    )
+    scale = STRUCTURE_RTOL * (1.0 + norms[:, 0])
 
-    kept = []
-    if _adjoint_paired(raw):
-        seen = set()
-        for rc in raw:
-            key = (rc.origin.kind, rc.origin.indices)
-            if key in seen:
-                continue
-            seen.add(key)
-            seen.add((rc.origin.kind, _conjugate_partner(rc.origin)))
-            kept.append(rc)
-    else:
-        kept = raw
+    first = {}
+    for r, key in enumerate(origins):
+        first.setdefault(key, r)
+    partner = [first.get((rc.origin.kind, _conjugate_partner(rc.origin))) for rc in raw]
+    rows = np.arange(len(raw))
+    if None not in partner:
+        partner = np.array(partner)
+        if np.all(np.linalg.norm(stack[partner] - adj, axis=(1, 2)) <= scale) and np.all(
+            np.abs(targets[partner] - targets.conj()) <= STRUCTURE_RTOL * (1.0 + np.abs(targets))
+        ):
+            # keep the first row of each couple
+            first_of_key = np.array([first[key] for key in origins])
+            rows = np.flatnonzero((first_of_key == rows) & (rows <= partner))
 
-    matrices, targets, provenance = [], [], []
-    contradictions = []
-    raw_scale = max(linalg.frobenius(rc.matrix) for rc in kept)
+    out_rows, parts, out_targets, provenance = _plan_rows(
+        [origins[r] for r in rows], targets[rows], norms[rows, 2] <= scale[rows],
+        norms[rows], float(np.max(norms[rows, 0])),
+    )
+    c, c_adj = stack[rows[out_rows]], adj[rows[out_rows]]
+    matrices = np.zeros((len(provenance), stack.shape[1], stack.shape[1]), dtype=complex)
+    matrices[: len(parts)] = np.where(
+        (parts == _IM)[:, None, None],
+        1j * (c - c_adj),
+        (c + c_adj) * np.where(parts == _WHOLE, 0.5, 1.0)[:, None, None],
+    )
+    system = ConstraintSystem(stack.shape[1], matrices, out_targets, provenance)
+    if len(provenance) > len(parts):
+        raise _contradiction(system, len(parts))
+    return system
 
-    def emit(h: np.ndarray, b: float, origin: Provenance, part: str):
-        if linalg.frobenius(h) <= STRUCTURE_RTOL * (1.0 + raw_scale):
-            # vanishing selfadjoint part: tr(0 X) = b is contradictory unless b = 0
-            if abs(b) > 1e-12:
-                contradictions.append((h, b, replace(origin, part=part)))
-            return
-        matrices.append(linalg.hermitian_part(h))
-        targets.append(b)
-        provenance.append(replace(origin, part=part))
 
-    for rc in kept:
-        c = rc.matrix
-        adj = c.conj().T
-        if linalg.frobenius(c - adj) <= linalg.scale_tol(c, STRUCTURE_RTOL):
-            # already selfadjoint: pass through, but the target must be real
-            if abs(rc.target.imag) > STRUCTURE_RTOL * (1.0 + abs(rc.target)):
-                contradictions.append(
-                    (np.zeros_like(c), -2.0 * rc.target.imag, replace(rc.origin, part="im"))
-                )
-            emit(c, rc.target.real, rc.origin, "whole")
-        else:
-            emit(c + adj, 2.0 * rc.target.real, rc.origin, "re")
-            emit(1j * (c - adj), -2.0 * rc.target.imag, rc.origin, "im")
+class _PairRows:
+    """Hermitized rows of the raw constraints of stacked pairs ``(A_nu, B_nu)``.
 
-    if contradictions:
-        # append the vanishing rows so a coordinate certificate can point at them
-        for h, b, origin in contradictions:
-            matrices.append(np.zeros((p, p), dtype=complex))
-            targets.append(b)
-            provenance.append(origin)
-        system = ConstraintSystem(p, np.array(matrices), np.array(targets), provenance)
-        first = len(matrices) - len(contradictions)
-        coeffs = np.zeros(system.q)
-        coeffs[first] = -np.sign(targets[first])
-        raise InconsistentSystemError(
-            f"constraint {provenance[first]} is contradictory: "
-            f"tr(0 @ X) = {targets[first]:.6g} has no solution",
-            system,
-            coeffs,
-            provenance[first],
+    The raw rows are ``C(nu, m, l) = A_nu^T kron E_lm`` with targets
+    ``B_nu[m, l]``, in ``assemble``'s order, and this class gives the rows
+    ``hermitize`` makes of them.  Since ``C(nu, m, l)^* = conj(A_nu) kron
+    E_ml``, everything it decides follows from the n x n data:
+
+    - the rows are conjugate-paired when every A_nu and B_nu is Hermitian;
+    - ``||C|| = ||A_nu||``; for m = l, ``||C +- C^*|| = ||A_nu^T +- conj(A_nu)||``
+      and C is selfadjoint when A_nu is Hermitian; for m != l the two terms
+      do not overlap, so both norms are ``sqrt(2) ||A_nu||``.
+
+    Every output row is an n x n block at position (l, m), plus for m != l
+    one at (m, l); ``write`` puts them in place.  ``origin(nu, m, l)`` gives
+    the provenance kind and indices of a raw row (1-based).  With
+    ``swapped`` the tensor factors trade places, so the blocks are the
+    right-hand factor.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, origin, swapped: bool = False):
+        self.block, self.unit, self.swapped = a.shape[1], b.shape[1], swapped
+        at, ac = a.transpose(0, 2, 1), a.conj()
+        herm, anti = at + ac, at - ac
+        norm_a = np.linalg.norm(a, axis=(1, 2))
+        norm_herm, norm_anti = (np.linalg.norm(h, axis=(1, 2)) for h in (herm, anti))
+        hermitian = norm_anti <= STRUCTURE_RTOL * (1.0 + norm_a)
+        paired = bool(np.all(hermitian)) and bool(np.all(
+            np.abs(b.transpose(0, 2, 1) - b.conj()) <= STRUCTURE_RTOL * (1.0 + np.abs(b))
+        ))
+        k = self.unit
+        m, l = np.triu_indices(k) if paired else np.indices((k, k)).reshape(2, -1)
+        nu = np.repeat(np.arange(len(a)), len(m))
+        m, l = np.tile(m, len(a)), np.tile(l, len(a))
+        diag = m == l
+        off = np.sqrt(2.0) * norm_a[nu]
+        norms = np.stack(
+            [norm_a[nu], np.where(diag, norm_herm[nu], off), np.where(diag, norm_anti[nu], off)],
+            axis=1,
         )
+        selfadjoint = np.where(diag, hermitian[nu], off <= STRUCTURE_RTOL * (1.0 + norm_a[nu]))
+        origins = [
+            origin(*idx) for idx in zip((nu + 1).tolist(), (m + 1).tolist(), (l + 1).tolist())
+        ]
+        rows, self.parts, self.targets, self.provenance = _plan_rows(
+            origins, b[nu, m, l], selfadjoint, norms, float(np.max(norm_a))
+        )
+        self.nu, self.m, self.l = nu[rows], m[rows], l[rows]
+        # block at (l, m) by part, for m = l and then for m != l; block at (m, l)
+        self.first = np.stack([herm / 2, herm, 1j * anti, at / 2, at, 1j * at], axis=1)
+        self.second = np.stack([ac / 2, ac, -1j * ac], axis=1)
 
-    return ConstraintSystem(p, np.array(matrices), np.array(targets), provenance)
+    def write(self, out: np.ndarray) -> None:
+        """Write the output rows into the zeroed ``(rows, p, p)`` stack ``out``."""
+        if self.swapped:
+            out5 = out.reshape(-1, self.unit, self.block, self.unit, self.block)
+            out5 = out5.transpose(0, 2, 1, 4, 3)
+        else:
+            out5 = out.reshape(-1, self.block, self.unit, self.block, self.unit)
+        r = np.arange(len(self.parts))
+        off = self.m != self.l
+        out5[r, :, self.l, :, self.m] = self.first[self.nu, self.parts + 3 * off]
+        out5[r[off], :, self.m[off], :, self.l[off]] = self.second[
+            self.nu[off], self.parts[off]
+        ]
+
+
+def _trace_rows(n: int, k: int) -> _PairRows:
+    """The hermitized ``trace_preserving_raw(n, k)``.
+
+    ``E_ji kron I_k`` is ``I_k kron E_ji`` with the tensor factors swapped,
+    so these are the rows of the pair ``(I_k, I_n)``, swapped.
+    """
+    return _PairRows(
+        np.eye(k, dtype=complex)[None],
+        np.eye(n, dtype=complex)[None],
+        lambda nu, i, j: ("trace", (i, j)),
+        swapped=True,
+    )
 
 
 def trace_preserving_raw(n: int, k: int) -> list[RawConstraint]:
@@ -325,27 +427,40 @@ def trace_preserving_raw(n: int, k: int) -> list[RawConstraint]:
     Summing the Choi trace formula over the output diagonal gives
     ``tr((E_ij^T kron I_k) X) = delta_ij``.
     """
-    raw = []
-    eye_k = np.eye(k, dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[i, j] = 1.0
-            raw.append(
-                RawConstraint(
-                    matrix=linalg.kron(unit.T, eye_k),
-                    target=1.0 + 0j if i == j else 0j,
-                    origin=Provenance("trace", (i + 1, j + 1)),
-                )
-            )
-    return raw
+    stack = np.zeros((n, n, n, k, n, k), dtype=complex)
+    i, j, r = np.indices((n, n, k))
+    stack[i, j, j, r, i, r] = 1.0
+    matrices = stack.reshape(n * n, n * k, n * k)
+    return [
+        RawConstraint(
+            matrices[s],
+            1.0 + 0j if i == j else 0j,
+            Provenance("trace", (i + 1, j + 1)),
+        )
+        for s, (i, j) in enumerate(np.ndindex(n, n))
+    ]
+
+
+def _stacked(p: int, blocks: list) -> ConstraintSystem:
+    """One system of the blocks' rows, each written once into a zeroed stack."""
+    matrices = np.zeros((sum(len(b.provenance) for b in blocks), p, p), dtype=complex)
+    start = 0
+    for b in blocks:
+        b.write(matrices[start : start + len(b.parts)])
+        start += len(b.provenance)
+    return ConstraintSystem(
+        p,
+        matrices,
+        np.concatenate([b.targets for b in blocks]),
+        [t for b in blocks for t in b.provenance],
+    )
 
 
 def add_trace_preserving(sys: ConstraintSystem, n: int, k: int) -> ConstraintSystem:
     """Append hermitized trace-preservation constraints to a system."""
     if sys.p != n * k:
         raise ValueError(f"system dimension {sys.p} does not match n*k = {n * k}")
-    tp = hermitize(trace_preserving_raw(n, k))
+    tp = _stacked(sys.p, [_trace_rows(n, k)])
     return ConstraintSystem(
         sys.p,
         np.concatenate([sys.matrices, tp.matrices]),
@@ -357,52 +472,46 @@ def add_trace_preserving(sys: ConstraintSystem, n: int, k: int) -> ConstraintSys
 def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> ConstraintSystem:
     """Keep a maximal real-linearly-independent subset, in order.
 
-    Dependence is decided by Gram-Schmidt pivots: a constraint whose residual
-    norm squared falls below ``tol * max pivot`` is a real combination of the
-    retained ones.  Its target must match that combination; otherwise the
-    whole system is contradictory and an ``InconsistentSystemError`` with a
-    certificate is raised.
+    Row i is read as the real vector of the real and imaginary parts of
+    C(i)'s entries (a view of ``flat``), whose dot products are the trace
+    pairings.  One Householder QR of these vectors, taken as columns in
+    order, gives every pivot: ``|R[i, i]|`` is the norm of row i's residual
+    after projecting out all earlier rows.  A row whose squared pivot falls
+    below ``tol * max squared norm`` is a real combination of the kept rows,
+    and so is every row past the rank cap 2p^2, where R has no diagonal
+    entry.
 
-    The orthonormalized kept rows fill one preallocated array, so each of the
-    two Gram-Schmidt passes is a pair of GEMVs.  The loop also records the
-    triangular factor ``T`` with ``vecs[kept] = T @ ortho``; a dependent row
-    ``h @ ortho`` then has the coefficients ``solve(T^T, h)`` on the kept rows.
+    A dependent row's target must match that combination.  One least-squares
+    solve against the kept rows, in R's coordinates, gives the coefficients
+    of all dependent rows.  At the first dependent row, in order, whose
+    target misses its combination's by more than ``100 * tol * (1 + max|b|)``
+    the whole system is contradictory, and an ``InconsistentSystemError``
+    with a certificate is raised.
     """
-    # real vectors whose dot products are the trace pairings of the C(i)
-    vecs = np.concatenate([sys.flat.real, sys.flat.imag], axis=1)
-    norms2 = np.sum(vecs * vecs, axis=1)
-    if sys.q == 0 or np.max(norms2) == 0.0:
+    if sys.q == 0:
+        raise ValueError("cannot prune a system of zero constraints")
+    vecs = sys.flat.view(float)
+    r = np.linalg.qr(vecs.T, mode="r")
+    norms2 = np.sum(r * r, axis=0)
+    if np.max(norms2) == 0.0:
         raise ValueError("cannot prune a system of zero constraints")
     pivot_cut = tol * float(np.max(norms2))
     b_cut = 100.0 * tol * (1.0 + float(np.max(np.abs(sys.targets))))
 
-    rank_cap = min(vecs.shape)
-    ortho = np.empty((rank_cap, vecs.shape[1]))
-    tri = np.zeros((rank_cap, rank_cap))
-    kept_idx: list[int] = []
-    for i in range(sys.q):
-        r = len(kept_idx)
-        basis = ortho[:r]
-        h = basis @ vecs[i]
-        v = vecs[i] - h @ basis
-        # second pass stabilizes near-dependent rows
-        h2 = basis @ v
-        v -= h2 @ basis
-        h += h2
-        pivot = float(v @ v)
-        if pivot > pivot_cut:
-            kept_idx.append(i)
-            ortho[r] = v / np.sqrt(pivot)
-            tri[r, :r] = h
-            tri[r, r] = np.sqrt(pivot)
-            continue
-        # dependent: recover coefficients on the kept rows and check the target
-        coeffs = np.linalg.solve(tri[:r, :r].T, h)
-        predicted = float(coeffs @ sys.targets[kept_idx])
-        gap = sys.targets[i] - predicted
-        if abs(gap) > b_cut:
+    pivots = np.zeros(sys.q)
+    pivots[: len(r)] = np.diagonal(r) ** 2
+    kept = np.flatnonzero(pivots > pivot_cut)
+    dependent = np.flatnonzero(pivots <= pivot_cut)
+    if dependent.size:
+        # vecs.T = Q R with orthonormal Q, so R's columns have the rows' geometry
+        coeffs = np.linalg.lstsq(r[:, kept], r[:, dependent], rcond=None)[0]
+        gaps = sys.targets[dependent] - sys.targets[kept] @ coeffs
+        over = np.flatnonzero(np.abs(gaps) > b_cut)
+        if over.size:
+            j = over[0]
+            i, gap = dependent[j], float(gaps[j])
             cert = np.zeros(sys.q)
-            cert[kept_idx] = coeffs
+            cert[kept] = coeffs[:, j]
             cert[i] = -1.0
             if gap < 0:
                 cert = -cert
@@ -416,9 +525,9 @@ def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> Cons
 
     return ConstraintSystem(
         sys.p,
-        sys.matrices[kept_idx],
-        sys.targets[kept_idx],
-        [sys.provenance[i] for i in kept_idx],
+        sys.matrices[kept],
+        sys.targets[kept],
+        [sys.provenance[i] for i in kept],
     )
 
 
@@ -481,9 +590,19 @@ def is_diagonal_instance(inst: ProblemInstance, tol: float = STRUCTURE_RTOL) -> 
 def instance_system(
     inst: ProblemInstance, trace_preserving: bool | None = None
 ) -> ConstraintSystem:
-    """Assemble and hermitize an instance, optionally appending channel constraints."""
-    sys = hermitize(assemble(inst))
+    """Build the hermitized system of an instance, optionally with channel constraints.
+
+    The rows are those of ``hermitize(assemble(inst))``, followed by those of
+    ``add_trace_preserving`` when asked, but decided on the n x n data and
+    written once into one stack.
+    """
+    value = _PairRows(
+        np.array([a for a, _ in inst.pairs]),
+        np.array([b for _, b in inst.pairs]),
+        lambda nu, m, l: ("value", (nu, m, l)),
+    )
+    p = inst.n * inst.k
+    if len(value.provenance) > len(value.parts):
+        raise _contradiction(_stacked(p, [value]), len(value.parts))
     tp = inst.trace_preserving if trace_preserving is None else trace_preserving
-    if tp:
-        sys = add_trace_preserving(sys, inst.n, inst.k)
-    return sys
+    return _stacked(p, [value, _trace_rows(inst.n, inst.k)] if tp else [value])

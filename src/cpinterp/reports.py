@@ -9,6 +9,7 @@ Reports are emitted through a canonical writer that prints every float with
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -99,6 +100,17 @@ def instance_from_jsonable(doc: Any) -> ProblemInstance:
     return ProblemInstance(n=n, k=k, pairs=pairs, trace_preserving=tp)
 
 
+def checked_tol(value: Any, where: str) -> float:
+    """A tolerance as a float, rejecting non-numbers and non-positive or
+    non-finite values (with tol = inf every solve "converges" at once)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InstanceFormatError(f"{where} must be a number")
+    # NaN fails both comparisons; an int past the float range fails the second
+    if not 0 < value <= sys.float_info.max:
+        raise InstanceFormatError(f"{where} must be positive and finite")
+    return float(value)
+
+
 def solver_options_from_jsonable(doc: Any) -> dict:
     """Extract the optional per-file solver section (method, tol, caps, seed)."""
     if not isinstance(doc, dict):
@@ -111,9 +123,8 @@ def solver_options_from_jsonable(doc: Any) -> dict:
         if solver["method"] not in ("exp", "barrier", "auto"):
             raise InstanceFormatError("solver.method must be one of exp, barrier, auto")
         out["method"] = solver["method"]
-    for key in ("tol",):
-        if key in solver:
-            out[key] = float(solver[key])
+    if "tol" in solver:
+        out["tol"] = checked_tol(solver["tol"], "solver.tol")
     for key in ("max_iters", "seed"):
         if key in solver:
             if not isinstance(solver[key], int):

@@ -1,11 +1,25 @@
-"""Shared fixtures: the golden 2x2 instance, oracles, and planted generators."""
+"""Shared fixtures: the golden 2x2 instance, oracles, reference implementations
+and planted generators."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Sequence
+
 import numpy as np
 
+from cpinterp import linalg
 from cpinterp.choi import ChoiMatrix, KrausSet, apply_choi, kraus_to_choi
-from cpinterp.constraints import ProblemInstance, instance_system, prune_dependent
+from cpinterp.constraints import (
+    STRUCTURE_RTOL,
+    ConstraintSystem,
+    InconsistentSystemError,
+    ProblemInstance,
+    Provenance,
+    RawConstraint,
+    instance_system,
+    prune_dependent,
+)
 
 # Golden 2x2 interpolation instance and the reference solution of its
 # exponential-potential minimization (frozen to the published precision).
@@ -119,3 +133,149 @@ def random_channel_kraus(rng: np.random.Generator, n: int, count: int) -> KrausS
     w, u = np.linalg.eigh(s)
     s_inv_half = (u * (1.0 / np.sqrt(w))) @ u.conj().T
     return KrausSet(n, n, [s_inv_half @ v for v in vs])
+
+
+# ---------------------------------------------------------------------------
+# Reference build: one kron and one RawConstraint per output entry, and a
+# row-by-row hermitization.  The array-shaped build in cpinterp.constraints
+# must give the same rows.
+
+
+def reference_assemble(inst: ProblemInstance) -> list[RawConstraint]:
+    raw = []
+    for nu, (a, b) in enumerate(inst.pairs, start=1):
+        at = a.T
+        for m in range(inst.k):
+            for l in range(inst.k):
+                unit_lm = np.zeros((inst.k, inst.k), dtype=complex)
+                unit_lm[l, m] = 1.0
+                raw.append(
+                    RawConstraint(
+                        matrix=linalg.kron(at, unit_lm),
+                        target=complex(b[m, l]),
+                        origin=Provenance("value", (nu, m + 1, l + 1)),
+                    )
+                )
+    return raw
+
+
+def reference_trace_preserving_raw(n: int, k: int) -> list[RawConstraint]:
+    raw = []
+    eye_k = np.eye(k, dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            unit = np.zeros((n, n), dtype=complex)
+            unit[i, j] = 1.0
+            raw.append(
+                RawConstraint(
+                    matrix=linalg.kron(unit.T, eye_k),
+                    target=1.0 + 0j if i == j else 0j,
+                    origin=Provenance("trace", (i + 1, j + 1)),
+                )
+            )
+    return raw
+
+
+def _conjugate_partner(origin: Provenance) -> tuple | None:
+    if origin.kind == "value":
+        nu, m, l = origin.indices
+        return (nu, l, m)
+    if origin.kind == "trace":
+        i, j = origin.indices
+        return (j, i)
+    return None
+
+
+def _adjoint_paired(raw: Sequence[RawConstraint]) -> bool:
+    by_indices = {(rc.origin.kind, rc.origin.indices): rc for rc in raw}
+    for rc in raw:
+        partner_idx = _conjugate_partner(rc.origin)
+        partner = by_indices.get((rc.origin.kind, partner_idx))
+        if partner is None:
+            return False
+        scale = linalg.scale_tol(rc.matrix, STRUCTURE_RTOL)
+        if linalg.frobenius(partner.matrix - rc.matrix.conj().T) > scale:
+            return False
+        if abs(partner.target - np.conj(rc.target)) > STRUCTURE_RTOL * (
+            1.0 + abs(rc.target)
+        ):
+            return False
+    return True
+
+
+def reference_hermitize(raw: Sequence[RawConstraint]) -> ConstraintSystem:
+    raw = list(raw)
+    if not raw:
+        raise ValueError("empty constraint list")
+    p = raw[0].matrix.shape[0]
+
+    kept = []
+    if _adjoint_paired(raw):
+        seen = set()
+        for rc in raw:
+            key = (rc.origin.kind, rc.origin.indices)
+            if key in seen:
+                continue
+            seen.add(key)
+            seen.add((rc.origin.kind, _conjugate_partner(rc.origin)))
+            kept.append(rc)
+    else:
+        kept = raw
+
+    matrices, targets, provenance = [], [], []
+    contradictions = []
+    raw_scale = max(linalg.frobenius(rc.matrix) for rc in kept)
+
+    def emit(h: np.ndarray, b: float, origin: Provenance, part: str):
+        if linalg.frobenius(h) <= STRUCTURE_RTOL * (1.0 + raw_scale):
+            if abs(b) > 1e-12:
+                contradictions.append((h, b, replace(origin, part=part)))
+            return
+        matrices.append(linalg.hermitian_part(h))
+        targets.append(b)
+        provenance.append(replace(origin, part=part))
+
+    for rc in kept:
+        c = rc.matrix
+        adj = c.conj().T
+        if linalg.frobenius(c - adj) <= linalg.scale_tol(c, STRUCTURE_RTOL):
+            if abs(rc.target.imag) > STRUCTURE_RTOL * (1.0 + abs(rc.target)):
+                contradictions.append(
+                    (np.zeros_like(c), -2.0 * rc.target.imag, replace(rc.origin, part="im"))
+                )
+            emit(c, rc.target.real, rc.origin, "whole")
+        else:
+            emit(c + adj, 2.0 * rc.target.real, rc.origin, "re")
+            emit(1j * (c - adj), -2.0 * rc.target.imag, rc.origin, "im")
+
+    if contradictions:
+        for h, b, origin in contradictions:
+            matrices.append(np.zeros((p, p), dtype=complex))
+            targets.append(b)
+            provenance.append(origin)
+        system = ConstraintSystem(p, np.array(matrices), np.array(targets), provenance)
+        first = len(matrices) - len(contradictions)
+        coeffs = np.zeros(system.q)
+        coeffs[first] = -np.sign(targets[first])
+        raise InconsistentSystemError(
+            f"constraint {provenance[first]} is contradictory: "
+            f"tr(0 @ X) = {targets[first]:.6g} has no solution",
+            system,
+            coeffs,
+            provenance[first],
+        )
+
+    return ConstraintSystem(p, np.array(matrices), np.array(targets), provenance)
+
+
+def reference_instance_system(inst: ProblemInstance, trace_preserving: bool = False):
+    sys = reference_hermitize(reference_assemble(inst))
+    if trace_preserving:
+        tp = reference_hermitize(reference_trace_preserving_raw(inst.n, inst.k))
+        sys = ConstraintSystem(
+            sys.p,
+            np.concatenate([sys.matrices, tp.matrices]),
+            np.concatenate([sys.targets, tp.targets]),
+            list(sys.provenance) + list(tp.provenance),
+        )
+    return sys

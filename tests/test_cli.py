@@ -358,12 +358,34 @@ def test_file_solver_section_sets_method(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["solve", "certify"])
-@pytest.mark.parametrize("section", [[], {"method": "bogus"}])
+@pytest.mark.parametrize(
+    "section",
+    [
+        [],
+        {"method": "bogus"},
+        {"tol": "abc"},
+        {"tol": [1]},
+        {"tol": float("inf")},
+        {"tol": float("nan")},
+    ],
+)
 def test_malformed_solver_section_is_input_error(tmp_path, capsys, command, section):
     doc = json.loads(GOLDEN_INSTANCE.read_text())
     doc["solver"] = section
     assert cli.main([command, str(write_json(tmp_path / "inst.json", doc))]) == 4
     assert "solver" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+def test_non_finite_or_non_positive_tol_flag_is_input_error(golden_report, capsys, value):
+    # with --tol inf the solver would stop at step 0 and report "feasible"
+    for argv in (
+        ["solve", str(GOLDEN_INSTANCE)],
+        ["certify", str(GOLDEN_INSTANCE)],
+        ["verify", str(golden_report), str(GOLDEN_INSTANCE)],
+    ):
+        assert cli.main(argv + ["--tol", value]) == 4
+        assert "--tol" in capsys.readouterr().err
 
 
 def test_trace_preserving_flag(tmp_path):

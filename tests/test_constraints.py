@@ -4,6 +4,7 @@ import pytest
 from cpinterp import certify
 from cpinterp.choi import ChoiMatrix, KrausSet, apply_choi, kraus_to_choi, matrix_unit
 from cpinterp.constraints import (
+    DEPENDENCE_RTOL,
     ConstraintSystem,
     InconsistentSystemError,
     ProblemInstance,
@@ -17,8 +18,22 @@ from cpinterp.constraints import (
     is_diagonal_instance,
     joint_support_reduce,
     prune_dependent,
+    trace_preserving_raw,
 )
-from helpers import A1, B1, golden_instance, random_complex, random_hermitian
+from helpers import (
+    A1,
+    B1,
+    golden_instance,
+    planted_diagonal_instance,
+    planted_instance,
+    random_channel_kraus,
+    random_complex,
+    random_hermitian,
+    reference_assemble,
+    reference_hermitize,
+    reference_instance_system,
+    reference_trace_preserving_raw,
+)
 
 
 def find_raw(raw, nu, m, l):
@@ -108,6 +123,95 @@ def test_hermitize_rejects_selfadjoint_with_complex_target():
     combo = exc.system.aggregate(exc.certificate_coefficients)
     assert np.abs(combo).max() < 1e-12
     assert exc.certificate_coefficients @ exc.system.targets < 0
+
+
+# ---------------------------------------------------------------------------
+# the array-shaped build against the row-by-row reference
+
+
+def assert_same_system(new, ref):
+    """Equal matrices and targets bit for bit (zeros of either sign count as
+    equal), and equal provenance."""
+    assert new.p == ref.p
+    assert (new.matrices + 0.0).tobytes() == (ref.matrices + 0.0).tobytes()
+    assert (new.targets + 0.0).tobytes() == (ref.targets + 0.0).tobytes()
+    assert new.provenance == ref.provenance
+
+
+def assert_same_raw(new, ref):
+    assert len(new) == len(ref)
+    for a, b in zip(new, ref):
+        assert np.array_equal(a.matrix, b.matrix)
+        assert a.target == b.target and a.origin == b.origin
+
+
+def build_cases():
+    rng = np.random.default_rng(43)
+    for n, k, pairs in [(1, 1, 1), (2, 2, 2), (2, 3, 3), (3, 2, 4), (3, 3, 2)]:
+        yield planted_instance(rng, n, k, pairs)[0]
+        yield planted_instance(rng, n, k, pairs, hermitian_data=False)[0]
+        yield planted_diagonal_instance(rng, n, k, pairs)[0]
+    # a pair with A = 0: every part of its rows vanishes, B = 0 keeps it consistent
+    for hermitian_data in (True, False):
+        inst = planted_instance(rng, 2, 3, 2, hermitian_data=hermitian_data)[0]
+        yield ProblemInstance(2, 3, inst.pairs + [(np.zeros((2, 2)), np.zeros((3, 3)))])
+
+
+@pytest.mark.parametrize("trace_preserving", [False, True])
+def test_build_matches_the_reference(trace_preserving):
+    for inst in build_cases():
+        ref = reference_instance_system(inst, trace_preserving)
+        assert_same_system(instance_system(inst, trace_preserving=trace_preserving), ref)
+        raw = assemble(inst)
+        assert_same_raw(raw, reference_assemble(inst))
+        built = hermitize(raw)
+        if trace_preserving:
+            built = add_trace_preserving(built, inst.n, inst.k)
+        assert_same_system(built, ref)
+    assert_same_raw(trace_preserving_raw(3, 2), reference_trace_preserving_raw(3, 2))
+
+
+def contradiction_cases():
+    rng = np.random.default_rng(44)
+    # Hermitian A with a complex diagonal entry of B: selfadjoint rows, complex targets
+    a = random_hermitian(rng, 2)
+    b = random_hermitian(rng, 3) + 0.5j * np.diag([0.0, 1.0, 2.0])
+    yield ProblemInstance(2, 3, [(a, b)])
+    # A = 0 with B != 0: vanishing parts with nonzero targets
+    inst = planted_instance(rng, 2, 2, 2, hermitian_data=False)[0]
+    yield ProblemInstance(2, 2, inst.pairs + [(np.zeros((2, 2)), random_complex(rng, 2, 2))])
+    yield ProblemInstance(2, 2, inst.pairs + [(np.zeros((2, 2)), np.diag([1.0, 0.0]))])
+
+
+@pytest.mark.parametrize("trace_preserving", [False, True])
+def test_build_contradictions_match_the_reference(trace_preserving):
+    for inst in contradiction_cases():
+        with pytest.raises(InconsistentSystemError) as ref:
+            reference_instance_system(inst, trace_preserving)
+        for build in (
+            lambda: instance_system(inst, trace_preserving=trace_preserving),
+            lambda: hermitize(assemble(inst)),
+        ):
+            with pytest.raises(InconsistentSystemError) as err:
+                build()
+            assert str(err.value) == str(ref.value)
+            assert err.value.offending == ref.value.offending
+            assert_same_system(err.value.system, ref.value.system)
+            assert np.array_equal(
+                err.value.certificate_coefficients, ref.value.certificate_coefficients
+            )
+
+
+def test_hermitize_matches_the_reference_on_unstructured_rows():
+    rng = np.random.default_rng(45)
+    h = random_hermitian(rng, 3)
+    raw = [
+        RawConstraint(random_complex(rng, 3, 3), 1.0 - 2.0j, Provenance("value", (1, 1, 2))),
+        RawConstraint(h, 2.0 + 0j, Provenance("value", (1, 1, 1))),
+        RawConstraint(1j * h, 1j, Provenance("trace", (1, 2))),
+        RawConstraint(np.zeros((3, 3)), 0j, Provenance("value", (2, 1, 1))),
+    ]
+    assert_same_system(hermitize(raw), reference_hermitize(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +323,46 @@ def planted_dependent_system(rng, p, independent, dependent):
     return base_system(mats, [np.trace(c @ x).real for c in mats]), sorted(positions)
 
 
-def reference_kept_rows(sys):
-    """Rows that raise the rank of the rows kept before them (real flattening)."""
+def real_vectors(sys):
     flat = sys.matrices.reshape(sys.q, -1)
-    vecs = np.concatenate([flat.real, flat.imag], axis=1)
-    kept = []
-    for i in range(sys.q):
-        if np.linalg.matrix_rank(vecs[kept + [i]]) > len(kept):
-            kept.append(i)
-    return kept
+    return np.concatenate([flat.real, flat.imag], axis=1)
+
+
+def reference_kept_rows(sys):
+    """Rows that raise the rank of the rows before them (real flattening).
+
+    Row i is kept when rank(rows < i + 1) > rank(rows < i).  Prefix ranks are
+    found by bisection: a stretch whose rank rises by its length is all kept,
+    one whose rank does not rise is all dropped.
+    """
+    vecs = real_vectors(sys)
+
+    def rank(stop):
+        return int(np.linalg.matrix_rank(vecs[:stop])) if stop else 0
+
+    def kept_in(lo, hi, rank_lo, rank_hi):
+        if rank_hi - rank_lo in (0, hi - lo):
+            return list(range(lo, hi)) if rank_hi > rank_lo else []
+        mid = (lo + hi) // 2
+        rank_mid = rank(mid)
+        return kept_in(lo, mid, rank_lo, rank_mid) + kept_in(mid, hi, rank_mid, rank_hi)
+
+    return kept_in(0, sys.q, 0, rank(sys.q))
+
+
+def reference_offending(sys):
+    """Provenance of the first dependent row whose target misses the
+    least-squares combination of the kept rows before it by more than prune's
+    target cut, or None."""
+    vecs = real_vectors(sys)
+    kept = reference_kept_rows(sys)
+    b_cut = 100.0 * DEPENDENCE_RTOL * (1.0 + np.max(np.abs(sys.targets)))
+    for i in sorted(set(range(sys.q)) - set(kept)):
+        before = [j for j in kept if j < i]
+        coeffs = np.linalg.lstsq(vecs[before].T, vecs[i], rcond=None)[0]
+        if abs(sys.targets[i] - coeffs @ sys.targets[before]) > b_cut:
+            return sys.provenance[i]
+    return None
 
 
 def test_prune_keeps_the_rank_increasing_rows():
@@ -257,6 +392,39 @@ def test_prune_certificate_validates_on_a_perturbed_target():
             min_eigenvalue=0.0,
         )
         assert certify.validate(cert, exc.system)
+
+
+def test_prune_past_the_rank_cap_matches_the_reference():
+    # n = k = 2: 6 complex pairs and trace preservation give q = 52 rows in a
+    # space of real dimension 2 p^2 = 32, so R has no pivot for the last 20
+    rng = np.random.default_rng(27)
+    a_mats = [random_complex(rng, 2, 2) for _ in range(6)]
+    channel = kraus_to_choi(random_channel_kraus(rng, 2, 2))
+    for x, consistent in [(channel, True), (ChoiMatrix(2, 2, 2.0 * channel.matrix), False)]:
+        inst = ProblemInstance(2, 2, [(a, apply_choi(x, a)) for a in a_mats])
+        sys = instance_system(inst, trace_preserving=True)
+        assert sys.q == 52
+        kept = reference_kept_rows(sys)
+        offending = reference_offending(sys)
+        assert (offending is None) == consistent
+        if consistent:
+            assert [sys.provenance.index(t) for t in prune_dependent(sys).provenance] == kept
+        else:
+            assert offending.kind == "trace"
+            with pytest.raises(InconsistentSystemError) as err:
+                prune_dependent(sys)
+            assert err.value.offending == offending
+
+
+def test_prune_keeps_the_reference_rows_at_p36():
+    rng = np.random.default_rng(28)
+    inst, _ = planted_instance(rng, 6, 6, 12)
+    (a0, b0), (a3, b3) = inst.pairs[0], inst.pairs[3]
+    pairs = inst.pairs[:6] + [(a0 - 2.0 * a3, b0 - 2.0 * b3)] + inst.pairs[6:]
+    sys = instance_system(ProblemInstance(6, 6, pairs))
+    kept = reference_kept_rows(sys)
+    assert len(kept) == 12 * 36
+    assert [sys.provenance.index(t) for t in prune_dependent(sys).provenance] == kept
 
 
 # ---------------------------------------------------------------------------
