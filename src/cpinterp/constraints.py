@@ -16,7 +16,9 @@ what the solvers consume.
 matrix is a Kronecker product of an n x n and a k x k matrix, so each
 hermitization decision is made on the n x n data, and each output row is
 written once into one stack.  ``prune_dependent`` then drops the real-linearly
-dependent rows, reading every pivot off one QR factorization.
+dependent rows, reading the pivots off Householder QR: one factorization when
+no row is dependent, and one of a shrinking trailing block per round of
+dropped rows.
 """
 
 from __future__ import annotations
@@ -474,60 +476,81 @@ def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> Cons
 
     Row i is read as the real vector of the real and imaginary parts of
     C(i)'s entries (a view of ``flat``), whose dot products are the trace
-    pairings.  One Householder QR of these vectors, taken as columns in
-    order, gives every pivot: ``|R[i, i]|`` is the norm of row i's residual
-    after projecting out all earlier rows.  A row whose squared pivot falls
-    below ``tol * max squared norm`` is a real combination of the kept rows,
-    and so is every row past the rank cap 2p^2, where R has no diagonal
-    entry.
+    pairings.  A row is dropped when the squared norm of its residual after
+    projecting out the kept rows before it falls below ``tol * max squared
+    norm``: it is then a real combination of those rows.
 
-    A dependent row's target must match that combination.  One least-squares
-    solve against the kept rows, in R's coordinates, gives the coefficients
-    of all dependent rows.  At the first dependent row, in order, whose
-    target misses its combination's by more than ``100 * tol * (1 + max|b|)``
-    the whole system is contradictory, and an ``InconsistentSystemError``
-    with a certificate is raised.
+    The pivots come from Householder QR of the rows taken as columns.  An
+    unpivoted QR measures each column against all earlier columns, dropped
+    ones included, so its diagonal is exact only up to the first dropped row.
+    Prune therefore works in rounds.  In a round, ``|R[j, j]|`` gives the
+    pivots up to the first row j whose pivot is below the cut.  The rows
+    before j are kept and span R's first j coordinates, so ``||R[j:, c]||``
+    is the residual of every later column c against them.  Each column whose
+    residual is below the cut is dropped in this round: a residual only
+    shrinks as more rows are kept.  The block ``R[j:, rest]`` of the other
+    columns is factored again for the next round.  Past R's last row the
+    kept rows span every row, and all remaining rows are dropped.  Rows with
+    no dependence cost one QR.
+
+    A dropped row's target must match its combination of the rows kept
+    before its round, whose coefficients solve the triangular ``R[:j, :j]``.
+    At the first dropped row, in order, whose target misses its
+    combination's by more than ``100 * tol * (1 + max|b|)`` the whole system
+    is contradictory, and an ``InconsistentSystemError`` with a certificate
+    is raised.
     """
     if sys.q == 0:
         raise ValueError("cannot prune a system of zero constraints")
-    vecs = sys.flat.view(float)
-    r = np.linalg.qr(vecs.T, mode="r")
+    # r factors the rows in ``cols`` (as columns); its first ``start`` are kept
+    r = np.linalg.qr(sys.flat.view(float).T, mode="r")
     norms2 = np.sum(r * r, axis=0)
     if np.max(norms2) == 0.0:
         raise ValueError("cannot prune a system of zero constraints")
     pivot_cut = tol * float(np.max(norms2))
     b_cut = 100.0 * tol * (1.0 + float(np.max(np.abs(sys.targets))))
-
-    pivots = np.zeros(sys.q)
-    pivots[: len(r)] = np.diagonal(r) ** 2
-    kept = np.flatnonzero(pivots > pivot_cut)
-    dependent = np.flatnonzero(pivots <= pivot_cut)
-    if dependent.size:
-        # vecs.T = Q R with orthonormal Q, so R's columns have the rows' geometry
-        coeffs = np.linalg.lstsq(r[:, kept], r[:, dependent], rcond=None)[0]
-        gaps = sys.targets[dependent] - sys.targets[kept] @ coeffs
+    cols = np.arange(sys.q)
+    start = 0
+    offending = None  # (row, gap, certificate) of the first contradicted row
+    while start < len(cols):
+        pivots = np.diagonal(r)[start:] ** 2
+        j = start + int(np.argmax(np.append(pivots, 0.0) <= pivot_cut))
+        if j == len(cols) or (offending is not None and offending[0] < cols[j]):
+            break
+        residual2 = np.sum(r[j:, j:] ** 2, axis=0)
+        dropped = j + np.flatnonzero(residual2 <= pivot_cut)
+        rest = j + np.flatnonzero(residual2 > pivot_cut)
+        kept = cols[:j]
+        coeffs = np.linalg.solve(r[:j, :j], r[:j, dropped])
+        gaps = sys.targets[cols[dropped]] - sys.targets[kept] @ coeffs
         over = np.flatnonzero(np.abs(gaps) > b_cut)
-        if over.size:
-            j = over[0]
-            i, gap = dependent[j], float(gaps[j])
+        if over.size and (offending is None or cols[dropped[over[0]]] < offending[0]):
+            o = over[0]
             cert = np.zeros(sys.q)
-            cert[kept] = coeffs[:, j]
-            cert[i] = -1.0
-            if gap < 0:
-                cert = -cert
-            raise InconsistentSystemError(
-                f"constraint {sys.provenance[i]} contradicts a combination of "
-                f"earlier constraints (target gap {gap:.6g})",
-                sys,
-                cert,
-                sys.provenance[i],
-            )
+            cert[kept] = coeffs[:, o]
+            cert[cols[dropped[o]]] = -1.0
+            offending = (cols[dropped[o]], float(gaps[o]), -cert if gaps[o] < 0 else cert)
+        trailing = np.linalg.qr(r[j:, rest], mode="r")
+        nxt = np.zeros((j + len(trailing), j + len(rest)))
+        nxt[:j, :j] = r[:j, :j]
+        nxt[:j, j:] = r[:j, rest]
+        nxt[j:, j:] = trailing
+        r, cols, start = nxt, np.concatenate([kept, cols[rest]]), j
 
+    if offending is not None:
+        i, gap, cert = offending
+        raise InconsistentSystemError(
+            f"constraint {sys.provenance[i]} contradicts a combination of "
+            f"earlier constraints (target gap {gap:.6g})",
+            sys,
+            cert,
+            sys.provenance[i],
+        )
     return ConstraintSystem(
         sys.p,
-        sys.matrices[kept],
-        sys.targets[kept],
-        [sys.provenance[i] for i in kept],
+        sys.matrices[cols],
+        sys.targets[cols],
+        [sys.provenance[i] for i in cols],
     )
 
 

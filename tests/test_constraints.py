@@ -396,7 +396,7 @@ def test_prune_certificate_validates_on_a_perturbed_target():
 
 def test_prune_past_the_rank_cap_matches_the_reference():
     # n = k = 2: 6 complex pairs and trace preservation give q = 52 rows in a
-    # space of real dimension 2 p^2 = 32, so R has no pivot for the last 20
+    # space of real dimension 2 p^2 = 32, more rows than R has pivots
     rng = np.random.default_rng(27)
     a_mats = [random_complex(rng, 2, 2) for _ in range(6)]
     channel = kraus_to_choi(random_channel_kraus(rng, 2, 2))
@@ -425,6 +425,79 @@ def test_prune_keeps_the_reference_rows_at_p36():
     kept = reference_kept_rows(sys)
     assert len(kept) == 12 * 36
     assert [sys.provenance.index(t) for t in prune_dependent(sys).provenance] == kept
+
+
+@pytest.mark.parametrize("copies", [7, 9])
+@pytest.mark.parametrize("target", [1.0, 0.0])
+def test_prune_keeps_an_independent_row_after_exact_duplicates(copies, target):
+    # an exact duplicate leaves an unpivoted QR a zero subcolumn; the row after
+    # the duplicates must still be measured against the kept row alone.  With
+    # 9 copies the last row lies past 2 p^2 = 8 rows.
+    e00, e11 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    sys = base_system([e00] * copies + [e11], [target] * (copies + 1))
+    assert [t.indices[0] - 1 for t in prune_dependent(sys).provenance] == [0, copies]
+
+
+def hermitian_unit_basis(p):
+    """The p^2 selfadjoint matrix units E_ii, E_ij + E_ji and i(E_ij - E_ji)."""
+    basis = []
+    for i in range(p):
+        for j in range(i, p):
+            e = matrix_unit(p, i, j)
+            basis.append(e + e.T if i != j else e)
+            if i != j:
+                basis.append(1j * (e - e.T))
+    return np.array(basis, dtype=complex)
+
+
+def test_prune_matches_the_reference_on_exactly_dependent_rows():
+    # integer combinations of matrix units, half of them single units:
+    # dependent rows are exactly dependent, many of them depend on rows kept
+    # after an earlier dropped one, and repeated units leave zero subcolumns
+    rng = np.random.default_rng(29)
+    p = 3
+    basis = hermitian_unit_basis(p)
+    for trial in range(40):
+        q = int(rng.integers(4, 2 * p * p + 8))
+        support = rng.choice(p * p, size=int(rng.integers(2, p * p + 1)), replace=False)
+        weights = rng.integers(-1, 2, size=(q, len(support))) * (rng.uniform(size=(q, 1)) < 0.5)
+        weights[np.arange(q), rng.integers(len(support), size=q)] = 1
+        mats = np.tensordot(weights, basis[support], axes=1)
+        x = random_hermitian(rng, p)
+        sys = base_system(mats, [np.trace(c @ x).real for c in mats])
+        kept = reference_kept_rows(sys)
+        assert [t.indices[0] - 1 for t in prune_dependent(sys).provenance] == kept
+        dropped = sorted(set(range(sys.q)) - set(kept))
+        if not dropped:
+            continue
+        targets = sys.targets.copy()
+        # two offenders where possible, so the first in order must be named
+        targets[rng.choice(dropped, size=min(2, len(dropped)), replace=False)] += 1.0
+        perturbed = base_system(sys.matrices, targets)
+        with pytest.raises(InconsistentSystemError) as err:
+            prune_dependent(perturbed)
+        assert err.value.offending == reference_offending(perturbed)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_prune_keeps_trace_rows_after_repeated_pairs(scale):
+    # nine copies of one pair give 36 value rows of rank 4, past 2 p^2 = 32;
+    # three of the four trace-preservation rows after them are independent
+    e00 = np.diag([1.0, 0.0])
+    inst = ProblemInstance(2, 2, [(e00, scale * e00)] * 9, trace_preserving=True)
+    sys = instance_system(inst)
+    assert sys.q == 40
+    offending = reference_offending(sys)
+    if scale == 1.0:
+        assert offending is None
+        kept = [sys.provenance.index(t) for t in prune_dependent(sys).provenance]
+        assert kept == reference_kept_rows(sys)
+        assert sum(sys.provenance[i].kind == "trace" for i in kept) == 3
+    else:
+        assert offending.kind == "trace"
+        with pytest.raises(InconsistentSystemError) as err:
+            prune_dependent(sys)
+        assert err.value.offending == offending
 
 
 # ---------------------------------------------------------------------------
