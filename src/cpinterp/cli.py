@@ -290,7 +290,7 @@ def run_apply(report_path: str | Path, matrix_path: str | Path) -> np.ndarray:
     doc = reports.read_report(report_path)
     problem = doc.get("problem", {})
     n, k = problem.get("n"), problem.get("k")
-    if not isinstance(n, int) or not isinstance(k, int):
+    if not reports.is_integer(n) or not reports.is_integer(k):
         raise InstanceFormatError("report lacks problem dimensions")
     phi = reports.report_matrix(doc, "choi", n * k, n * k)
     matrix_doc = reports.load_json(matrix_path)
@@ -334,7 +334,7 @@ def run_verify(report_path: str | Path, instance_path: str | Path, tol: float = 
 
         base = instance_system(inst, trace_preserving=tp)
         res = base.residuals(phi)
-        max_res = float(np.max(np.abs(res)))
+        max_res = float(np.max(np.abs(res), initial=0.0))
         if max_res > tol:
             worst = int(np.argmax(np.abs(res)))
             yield ("residuals", False,
@@ -511,7 +511,7 @@ def main(argv=None) -> int:
             doc = reports.read_report(args.report)
             problem = doc.get("problem", {})
             n, k = problem.get("n"), problem.get("k")
-            if doc.get("kraus") is None or not isinstance(n, int) or not isinstance(k, int):
+            if doc.get("kraus") is None or not reports.is_integer(n) or not reports.is_integer(k):
                 raise InstanceFormatError("report carries no Kraus elements")
             for i, v in enumerate(doc["kraus"]):
                 _sys.stdout.write(f"# element {i + 1}\n")

@@ -498,10 +498,11 @@ def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> Cons
     At the first dropped row, in order, whose target misses its
     combination's by more than ``100 * tol * (1 + max|b|)`` the whole system
     is contradictory, and an ``InconsistentSystemError`` with a certificate
-    is raised.
+    is raised.  A system of no constraints (every pair of an instance is
+    zero) is returned as it is.
     """
     if sys.q == 0:
-        raise ValueError("cannot prune a system of zero constraints")
+        return sys
     # r factors the rows in ``cols`` (as columns); its first ``start`` are kept
     r = np.linalg.qr(sys.flat.view(float).T, mode="r")
     norms2 = np.sum(r * r, axis=0)
@@ -574,8 +575,12 @@ def joint_support_reduce(
     compressed system ``(W^* C(i) W, b_i)`` has the same feasible targets.
     For all-diagonal systems the basis is the coordinate one, preserving
     diagonality.  When the kernel is trivial the basis is the identity and
-    ``sys`` itself is returned, uncompressed.
+    ``sys`` itself is returned, uncompressed.  So it is for a system of no
+    constraints: compressing it onto its empty support would leave only
+    X = 0, while every positive X solves it.
     """
+    if sys.q == 0:
+        return sys, SupportReduction(basis=np.eye(sys.p, dtype=complex))
     w, _ = linalg.joint_support(
         sys.matrices.reshape(-1, sys.p), tol, diagonal=_all_diagonal(sys.matrices)
     )

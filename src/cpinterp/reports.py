@@ -4,12 +4,25 @@ Instances are JSON documents; complex scalars are written as two-element
 ``[re, im]`` arrays (bare reals are accepted on input), matrices row-major.
 Reports are emitted through a canonical writer that prints every float with
 17 significant digits, so identical runs produce byte-identical files.
+
+Both directions work on whole rows rather than single scalars.  The writer
+takes every rectangular nested list of floats (a Choi matrix as
+``[re, im]`` pairs, the list of Kraus elements, the targets) as one array:
+one ``%`` operation formats all of its floats, and a second fills them into
+a layout cached per shape and depth.  Only dicts, lists of other content and
+the scalars in them are written item by item.  The reader fills a matrix
+row from its ``[re, im]`` pairs, or its bare reals, at once; entry-by-entry
+checks run only on a row that fails, to name its first bad entry.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -17,47 +30,84 @@ import numpy as np
 
 from .constraints import ProblemInstance
 
+# the exact types of JSON numbers; bool, a subclass of int, is not one
+_REAL_TYPES = frozenset((int, float))
+
 
 class InstanceFormatError(ValueError):
     """Malformed instance or report file; the message names the location."""
 
 
-def _as_complex(value: Any, where: str) -> complex:
+def _as_complex(value: Any, where: str, row: int, col: int) -> complex:
+    """One entry read alone; errors name it as ``where[row + 1][col + 1]``."""
+
+    def error(reason: str) -> InstanceFormatError:
+        return InstanceFormatError(f"{where}[{row + 1}][{col + 1}]: {reason}")
+
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        z = complex(value)
+        parts = (value, 0)
     elif (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
-        z = complex(value[0], value[1])
+        parts = value
     else:
-        raise InstanceFormatError(
-            f"{where}: expected a number or a [re, im] pair, got {value!r}"
-        )
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise InstanceFormatError(f"{where}: non-finite entry {value!r}")
+        raise error(f"expected a number or a [re, im] pair, got {value!r}")
+    try:
+        z = complex(parts[0], parts[1])
+    except OverflowError:  # an int past the float range
+        raise error("entry is outside the float range") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise error(f"non-finite entry {value!r}")
     return z
 
 
+def _all_finite(values: list) -> bool:
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def is_integer(value: Any) -> bool:
+    """True for an int that is not a bool (``isinstance(True, int)`` holds)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def matrix_from_json(obj: Any, rows: int, cols: int, where: str) -> np.ndarray:
+    """A rows x cols complex matrix from nested lists of numbers and ``[re, im]`` pairs.
+
+    A row made only of pairs, or only of bare reals, all finite JSON numbers,
+    is filled in one assignment.  Any other row is read entry by entry, which
+    accepts mixed rows and raises ``InstanceFormatError`` at the first bad
+    entry, naming it ``where[r][c]`` (1-based).
+    """
     if not isinstance(obj, list) or len(obj) != rows:
         raise InstanceFormatError(f"{where}: expected {rows} rows")
     out = np.zeros((rows, cols), dtype=complex)
+    parts = out.view(float)  # row i: the real and imaginary part of each entry in turn
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             raise InstanceFormatError(
                 f"{where} row {i + 1}: expected {cols} entries, "
                 f"got {len(row) if isinstance(row, list) else type(row).__name__}"
             )
-        for j, entry in enumerate(row):
-            out[i, j] = _as_complex(entry, f"{where}[{i + 1}][{j + 1}]")
+        if set(map(type, row)) == {list} and set(map(len, row)) == {2}:
+            values, target = list(chain.from_iterable(row)), parts
+        else:
+            values, target = row, out
+        if not (set(map(type, values)) <= _REAL_TYPES and _all_finite(values)):
+            values = [_as_complex(v, where, i, j) for j, v in enumerate(row)]
+            target = out
+        target[i] = values
     return out
 
 
 def matrix_to_jsonable(m: np.ndarray) -> list:
+    """Nested lists of ``[re, im]`` pairs of Python floats."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def load_json(path: str | Path) -> Any:
@@ -82,8 +132,9 @@ def instance_from_jsonable(doc: Any) -> ProblemInstance:
         if key not in doc:
             raise InstanceFormatError(f"missing required field {key!r}")
     n, k = doc["n"], doc["k"]
-    if not isinstance(n, int) or not isinstance(k, int) or n < 1 or k < 1:
-        raise InstanceFormatError("'n' and 'k' must be positive integers")
+    for key in ("n", "k"):
+        if not is_integer(doc[key]) or doc[key] < 1:
+            raise InstanceFormatError(f"{key!r} must be a positive integer")
     pairs_doc = doc["pairs"]
     if not isinstance(pairs_doc, list) or not pairs_doc:
         raise InstanceFormatError("'pairs' must be a non-empty list")
@@ -127,7 +178,7 @@ def solver_options_from_jsonable(doc: Any) -> dict:
         out["tol"] = checked_tol(solver["tol"], "solver.tol")
     for key in ("max_iters", "seed"):
         if key in solver:
-            if not isinstance(solver[key], int):
+            if not is_integer(solver[key]):
                 raise InstanceFormatError(f"solver.{key} must be an integer")
             out[key] = solver[key]
     return out
@@ -149,48 +200,119 @@ def write_instance(inst: ProblemInstance, path: str | Path) -> None:
     Path(path).write_text(dumps_canonical(instance_to_jsonable(inst)) + "\n")
 
 
-def _format_float(x: float) -> str:
-    if x != x:
-        raise ValueError("cannot serialize NaN in a report")
-    if x in (float("inf"), float("-inf")):
-        raise ValueError("cannot serialize infinity in a report")
-    text = format(x, ".17g")
-    # make sure the token reads back as a float, not an int
-    if "e" not in text and "." not in text:
-        text += ".0"
-    return text
+def _float_token(text: str) -> str:
+    """A ``%.17g`` token as a report holds it.
+
+    Only a token with neither ``.`` nor ``e`` can be NaN or infinite, and
+    those are refused; the others are integral and gain ``.0`` so they read
+    back as floats.
+    """
+    if "." in text or "e" in text:
+        return text
+    if text[-1] in "nf":  # nan, inf, -inf
+        kind = "NaN" if text == "nan" else "infinity"
+        raise ValueError(f"cannot serialize {kind} in a report")
+    return text + ".0"
+
+
+def _float_array(obj: list | tuple) -> tuple[tuple, list] | None:
+    """Shape and row-major values of a rectangular nested list of floats.
+
+    None unless every leaf is exactly a ``float``; an empty dimension leaves
+    no leaves, so it gives None too.
+    """
+    shape = [len(obj)]
+    level = obj
+    while True:
+        kinds = set(map(type, level))
+        if kinds == {float}:
+            return tuple(shape), level
+        if not kinds <= {list, tuple}:
+            return None
+        lengths = set(map(len, level))
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(shape: tuple, indent: int) -> str:
+    """Canonical text of an array of ``shape`` at ``indent``, a ``%s`` per value."""
+    if len(shape) == 1:
+        return "[" + ", ".join(["%s"] * shape[0]) + "]"
+    row = "  " * (indent + 1) + _layout(shape[1:], indent + 1)
+    return "[\n" + ",\n".join([row] * shape[0]) + "\n" + "  " * indent + "]"
+
+
+def _dump_array(shape: tuple, values: list, indent: int) -> str:
+    count = len(values)
+    text = ("%.17g\n" * count)[:-1] % tuple(values)
+    tokens = text.split("\n")
+    # a token holds at most one ".", and one that holds it is final
+    if text.count(".") != count:
+        tokens = [_float_token(t) for t in tokens]
+    return _layout(shape, indent) % tuple(tokens)
+
+
+def _dump_list(obj: list | tuple, indent: int) -> str:
+    if not obj:
+        return "[]"
+    array = _float_array(obj)
+    if array is not None:
+        return _dump_array(*array, indent)
+    items = [_dump(v, indent + 1) for v in obj]
+    if not any(isinstance(v, (list, tuple, dict)) for v in obj):
+        return "[" + ", ".join(items) + "]"
+    inner = "  " * (indent + 1)
+    return "[\n" + ",\n".join([inner + s for s in items]) + "\n" + "  " * indent + "]"
+
+
+def _dump_dict(obj: dict, indent: int) -> str:
+    if not obj:
+        return "{}"
+    inner = "  " * (indent + 1)
+    parts = [
+        f"{inner}{encode_basestring_ascii(str(key))}: {_dump(value, indent + 1)}"
+        for key, value in obj.items()
+    ]
+    return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
+
+
+# writer of each JSON type; a subclass (numpy float64, OrderedDict) is
+# written as the first of these it is an instance of, so bool comes before int
+_WRITERS = {
+    type(None): lambda obj, indent: "null",
+    bool: lambda obj, indent: "true" if obj else "false",
+    int: lambda obj, indent: str(obj),
+    float: lambda obj, indent: _float_token("%.17g" % obj),
+    str: lambda obj, indent: encode_basestring_ascii(obj),
+    list: _dump_list,
+    tuple: _dump_list,
+    dict: _dump_dict,
+}
+
+
+def _dump(obj: Any, indent: int) -> str:
+    writer = _WRITERS.get(type(obj))
+    if writer is None:
+        base = next((t for t in _WRITERS if isinstance(obj, t)), None)
+        if base is None:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+        writer = _WRITERS[base]
+    return writer(obj, indent)
 
 
 def dumps_canonical(obj: Any, indent: int = 0) -> str:
-    """Deterministic JSON with all floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [dumps_canonical(v, indent + 1) for v in obj]
-        if all(not isinstance(v, (list, tuple, dict)) for v in obj):
-            return "[" + ", ".join(items) + "]"
-        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(key))}: {dumps_canonical(value, indent + 1)}"
-            for key, value in obj.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """Deterministic JSON with all floats at 17 significant digits.
+
+    Dicts and lists of containers take one line per item, indented two
+    spaces per level; a list of scalars takes one line.  A float is printed
+    as ``%.17g`` with ``.0`` added when that reads as an int.  NaN and
+    infinities raise ``ValueError``; types other than JSON's (and their
+    subclasses) raise ``TypeError``.
+    """
+    return _dump(obj, indent)
 
 
 def read_report(path: str | Path) -> dict:

@@ -492,7 +492,7 @@ def _outcome_from_point(
         )
     solution = builder(x)
     res = sys.residuals(solution)
-    max_res = float(np.max(np.abs(res)))
+    max_res = float(np.max(np.abs(res), initial=0.0))
     status = SolveStatus.FEASIBLE if result.converged else SolveStatus.ITERATION_LIMIT
     return SolveOutcome(
         status=status,
@@ -547,11 +547,11 @@ def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> 
     """
     cfg = cfg or ExpSolveConfig()
     diag = np.diagonal(sys.matrices, axis1=1, axis2=2)
-    if float(np.max(np.abs(diag.imag))) > 1e-12:
+    if float(np.max(np.abs(diag.imag), initial=0.0)) > 1e-12:
         raise ValueError("constraint matrices are not selfadjoint")
     diag = diag.real.copy()
     mass = np.abs(sys.flat)
-    scale = 1e-12 * (1.0 + float(np.max(mass)))
+    scale = 1e-12 * (1.0 + float(np.max(mass, initial=0.0)))
     # off-diagonal mass of every row: one GEMV on the squared magnitudes
     mass *= mass
     off_mass = np.sqrt(mass @ (1.0 - np.eye(sys.p).ravel()))
@@ -594,7 +594,7 @@ def project_affine(x: np.ndarray, sys: ConstraintSystem) -> np.ndarray:
         chol = None
     # rank deficiency shows up as Cholesky pivots at the sqrt(machine eps) scale
     pivots = None if chol is None else np.diag(chol)
-    if chol is None or not np.all(pivots > 1e-6 * np.max(pivots)):
+    if chol is None or not np.all(pivots > 1e-6 * np.max(pivots, initial=0.0)):
         raise ValueError(
             "Gram matrix is singular; run prune_dependent before projecting"
         )

@@ -3,8 +3,9 @@ and planted generators."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -279,3 +280,53 @@ def reference_instance_system(inst: ProblemInstance, trace_preserving: bool = Fa
             list(sys.provenance) + list(tp.provenance),
         )
     return sys
+
+
+# ---------------------------------------------------------------------------
+# Reference report writer: one recursive call per value, each float
+# formatted alone.  The row-wise writer in cpinterp.reports must print the
+# same bytes and raise the same errors.
+
+
+def _reference_format_float(x: float) -> str:
+    if x != x:
+        raise ValueError("cannot serialize NaN in a report")
+    if x in (float("inf"), float("-inf")):
+        raise ValueError("cannot serialize infinity in a report")
+    text = format(x, ".17g")
+    # make sure the token reads back as a float, not an int
+    if "e" not in text and "." not in text:
+        text += ".0"
+    return text
+
+
+def reference_dumps_canonical(obj: Any, indent: int = 0) -> str:
+    """Deterministic JSON with all floats at 17 significant digits."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _reference_format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [reference_dumps_canonical(v, indent + 1) for v in obj]
+        if all(not isinstance(v, (list, tuple, dict)) for v in obj):
+            return "[" + ", ".join(items) + "]"
+        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [
+            f"{inner}{json.dumps(str(key))}: {reference_dumps_canonical(value, indent + 1)}"
+            for key, value in obj.items()
+        ]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -297,6 +297,18 @@ def test_kraus_prints_elements(golden_report, capsys):
     assert out.count("# element") == json.loads(golden_report.read_text())["kraus_count"]
 
 
+@pytest.mark.parametrize("command", ["apply", "kraus"])
+def test_boolean_report_dimensions_are_input_error(tmp_path, capsys, command):
+    # n = k = true would read as a 1 x 1 map
+    report = {"problem": {"n": True, "k": True}, "choi": [[[1.0, 0.0]]], "kraus": [[[[1.0, 0.0]]]]}
+    report_path = write_json(tmp_path / "report.json", report)
+    argv = [command, str(report_path)]
+    if command == "apply":
+        argv.append(str(write_json(tmp_path / "a.json", [[2.0]])))
+    assert cli.main(argv) == 4
+    assert "error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -367,6 +379,9 @@ def test_file_solver_section_sets_method(tmp_path):
         {"tol": [1]},
         {"tol": float("inf")},
         {"tol": float("nan")},
+        {"max_iters": True},
+        {"seed": False},
+        {"max_iters": 2.0},
     ],
 )
 def test_malformed_solver_section_is_input_error(tmp_path, capsys, command, section):
@@ -374,6 +389,25 @@ def test_malformed_solver_section_is_input_error(tmp_path, capsys, command, sect
     doc["solver"] = section
     assert cli.main([command, str(write_json(tmp_path / "inst.json", doc))]) == 4
     assert "solver" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", True), ("k", True), ("n", 0), ("k", -2), ("n", 2.0), ("k", "2"), ("n", None)],
+)
+def test_malformed_dimension_is_input_error(tmp_path, capsys, command, field, value):
+    # isinstance(True, int) holds, so a bool must be refused by name
+    doc = json.loads(GOLDEN_INSTANCE.read_text())
+    doc[field] = value
+    assert cli.main([command, str(write_json(tmp_path / "inst.json", doc))]) == 4
+    assert f"'{field}' must be a positive integer" in capsys.readouterr().err
+
+
+def test_boolean_dimensions_are_input_error(tmp_path, capsys):
+    doc = {"n": True, "k": True, "pairs": [{"A": [[1]], "B": [[1]]}]}
+    assert cli.main(["solve", str(write_json(tmp_path / "inst.json", doc))]) == 4
+    assert "'n' must be a positive integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0"])
@@ -424,6 +458,51 @@ def test_seventeen_digit_floats(tmp_path):
     # a representative float is printed with full precision
     token = f"{phi[0, 0].real:.17g}"
     assert token in text
+
+
+# ---------------------------------------------------------------------------
+# instances whose pairs all vanish
+
+ZERO_2X2 = [[0, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+@pytest.mark.parametrize("pairs", [1, 3])
+def test_all_zero_pairs_are_feasible(tmp_path, capsys, command, pairs):
+    # no constraint remains, so every positive X solves the instance
+    doc = {"n": 2, "k": 2, "pairs": [{"A": ZERO_2X2, "B": ZERO_2X2}] * pairs}
+    path = write_json(tmp_path / "zero.json", doc)
+    out = tmp_path / "report.json"
+    assert cli.main([command, str(path), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["status"] == "feasible"
+    assert rep["constraints"] == []
+    assert rep["min_eigenvalue"] > 0
+    phi = report_matrix(rep, "choi")
+    assert np.linalg.eigvalsh(phi).min() > 0
+    assert cli.main(["verify", str(out), str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_zero_input_with_nonzero_output_stays_infeasible(tmp_path, command):
+    doc = {"n": 2, "k": 2, "pairs": [{"A": ZERO_2X2, "B": [[1, 0], [0, 1]]}]}
+    out = tmp_path / "report.json"
+    assert cli.main([command, str(write_json(tmp_path / "c.json", doc)), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["status"] == "certified-infeasible"
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_zero_pair_beside_a_normal_pair_stays_feasible(tmp_path, command):
+    doc = {"n": 2, "k": 2, "pairs": [
+        {"A": ZERO_2X2, "B": ZERO_2X2},
+        {"A": [[2, 1], [1, 0]], "B": [[4, 0], [0, 0]]},
+    ]}
+    path = write_json(tmp_path / "mixed.json", doc)
+    out = tmp_path / "report.json"
+    assert cli.main([command, str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "feasible"
+    assert cli.main(["verify", str(out), str(path)]) == 0
 
 
 # ---------------------------------------------------------------------------
