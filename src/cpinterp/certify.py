@@ -296,22 +296,46 @@ def search_certificate(
     return best
 
 
-def find_certificate(
+def verdict(
     sys: ConstraintSystem,
-    coefficients: np.ndarray | None,
+    outcome: SolveOutcome,
+    strict: bool,
     seed: int = 0,
     budget: int = 8,
     tol: float = DEFAULT_VALIDATION_TOL,
-) -> Certificate | None:
-    """The divergence-ray certificate if there is one, else the search's best.
+) -> tuple[FeasibilityStatus, Certificate | None]:
+    """The status a solve outcome on ``sys`` earns, and its certificate.
 
-    No search result ranks above a validated PSD-excluding certificate, so
-    running the search only when the ray gives none loses no verdict.
+    A feasible outcome stands unless ``strict`` asks for a strictly positive
+    solution and the witness is marginal (least eigenvalue within
+    ``1e3 * tol`` of zero relative to its norm, as when the potential's
+    infimum is not attained).  Otherwise the certificate is the divergence
+    ray's, else the search's best; no search result ranks above a validated
+    PSD-excluding one, so skipping the search after the ray loses no
+    verdict.  PSD-excluding gives ``certified-infeasible``, PD-excluding
+    ``certified-no-strict``; with none a feasible outcome stands and any
+    other is ``undetermined``.
+
+    ``outcome`` may come from the support-reduced copy of ``sys``: it keeps
+    the rows in order and each of its C equals P C P for the support
+    projector P, so a coefficient vector certifies on one system exactly
+    when it certifies on the other.
     """
-    cert = ray_certificate(sys, coefficients, tol)
+    if outcome.status is SolveStatus.FEASIBLE:
+        boundary = 1e3 * tol * (1.0 + float(np.linalg.norm(outcome.solution)))
+        if not strict or outcome.min_eigenvalue > boundary:
+            return FeasibilityStatus.FEASIBLE, None
+        unproven = FeasibilityStatus.FEASIBLE
+    else:
+        unproven = FeasibilityStatus.UNDETERMINED
+    cert = ray_certificate(sys, outcome.coefficients, tol)
     if cert is None:
         cert = search_certificate(sys, seed=seed, budget=budget, tol=tol)
-    return cert
+    if cert is None:
+        return unproven, None
+    if cert.kind is CertificateKind.EXCLUDES_PSD:
+        return FeasibilityStatus.CERTIFIED_INFEASIBLE, cert
+    return FeasibilityStatus.CERTIFIED_NO_STRICT, cert
 
 
 def span_contains_positive(
@@ -371,42 +395,15 @@ def feasibility_report(
     budget: int = 8,
     tol: float = DEFAULT_VALIDATION_TOL,
 ) -> FeasibilityReport:
-    """Solve, and on failure look for a certificate (see ``find_certificate``).
+    """Solve with the exp potential and take the strict ``verdict``.
 
     Outcomes: ``feasible`` with a positive solution; ``certified-infeasible``
     (no PSD solution at all); ``certified-no-strict`` (no strictly positive
     solution; the solve outcome may still carry a near-boundary PSD witness);
     or ``undetermined``.  A feasible verdict and a validated PSD-excluding
     certificate cannot coexist.
-
-    When the potential has an unattained infimum the minimizing sequence can
-    satisfy the residual tolerance with a nearly singular witness; such
-    marginal solves are corroborated by ``find_certificate``, and a
-    validated PD-excluding certificate downgrades them to
-    ``certified-no-strict``.
     """
     outcome = solve_exp(sys, exp_config)
     span = span_contains_positive(sys, tol=tol, seed=seed)
-    if outcome.status is SolveStatus.FEASIBLE:
-        boundary = 1e3 * tol * (
-            1.0 + float(np.linalg.norm(outcome.solution))
-        )
-        if outcome.min_eigenvalue > boundary:
-            return FeasibilityReport(FeasibilityStatus.FEASIBLE, outcome, None, span)
-        cert = find_certificate(sys, outcome.coefficients, seed=seed, budget=budget, tol=tol)
-        if cert is None:
-            return FeasibilityReport(FeasibilityStatus.FEASIBLE, outcome, None, span)
-        status = (
-            FeasibilityStatus.CERTIFIED_INFEASIBLE
-            if cert.kind is CertificateKind.EXCLUDES_PSD
-            else FeasibilityStatus.CERTIFIED_NO_STRICT
-        )
-        return FeasibilityReport(status, outcome, cert, span)
-    cert = find_certificate(sys, outcome.coefficients, seed=seed, budget=budget, tol=tol)
-    if cert is None:
-        status = FeasibilityStatus.UNDETERMINED
-    elif cert.kind is CertificateKind.EXCLUDES_PSD:
-        status = FeasibilityStatus.CERTIFIED_INFEASIBLE
-    else:
-        status = FeasibilityStatus.CERTIFIED_NO_STRICT
+    status, cert = verdict(sys, outcome, True, seed, budget, tol)
     return FeasibilityReport(status, outcome, cert, span)

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: ``solve`` (full pipeline to a report), ``certify`` (feasibility
-characterization with certificates), ``apply`` (evaluate a solved map),
-``kraus`` (print operation elements), ``verify`` (independently re-check a
-report).  Exit codes for solve/certify: 0 feasible, 2 certified infeasible,
-3 undetermined (including certified-no-strict), 4 input error.  ``verify``
+Subcommands: ``solve`` (full pipeline to a report), ``certify`` (the same
+pipeline, asking for a strictly positive solution; see ``_run``), ``apply``
+(evaluate a solved map), ``kraus`` (print operation elements), ``verify``
+(independently re-check a report).  Exit codes for solve/certify: 0
+feasible, 2 certified infeasible, 3 undetermined (including
+certified-no-strict), 4 input error, usage errors included.  ``verify``
 exits 1 on the first failing check.
 """
 
@@ -34,7 +35,6 @@ from .constraints import (
 from .reports import InstanceFormatError
 from .solvers import (
     ExpSolveConfig,
-    SolveStatus,
     barrier_sweep,
     project_affine,
     solve_diagonal,
@@ -47,6 +47,13 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CERTIFIED_INFEASIBLE = 2
 EXIT_UNDETERMINED = 3
 EXIT_INPUT_ERROR = 4
+
+_EXIT_CODES = {
+    certify.FeasibilityStatus.FEASIBLE: EXIT_FEASIBLE,
+    certify.FeasibilityStatus.CERTIFIED_INFEASIBLE: EXIT_CERTIFIED_INFEASIBLE,
+    certify.FeasibilityStatus.CERTIFIED_NO_STRICT: EXIT_UNDETERMINED,
+    certify.FeasibilityStatus.UNDETERMINED: EXIT_UNDETERMINED,
+}
 
 
 @dataclass
@@ -78,8 +85,8 @@ def _certificate_block(cert: certify.Certificate, system: ConstraintSystem) -> d
     }
 
 
-def _report_inconsistent(report: dict, exc: InconsistentSystemError) -> int:
-    """Fill the report for a contradictory linear system; return the exit code.
+def _report_inconsistent(report: dict, exc: InconsistentSystemError) -> certify.FeasibilityStatus:
+    """Fill the report for a contradictory linear system; return its status.
 
     Pruning decides dependence with a tolerance, so on ill-conditioned data
     its certificate can fail the exact check; then nothing is proven and the
@@ -93,7 +100,6 @@ def _report_inconsistent(report: dict, exc: InconsistentSystemError) -> int:
         source=certify.CertificateSource.LINEAR_SYSTEM,
     )
     valid = certify.validate(cert, exc.system)
-    report["status"] = "certified-infeasible" if valid else "undetermined"
     report["solver"] = {
         "method": "none",
         "status": "inconsistent-linear-system",
@@ -106,7 +112,13 @@ def _report_inconsistent(report: dict, exc: InconsistentSystemError) -> int:
     }
     report["constraints"] = [str(t) for t in exc.system.provenance]
     report["certificate"] = _certificate_block(cert, exc.system) if valid else None
-    return EXIT_CERTIFIED_INFEASIBLE if valid else EXIT_UNDETERMINED
+    report["targets"] = [float(b) for b in exc.system.targets]
+    report["choi"] = None
+    report["kraus"] = None
+    return (
+        certify.FeasibilityStatus.CERTIFIED_INFEASIBLE if valid
+        else certify.FeasibilityStatus.UNDETERMINED
+    )
 
 
 def _solver_block(outcome, method: str) -> dict:
@@ -120,36 +132,11 @@ def _solver_block(outcome, method: str) -> dict:
     }
 
 
-def run_solve(inst: ProblemInstance, options: SolveOptions) -> tuple[dict, int]:
-    """Full pipeline: assemble, hermitize, prune, reduce, solve, project, extract.
-
-    Returns the report dictionary and the process exit code.
-    """
-    started = time.perf_counter()
-    tp = inst.trace_preserving if options.trace_preserving is None else options.trace_preserving
-    report: dict = {
-        "tool": _tool_block(),
-        "status": None,
-        "problem": {
-            "n": inst.n,
-            "k": inst.k,
-            "pairs": inst.count,
-            "trace_preserving": bool(tp),
-        },
-        "seed": int(options.seed),
-    }
-
-    try:
-        base = instance_system(inst, trace_preserving=tp)
-        pruned = prune_dependent(base)
-    except InconsistentSystemError as exc:
-        code = _report_inconsistent(report, exc)
-        report["targets"] = [float(b) for b in exc.system.targets]
-        report["choi"] = None
-        report["kraus"] = None
-        report["timing"] = {"seconds": time.perf_counter() - started}
-        return report, code
-
+def _solve(
+    report: dict, inst: ProblemInstance, base: ConstraintSystem, pruned: ConstraintSystem,
+    options: SolveOptions, strict: bool,
+) -> certify.FeasibilityStatus:
+    """Reduce the support, solve, take the verdict; fill the report, return the status."""
     report["constraints"] = [str(t) for t in base.provenance]
     report["targets"] = [float(b) for b in base.targets]
 
@@ -174,53 +161,47 @@ def run_solve(inst: ProblemInstance, options: SolveOptions) -> tuple[dict, int]:
         )
     else:
         raise InstanceFormatError(f"unknown method {options.method!r}")
-
     report["solver"] = _solver_block(outcome, method)
 
-    if outcome.status is SolveStatus.FEASIBLE:
+    if strict:
+        span = certify.span_contains_positive(pruned, seed=options.seed)
+        report["span_check"] = {
+            "contains_positive_definite": bool(span.contains_positive_definite),
+            "best_min_eigenvalue": float(span.best_min_eigenvalue),
+        }
+
+    status, cert = certify.verdict(
+        pruned, outcome, strict, seed=options.seed, budget=options.certify_budget
+    )
+    if status is certify.FeasibilityStatus.FEASIBLE:
         x = embed_solution(outcome.solution, reduction)
         x = project_affine(x, pruned)
         check = verify_solution(x, base, tol=max(options.tol, 1e-12))
         # projection can nudge eigenvalues at the residual-tolerance scale
         kraus_tol = 10.0 * options.tol * (1.0 + linalg.frobenius(x))
         kraus = choi_to_kraus(ChoiMatrix(inst.n, inst.k, x), tol=kraus_tol)
-        report["status"] = "feasible"
         report["choi"] = reports.matrix_to_jsonable(x)
         report["kraus"] = [reports.matrix_to_jsonable(v) for v in kraus.elements]
         report["kraus_count"] = len(kraus.elements)
         report["residuals"] = [float(r) for r in check.residuals]
         report["max_residual"] = float(check.max_residual)
         report["min_eigenvalue"] = float(check.min_eigenvalue)
-        report["certificate"] = None
-        report["timing"] = {"seconds": time.perf_counter() - started}
-        return report, EXIT_FEASIBLE
-
-    # The reduced system keeps pruned's rows in order, and every pruned C
-    # equals P C P for the support projector P, so a coefficient vector
-    # certifies on one system exactly when it certifies on the other.
-    cert = certify.find_certificate(
-        pruned, outcome.coefficients, seed=options.seed, budget=options.certify_budget
-    )
-    report["choi"] = None
-    report["kraus"] = None
-    if cert is not None and cert.kind is certify.CertificateKind.EXCLUDES_PSD:
-        report["status"] = "certified-infeasible"
-        report["certificate"] = _certificate_block(cert, pruned)
-        code = EXIT_CERTIFIED_INFEASIBLE
-    elif cert is not None:
-        report["status"] = "certified-no-strict"
-        report["certificate"] = _certificate_block(cert, pruned)
-        code = EXIT_UNDETERMINED
     else:
-        report["status"] = "undetermined"
-        report["certificate"] = None
-        code = EXIT_UNDETERMINED
-    report["timing"] = {"seconds": time.perf_counter() - started}
-    return report, code
+        report["choi"] = None
+        report["kraus"] = None
+    report["certificate"] = None if cert is None else _certificate_block(cert, pruned)
+    return status
 
 
-def run_certify(inst: ProblemInstance, options: SolveOptions) -> tuple[dict, int]:
-    """Feasibility characterization: solve, and on failure look for certificates."""
+def _run(inst: ProblemInstance, options: SolveOptions, strict: bool) -> tuple[dict, int]:
+    """The pipeline behind ``solve`` and ``certify``: build, prune, reduce the
+    support, solve with the resolved method, take the verdict, write the report.
+
+    ``strict`` asks for a strictly positive solution: a feasible solve with a
+    marginal witness is checked for a PD-excluding certificate, and the
+    report gains a ``span_check`` block.  Returns the report dictionary and
+    the process exit code.
+    """
     started = time.perf_counter()
     tp = inst.trace_preserving if options.trace_preserving is None else options.trace_preserving
     report: dict = {
@@ -238,51 +219,24 @@ def run_certify(inst: ProblemInstance, options: SolveOptions) -> tuple[dict, int
         base = instance_system(inst, trace_preserving=tp)
         pruned = prune_dependent(base)
     except InconsistentSystemError as exc:
-        code = _report_inconsistent(report, exc)
-        report["span_check"] = None
-        report["timing"] = {"seconds": time.perf_counter() - started}
-        return report, code
-
-    result = certify.feasibility_report(
-        pruned,
-        exp_config=ExpSolveConfig(gradient_tol=options.tol, max_iterations=options.max_iters),
-        seed=options.seed,
-        budget=options.certify_budget,
-    )
-    report["constraints"] = [str(t) for t in pruned.provenance]
-    report["solver"] = _solver_block(result.solve_outcome, "exp")
-    report["span_check"] = {
-        "contains_positive_definite": bool(result.span_check.contains_positive_definite),
-        "best_min_eigenvalue": float(result.span_check.best_min_eigenvalue),
-    }
-    report["status"] = result.status.value
-    if result.status is certify.FeasibilityStatus.FEASIBLE:
-        x = project_affine(result.solve_outcome.solution, pruned)
-        check = verify_solution(x, base, tol=max(options.tol, 1e-12))
-        report["choi"] = reports.matrix_to_jsonable(x)
-        kraus_tol = 10.0 * options.tol * (1.0 + linalg.frobenius(x))
-        kraus = choi_to_kraus(ChoiMatrix(inst.n, inst.k, x), tol=kraus_tol)
-        report["kraus"] = [reports.matrix_to_jsonable(v) for v in kraus.elements]
-        report["kraus_count"] = len(kraus.elements)
-        report["residuals"] = [float(r) for r in check.residuals]
-        report["max_residual"] = float(check.max_residual)
-        report["min_eigenvalue"] = float(check.min_eigenvalue)
-        report["certificate"] = None
-        code = EXIT_FEASIBLE
+        status = _report_inconsistent(report, exc)
+        if strict:
+            report["span_check"] = None
     else:
-        report["choi"] = None
-        report["kraus"] = None
-        if result.certificate is not None:
-            report["certificate"] = _certificate_block(result.certificate, pruned)
-        else:
-            report["certificate"] = None
-        code = (
-            EXIT_CERTIFIED_INFEASIBLE
-            if result.status is certify.FeasibilityStatus.CERTIFIED_INFEASIBLE
-            else EXIT_UNDETERMINED
-        )
+        status = _solve(report, inst, base, pruned, options, strict)
+    report["status"] = status.value
     report["timing"] = {"seconds": time.perf_counter() - started}
-    return report, code
+    return report, _EXIT_CODES[status]
+
+
+def run_solve(inst: ProblemInstance, options: SolveOptions) -> tuple[dict, int]:
+    """Solve an instance: returns the report dictionary and the exit code."""
+    return _run(inst, options, strict=False)
+
+
+def run_certify(inst: ProblemInstance, options: SolveOptions) -> tuple[dict, int]:
+    """Solve asking for a strictly positive solution; see ``_run``."""
+    return _run(inst, options, strict=True)
 
 
 def run_apply(report_path: str | Path, matrix_path: str | Path) -> np.ndarray:
@@ -446,7 +400,21 @@ def _options_from_args(args, file_options: dict) -> SolveOptions:
     opts.trace_preserving = True if args.trace_preserving else None
     if opts.max_iters < 1:
         raise InstanceFormatError("--max-iters must be at least 1")
+    if opts.seed < 0:  # solver.seed was checked when the file was read
+        raise InstanceFormatError("--seed must be non-negative")
     return opts
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits with ``EXIT_INPUT_ERROR`` on a usage error.
+
+    argparse's own status for one is 2, which here means certified infeasible.
+    Subparsers are built from the same class.
+    """
+
+    def error(self, message):
+        self.print_usage(_sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache
@@ -456,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ``parse_args`` leaves it unchanged, and building it takes about 1.2 ms,
     which every ``main`` call would otherwise pay.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cpinterp",
         description="Find completely positive maps taking prescribed values.",
     )

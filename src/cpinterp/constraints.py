@@ -555,13 +555,17 @@ def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> Cons
     )
 
 
-def _all_diagonal(matrices: np.ndarray) -> bool:
-    off = matrices - np.diagonal(matrices, axis1=1, axis2=2)[:, :, None] * np.eye(
-        matrices.shape[1]
-    )
-    return float(np.max(np.abs(off))) <= STRUCTURE_RTOL * (
-        1.0 + float(np.max(np.abs(matrices)))
-    )
+def _all_diagonal(sys: ConstraintSystem) -> bool:
+    """True when every off-diagonal entry is negligible against the largest entry.
+
+    Row i of ``flat`` without its first entry, read as p - 1 rows of p + 1,
+    holds the off-diagonal entries in its first p columns and the diagonal
+    in its last, so both maxima come from strided views of the stack.
+    """
+    rows = sys.flat[:, 1:].reshape(sys.q, sys.p - 1, sys.p + 1)
+    off = float(np.max(np.abs(rows[:, :, :-1]), initial=0.0))
+    diag = float(np.max(np.abs(np.diagonal(sys.matrices, axis1=1, axis2=2)), initial=0.0))
+    return off <= STRUCTURE_RTOL * (1.0 + max(off, diag))
 
 
 def joint_support_reduce(
@@ -582,7 +586,7 @@ def joint_support_reduce(
     if sys.q == 0:
         return sys, SupportReduction(basis=np.eye(sys.p, dtype=complex))
     w, _ = linalg.joint_support(
-        sys.matrices.reshape(-1, sys.p), tol, diagonal=_all_diagonal(sys.matrices)
+        sys.matrices.reshape(-1, sys.p), tol, diagonal=_all_diagonal(sys)
     )
     if w.shape[1] == sys.p:
         return sys, SupportReduction(basis=np.eye(sys.p, dtype=complex))

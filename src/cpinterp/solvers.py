@@ -641,6 +641,15 @@ def analytic_center(
     bnorm = float(np.linalg.norm(b))
     lam = cfg.level
     empty = np.zeros(sys.q)
+    if sys.q == 0 and lam == 0.0:
+        # nothing to center on: a(x) = a0, and every positive X solves the system
+        solution = linalg.hermitian_part(np.linalg.inv(a0))
+        return SolveOutcome(
+            status=SolveStatus.FEASIBLE,
+            solution=solution, coefficients=empty, residuals=empty,
+            max_residual=0.0, min_eigenvalue=linalg.min_eigenvalue(solution),
+            cg_iterations=0, newton_steps=0, message="no constraints",
+        )
     if bnorm == 0.0:
         return SolveOutcome(
             status=SolveStatus.ITERATION_LIMIT,

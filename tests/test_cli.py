@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cpinterp import cli
+from cpinterp.choi import ChoiMatrix, apply_choi
 from cpinterp.constraints import InconsistentSystemError, ProblemInstance
 from cpinterp.reports import (
     InstanceFormatError,
@@ -357,6 +358,69 @@ def test_certify_ray_certificate_round_trip(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# certify runs the solve pipeline
+
+
+def planted_kernel_doc(rng):
+    # the inputs vanish on a shared kernel, so support reduction compresses
+    n, k = 4, 2
+    basis = np.linalg.qr(random_complex(rng, n, n - 1))[0]
+    x_true = np.eye(n * k) + 0.5 * random_hermitian(rng, n * k)
+    x_true = x_true @ x_true.conj().T
+    pairs = []
+    for _ in range(2):
+        a = basis @ random_hermitian(rng, n - 1) @ basis.conj().T
+        pairs.append((a, apply_choi(ChoiMatrix(n, k, x_true), a)))
+    return instance_to_jsonable(ProblemInstance(n, k, pairs))
+
+
+def run_both(tmp_path, doc, *flags):
+    path = write_json(tmp_path / "inst.json", doc)
+    reps = {}
+    for command in ("solve", "certify"):
+        out = tmp_path / f"{command}.json"
+        cli.main([command, str(path), *flags, "--out", str(out)])
+        reps[command] = json.loads(out.read_text())
+    return path, reps
+
+
+@pytest.mark.parametrize("doc", [
+    json.loads(GOLDEN_INSTANCE.read_text()),
+    infeasible_doc(),
+    {"n": 1, "k": 1, "pairs": [{"A": [[1]], "B": [[1]]}, {"A": [[1]], "B": [[2]]}]},
+    {"n": 2, "k": 2, "pairs": [{"A": [[0, 0], [0, 0]], "B": [[0, 0], [0, 0]]}]},
+], ids=["feasible", "infeasible", "contradictory", "all-zero"])
+def test_certify_report_is_the_solve_report_plus_span_check(tmp_path, doc):
+    _, reps = run_both(tmp_path, doc)
+    assert set(reps["certify"]) == set(reps["solve"]) | {"span_check"}
+    assert reps["certify"]["status"] == reps["solve"]["status"]
+    assert reps["certify"]["constraints"] == reps["solve"]["constraints"]
+
+
+def test_certify_honours_the_method_flag(tmp_path):
+    _, reps = run_both(tmp_path, json.loads(GOLDEN_INSTANCE.read_text()),
+                       "--method", "barrier", "--tol", "1e-6")
+    assert reps["certify"]["status"] == "feasible"
+    assert reps["certify"]["solver"]["method"] == "barrier"
+
+
+def test_certify_takes_the_diagonal_path_under_auto(tmp_path):
+    doc = {"n": 2, "k": 2, "pairs": [{"A": [[2, 0], [0, 1]], "B": [[3, 0], [0, 1]]}]}
+    _, reps = run_both(tmp_path, doc)
+    assert reps["certify"]["status"] == "feasible"
+    assert reps["certify"]["solver"]["method"] == "diagonal"
+
+
+def test_certify_reduces_the_support(tmp_path, capsys):
+    path, reps = run_both(tmp_path, planted_kernel_doc(np.random.default_rng(1010)))
+    rep = reps["certify"]
+    assert rep["status"] == "feasible"
+    assert rep["support"]["reduced_dim"] < rep["support"]["full_dim"]
+    assert cli.main(["verify", str(tmp_path / "certify.json"), str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
 # options
 
 
@@ -382,6 +446,7 @@ def test_file_solver_section_sets_method(tmp_path):
         {"max_iters": True},
         {"seed": False},
         {"max_iters": 2.0},
+        {"seed": -1},
     ],
 )
 def test_malformed_solver_section_is_input_error(tmp_path, capsys, command, section):
@@ -420,6 +485,40 @@ def test_non_finite_or_non_positive_tol_flag_is_input_error(golden_report, capsy
     ):
         assert cli.main(argv + ["--tol", value]) == 4
         assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "certify", "verify"])
+@pytest.mark.parametrize("flags", [["--bogus"], ["--tol", "abc"], ["--max-iters", "x"]])
+def test_usage_error_exits_as_input_error(golden_report, capsys, command, flags):
+    # argparse's own status 2 would read as "certified infeasible"
+    files = [str(golden_report)] if command == "verify" else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *files, str(GOLDEN_INSTANCE), *flags])
+    assert exc.value.code == 4
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [[], ["certify", str(GOLDEN_INSTANCE), "--budget", "x"]])
+def test_missing_subcommand_or_bad_budget_exits_as_input_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 4
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["certify", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_negative_seed_flag_is_input_error(tmp_path, capsys, command):
+    # numpy refuses a negative seed with a ValueError traceback
+    doc = {"n": 2, "k": 1, "pairs": [{"A": [[1, 0], [0, 0]], "B": [[0]]}]}
+    path = write_json(tmp_path / "e11.json", doc)
+    assert cli.main([command, str(path), "--seed", "-1"]) == 4
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_trace_preserving_flag(tmp_path):
@@ -473,15 +572,17 @@ def test_all_zero_pairs_are_feasible(tmp_path, capsys, command, pairs):
     doc = {"n": 2, "k": 2, "pairs": [{"A": ZERO_2X2, "B": ZERO_2X2}] * pairs}
     path = write_json(tmp_path / "zero.json", doc)
     out = tmp_path / "report.json"
-    assert cli.main([command, str(path), "--out", str(out)]) == 0
-    rep = json.loads(out.read_text())
-    assert rep["status"] == "feasible"
-    assert rep["constraints"] == []
-    assert rep["min_eigenvalue"] > 0
-    phi = report_matrix(rep, "choi")
-    assert np.linalg.eigvalsh(phi).min() > 0
-    assert cli.main(["verify", str(out), str(path)]) == 0
-    assert "FAIL" not in capsys.readouterr().out
+    for method in ("auto", "barrier"):
+        assert cli.main([command, str(path), "--method", method, "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["status"] == "feasible"
+        assert rep["solver"]["method"] in (method, "diagonal")
+        assert rep["constraints"] == []
+        assert rep["min_eigenvalue"] > 0
+        phi = report_matrix(rep, "choi")
+        assert np.linalg.eigvalsh(phi).min() > 0
+        assert cli.main(["verify", str(out), str(path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["solve", "certify"])

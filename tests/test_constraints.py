@@ -10,6 +10,8 @@ from cpinterp.constraints import (
     ProblemInstance,
     Provenance,
     RawConstraint,
+    STRUCTURE_RTOL,
+    _all_diagonal,
     add_trace_preserving,
     assemble,
     embed_solution,
@@ -573,6 +575,31 @@ def test_reduce_keeps_diagonal_systems_diagonal():
     assert red.reduced_dim == 2
     for m in reduced.matrices:
         assert np.abs(m - np.diag(np.diag(m))).max() == 0
+
+
+def test_all_diagonal_matches_the_dense_off_diagonal_test():
+    def dense(matrices):
+        p = matrices.shape[1]
+        off = matrices - np.diagonal(matrices, axis1=1, axis2=2)[:, :, None] * np.eye(p)
+        return float(np.max(np.abs(off))) <= STRUCTURE_RTOL * (
+            1.0 + float(np.max(np.abs(matrices)))
+        )
+
+    rng = np.random.default_rng(77)
+    for p in (1, 2, 3, 5):
+        for q in (1, 4):
+            diag = np.zeros((q, p, p), dtype=complex)
+            diag[:, np.arange(p), np.arange(p)] = rng.uniform(-2.0, 2.0, size=(q, p))
+            cases = [diag]
+            for i, j in ((0, p - 1), (p - 1, 0), (p // 2, (p // 2 + 1) % p)):
+                for size in (1e-14, 1e-11):
+                    bumped = diag.copy()
+                    bumped[q - 1, i, j] += size * (1.0 + 1.0j)
+                    cases.append(bumped)
+            for m in cases:
+                sys = base_system(m, np.ones(q))
+                assert _all_diagonal(sys) == dense(sys.matrices)
+    assert _all_diagonal(base_system(np.ones((2, 3, 3)), [1.0, 1.0])) is False
 
 
 # ---------------------------------------------------------------------------
