@@ -24,12 +24,8 @@ from .constraints import (
     InconsistentSystemError,
     ProblemInstance,
     Provenance,
-    RawConstraint,
     SupportReduction,
-    add_trace_preserving,
-    assemble,
     embed_solution,
-    hermitize,
     instance_system,
     is_diagonal_instance,
     joint_support_reduce,
@@ -74,8 +70,7 @@ __all__ = [
     "ChoiMatrix", "KrausSet", "apply_choi", "choi_from_unit_images",
     "choi_to_kraus", "kraus_to_choi", "minimal_kraus_count",
     "ConstraintSystem", "InconsistentSystemError", "ProblemInstance",
-    "Provenance", "RawConstraint", "SupportReduction", "add_trace_preserving",
-    "assemble", "embed_solution", "hermitize", "instance_system",
+    "Provenance", "SupportReduction", "embed_solution", "instance_system",
     "is_diagonal_instance", "joint_support_reduce", "prune_dependent",
     "Certificate", "CertificateKind", "CertificateSource", "FeasibilityReport",
     "FeasibilityStatus", "SpanCheck", "feasibility_report", "ray_certificate",

@@ -398,9 +398,10 @@ def _options_from_args(args, file_options: dict) -> SolveOptions:
     )
     opts.seed = args.seed if args.seed is not None else file_options.get("seed", 0)
     opts.trace_preserving = True if args.trace_preserving else None
+    # solver.max_iters and solver.seed were checked when the file was read
     if opts.max_iters < 1:
         raise InstanceFormatError("--max-iters must be at least 1")
-    if opts.seed < 0:  # solver.seed was checked when the file was read
+    if opts.seed < 0:
         raise InstanceFormatError("--seed must be non-negative")
     return opts
 

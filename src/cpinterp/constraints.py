@@ -6,26 +6,23 @@ condition per output entry on the Choi matrix X:
 
     tr((A_nu^T kron E_lm) X) = B_nu[m, l],
 
-with E_lm the (l, m) matrix unit of M_k.  These raw constraint matrices are
-generally not selfadjoint; ``hermitize`` rewrites each complex equation as up
-to two real equations with selfadjoint matrices ``C + C^*`` and
-``i(C - C^*)``.  The resulting system "find X >= 0 with tr(C(i) X) = b_i" is
-what the solvers consume.
+with E_lm the (l, m) matrix unit of M_k.  For Hermitian X, a raw equation
+``tr(C X) = b`` whose C is not selfadjoint is the pair of real equations
+``tr((C + C^*) X) = 2 Re b`` and ``tr(i(C - C^*) X) = -2 Im b`` with
+selfadjoint matrices.  The resulting system "find X >= 0 with
+tr(C(i) X) = b_i" is what the solvers consume.
 
-``instance_system`` builds that system without the raw list: every raw
-matrix is a Kronecker product of an n x n and a k x k matrix, so each
-hermitization decision is made on the n x n data, and each output row is
-written once into one stack.  ``prune_dependent`` then drops the real-linearly
-dependent rows, reading the pivots off Householder QR: one factorization when
-no row is dependent, and one of a shrinking trailing block per round of
-dropped rows.
+``instance_system`` builds that system: every raw matrix is a Kronecker
+product of an n x n and a k x k matrix, so each hermitization decision is
+made on the n x n data, and each output row is written once into one stack.
+``prune_dependent`` then drops the real-linearly dependent rows, reading the
+pivots off Householder QR: one factorization when no row is dependent, and
+one of a shrinking trailing block per round of dropped rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
 import numpy as np
 
 from . import linalg
@@ -44,7 +41,7 @@ class Provenance:
     ``kind`` is "value" for an interpolation pair (indices ``(nu, m, l)``,
     1-based) or "trace" for a trace-preservation condition (indices
     ``(i, j)``).  ``part`` is "whole" for a raw or already-selfadjoint
-    constraint, "re"/"im" for the two hermitized components.
+    constraint, "re"/"im" for the two hermitized parts.
     """
 
     kind: str
@@ -54,15 +51,6 @@ class Provenance:
     def __str__(self) -> str:
         base = f"{self.kind}({', '.join(str(i) for i in self.indices)})"
         return base if self.part == "whole" else f"{base}.{self.part}"
-
-
-@dataclass
-class RawConstraint:
-    """One complex trace equation ``tr(matrix @ X) = target``."""
-
-    matrix: np.ndarray
-    target: complex
-    origin: Provenance
 
 
 @dataclass
@@ -191,38 +179,6 @@ class InconsistentSystemError(Exception):
         self.offending = offending
 
 
-def assemble(inst: ProblemInstance) -> list[RawConstraint]:
-    """Raw constraint list: one complex equation per pair and output entry.
-
-    ``C(nu, m, l) = A_nu^T kron E_lm`` with target ``B_nu[m, l]``; the count
-    is ``count * k**2``, ordered by nu, then m, then l.  Indices in the
-    provenance are 1-based.  The matrices are views into one stack, filled by
-    a single indexed assignment.
-    """
-    n, k, count = inst.n, inst.k, inst.count
-    stack = np.zeros((count, k, k, n, k, n, k), dtype=complex)
-    m, l = np.indices((k, k))
-    # entry ((i, l), (j, m)) of C(nu, m, l) is A_nu[j, i]
-    stack[:, m, l, :, l, :, m] = np.array([a.T for a, _ in inst.pairs])
-    matrices = stack.reshape(count * k * k, n * k, n * k)
-    targets = np.array([b for _, b in inst.pairs]).ravel().tolist()
-    return [
-        RawConstraint(matrices[r], targets[r], Provenance("value", (nu + 1, m + 1, l + 1)))
-        for r, (nu, m, l) in enumerate(np.ndindex(count, k, k))
-    ]
-
-
-def _conjugate_partner(origin: Provenance) -> tuple | None:
-    """Provenance indices of the raw constraint conjugate to this one."""
-    if origin.kind == "value":
-        nu, m, l = origin.indices
-        return (nu, l, m)
-    if origin.kind == "trace":
-        i, j = origin.indices
-        return (j, i)
-    return None
-
-
 _WHOLE, _RE, _IM = 0, 1, 2
 _PART_NAMES = ("whole", "re", "im")
 
@@ -282,78 +238,20 @@ def _contradiction(system: ConstraintSystem, first: int) -> InconsistentSystemEr
     )
 
 
-def hermitize(raw: Sequence[RawConstraint]) -> ConstraintSystem:
-    """Rewrite complex trace equations as real equations with selfadjoint matrices.
-
-    Each raw ``(C, b)`` becomes ``(C + C^*, 2 Re b)`` and ``(i(C - C^*), -2 Im b)``;
-    constraints that are already selfadjoint with real targets pass through
-    unchanged.  When the data is conjugate-paired (every constraint's
-    partner, ``(nu, l, m)`` for ``(nu, m, l)``, is its adjoint with the
-    conjugate target, as when all A_nu, B_nu are selfadjoint), only the first
-    of each couple is kept, the rest being redundant for Hermitian X.
-
-    Works on any list, with array operations on the stacked matrices;
-    ``instance_system`` builds the same rows for an instance from its n x n
-    data.
-
-    Raises ``InconsistentSystemError`` when a selfadjoint constraint carries a
-    non-real target (no Hermitian X can satisfy it).
-    """
-    raw = list(raw)
-    if not raw:
-        raise ValueError("empty constraint list")
-    stack = np.array([rc.matrix for rc in raw], dtype=complex)
-    adj = stack.conj().swapaxes(1, 2)
-    targets = np.array([rc.target for rc in raw], dtype=complex)
-    origins = [(rc.origin.kind, rc.origin.indices) for rc in raw]
-    norms = np.stack(
-        [np.linalg.norm(h, axis=(1, 2)) for h in (stack, stack + adj, stack - adj)], axis=1
-    )
-    scale = STRUCTURE_RTOL * (1.0 + norms[:, 0])
-
-    first = {}
-    for r, key in enumerate(origins):
-        first.setdefault(key, r)
-    partner = [first.get((rc.origin.kind, _conjugate_partner(rc.origin))) for rc in raw]
-    rows = np.arange(len(raw))
-    if None not in partner:
-        partner = np.array(partner)
-        if np.all(np.linalg.norm(stack[partner] - adj, axis=(1, 2)) <= scale) and np.all(
-            np.abs(targets[partner] - targets.conj()) <= STRUCTURE_RTOL * (1.0 + np.abs(targets))
-        ):
-            # keep the first row of each couple
-            first_of_key = np.array([first[key] for key in origins])
-            rows = np.flatnonzero((first_of_key == rows) & (rows <= partner))
-
-    out_rows, parts, out_targets, provenance = _plan_rows(
-        [origins[r] for r in rows], targets[rows], norms[rows, 2] <= scale[rows],
-        norms[rows], float(np.max(norms[rows, 0])),
-    )
-    c, c_adj = stack[rows[out_rows]], adj[rows[out_rows]]
-    matrices = np.zeros((len(provenance), stack.shape[1], stack.shape[1]), dtype=complex)
-    matrices[: len(parts)] = np.where(
-        (parts == _IM)[:, None, None],
-        1j * (c - c_adj),
-        (c + c_adj) * np.where(parts == _WHOLE, 0.5, 1.0)[:, None, None],
-    )
-    system = ConstraintSystem(stack.shape[1], matrices, out_targets, provenance)
-    if len(provenance) > len(parts):
-        raise _contradiction(system, len(parts))
-    return system
-
-
 class _PairRows:
     """Hermitized rows of the raw constraints of stacked pairs ``(A_nu, B_nu)``.
 
     The raw rows are ``C(nu, m, l) = A_nu^T kron E_lm`` with targets
-    ``B_nu[m, l]``, in ``assemble``'s order, and this class gives the rows
-    ``hermitize`` makes of them.  Since ``C(nu, m, l)^* = conj(A_nu) kron
-    E_ml``, everything it decides follows from the n x n data:
-
-    - the rows are conjugate-paired when every A_nu and B_nu is Hermitian;
-    - ``||C|| = ||A_nu||``; for m = l, ``||C +- C^*|| = ||A_nu^T +- conj(A_nu)||``
-      and C is selfadjoint when A_nu is Hermitian; for m != l the two terms
-      do not overlap, so both norms are ``sqrt(2) ||A_nu||``.
+    ``B_nu[m, l]``, ordered by nu, then m, then l, each kept "whole" when C
+    is selfadjoint and split into "re" and "im" rows as in the module
+    docstring otherwise (``_plan_rows``).  When every A_nu and B_nu is
+    Hermitian, ``C(nu, l, m)`` is the adjoint of ``C(nu, m, l)`` with the
+    conjugate target, and only the rows with m <= l are kept.  Since
+    ``C(nu, m, l)^* = conj(A_nu) kron E_ml``, the norms these decisions rest
+    on follow from the n x n data: ``||C|| = ||A_nu||``; for m = l,
+    ``||C +- C^*|| = ||A_nu^T +- conj(A_nu)||`` and C is selfadjoint when
+    A_nu is Hermitian; for m != l the two terms do not overlap, so both
+    norms are ``sqrt(2) ||A_nu||``.
 
     Every output row is an n x n block at position (l, m), plus for m != l
     one at (m, l); ``write`` puts them in place.  ``origin(nu, m, l)`` gives
@@ -410,7 +308,7 @@ class _PairRows:
 
 
 def _trace_rows(n: int, k: int) -> _PairRows:
-    """The hermitized ``trace_preserving_raw(n, k)``.
+    """Hermitized rows of ``tr((E_ij^T kron I_k) X) = tr(phi(E_ij)) = delta_ij``.
 
     ``E_ji kron I_k`` is ``I_k kron E_ji`` with the tensor factors swapped,
     so these are the rows of the pair ``(I_k, I_n)``, swapped.
@@ -421,26 +319,6 @@ def _trace_rows(n: int, k: int) -> _PairRows:
         lambda nu, i, j: ("trace", (i, j)),
         swapped=True,
     )
-
-
-def trace_preserving_raw(n: int, k: int) -> list[RawConstraint]:
-    """Raw constraints encoding ``tr(phi(E_ij)) = delta_ij``.
-
-    Summing the Choi trace formula over the output diagonal gives
-    ``tr((E_ij^T kron I_k) X) = delta_ij``.
-    """
-    stack = np.zeros((n, n, n, k, n, k), dtype=complex)
-    i, j, r = np.indices((n, n, k))
-    stack[i, j, j, r, i, r] = 1.0
-    matrices = stack.reshape(n * n, n * k, n * k)
-    return [
-        RawConstraint(
-            matrices[s],
-            1.0 + 0j if i == j else 0j,
-            Provenance("trace", (i + 1, j + 1)),
-        )
-        for s, (i, j) in enumerate(np.ndindex(n, n))
-    ]
 
 
 def _stacked(p: int, blocks: list) -> ConstraintSystem:
@@ -455,19 +333,6 @@ def _stacked(p: int, blocks: list) -> ConstraintSystem:
         matrices,
         np.concatenate([b.targets for b in blocks]),
         [t for b in blocks for t in b.provenance],
-    )
-
-
-def add_trace_preserving(sys: ConstraintSystem, n: int, k: int) -> ConstraintSystem:
-    """Append hermitized trace-preservation constraints to a system."""
-    if sys.p != n * k:
-        raise ValueError(f"system dimension {sys.p} does not match n*k = {n * k}")
-    tp = _stacked(sys.p, [_trace_rows(n, k)])
-    return ConstraintSystem(
-        sys.p,
-        np.concatenate([sys.matrices, tp.matrices]),
-        np.concatenate([sys.targets, tp.targets]),
-        list(sys.provenance) + list(tp.provenance),
     )
 
 
@@ -624,9 +489,10 @@ def instance_system(
 ) -> ConstraintSystem:
     """Build the hermitized system of an instance, optionally with channel constraints.
 
-    The rows are those of ``hermitize(assemble(inst))``, followed by those of
-    ``add_trace_preserving`` when asked, but decided on the n x n data and
-    written once into one stack.
+    The rows are those of every pair (``_PairRows``), then the
+    trace-preservation rows when ``trace_preserving`` (by default the
+    instance's flag) asks for them.  Contradictory rows raise
+    ``InconsistentSystemError``.
     """
     value = _PairRows(
         np.array([a for a, _ in inst.pairs]),

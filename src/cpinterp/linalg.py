@@ -49,11 +49,6 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def is_hermitian(a: np.ndarray, rtol: float = DEFAULT_RTOL) -> bool:
-    a = np.asarray(a)
-    return a.shape[0] == a.shape[1] and frobenius(a - a.conj().T) <= scale_tol(a, rtol)
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product with lexicographic (row-major) pair indexing.
 

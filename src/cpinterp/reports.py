@@ -181,6 +181,8 @@ def solver_options_from_jsonable(doc: Any) -> dict:
             if not is_integer(solver[key]):
                 raise InstanceFormatError(f"solver.{key} must be an integer")
             out[key] = solver[key]
+    if out.get("max_iters", 1) < 1:
+        raise InstanceFormatError("solver.max_iters must be at least 1")
     if out.get("seed", 0) < 0:
         raise InstanceFormatError("solver.seed must be non-negative")
     return out

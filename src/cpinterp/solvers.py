@@ -63,6 +63,11 @@ class SolveStatus(enum.Enum):
 # gradient falls this far, so those runs are CG only.
 NEWTON_HANDOFF = 1e-2
 
+# Strong-Wolfe constants of the CG line search (0 < c1 < c2 < 1), and the
+# multiple of (1 + |x0|) past which CG declares the iterates divergent.
+SUFFICIENT_DECREASE, CURVATURE = 1e-4, 0.4
+DIVERGENCE_THRESHOLD = 1e4
+
 
 @dataclass
 class ExpSolveConfig:
@@ -75,9 +80,6 @@ class ExpSolveConfig:
 
     gradient_tol: float = 1e-9
     max_iterations: int = 10000
-    sufficient_decrease: float = 1e-4
-    curvature: float = 0.4
-    divergence_threshold: float = 1e4
     exponent_offset: float = -1.0
     newton_polish: bool = True
 
@@ -86,10 +88,6 @@ class ExpSolveConfig:
             raise ValueError("gradient_tol must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not 0 < self.sufficient_decrease < self.curvature < 1:
-            raise ValueError("need 0 < sufficient_decrease < curvature < 1")
-        if self.divergence_threshold <= 0:
-            raise ValueError("divergence_threshold must be positive")
 
 
 @dataclass
@@ -160,13 +158,17 @@ def verify(x: np.ndarray, sys: ConstraintSystem, tol: float = 1e-8) -> VerifyRep
     )
 
 
+def _value_grad(sys: ConstraintSystem, x: np.ndarray, offset: float) -> tuple[float, np.ndarray]:
+    """The potential and its gradient at x; ``OverflowError`` past the exp range."""
+    f, g = _exp_objective(sys, offset).value_grad(np.asarray(x, dtype=float))
+    if g is None:
+        raise OverflowError("the exponent exceeds the exp() range of double precision")
+    return f, g
+
+
 def potential(sys: ConstraintSystem, x: np.ndarray, offset: float = 0.0) -> float:
     """Exponential potential ``tr(exp(sum x C + offset I)) - x . b``."""
-    x = np.asarray(x, dtype=float)
-    s = linalg.hermitian_part(sys.aggregate(x))
-    if offset:
-        s = s + offset * np.eye(sys.p)
-    return float(np.trace(linalg.expm_herm(s)).real - x @ sys.targets)
+    return _value_grad(sys, x, offset)[0]
 
 
 def gradient(sys: ConstraintSystem, x: np.ndarray, offset: float = 0.0) -> np.ndarray:
@@ -174,11 +176,7 @@ def gradient(sys: ConstraintSystem, x: np.ndarray, offset: float = 0.0) -> np.nd
 
     These are exactly the constraint residuals of ``exp(sum x C + offset I)``.
     """
-    x = np.asarray(x, dtype=float)
-    s = linalg.hermitian_part(sys.aggregate(x))
-    if offset:
-        s = s + offset * np.eye(sys.p)
-    return sys.residuals(linalg.expm_herm(s))
+    return _value_grad(sys, x, offset)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +334,14 @@ def _minimize_cg(
     """Polak-Ribiere+ conjugate gradients with periodic restarts.
 
     Takes at most ``budget`` steps and declares divergence once
-    ``|x| > cfg.divergence_threshold * (1 + |x0|)``.  Returns the last
+    ``|x| > DIVERGENCE_THRESHOLD * (1 + |x0|)``.  Returns the last
     iterate, its gradient, the step count and why the run stopped:
     ``"converged"``, ``"handoff"`` (the gradient norm fell to ``handoff``
     times its starting value; 0 never hands off) or a key of ``_CG_STOPS``.
     """
     q = len(x0)
     restart_every = max(q, 10)
-    divergence_cap = cfg.divergence_threshold * (1.0 + float(np.linalg.norm(x0)))
+    divergence_cap = DIVERGENCE_THRESHOLD * (1.0 + float(np.linalg.norm(x0)))
 
     x = np.asarray(x0, dtype=float).copy()
     f, g = obj.value_grad(x)
@@ -379,9 +377,7 @@ def _minimize_cg(
             return fa, np.inf if ga is None else float(ga @ _d)
 
         alpha0 = min(1.0, 2.0 * max(abs(f), 1.0) / max(gnorm**2, 1e-30)) if iterations == 0 else 1.0
-        alpha = _wolfe_search(
-            fg_line, f, slope, cfg.sufficient_decrease, cfg.curvature, alpha0
-        )
+        alpha = _wolfe_search(fg_line, f, slope, SUFFICIENT_DECREASE, CURVATURE, alpha0)
         iterations += 1
         if alpha is None or alpha == 0.0:
             return x, g, iterations, "stalled"
@@ -521,7 +517,7 @@ def solve_exp(
     strictly positive solution exists (the potential is coercive exactly
     when one does).  It is declared at the first iterate whose ray the
     potential provably falls along without bound, or else when the iterates
-    outgrow ``cfg.divergence_threshold``.
+    outgrow ``DIVERGENCE_THRESHOLD``.
 
     Hitting the iteration cap is a soft outcome.
     """

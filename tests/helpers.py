@@ -4,7 +4,7 @@ and planted generators."""
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -17,7 +17,6 @@ from cpinterp.constraints import (
     InconsistentSystemError,
     ProblemInstance,
     Provenance,
-    RawConstraint,
     instance_system,
     prune_dependent,
 )
@@ -140,6 +139,15 @@ def random_channel_kraus(rng: np.random.Generator, n: int, count: int) -> KrausS
 # Reference build: one kron and one RawConstraint per output entry, and a
 # row-by-row hermitization.  The array-shaped build in cpinterp.constraints
 # must give the same rows.
+
+
+@dataclass
+class RawConstraint:
+    """One complex trace equation ``tr(matrix @ X) = target``."""
+
+    matrix: np.ndarray
+    target: complex
+    origin: Provenance
 
 
 def reference_assemble(inst: ProblemInstance) -> list[RawConstraint]:

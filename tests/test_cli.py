@@ -447,6 +447,7 @@ def test_file_solver_section_sets_method(tmp_path):
         {"seed": False},
         {"max_iters": 2.0},
         {"seed": -1},
+        {"max_iters": 0},
     ],
 )
 def test_malformed_solver_section_is_input_error(tmp_path, capsys, command, section):
@@ -519,6 +520,12 @@ def test_negative_seed_flag_is_input_error(tmp_path, capsys, command):
     path = write_json(tmp_path / "e11.json", doc)
     assert cli.main([command, str(path), "--seed", "-1"]) == 4
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_zero_max_iters_flag_is_input_error(capsys, command):
+    assert cli.main([command, str(GOLDEN_INSTANCE), "--max-iters", "0"]) == 4
+    assert "--max-iters must be at least 1" in capsys.readouterr().err
 
 
 def test_trace_preserving_flag(tmp_path):

@@ -9,18 +9,13 @@ from cpinterp.constraints import (
     InconsistentSystemError,
     ProblemInstance,
     Provenance,
-    RawConstraint,
     STRUCTURE_RTOL,
     _all_diagonal,
-    add_trace_preserving,
-    assemble,
     embed_solution,
-    hermitize,
     instance_system,
     is_diagonal_instance,
     joint_support_reduce,
     prune_dependent,
-    trace_preserving_raw,
 )
 from helpers import (
     A1,
@@ -32,9 +27,7 @@ from helpers import (
     random_complex,
     random_hermitian,
     reference_assemble,
-    reference_hermitize,
     reference_instance_system,
-    reference_trace_preserving_raw,
 )
 
 
@@ -46,11 +39,11 @@ def find_raw(raw, nu, m, l):
 
 
 # ---------------------------------------------------------------------------
-# assemble
+# the raw constraints of the reference build
 
 
 def test_assemble_reference_entries():
-    raw = assemble(golden_instance())
+    raw = reference_assemble(golden_instance())
     assert len(raw) == 2 * 4  # N * k**2
     rc = find_raw(raw, 1, 1, 1)
     expected = np.array([[2, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]])
@@ -60,23 +53,29 @@ def test_assemble_reference_entries():
     e21 = matrix_unit(2, 1, 0)
     assert np.abs(rc.matrix - np.kron(A1.T, e21)).max() == 0
     assert rc.target == 0.0  # B1[1, 2]
+    # the built system keeps the selfadjoint raw row whole
+    sys = instance_system(golden_instance())
+    i = sys.provenance.index(Provenance("value", (1, 1, 1)))
+    assert np.abs(sys.matrices[i] - expected).max() == 0
+    assert sys.targets[i] == 4.0
 
 
 def test_assemble_unital_condition():
     inst = ProblemInstance(3, 2, [(np.eye(3), np.eye(2))])
-    raw = assemble(inst)
+    raw = reference_assemble(inst)
     for rc in raw:
         _, m, l = rc.origin.indices
         assert rc.target == (1.0 if m == l else 0.0)
 
 
 # ---------------------------------------------------------------------------
-# hermitize
+# hermitization in instance_system
 
 
 def test_hermitize_passes_selfadjoint_through():
+    # k = 1: the one raw row is A^T itself, here selfadjoint with a real target
     c = np.diag([1.0, 2.0]).astype(complex)
-    sys = hermitize([RawConstraint(c, 3.0 + 0j, Provenance("value", (1, 1, 1)))])
+    sys = instance_system(ProblemInstance(2, 1, [(c, np.array([[3.0]]))]))
     assert sys.q == 1
     assert np.abs(sys.matrices[0] - c).max() == 0
     assert sys.targets[0] == 3.0
@@ -96,9 +95,10 @@ def test_hermitize_sign_oracle():
     rng = np.random.default_rng(17)
     for _ in range(10):
         x = random_hermitian(rng, 3)
-        c = random_complex(rng, 3, 3)
-        b = complex(np.trace(c @ x))
-        sys = hermitize([RawConstraint(c, b, Provenance("value", (1, 1, 2)))])
+        a = random_complex(rng, 3, 3)
+        # k = 1: the one raw row is A^T, not selfadjoint, with target tr(A^T X)
+        b = complex(np.trace(a.T @ x))
+        sys = instance_system(ProblemInstance(3, 1, [(a, np.array([[b]]))]))
         assert sys.q == 2
         res = sys.residuals(x)
         assert np.abs(res).max() < 1e-12 * (1 + abs(b))
@@ -109,7 +109,7 @@ def test_hermitize_keeps_both_parts_for_nonhermitian_data():
     inst = ProblemInstance(
         2, 2, [(random_complex(rng, 2, 2), random_complex(rng, 2, 2))]
     )
-    sys = hermitize(assemble(inst))
+    sys = instance_system(inst)
     # no deduplication: every couple contributes two real constraints
     assert sys.q == 8
     couples = {t.indices for t in sys.provenance}
@@ -117,9 +117,9 @@ def test_hermitize_keeps_both_parts_for_nonhermitian_data():
 
 
 def test_hermitize_rejects_selfadjoint_with_complex_target():
-    c = np.eye(2, dtype=complex)
+    inst = ProblemInstance(2, 1, [(np.eye(2), np.array([[1.0 + 0.5j]]))])
     with pytest.raises(InconsistentSystemError) as err:
-        hermitize([RawConstraint(c, 1.0 + 0.5j, Provenance("value", (1, 1, 1)))])
+        instance_system(inst)
     exc = err.value
     # the carried certificate is valid: zero combination with negative target
     combo = exc.system.aggregate(exc.certificate_coefficients)
@@ -140,13 +140,6 @@ def assert_same_system(new, ref):
     assert new.provenance == ref.provenance
 
 
-def assert_same_raw(new, ref):
-    assert len(new) == len(ref)
-    for a, b in zip(new, ref):
-        assert np.array_equal(a.matrix, b.matrix)
-        assert a.target == b.target and a.origin == b.origin
-
-
 def build_cases():
     rng = np.random.default_rng(43)
     for n, k, pairs in [(1, 1, 1), (2, 2, 2), (2, 3, 3), (3, 2, 4), (3, 3, 2)]:
@@ -164,13 +157,6 @@ def test_build_matches_the_reference(trace_preserving):
     for inst in build_cases():
         ref = reference_instance_system(inst, trace_preserving)
         assert_same_system(instance_system(inst, trace_preserving=trace_preserving), ref)
-        raw = assemble(inst)
-        assert_same_raw(raw, reference_assemble(inst))
-        built = hermitize(raw)
-        if trace_preserving:
-            built = add_trace_preserving(built, inst.n, inst.k)
-        assert_same_system(built, ref)
-    assert_same_raw(trace_preserving_raw(3, 2), reference_trace_preserving_raw(3, 2))
 
 
 def contradiction_cases():
@@ -190,39 +176,23 @@ def test_build_contradictions_match_the_reference(trace_preserving):
     for inst in contradiction_cases():
         with pytest.raises(InconsistentSystemError) as ref:
             reference_instance_system(inst, trace_preserving)
-        for build in (
-            lambda: instance_system(inst, trace_preserving=trace_preserving),
-            lambda: hermitize(assemble(inst)),
-        ):
-            with pytest.raises(InconsistentSystemError) as err:
-                build()
-            assert str(err.value) == str(ref.value)
-            assert err.value.offending == ref.value.offending
-            assert_same_system(err.value.system, ref.value.system)
-            assert np.array_equal(
-                err.value.certificate_coefficients, ref.value.certificate_coefficients
-            )
-
-
-def test_hermitize_matches_the_reference_on_unstructured_rows():
-    rng = np.random.default_rng(45)
-    h = random_hermitian(rng, 3)
-    raw = [
-        RawConstraint(random_complex(rng, 3, 3), 1.0 - 2.0j, Provenance("value", (1, 1, 2))),
-        RawConstraint(h, 2.0 + 0j, Provenance("value", (1, 1, 1))),
-        RawConstraint(1j * h, 1j, Provenance("trace", (1, 2))),
-        RawConstraint(np.zeros((3, 3)), 0j, Provenance("value", (2, 1, 1))),
-    ]
-    assert_same_system(hermitize(raw), reference_hermitize(raw))
+        with pytest.raises(InconsistentSystemError) as err:
+            instance_system(inst, trace_preserving=trace_preserving)
+        assert str(err.value) == str(ref.value)
+        assert err.value.offending == ref.value.offending
+        assert_same_system(err.value.system, ref.value.system)
+        assert np.array_equal(
+            err.value.certificate_coefficients, ref.value.certificate_coefficients
+        )
 
 
 # ---------------------------------------------------------------------------
-# add_trace_preserving
+# trace preservation
 
 
 def test_trace_preserving_scalar():
     inst = ProblemInstance(1, 1, [(np.array([[1.0]]), np.array([[1.0]]))])
-    sys = add_trace_preserving(hermitize(assemble(inst)), 1, 1)
+    sys = instance_system(inst, trace_preserving=True)
     trace_rows = [i for i, t in enumerate(sys.provenance) if t.kind == "trace"]
     assert len(trace_rows) == 1
     i = trace_rows[0]
@@ -232,7 +202,7 @@ def test_trace_preserving_scalar():
 
 def test_trace_preserving_raw_structure():
     inst = ProblemInstance(2, 2, [(np.eye(2), np.eye(2))])
-    sys = add_trace_preserving(hermitize(assemble(inst)), 2, 2)
+    sys = instance_system(inst, trace_preserving=True)
     trace_rows = [i for i, t in enumerate(sys.provenance) if t.kind == "trace"]
     assert len(trace_rows) == 4  # n**2 after deduplication
     # diagonal conditions: E_ii^T kron I with target 1
@@ -250,7 +220,7 @@ def test_trace_preserving_raw_structure():
 def test_identity_choi_satisfies_trace_preserving():
     phi = kraus_to_choi(KrausSet(2, 2, [np.eye(2)])).matrix
     inst = ProblemInstance(2, 2, [(np.eye(2), np.eye(2))])
-    sys = add_trace_preserving(hermitize(assemble(inst)), 2, 2)
+    sys = instance_system(inst, trace_preserving=True)
     trace_rows = [i for i, t in enumerate(sys.provenance) if t.kind == "trace"]
     res = sys.residuals(phi)
     assert np.abs(res[trace_rows]).max() < 1e-14
@@ -619,25 +589,41 @@ def test_is_diagonal_instance():
 # equivalence with the map-level conditions
 
 
+def output_partial_trace(x, n, k):
+    """``Tr_k X``: entry (i, j) is ``tr((E_ij^T kron I_k) X)``, the trace condition (i, j)."""
+    return np.einsum("irjr->ij", x.reshape(n, k, n, k))
+
+
 def test_system_equivalent_to_interpolation_conditions():
+    # the map-level conditions, checked through apply_choi, on Hermitian and
+    # complex data, with and without trace preservation
     rng = np.random.default_rng(41)
     n = k = 2
-    for _ in range(5):
-        x = random_hermitian(rng, n * k)
-        a_mats = [random_hermitian(rng, n) for _ in range(2)]
-        pairs = [(a, apply_choi(ChoiMatrix(n, k, x), a)) for a in a_mats]
-        inst = ProblemInstance(n, k, pairs)
-        sys = instance_system(inst)
-        # X satisfies the hermitized system by construction
-        assert np.abs(sys.residuals(x)).max() < 1e-10
-        # and a perturbed Y violates it exactly when the map values move
-        y = x + random_hermitian(rng, n * k, scale=0.1)
-        res = np.abs(sys.residuals(y)).max()
-        image_gap = max(
-            np.abs(apply_choi(ChoiMatrix(n, k, y), a) - b).max() for a, b in pairs
-        )
-        assert (res < 1e-10) == (image_gap < 1e-10)
-        assert res <= 2 * image_gap + 1e-12 and image_gap <= res + 1e-12
+    for hermitian_data in (True, False):
+        for trace_preserving in (False, True):
+            for _ in range(5):
+                x = random_hermitian(rng, n * k)
+                if trace_preserving:
+                    # shift X so that Tr_k X = I_n, i.e. the map preserves traces
+                    x = x - np.kron(output_partial_trace(x, n, k) - np.eye(n), np.eye(k)) / k
+                a_mats = [
+                    random_hermitian(rng, n) if hermitian_data else random_complex(rng, n, n)
+                    for _ in range(2)
+                ]
+                pairs = [(a, apply_choi(ChoiMatrix(n, k, x), a)) for a in a_mats]
+                sys = instance_system(ProblemInstance(n, k, pairs, trace_preserving))
+                # X satisfies the hermitized system by construction
+                assert np.abs(sys.residuals(x)).max() < 1e-10
+                # and a perturbed Y violates it exactly when the map values move
+                y = x + random_hermitian(rng, n * k, scale=0.1)
+                res = np.abs(sys.residuals(y)).max()
+                gap = max(
+                    np.abs(apply_choi(ChoiMatrix(n, k, y), a) - b).max() for a, b in pairs
+                )
+                if trace_preserving:
+                    gap = max(gap, np.abs(output_partial_trace(y, n, k) - np.eye(n)).max())
+                assert (res < 1e-10) == (gap < 1e-10)
+                assert res <= 2 * gap + 1e-12 and gap <= res + 1e-12
 
 
 def test_raw_count_and_hermitized_bound():
@@ -648,7 +634,6 @@ def test_raw_count_and_hermitized_bound():
             (random_hermitian(rng, n), random_hermitian(rng, k)) for _ in range(nper)
         ]
         inst = ProblemInstance(n, k, pairs)
-        raw = assemble(inst)
-        assert len(raw) == nper * k * k
-        sys = hermitize(raw)
+        assert len(reference_assemble(inst)) == nper * k * k
+        sys = instance_system(inst)
         assert sys.q <= nper * k * k
