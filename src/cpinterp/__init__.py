@@ -3,9 +3,9 @@
 Given pairs (A_nu, B_nu), find a completely positive map phi: M_n -> M_k with
 phi(A_nu) = B_nu (optionally trace preserving).  The problem reduces to
 finding a PSD Choi matrix under linear trace constraints, solved either by
-minimizing a strictly convex exponential potential or by a log-det barrier
-analytic-center method, with infeasibility certificates and Kraus-operator
-extraction.
+minimizing a strictly convex exponential potential or a log-det barrier
+objective (one minimizer serves both), with infeasibility certificates and
+Kraus-operator extraction.
 """
 
 __version__ = "0.1.0"
@@ -45,16 +45,14 @@ from .certify import (
     validate,
 )
 from .solvers import (
-    BarrierConfig,
     ExpSolveConfig,
     SolveOutcome,
     SolveStatus,
     VerifyReport,
-    analytic_center,
-    barrier_sweep,
     gradient,
     potential,
     project_affine,
+    solve_barrier,
     solve_diagonal,
     solve_exp,
     verify,
@@ -76,8 +74,8 @@ __all__ = [
     "FeasibilityStatus", "SpanCheck", "feasibility_report", "ray_certificate",
     "search_certificate",
     "span_contains_positive", "validate",
-    "BarrierConfig", "ExpSolveConfig", "SolveOutcome", "SolveStatus",
-    "VerifyReport", "analytic_center", "barrier_sweep", "gradient",
-    "potential", "project_affine", "solve_diagonal", "solve_exp", "verify",
+    "ExpSolveConfig", "SolveOutcome", "SolveStatus", "VerifyReport",
+    "gradient", "potential", "project_affine", "solve_barrier",
+    "solve_diagonal", "solve_exp", "verify",
     "InstanceFormatError", "parse_instance", "write_instance",
 ]

@@ -221,7 +221,7 @@ def ray_certificate(
     coefficients: np.ndarray | None,
     tol: float = DEFAULT_VALIDATION_TOL,
 ) -> Certificate | None:
-    """PSD-excluding certificate read off the exp solver's final iterate.
+    """PSD-excluding certificate read off a solver's final iterate (exp or barrier).
 
     Classifies the normalized ``-coefficients``; when that misses the cone
     (typically by the ``O(1/|x|)`` lag of a diverging iterate) it repairs the

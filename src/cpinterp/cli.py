@@ -35,8 +35,8 @@ from .constraints import (
 from .reports import InstanceFormatError
 from .solvers import (
     ExpSolveConfig,
-    barrier_sweep,
     project_affine,
+    solve_barrier,
     solve_diagonal,
     solve_exp,
     verify as verify_solution,
@@ -156,9 +156,7 @@ def _solve(
     elif method == "diagonal":
         outcome = solve_diagonal(reduced, exp_cfg)
     elif method == "barrier":
-        outcome = barrier_sweep(
-            reduced, feas_tol=max(options.tol, 1e-12), max_newton_steps=options.max_iters
-        )
+        outcome = solve_barrier(reduced, exp_cfg)
     else:
         raise InstanceFormatError(f"unknown method {options.method!r}")
     report["solver"] = _solver_block(outcome, method)
@@ -373,7 +371,7 @@ def _emit_report(report: dict, out: str | None) -> None:
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=("exp", "barrier", "auto"), default=None,
-                        help="solver: exponential potential, barrier sweep, or auto "
+                        help="solver: exponential potential, log-det barrier, or auto "
                              "(diagonal fast path when applicable; default auto)")
     parser.add_argument("--tol", type=float, default=None,
                         help="residual tolerance (default 1e-9)")

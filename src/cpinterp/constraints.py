@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 
-# pivot threshold for real-linear dependence, relative to the largest pivot
+# cut on the squared residual of a unit-norm row: below it, the row is dependent
 DEPENDENCE_RTOL = 1e-10
 
 # exact-structure detection (Hermitian data, diagonal matrices)
@@ -340,10 +340,11 @@ def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> Cons
     """Keep a maximal real-linearly-independent subset, in order.
 
     Row i is read as the real vector of the real and imaginary parts of
-    C(i)'s entries (a view of ``flat``), whose dot products are the trace
-    pairings.  A row is dropped when the squared norm of its residual after
-    projecting out the kept rows before it falls below ``tol * max squared
-    norm``: it is then a real combination of those rows.
+    C(i)'s entries, whose dot products are the trace pairings, scaled with its
+    target to unit norm, so that no row's scale decides another's fate.  A
+    row is dropped when the squared norm of its residual after projecting out
+    the kept rows before it falls below ``tol``: it is then a real
+    combination of those rows.
 
     The pivots come from Householder QR of the rows taken as columns.  An
     unpivoted QR measures each column against all earlier columns, dropped
@@ -359,43 +360,50 @@ def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> Cons
     no dependence cost one QR.
 
     A dropped row's target must match its combination of the rows kept
-    before its round, whose coefficients solve the triangular ``R[:j, :j]``.
-    At the first dropped row, in order, whose target misses its
-    combination's by more than ``100 * tol * (1 + max|b|)`` the whole system
-    is contradictory, and an ``InconsistentSystemError`` with a certificate
-    is raised.  A system of no constraints (every pair of an instance is
-    zero) is returned as it is.
+    before its round, whose coefficients c solve the triangular
+    ``R[:j, :j]``.  At the first dropped row, in order, whose scaled target
+    misses its combination's by more than ``100 * tol * (1 + max|b|) *
+    (1 + ||c||_1)``, with b the scaled targets, the whole system is
+    contradictory, and an ``InconsistentSystemError`` with a certificate in
+    the unscaled rows is raised.  A system of no constraints (every pair of
+    an instance is zero) is returned as it is.
     """
     if sys.q == 0:
         return sys
     # r factors the rows in ``cols`` (as columns); its first ``start`` are kept
     r = np.linalg.qr(sys.flat.view(float).T, mode="r")
-    norms2 = np.sum(r * r, axis=0)
-    if np.max(norms2) == 0.0:
+    # R's columns have the rows' norms, and scaling them is the QR of the scaled rows
+    scale = np.sqrt(np.sum(r * r, axis=0))
+    if np.max(scale) == 0.0:
         raise ValueError("cannot prune a system of zero constraints")
-    pivot_cut = tol * float(np.max(norms2))
-    b_cut = 100.0 * tol * (1.0 + float(np.max(np.abs(sys.targets))))
+    scale[scale == 0.0] = 1.0  # a zero row stays zero and is dropped
+    r /= scale
+    targets = sys.targets / scale
+    b_cut = 100.0 * tol * (1.0 + float(np.max(np.abs(targets))))
     cols = np.arange(sys.q)
     start = 0
     offending = None  # (row, gap, certificate) of the first contradicted row
     while start < len(cols):
         pivots = np.diagonal(r)[start:] ** 2
-        j = start + int(np.argmax(np.append(pivots, 0.0) <= pivot_cut))
+        j = start + int(np.argmax(np.append(pivots, 0.0) <= tol))
         if j == len(cols) or (offending is not None and offending[0] < cols[j]):
             break
         residual2 = np.sum(r[j:, j:] ** 2, axis=0)
-        dropped = j + np.flatnonzero(residual2 <= pivot_cut)
-        rest = j + np.flatnonzero(residual2 > pivot_cut)
+        dropped = j + np.flatnonzero(residual2 <= tol)
+        rest = j + np.flatnonzero(residual2 > tol)
         kept = cols[:j]
         coeffs = np.linalg.solve(r[:j, :j], r[:j, dropped])
-        gaps = sys.targets[cols[dropped]] - sys.targets[kept] @ coeffs
-        over = np.flatnonzero(np.abs(gaps) > b_cut)
+        gaps = targets[cols[dropped]] - targets[kept] @ coeffs
+        over = np.flatnonzero(np.abs(gaps) > b_cut * (1.0 + np.sum(np.abs(coeffs), axis=0)))
         if over.size and (offending is None or cols[dropped[over[0]]] < offending[0]):
-            o = over[0]
+            o, d = over[0], cols[dropped[over[0]]]
             cert = np.zeros(sys.q)
             cert[kept] = coeffs[:, o]
-            cert[cols[dropped[o]]] = -1.0
-            offending = (cols[dropped[o]], float(gaps[o]), -cert if gaps[o] < 0 else cert)
+            cert[d] = -1.0
+            # back to the unscaled rows, with -1 on the dropped one
+            cert *= scale[d] / scale
+            gap = float(gaps[o] * scale[d])
+            offending = (d, gap, -cert if gap < 0 else cert)
         trailing = np.linalg.qr(r[j:, rest], mode="r")
         nxt = np.zeros((j + len(trailing), j + len(rest)))
         nxt[:j, :j] = r[:j, :j]

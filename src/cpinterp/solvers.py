@@ -1,6 +1,8 @@
 """Feasibility solvers for trace-constrained PSD systems.
 
-Two routes to a feasible ``X >= 0`` with ``tr(C(i) X) = b_i``:
+Two routes to a feasible ``X >= 0`` with ``tr(C(i) X) = b_i``, both by one
+minimizer, ``_minimize``, on a smooth convex objective whose gradient is the
+constraint residual vector of a positive definite matrix:
 
 * ``solve_exp`` minimizes the strictly convex exponential potential
 
@@ -26,11 +28,17 @@ Two routes to a feasible ``X >= 0`` with ``tr(C(i) X) = b_i``:
   exponent by a multiple of the identity; it changes which feasible point is
   found but not feasibility.
 
-* ``analytic_center`` minimizes the log-det barrier ``-ln det a(x)`` with
-  ``a(x) = a0 + sum x_i C(i)`` over the slice ``sum b_i x_i = level`` by an
-  infeasible-start Newton method; the stationarity relation
-  ``tr(C(i) a(x*)^{-1}) = mu b_i`` turns the center into the solution
-  ``X = a(x*)^{-1} / mu``.
+* ``solve_barrier`` minimizes the log-det barrier objective
+
+      F(y) = -b . y - ln det(I - sum_i y_i C(i))
+
+  on the domain where ``Z = I - sum y C`` is positive definite.  Its gradient
+  is the residual vector of ``X = Z^{-1}``, so ``X Z = I`` at its minimizer:
+  the mu = 1 point on the central path of the SDP ``min tr X`` subject to the
+  constraints and ``X >= 0`` (the max-det form of Vandenberghe, Boyd & Wu,
+  1998).  That point exists exactly when a strictly positive solution does,
+  and otherwise F falls without bound along a ray with ``sum y C <= 0`` and
+  ``b . y > 0``: the exp potential's recession test, word for word.
 
 ``solve_diagonal`` is the fast path for systems of diagonal matrices, where
 the exponential acts entrywise.  ``project_affine`` re-projects an
@@ -40,6 +48,7 @@ approximate solution exactly onto the constraint subspace.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,11 +80,12 @@ DIVERGENCE_THRESHOLD = 1e4
 
 @dataclass
 class ExpSolveConfig:
-    """Settings for the exponential-potential minimizer.
+    """Settings for the minimizer, shared by every solver of this module.
 
     ``max_iterations`` caps the CG steps of a run; each Newton phase takes at
     most ``_newton_polish``'s 50 steps.  ``newton_polish=False`` runs CG
-    alone, with neither the hand-off nor the polish.
+    alone, with neither the hand-off nor the polish.  ``exponent_offset`` is
+    the exp potential's ``s``; the barrier objective has none and ignores it.
     """
 
     gradient_tol: float = 1e-9
@@ -91,33 +101,11 @@ class ExpSolveConfig:
 
 
 @dataclass
-class BarrierConfig:
-    """Settings for the analytic-center barrier solver.
-
-    ``a0`` must be strictly positive definite (``None`` means the identity),
-    so that x = 0 is strictly inside the matrix inequality.
-    """
-
-    a0: np.ndarray | None = None
-    level: float = 1.0
-    newton_tol: float = 1e-10
-    max_newton_steps: int = 100
-
-    def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-        if self.max_newton_steps < 1:
-            raise ValueError("max_newton_steps must be at least 1")
-        if not np.isfinite(self.level):
-            raise ValueError("level must be finite")
-
-
-@dataclass
 class SolveOutcome:
     """Result of a solver run.
 
     ``cg_iterations`` counts conjugate-gradient steps and ``newton_steps``
-    Newton steps (all of the barrier method's steps are Newton steps).
+    Newton steps.
     """
 
     status: SolveStatus
@@ -188,9 +176,9 @@ class _Objective:
     """Fused value/gradient/Hessian oracle for a smooth convex function.
 
     ``value_grad`` returns ``(f, g)`` with ``f = inf`` (and ``g = None``) on
-    exponential overflow, which the line searches treat as a step that went
-    too far.  ``recedes(x)`` is True when the function is provably unbounded
-    below along the ray through x.
+    exponential overflow or outside the domain, which the line searches treat
+    as a step that went too far.  ``recedes(x)`` is True when the function is
+    provably unbounded below along the ray through x.
     """
 
     value_grad: Callable[[np.ndarray], tuple[float, np.ndarray | None]]
@@ -226,13 +214,54 @@ def _exp_objective(sys: ConstraintSystem, offset: float) -> _Objective:
         rot = (u.conj().T @ mats @ u).view(np.float64).reshape(sys.q, -1)
         return (rot * np.repeat(phi.ravel(), 2)) @ rot.T
 
-    def recedes(x):
-        # sum x C <= 0 keeps tr exp bounded along t x while -t b.x falls
-        if float(x @ targets) <= 0.0:
-            return False
-        return float(np.linalg.eigvalsh(linalg.hermitian_part(sys.aggregate(x)))[-1]) <= 0.0
+    return _Objective(value_grad, hessian, functools.partial(_recedes, sys))
 
-    return _Objective(value_grad, hessian, recedes)
+
+def _recedes(sys: ConstraintSystem, x: np.ndarray) -> bool:
+    """The recession test of the exp and barrier objectives: ``sum x C <= 0``
+    and ``b . x > 0``.
+
+    Along ``t x`` the term ``-t b . x`` then falls without bound while
+    ``tr exp(sum t x C + s I)`` stays bounded and ``-ln det(I - sum t x C)``
+    stays at most 0, and ``-x`` is an infeasibility certificate.
+    """
+    if float(x @ sys.targets) <= 0.0:
+        return False
+    return float(np.linalg.eigvalsh(linalg.hermitian_part(sys.aggregate(x)))[-1]) <= 0.0
+
+
+def _barrier_factor(sys: ConstraintSystem, y: np.ndarray) -> np.ndarray | None:
+    """``K = L^{-1}`` for ``Z = I - sum y C = L L^*``, so that ``Z^{-1} = K^* K``;
+    None when Z is not positive definite (y is outside the barrier's domain)."""
+    z = np.eye(sys.p) - linalg.hermitian_part(sys.aggregate(y))
+    try:
+        return np.linalg.inv(np.linalg.cholesky(z))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _barrier_objective(sys: ConstraintSystem) -> _Objective:
+    """``F(y) = -b . y - ln det Z`` with ``Z = I - sum y C``; see the module docstring.
+
+    With ``X = Z^{-1} = K^* K`` (``_barrier_factor``), the gradient is
+    ``tr(C(i) X) - b_i`` and the Hessian ``tr(X C(i) X C(j))``, the Gram
+    matrix of the ``K C(i) K^*``.
+    """
+
+    def value_grad(y):
+        k = _barrier_factor(sys, y)
+        if k is None:
+            return np.inf, None
+        # ln det Z = -2 sum ln |K_ii|, K being triangular
+        f = float(2.0 * np.sum(np.log(np.abs(np.diagonal(k)))) - y @ sys.targets)
+        return f, sys.residuals(k.conj().T @ k)
+
+    def hessian(y):
+        k = _barrier_factor(sys, y)
+        rot = (k @ sys.matrices @ k.conj().T).view(np.float64).reshape(sys.q, -1)
+        return rot @ rot.T
+
+    return _Objective(value_grad, hessian, functools.partial(_recedes, sys))
 
 
 def _diag_objective(coeffs: np.ndarray, targets: np.ndarray, offset: float) -> _Objective:
@@ -533,6 +562,25 @@ def solve_exp(
     return _outcome_from_point(sys, build, result, cfg)
 
 
+def solve_barrier(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> SolveOutcome:
+    """Find a strictly positive solution by minimizing the barrier objective.
+
+    The run is ``solve_exp``'s with ``F`` (see the module docstring) in place
+    of the exp potential, from y = 0 where ``Z = I``.  Convergence returns
+    ``X = (I - sum y C)^{-1}``, positive definite by construction, with its
+    residuals equal to the final gradient; divergence reports that no
+    strictly positive solution exists.  ``cfg.exponent_offset`` is unused.
+    """
+    cfg = cfg or ExpSolveConfig()
+    result = _minimize(_barrier_objective(sys), np.zeros(sys.q), cfg)
+
+    def build(y):
+        k = _barrier_factor(sys, y)
+        return k.conj().T @ k
+
+    return _outcome_from_point(sys, build, result, cfg)
+
+
 def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> SolveOutcome:
     """Exponential-potential solver restricted to diagonal solutions.
 
@@ -604,178 +652,3 @@ def project_affine(x: np.ndarray, sys: ConstraintSystem) -> np.ndarray:
 def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     z = np.linalg.solve(chol, rhs)
     return np.linalg.solve(chol.conj().T, z)
-
-
-def _chol_pd(m: np.ndarray) -> np.ndarray | None:
-    """Cholesky factor of a Hermitian matrix, or None when not PD."""
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def analytic_center(
-    sys: ConstraintSystem, cfg: BarrierConfig, feas_tol: float = 1e-8
-) -> SolveOutcome:
-    """Analytic center of ``a(x) > 0`` on the slice ``b . x = level``.
-
-    Runs an infeasible-start Newton method on the KKT residual of
-    ``minimize -ln det a(x)`` subject to the level constraint, starting at
-    x = 0 where ``a(0) = a0 > 0``; steps are shortened until ``a(x)`` stays
-    positive definite.  At the optimum ``tr(C(i) a^{-1}) = mu b_i``; the
-    multiplier is recovered by least squares and ``X = a^{-1} / mu`` solves
-    the constraints.
-    """
-    a0 = np.eye(sys.p, dtype=complex) if cfg.a0 is None else linalg.as_complex_matrix(cfg.a0)
-    if a0.shape != (sys.p, sys.p):
-        raise ValueError(f"a0 must be {sys.p} x {sys.p}, got {a0.shape}")
-    a0 = linalg.hermitian_part(a0)
-    if _chol_pd(a0) is None:
-        raise ValueError("a0 must be strictly positive definite")
-
-    b = sys.targets
-    bnorm = float(np.linalg.norm(b))
-    lam = cfg.level
-    empty = np.zeros(sys.q)
-    if sys.q == 0 and lam == 0.0:
-        # nothing to center on: a(x) = a0, and every positive X solves the system
-        solution = linalg.hermitian_part(np.linalg.inv(a0))
-        return SolveOutcome(
-            status=SolveStatus.FEASIBLE,
-            solution=solution, coefficients=empty, residuals=empty,
-            max_residual=0.0, min_eigenvalue=linalg.min_eigenvalue(solution),
-            cg_iterations=0, newton_steps=0, message="no constraints",
-        )
-    if bnorm == 0.0:
-        return SolveOutcome(
-            status=SolveStatus.ITERATION_LIMIT,
-            solution=None, coefficients=empty, residuals=empty,
-            max_residual=float("nan"), min_eigenvalue=float("nan"),
-            cg_iterations=0, newton_steps=0,
-            message=(
-                f"level {lam:.6g} is unattainable: all targets vanish"
-                if lam != 0.0
-                else "degenerate system: all targets vanish, multiplier undefined"
-            ),
-        )
-
-    x = np.zeros(sys.q)
-    w = 0.0
-    rtol = cfg.newton_tol * (1.0 + abs(lam) + bnorm)
-    iterations = 0
-    message = ""
-    for iterations in range(1, cfg.max_newton_steps + 1):
-        a = linalg.hermitian_part(a0 + sys.aggregate(x))
-        ainv = np.linalg.inv(a)
-        ainv = linalg.hermitian_part(ainv)
-        gvec = -sys.traces(ainv)
-        r_dual = gvec + w * b
-        r_pri = float(b @ x - lam)
-        rnorm = float(np.sqrt(np.linalg.norm(r_dual) ** 2 + r_pri**2))
-        if rnorm <= rtol:
-            break
-        m = ainv @ sys.matrices  # a^{-1} C(i)
-        # tr(a^{-1} C(i) a^{-1} C(j)): row i of m against the transpose of row j
-        hess = (m.reshape(sys.q, -1) @ np.swapaxes(m, 1, 2).reshape(sys.q, -1).T).real
-        kkt = np.zeros((sys.q + 1, sys.q + 1))
-        kkt[: sys.q, : sys.q] = hess
-        kkt[: sys.q, sys.q] = b
-        kkt[sys.q, : sys.q] = b
-        rhs = -np.concatenate([r_dual, [r_pri]])
-        try:
-            step = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            kkt[: sys.q, : sys.q] += 1e-12 * np.trace(hess) / sys.q * np.eye(sys.q)
-            step = np.linalg.solve(kkt, rhs)
-        dx, dw = step[: sys.q], float(step[sys.q])
-
-        t = 1.0
-        accepted = False
-        for _ in range(60):
-            xt = x + t * dx
-            at = linalg.hermitian_part(a0 + sys.aggregate(xt))
-            if _chol_pd(at) is not None:
-                ainv_t = linalg.hermitian_part(np.linalg.inv(at))
-                g_t = -sys.traces(ainv_t)
-                rd_t = g_t + (w + t * dw) * b
-                rp_t = float(b @ xt - lam)
-                if np.sqrt(np.linalg.norm(rd_t) ** 2 + rp_t**2) <= (1 - 0.01 * t) * rnorm:
-                    x, w = xt, w + t * dw
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
-            message = "Newton step made no progress"
-            break
-    else:
-        message = "Newton iteration cap reached"
-
-    a = linalg.hermitian_part(a0 + sys.aggregate(x))
-    ainv = linalg.hermitian_part(np.linalg.inv(a))
-    moments = sys.traces(ainv)
-    r_pri = float(b @ x - lam)
-    if abs(r_pri) > np.sqrt(rtol) * (1.0 + abs(lam)):
-        message = (
-            f"level {lam:.6g} was not attained (gap {r_pri:.3g}); it may lie "
-            "outside the attainable range of b . x on the feasible set"
-        )
-    mu = float(b @ moments) / float(b @ b)
-    if not message and mu <= 0:
-        message = f"recovered multiplier {mu:.6g} is not positive"
-    if message:
-        return SolveOutcome(
-            status=SolveStatus.ITERATION_LIMIT,
-            solution=None, coefficients=x, residuals=np.full(sys.q, np.nan),
-            max_residual=float("nan"), min_eigenvalue=float("nan"),
-            cg_iterations=0, newton_steps=iterations, message=message,
-        )
-    solution = linalg.hermitian_part(ainv / mu)
-    res = sys.residuals(solution)
-    max_res = float(np.max(np.abs(res)))
-    return SolveOutcome(
-        status=SolveStatus.FEASIBLE if max_res <= feas_tol else SolveStatus.ITERATION_LIMIT,
-        solution=solution,
-        coefficients=x,
-        residuals=res,
-        max_residual=max_res,
-        min_eigenvalue=linalg.min_eigenvalue(solution),
-        cg_iterations=0,
-        newton_steps=iterations,
-        message="" if max_res <= feas_tol else
-        f"center found but residuals {max_res:.3g} exceed {feas_tol:.3g}",
-    )
-
-
-def barrier_sweep(
-    sys: ConstraintSystem,
-    a0: np.ndarray | None = None,
-    newton_tol: float = 1e-10,
-    max_newton_steps: int = 100,
-    feas_tol: float = 1e-8,
-    levels: np.ndarray | None = None,
-) -> SolveOutcome:
-    """Try analytic centers along a geometric sweep of target levels.
-
-    The admissible window for the level is not computable a priori, so the
-    sweep scans ``2**j * sum |b_i|`` for j = -12..8 (ascending: the window
-    often hugs zero) and accepts the first level whose recovered solution
-    verifies at ``feas_tol``.
-    """
-    scale = float(np.sum(np.abs(sys.targets)))
-    if levels is None:
-        levels = [(2.0**j) * scale for j in range(-12, 9)] if scale > 0 else [0.0]
-    last = None
-    for lam in levels:
-        cfg = BarrierConfig(
-            a0=a0, level=float(lam), newton_tol=newton_tol,
-            max_newton_steps=max_newton_steps,
-        )
-        outcome = analytic_center(sys, cfg, feas_tol=feas_tol)
-        if outcome.status is SolveStatus.FEASIBLE:
-            outcome.message = f"level {lam:.6g} accepted"
-            return outcome
-        last = outcome
-    if last is None:
-        raise ValueError("empty level sweep")
-    last.message = f"no level in the sweep produced a verifying solution; {last.message}"
-    return last

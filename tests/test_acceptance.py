@@ -37,10 +37,10 @@ from cpinterp.constraints import (
 from cpinterp.solvers import (
     ExpSolveConfig,
     SolveStatus,
-    barrier_sweep,
     gradient,
     potential,
     project_affine,
+    solve_barrier,
     solve_diagonal,
     solve_exp,
     verify,
@@ -190,8 +190,8 @@ def test_criterion_07_diagonal_reduction():
 
 
 def test_criterion_08_barrier_cross_check():
-    with criterion(8, "barrier sweep verifies the golden instance"):
-        out = barrier_sweep(golden_system(), a0=None, feas_tol=1e-6)
+    with criterion(8, "barrier solve verifies the golden instance"):
+        out = solve_barrier(golden_system())
         assert out.status is SolveStatus.FEASIBLE
         assert out.max_residual <= 1e-6
         assert out.min_eigenvalue > 0

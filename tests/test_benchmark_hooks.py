@@ -1,0 +1,54 @@
+"""What the benchmark's layer tracer (``perfbench/tracer.py``) reads of the program.
+
+The tracer wraps functions by module and attribute name, and reads ``.q``
+off the systems that build and prune return.  A renamed function or a
+changed field drops its metrics from the benchmark's result, so these tests
+load the tracer as it stands and check that everything it names is there.
+"""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+from cpinterp import cli
+
+ROOT = Path(__file__).parent.parent
+GOLDEN_INSTANCE = ROOT / "golden" / "qubit_pair.json"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves():
+    missing = []
+    for name, home, attr in load_tracer().SPANS:
+        try:
+            getattr(importlib.import_module(home), attr)
+        except (ImportError, AttributeError):
+            missing.append(name)
+    assert missing == []
+
+
+def _refuse(constant):
+    raise ValueError(f"non-finite number {constant} in the report")
+
+
+def test_traced_solve_reports_what_the_benchmark_reads(tmp_path, capsys):
+    tracer = load_tracer()
+    spans = tracer.Tracer()
+    out = tmp_path / "report.json"
+    code, _ = spans.call(cli.main, ["solve", str(GOLDEN_INSTANCE), "--out", str(out)])
+    assert code == cli.EXIT_FEASIBLE
+    assert capsys.readouterr().out == ""  # the benchmark's result is its last stdout line
+    assert spans.absent == []
+    for key in ("constraints.build", "constraints.prune"):
+        values = spans.observed[key, "q"]
+        assert values and all(isinstance(q, int) for q in values)
+    report = json.loads(out.read_text(), parse_constant=_refuse)
+    assert isinstance(report["solver"]["iterations"], int)
+    assert isinstance(report["support"]["reduced_dim"], int)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cpinterp import cli
-from cpinterp.choi import ChoiMatrix, apply_choi
+from cpinterp.choi import ChoiMatrix, apply_choi, kraus_to_choi
 from cpinterp.constraints import InconsistentSystemError, ProblemInstance
 from cpinterp.reports import (
     InstanceFormatError,
@@ -21,6 +21,8 @@ from helpers import (
     B2,
     X_REF,
     planted_diagonal_instance,
+    planted_instance,
+    random_channel_kraus,
     random_complex,
     random_hermitian,
 )
@@ -157,6 +159,54 @@ def test_solve_barrier_method(tmp_path):
     assert rep["min_eigenvalue"] > 0
 
 
+def test_solve_barrier_certifies_infeasibility_on_the_first_ray(tmp_path):
+    path = write_json(tmp_path / "bad.json", infeasible_doc())
+    out = tmp_path / "report.json"
+    assert cli.main(["solve", str(path), "--method", "barrier", "--out", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    assert rep["solver"]["status"] == "no-strictly-positive-solution"
+    assert rep["certificate"]["source"] == "divergence-ray"
+    assert rep["solver"]["iterations"] <= 10
+
+
+def test_solve_barrier_answers_a_zero_target(tmp_path):
+    # tr(diag(1, -1) X) = 0, which X = I solves
+    doc = {"n": 2, "k": 1, "pairs": [{"A": [[1, 0], [0, -1]], "B": [[0]]}]}
+    path = write_json(tmp_path / "zero-target.json", doc)
+    out = tmp_path / "report.json"
+    assert cli.main(["solve", str(path), "--method", "barrier", "--out", str(out)]) == 0
+    assert cli.main(["verify", str(out), str(path)]) == 0
+
+
+def barrier_parity_pool(rng):
+    """Strictly feasible and infeasible instances: planted (Hermitian and
+    complex data), planted plus the pair (I, -I), diagonal, and channels of
+    full Kraus rank."""
+    for i in range(10):
+        yield planted_instance(rng, 2 + i % 2, 2, 1 + i % 3, hermitian_data=i % 2 == 0)[0]
+    for _ in range(6):
+        inst = planted_instance(rng, 2, 2, 2)[0]
+        yield ProblemInstance(2, 2, inst.pairs + [(np.eye(2), -np.eye(2))])
+    for i in range(8):
+        yield planted_diagonal_instance(rng, 3, 3, 1 + i % 4)[0]
+    for i in range(6):
+        n = 2 + i % 2
+        choi = kraus_to_choi(random_channel_kraus(rng, n, n * n))
+        pairs = [(a, apply_choi(choi, a)) for a in (random_hermitian(rng, n) for _ in range(2))]
+        yield ProblemInstance(n, n, pairs, trace_preserving=True)
+
+
+def test_barrier_and_exp_give_the_same_status():
+    statuses = []
+    for inst in barrier_parity_pool(np.random.default_rng(31)):
+        exp = cli.run_solve(inst, cli.SolveOptions(method="exp"))
+        barrier = cli.run_solve(inst, cli.SolveOptions(method="barrier"))
+        assert (barrier[0]["status"], barrier[1]) == (exp[0]["status"], exp[1])
+        statuses.append(exp[0]["status"])
+    assert statuses.count("feasible") == 24
+    assert statuses.count("certified-infeasible") == 6
+
+
 def test_solve_inconsistent_targets(tmp_path):
     # same A with two different targets: linearly dependent and contradictory
     doc = {"n": 1, "k": 1, "pairs": [
@@ -196,8 +246,6 @@ def test_solver_block_splits_cg_and_newton_steps(tmp_path, args):
     solver = json.loads(out.read_text())["solver"]
     assert solver["cg_iterations"] + solver["newton_steps"] == solver["iterations"]
     assert solver["newton_steps"] >= 1
-    if solver["method"] == "barrier":
-        assert solver["cg_iterations"] == 0
 
 
 def test_unitary_channel_solves_to_one_kraus_element(tmp_path):
@@ -636,6 +684,17 @@ def test_ill_conditioned_diagonal_draws_end_in_a_checked_verdict(tmp_path, seed,
     report_path = tmp_path / "report.json"
     report_path.write_text(dumps_canonical(report))
     assert cli.main(["verify", str(report_path), str(instance_path)]) == 0
+
+
+def test_consistent_pair_at_a_large_scale_solves_feasible(tmp_path):
+    # prune measures each row at unit norm, so a pair scaled by 1e6 no
+    # longer makes the unit-scale rows look dependent
+    inst, _ = planted_instance(np.random.default_rng(5), 2, 2, 3)
+    (a1, b1), (a2, b2) = inst.pairs[:2]
+    inst = ProblemInstance(2, 2, inst.pairs + [(1e6 * (a1 + a2), 1e6 * (b1 + b2))])
+    report, code = cli.run_solve(inst, cli.SolveOptions())
+    assert (report["status"], code) == ("feasible", cli.EXIT_FEASIBLE)
+    assert_verify_accepts(tmp_path, inst, report)
 
 
 @pytest.mark.parametrize("seed, index", [(203, 57), (303, 102)])

@@ -399,6 +399,18 @@ def test_prune_keeps_the_reference_rows_at_p36():
     assert [sys.provenance.index(t) for t in prune_dependent(sys).provenance] == kept
 
 
+def test_prune_keeps_unit_rows_beside_a_large_scale_pair():
+    # the consistent pair 1e6 (A1 + A2) -> 1e6 (B1 + B2) is dependent; the
+    # rows before it are not, whatever their scale against it
+    inst, _ = planted_instance(np.random.default_rng(5), 2, 2, 3)
+    (a1, b1), (a2, b2) = inst.pairs[:2]
+    sys = instance_system(
+        ProblemInstance(2, 2, inst.pairs + [(1e6 * (a1 + a2), 1e6 * (b1 + b2))])
+    )
+    kept = [sys.provenance.index(t) for t in prune_dependent(sys).provenance]
+    assert kept == reference_kept_rows(sys) == list(range(12))
+
+
 @pytest.mark.parametrize("copies", [7, 9])
 @pytest.mark.parametrize("target", [1.0, 0.0])
 def test_prune_keeps_an_independent_row_after_exact_duplicates(copies, target):

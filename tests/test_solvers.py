@@ -9,14 +9,12 @@ from cpinterp.constraints import (
     prune_dependent,
 )
 from cpinterp.solvers import (
-    BarrierConfig,
     ExpSolveConfig,
     SolveStatus,
-    analytic_center,
-    barrier_sweep,
     gradient,
     potential,
     project_affine,
+    solve_barrier,
     solve_diagonal,
     solve_exp,
     verify,
@@ -298,37 +296,46 @@ def test_solve_exp_iteration_limit_is_soft():
 
 
 # ---------------------------------------------------------------------------
-# analytic_center / barrier_sweep
+# solve_barrier
 
 
-def test_analytic_center_single_trace_constraint():
+def test_solve_barrier_single_trace_constraint():
+    # F(y) = -y - p ln(1 - y) is least at y = 1 - p, where X = (I - y I)^{-1} = I/p
     p = 3
-    sys = system_of([np.eye(p)], [1.0])
-    for level in (0.5, 1.0, 4.0):
-        out = analytic_center(sys, BarrierConfig(level=level))
-        assert out.status is SolveStatus.FEASIBLE
-        assert np.abs(out.solution - np.eye(p) / p).max() < 1e-8
-        assert out.max_residual < 1e-10
+    out = solve_barrier(system_of([np.eye(p)], [1.0]))
+    assert out.status is SolveStatus.FEASIBLE
+    assert np.abs(out.solution - np.eye(p) / p).max() < 1e-8
+    assert out.max_residual < 1e-10
 
 
-def test_analytic_center_golden_sweep():
-    out = barrier_sweep(golden_system(), feas_tol=1e-6)
+def test_solve_barrier_golden():
+    out = solve_barrier(golden_system())
     assert out.status is SolveStatus.FEASIBLE
     assert out.max_residual <= 1e-6
     assert out.min_eigenvalue > 0
 
 
-def test_analytic_center_rejects_level_with_zero_targets():
-    sys = system_of([np.diag([1.0, -1.0])], [0.0])
-    out = analytic_center(sys, BarrierConfig(level=1.0))
-    assert out.status is SolveStatus.ITERATION_LIMIT
-    assert "unattainable" in out.message
+def test_solve_barrier_zero_target():
+    # tr(diag(1, -1) X) = 0: y = 0 is already the minimizer, with X = I
+    out = solve_barrier(system_of([np.diag([1.0, -1.0])], [0.0]))
+    assert out.status is SolveStatus.FEASIBLE
+    assert np.abs(out.solution - np.eye(2)).max() < 1e-12
 
 
-def test_analytic_center_requires_positive_a0():
-    sys = system_of([np.eye(2)], [1.0])
-    with pytest.raises(ValueError, match="positive definite"):
-        analytic_center(sys, BarrierConfig(a0=np.diag([1.0, -1.0])))
+def test_solve_barrier_stops_on_recession_ray():
+    # the exp potential's recession test serves the barrier objective too
+    rng = np.random.default_rng(64)
+    eye = np.eye(3, dtype=complex)
+    for _ in range(5):
+        inst, _ = planted_instance(rng, 3, 3, 3)
+        inst = ProblemInstance(3, 3, inst.pairs + [(eye, -eye)])
+        sys = prune_dependent(instance_system(inst))
+        out = solve_barrier(sys)
+        assert out.status is SolveStatus.NO_STRICTLY_POSITIVE_SOLUTION
+        assert "unbounded below" in out.message
+        y = out.coefficients
+        assert np.linalg.eigvalsh(sys.aggregate(y))[-1] <= 0.0
+        assert y @ sys.targets > 0.0
 
 
 # ---------------------------------------------------------------------------
