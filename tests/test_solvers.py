@@ -99,6 +99,16 @@ def test_gradient_matches_finite_differences():
         assert np.abs(g - fd).max() <= 1e-6 * (1 + np.abs(fd).max())
 
 
+def fd_hessian(obj, x, step=1e-5):
+    """Central finite differences of an objective's gradient (independent oracle)."""
+    out = np.zeros((len(x), len(x)))
+    for i in range(len(x)):
+        e = np.zeros(len(x))
+        e[i] = step
+        out[:, i] = (obj.value_grad(x + e)[1] - obj.value_grad(x - e)[1]) / (2 * step)
+    return out
+
+
 def test_exp_hessian_matches_finite_differences():
     from cpinterp.solvers import _exp_objective
 
@@ -114,18 +124,43 @@ def test_exp_hessian_matches_finite_differences():
     pruned = prune_dependent(system_of(mats, [np.trace(c @ x_true).real for c in mats]))
     reduced, red = joint_support_reduce(pruned)
     assert red.reduced_dim < p
-    step = 1e-5
     for sys in (pruned, reduced):
         obj = _exp_objective(sys, -1.0)
         for _ in range(3):
             x = rng.uniform(-0.3, 0.3, size=sys.q)
             h = obj.hessian(x)
-            fd = np.zeros_like(h)
-            for i in range(sys.q):
-                e = np.zeros(sys.q)
-                e[i] = step
-                fd[:, i] = (obj.value_grad(x + e)[1] - obj.value_grad(x - e)[1]) / (2 * step)
+            fd = fd_hessian(obj, x)
             assert np.linalg.norm(h - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def test_barrier_hessian_matches_finite_differences():
+    from cpinterp.solvers import _barrier_objective
+
+    rng = np.random.default_rng(58)
+    for sys in (golden_system(), random_system(rng, 4, 6)):
+        obj = _barrier_objective(sys)
+        for _ in range(3):
+            y = rng.uniform(-1.0, 1.0, size=sys.q)
+            # scale y into the domain: |sum y C| <= 1/2, so I - sum y C >= I/2
+            y *= 0.5 / np.abs(np.linalg.eigvalsh(sys.aggregate(y))).max()
+            h = obj.hessian(y)
+            fd = fd_hessian(obj, y)
+            assert np.all(np.isfinite(fd))
+            assert np.linalg.norm(h - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def test_diagonal_hessian_matches_finite_differences():
+    from cpinterp.solvers import _diag_objective
+
+    rng = np.random.default_rng(59)
+    coeffs = rng.uniform(-2.0, 2.0, size=(5, 8))
+    targets = coeffs @ np.exp(rng.uniform(-1.0, 1.0, size=8))
+    obj = _diag_objective(coeffs, targets, -1.0)
+    for _ in range(3):
+        x = rng.uniform(-0.3, 0.3, size=5)
+        h = obj.hessian(x)
+        fd = fd_hessian(obj, x)
+        assert np.linalg.norm(h - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 def test_potential_overflow_is_diagnosed():
@@ -242,16 +277,46 @@ def test_solve_diagonal_stops_on_recession_ray():
 
 
 def test_solve_exp_hands_planted_data_to_newton():
-    # CG stops once the gradient has fallen 100-fold and Newton finishes;
-    # CG run down to the tolerance takes 55 steps on average here, 85 at most
+    # CG stops once the gradient has fallen to 0.3 of its start and Newton
+    # finishes: at most 5 CG steps here, against 24 for a 100-fold fall and
+    # 85 for CG run down to the tolerance
     rng = np.random.default_rng(404)
     for _ in range(40):
         inst, _ = planted_instance(rng, 4, 4, 6)
         out = solve_exp(prune_dependent(instance_system(inst)))
         assert out.status is SolveStatus.FEASIBLE
-        assert out.cg_iterations <= 30
+        assert out.cg_iterations <= 8
         assert out.newton_steps >= 1
         assert out.iterations == out.cg_iterations + out.newton_steps
+
+
+def test_solve_diagonal_hands_planted_data_to_newton():
+    # the diagonal fast path shares the hand-off: at most 6 CG steps here,
+    # against 77 for a 100-fold fall
+    rng = np.random.default_rng(404)
+    for _ in range(40):
+        inst, _ = planted_diagonal_instance(rng, 4, 4, 6)
+        out = solve_diagonal(prune_dependent(instance_system(inst)))
+        assert out.status is SolveStatus.FEASIBLE
+        assert out.cg_iterations <= 8
+        assert out.newton_steps >= 1
+        assert out.iterations == out.cg_iterations + out.newton_steps
+
+
+def test_solve_exp_keeps_planted_infeasible_data_on_cg():
+    # planted data plus (I, -I): the recession test fires before the
+    # gradient falls to the hand-off, so these runs never reach Newton;
+    # they take at most 19 CG steps here
+    rng = np.random.default_rng(405)
+    eye = np.eye(3, dtype=complex)
+    for _ in range(40):
+        inst, _ = planted_instance(rng, 3, 3, 3)
+        inst = ProblemInstance(3, 3, inst.pairs + [(eye, -eye)])
+        out = solve_exp(prune_dependent(instance_system(inst)))
+        assert out.status is SolveStatus.NO_STRICTLY_POSITIVE_SOLUTION
+        assert out.newton_steps == 0
+        assert out.cg_iterations <= 25
+        assert out.message.startswith("CG found the objective unbounded below")
 
 
 def test_solve_exp_resumes_cg_when_newton_stalls(monkeypatch):
@@ -288,9 +353,12 @@ def test_solve_exp_strictly_positive_by_construction():
         assert out.min_eigenvalue > 0
 
 
-def test_solve_exp_iteration_limit_is_soft():
+def test_solve_exp_iteration_limit_is_soft(monkeypatch):
+    from cpinterp import solvers
+
     sys = golden_system()
-    out = solve_exp(sys, ExpSolveConfig(max_iterations=1, newton_polish=False))
+    monkeypatch.setattr(solvers, "_newton_polish", lambda obj, x, g, tol: (x, g, 0))
+    out = solve_exp(sys, ExpSolveConfig(max_iterations=1))
     assert out.status is SolveStatus.ITERATION_LIMIT
     assert out.solution is not None  # best iterate still reported
 
