@@ -97,27 +97,76 @@ class FeasibilityReport:
     span_check: SpanCheck
 
 
+def _identity_fit(sys: ConstraintSystem) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients z of ``sum z C = I``, and the residual norm."""
+    vecs = sys.flat
+    target = np.eye(sys.p, dtype=complex).ravel()
+    design = np.concatenate([vecs.real, vecs.imag], axis=1).T
+    rhs = np.concatenate([target.real, target.imag])
+    coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    return coeffs, float(np.linalg.norm(design @ coeffs - rhs))
+
+
+def _trace_scale(sys: ConstraintSystem, tol: float) -> float:
+    """An upper bound on ``tr X`` over the PSD solutions, else the nominal p.
+
+    When ``P = sum z C`` for the least-squares fit z of the identity has
+    least eigenvalue ``mu > tol``, every solution has
+    ``mu tr X <= tr(P X) = z . b`` (exactly ``tr X = z . b`` when the data
+    hold trace preservation).  Otherwise the data give no bound, and the
+    size of ``X = I`` stands in for one.
+    """
+    z, _ = _identity_fit(sys)
+    combo = sys.aggregate(z)
+    mu = linalg.min_eigenvalue(combo) if linalg.frobenius(combo) > 0 else 0.0
+    if mu > tol:
+        return max(0.0, float(z @ sys.targets)) / mu
+    return float(sys.p)
+
+
+def _strongest_kind(
+    sys: ConstraintSystem, x: np.ndarray, tol: float
+) -> tuple[CertificateKind | None, float, float]:
+    """The strongest certificate kind the unit vector x supports, if any,
+    with its objective ``b . x`` and the least eigenvalue of ``S = sum x C``.
+
+    No kind when ``min eig S < -tol``.  Every PSD solution X has
+    ``b . x = tr(S X) >= min(0, min eig S) tr X``, so x excludes every PSD
+    solution only when ``b . x`` falls below ``-tol`` by more than that
+    eigenvalue slack can explain, with ``tr X`` bounded by ``_trace_scale``.
+    It excludes every PD solution when ``b . x <= tol``.
+    """
+    combo = sys.aggregate(x)
+    mineig = linalg.min_eigenvalue(combo) if linalg.frobenius(combo) > 0 else 0.0
+    objective = float(x @ sys.targets)
+    if mineig < -tol:
+        return None, objective, mineig
+    slack = -mineig * _trace_scale(sys, tol) if mineig < 0 else 0.0
+    if objective < -tol - slack:
+        return CertificateKind.EXCLUDES_PSD, objective, mineig
+    if objective <= tol:
+        return CertificateKind.EXCLUDES_PD, objective, mineig
+    return None, objective, mineig
+
+
 def validate(
     cert: Certificate, sys: ConstraintSystem, tol: float = DEFAULT_VALIDATION_TOL
 ) -> bool:
     """Exact check of a certificate against a system.
 
-    EXCLUDES_PSD requires ``min eig(sum x C) >= -tol`` and
-    ``sum x b < -tol``; EXCLUDES_PD relaxes the objective to ``<= tol``.
-    The verdict is invariant under positive rescaling of x (the coefficients
-    are normalized on construction).
+    Both kinds require ``min eig(sum x C) >= -tol``.  EXCLUDES_PSD requires
+    ``sum x b < -tol`` by a margin that the eigenvalue slack cannot explain
+    (see ``_strongest_kind``); EXCLUDES_PD relaxes the objective to
+    ``<= tol``.  The verdict is invariant under positive rescaling of x (the
+    coefficients are normalized on construction).
     """
     x = cert.coefficients
     if len(x) != sys.q:
         raise ValueError(f"certificate length {len(x)} does not match q = {sys.q}")
-    combo = sys.aggregate(x)
-    mineig = linalg.min_eigenvalue(combo) if linalg.frobenius(combo) > 0 else 0.0
-    objective = float(x @ sys.targets)
-    if mineig < -tol:
-        return False
-    if cert.kind is CertificateKind.EXCLUDES_PSD:
-        return objective < -tol
-    return objective <= tol
+    kind, _, _ = _strongest_kind(sys, x, tol)
+    if kind is CertificateKind.EXCLUDES_PSD:
+        return True
+    return kind is not None and cert.kind is CertificateKind.EXCLUDES_PD
 
 
 def _min_eig_pair(combo: np.ndarray) -> tuple[float, np.ndarray]:
@@ -202,16 +251,8 @@ def _classify(
     if norm == 0.0:
         return None
     x = x / norm
-    combo = sys.aggregate(x)
-    mineig = linalg.min_eigenvalue(combo) if linalg.frobenius(combo) > 0 else 0.0
-    objective = float(x @ sys.targets)
-    if mineig < -tol:
-        return None
-    if objective < -tol:
-        kind = CertificateKind.EXCLUDES_PSD
-    elif objective <= tol:
-        kind = CertificateKind.EXCLUDES_PD
-    else:
+    kind, objective, mineig = _strongest_kind(sys, x, tol)
+    if kind is None:
         return None
     return Certificate(x, kind, objective, mineig, source)
 
@@ -350,12 +391,8 @@ def span_contains_positive(
     First tries to hit the identity exactly by least squares; otherwise runs
     supergradient ascent from seeded starts.
     """
-    vecs = sys.flat
-    target = np.eye(sys.p, dtype=complex).ravel()
-    design = np.concatenate([vecs.real, vecs.imag], axis=1).T
-    rhs = np.concatenate([target.real, target.imag])
-    coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    if float(np.linalg.norm(design @ coeffs - rhs)) <= 1e-9 * np.sqrt(sys.p):
+    coeffs, residual = _identity_fit(sys)
+    if residual <= 1e-9 * np.sqrt(sys.p):
         x = coeffs / np.linalg.norm(coeffs)
         return SpanCheck(True, linalg.min_eigenvalue(sys.aggregate(x)), x)
 

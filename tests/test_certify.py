@@ -59,6 +59,22 @@ def test_validate_scale_invariance():
         assert validate(cert, sys, tol=1e-9)
 
 
+def test_validate_rejects_an_objective_the_eigenvalue_slack_explains():
+    # rows tr X = 2 and tr((I + d E_22) X) = 2 + 1.5 d, solved by X = diag(0.5, 1.5);
+    # x = (1, -1) / sqrt 2 gives S = -(d / sqrt 2) E_22 and b . x = -1.5 d / sqrt 2
+    d = 8e-10 * np.sqrt(2.0)
+    sys = system_of([np.eye(2), np.eye(2) + np.diag([0.0, d])], [2.0, 2.0 + 1.5 * d])
+    x = np.array([1.0, -1.0])
+    objective, mineig = -1.2e-9, -8e-10  # each clears the tolerance 1e-9 on its own
+    assert np.isclose(x @ sys.targets / np.sqrt(2.0), objective, rtol=1e-6)
+    psd_cert = Certificate(x, CertificateKind.EXCLUDES_PSD, objective, mineig)
+    # but tr X = 2 on every solution, so b . x >= 2 * min eig S = -1.6e-9
+    assert not validate(psd_cert, sys, tol=1e-9)
+    assert validate(Certificate(x, CertificateKind.EXCLUDES_PD, objective, mineig), sys, tol=1e-9)
+    found = certify._classify(sys, x, 1e-9, CertificateSource.SEARCH)
+    assert found.kind is CertificateKind.EXCLUDES_PD
+
+
 def test_no_valid_psd_certificate_on_feasible_golden_system():
     sys = golden_system()
     rng = np.random.default_rng(3)

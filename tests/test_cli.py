@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,40 @@ def test_barrier_and_exp_give_the_same_status():
         statuses.append(exp[0]["status"])
     assert statuses.count("feasible") == 24
     assert statuses.count("certified-infeasible") == 6
+
+
+def unitary_channel_instance(seed: int, count: int) -> ProblemInstance:
+    """A qubit unitary channel seen on ``count`` Hermitian inputs: its data pin
+    the rank-1 Choi matrix, so the instance is feasible with no strictly
+    positive solution."""
+    rng = np.random.default_rng(seed)
+    choi = kraus_to_choi(random_channel_kraus(rng, 2, 1))
+    pairs = [(a, apply_choi(choi, a)) for a in (random_hermitian(rng, 2) for _ in range(count))]
+    return ProblemInstance(2, 2, pairs, trace_preserving=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_barrier_stall_on_a_unitary_channel_certifies_nothing(seed):
+    # The barrier stalls on this boundary instance.  The ray of its last
+    # iterate has an objective of twice its least eigenvalue, each just past
+    # the tolerance 1e-9 (-1.7e-9 and -8.4e-10 for seed 0).  Since tr X = 2
+    # on every solution, that ray proves nothing.
+    inst = unitary_channel_instance(seed, 2)
+    options = cli.SolveOptions(method="barrier", max_iters=200)
+    for run in (cli.run_solve, cli.run_certify):
+        report, code = run(inst, options)
+        assert report["status"] != "certified-infeasible"
+        assert code != cli.EXIT_CERTIFIED_INFEASIBLE
+
+
+def test_a_long_newton_trial_step_prints_no_warning():
+    # A Newton trial step on this instance is so long that the norm of its
+    # gradient overflows; the step is rejected without a warning.
+    inst = unitary_channel_instance(180, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, code = cli.run_solve(inst, cli.SolveOptions(method="exp"))
+    assert (report["status"], code) == ("feasible", cli.EXIT_FEASIBLE)
 
 
 def test_solve_inconsistent_targets(tmp_path):
@@ -707,7 +742,6 @@ def test_ill_conditioned_diagonal_draws_solve_feasible(tmp_path, seed, index):
         inst, _ = planted_diagonal_instance(rng, 4, 4, 6)
     report, code = cli.run_solve(inst, cli.SolveOptions())
     assert (report["status"], code) == ("feasible", cli.EXIT_FEASIBLE)
-    # Newton takes over early and converges quadratically: 7 and 6 steps,
-    # not the 51 and 25 of a crawl begun after a 100-fold fall
+    # Newton takes over early and converges quadratically: 7 and 6 steps
     assert report["solver"]["newton_steps"] <= 15
     assert_verify_accepts(tmp_path, inst, report)

@@ -278,8 +278,7 @@ def test_solve_diagonal_stops_on_recession_ray():
 
 def test_solve_exp_hands_planted_data_to_newton():
     # CG stops once the gradient has fallen to 0.3 of its start and Newton
-    # finishes: at most 5 CG steps here, against 24 for a 100-fold fall and
-    # 85 for CG run down to the tolerance
+    # finishes: at most 5 CG steps here
     rng = np.random.default_rng(404)
     for _ in range(40):
         inst, _ = planted_instance(rng, 4, 4, 6)
@@ -291,8 +290,7 @@ def test_solve_exp_hands_planted_data_to_newton():
 
 
 def test_solve_diagonal_hands_planted_data_to_newton():
-    # the diagonal fast path shares the hand-off: at most 6 CG steps here,
-    # against 77 for a 100-fold fall
+    # the diagonal fast path shares the hand-off: at most 6 CG steps here
     rng = np.random.default_rng(404)
     for _ in range(40):
         inst, _ = planted_diagonal_instance(rng, 4, 4, 6)
