@@ -38,6 +38,7 @@ from .certify import (
     FeasibilityReport,
     FeasibilityStatus,
     SpanCheck,
+    SpanSource,
     feasibility_report,
     ray_certificate,
     search_certificate,
@@ -71,9 +72,8 @@ __all__ = [
     "Provenance", "SupportReduction", "embed_solution", "instance_system",
     "is_diagonal_instance", "joint_support_reduce", "prune_dependent",
     "Certificate", "CertificateKind", "CertificateSource", "FeasibilityReport",
-    "FeasibilityStatus", "SpanCheck", "feasibility_report", "ray_certificate",
-    "search_certificate",
-    "span_contains_positive", "validate",
+    "FeasibilityStatus", "SpanCheck", "SpanSource", "feasibility_report",
+    "ray_certificate", "search_certificate", "span_contains_positive", "validate",
     "ExpSolveConfig", "SolveOutcome", "SolveStatus", "VerifyReport",
     "gradient", "potential", "project_affine", "solve_barrier",
     "solve_diagonal", "solve_exp", "verify",

@@ -17,6 +17,8 @@ yields a PSD-excluding certificate does a heuristic penalized-descent search
 over the unit sphere run; its failure to find one proves nothing.  Whatever
 the source, a certificate is returned only after the exact eigenvalue check
 in ``validate``, which is independent of how the certificate was found.
+``span_contains_positive`` decides with prune and the exp solve whether the
+span of the C(i) holds a positive definite matrix.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .constraints import ConstraintSystem
+from .constraints import ConstraintSystem, InconsistentSystemError, prune_dependent
 from .solvers import ExpSolveConfig, SolveOutcome, SolveStatus, solve_exp
 
 DEFAULT_VALIDATION_TOL = 1e-9
+SEARCH_RESTARTS = 6  # random starts of the certificate search
 
 
 class CertificateKind(enum.Enum):
@@ -42,6 +45,20 @@ class CertificateSource(enum.Enum):
     LINEAR_SYSTEM = "linear-system"
     DIVERGENCE_RAY = "divergence-ray"
     SEARCH = "search"
+
+
+class SpanSource(enum.Enum):
+    """Where a span check's witness came from; a "yes" is exact from any.
+
+    ``linear-system``: prune found I in the span.  ``solution``: the solve
+    found ``X > 0``, ``tr X = 1``, every ``tr(C(i) X)`` within its gradient
+    tolerance of 0, so no unit combination's least eigenvalue is above about
+    that tolerance.  ``divergence-ray``: the solve diverged or hit its cap.
+    """
+
+    LINEAR_SYSTEM = "linear-system"
+    SOLUTION = "solution"
+    DIVERGENCE_RAY = "divergence-ray"
 
 
 class FeasibilityStatus(enum.Enum):
@@ -77,16 +94,15 @@ class Certificate:
 
 @dataclass
 class SpanCheck:
-    """Heuristic test whether span{C(i)} contains a positive definite matrix.
-
-    ``False`` may be a false negative (the maximization is heuristic); the
-    achieved minimum eigenvalue over the unit sphere is reported so callers
-    can judge the margin.
+    """Whether span{C(i)} contains a positive definite matrix: whether the
+    least eigenvalue ``best_min_eigenvalue`` of ``sum y C`` for the unit
+    ``witness`` y (None without rows) is above the tolerance.
     """
 
     contains_positive_definite: bool
     best_min_eigenvalue: float
     witness: np.ndarray | None
+    source: SpanSource
 
 
 @dataclass
@@ -95,16 +111,6 @@ class FeasibilityReport:
     solve_outcome: SolveOutcome
     certificate: Certificate | None
     span_check: SpanCheck
-
-
-def _identity_fit(sys: ConstraintSystem) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients z of ``sum z C = I``, and the residual norm."""
-    vecs = sys.flat
-    target = np.eye(sys.p, dtype=complex).ravel()
-    design = np.concatenate([vecs.real, vecs.imag], axis=1).T
-    rhs = np.concatenate([target.real, target.imag])
-    coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    return coeffs, float(np.linalg.norm(design @ coeffs - rhs))
 
 
 def _trace_scale(sys: ConstraintSystem, tol: float) -> float:
@@ -116,7 +122,9 @@ def _trace_scale(sys: ConstraintSystem, tol: float) -> float:
     hold trace preservation).  Otherwise the data give no bound, and the
     size of ``X = I`` stands in for one.
     """
-    z, _ = _identity_fit(sys)
+    design = np.concatenate([sys.flat.real, sys.flat.imag], axis=1).T
+    rhs = np.concatenate([np.eye(sys.p).ravel(), np.zeros(sys.p * sys.p)])
+    z = np.linalg.lstsq(design, rhs, rcond=None)[0]
     combo = sys.aggregate(z)
     mu = linalg.min_eigenvalue(combo) if linalg.frobenius(combo) > 0 else 0.0
     if mu > tol:
@@ -292,7 +300,7 @@ def ray_certificate(
 def search_certificate(
     sys: ConstraintSystem,
     seed: int = 0,
-    budget: int = 8,
+    budget: int = SEARCH_RESTARTS,
     tol: float = DEFAULT_VALIDATION_TOL,
 ) -> Certificate | None:
     """Heuristic search for an infeasibility certificate.
@@ -342,7 +350,7 @@ def verdict(
     outcome: SolveOutcome,
     strict: bool,
     seed: int = 0,
-    budget: int = 8,
+    budget: int = SEARCH_RESTARTS,
     tol: float = DEFAULT_VALIDATION_TOL,
 ) -> tuple[FeasibilityStatus, Certificate | None]:
     """The status a solve outcome on ``sys`` earns, and its certificate.
@@ -381,55 +389,44 @@ def verdict(
 
 def span_contains_positive(
     sys: ConstraintSystem,
+    cfg: ExpSolveConfig | None = None,
     tol: float = DEFAULT_VALIDATION_TOL,
-    seed: int = 0,
-    restarts: int = 3,
-    steps: int = 200,
 ) -> SpanCheck:
-    """Heuristically maximize ``min eig(sum x C)`` over the unit sphere.
+    """Decide whether span{C(i)} holds a positive definite matrix.
 
-    First tries to hit the identity exactly by least squares; otherwise runs
-    supergradient ascent from seeded starts.
+    Exactly one holds (theorem of alternatives): some ``sum y C > 0``, or
+    some ``X >= 0`` solving the rows of ``sys`` at target 0 and ``tr X = 1``.
+    Prune finding the row ``(I, 1)`` dependent gives ``sum y C = c I`` with
+    ``c > 0``; else y is ``-x`` for the last iterate x of the exp solve under
+    ``cfg``.  The answer is ``min eig(sum y C) > tol`` for the unit y.
+    ``sys`` must be pruned: a row that prune drops raises ``ValueError``.
     """
-    coeffs, residual = _identity_fit(sys)
-    if residual <= 1e-9 * np.sqrt(sys.p):
-        x = coeffs / np.linalg.norm(coeffs)
-        return SpanCheck(True, linalg.min_eigenvalue(sys.aggregate(x)), x)
-
-    rng = np.random.default_rng(seed)
-    best_eig = -np.inf
-    best_x = None
-    start_list = [coeffs] if np.linalg.norm(coeffs) > 0 else []
-    start_list.extend(rng.standard_normal(sys.q) for _ in range(restarts))
-    for x0 in start_list:
-        x = x0 / np.linalg.norm(x0)
-        lr = 0.2
-        mineig, u = _min_eig_pair(sys.aggregate(x))
-        for _ in range(steps):
-            g = _eig_gradient(sys, u)
-            g -= (g @ x) * x
-            if float(np.linalg.norm(g)) < 1e-14:
-                break
-            trial = x + lr * g
-            trial /= np.linalg.norm(trial)
-            mineig_t, u_t = _min_eig_pair(sys.aggregate(trial))
-            if mineig_t > mineig:
-                x, mineig, u = trial, mineig_t, u_t
-                lr = min(lr * 1.2, 1.0)
-            else:
-                lr *= 0.5
-                if lr < 1e-12:
-                    break
-        if mineig > best_eig:
-            best_eig, best_x = mineig, x
-    return SpanCheck(best_eig > tol, float(best_eig), best_x)
+    extended = ConstraintSystem(sys.p, np.concatenate([sys.matrices, np.eye(sys.p)[None]]),
+                                np.append(np.zeros(sys.q), 1.0))
+    try:
+        pruned = prune_dependent(extended)
+    except InconsistentSystemError as exc:
+        y, source = exc.certificate_coefficients[: sys.q], SpanSource.LINEAR_SYSTEM
+    else:
+        if pruned.q <= sys.q:
+            raise ValueError("span_contains_positive needs a pruned system")
+        outcome = solve_exp(pruned, cfg)
+        y = -outcome.coefficients[: sys.q]
+        solved = outcome.status is SolveStatus.FEASIBLE
+        source = SpanSource.SOLUTION if solved else SpanSource.DIVERGENCE_RAY
+    norm = float(np.linalg.norm(y))
+    if norm == 0.0 or not np.isfinite(norm):
+        return SpanCheck(False, 0.0, None, source)
+    y = y / norm
+    mineig = linalg.min_eigenvalue(sys.aggregate(y))
+    return SpanCheck(mineig > tol, mineig, y, source)
 
 
 def feasibility_report(
     sys: ConstraintSystem,
     exp_config: ExpSolveConfig | None = None,
     seed: int = 0,
-    budget: int = 8,
+    budget: int = SEARCH_RESTARTS,
     tol: float = DEFAULT_VALIDATION_TOL,
 ) -> FeasibilityReport:
     """Solve with the exp potential and take the strict ``verdict``.
@@ -438,9 +435,9 @@ def feasibility_report(
     (no PSD solution at all); ``certified-no-strict`` (no strictly positive
     solution; the solve outcome may still carry a near-boundary PSD witness);
     or ``undetermined``.  A feasible verdict and a validated PSD-excluding
-    certificate cannot coexist.
+    certificate cannot coexist.  ``sys`` must be pruned, for the span check.
     """
     outcome = solve_exp(sys, exp_config)
-    span = span_contains_positive(sys, tol=tol, seed=seed)
+    span = span_contains_positive(sys, exp_config, tol)
     status, cert = verdict(sys, outcome, True, seed, budget, tol)
     return FeasibilityReport(status, outcome, cert, span)

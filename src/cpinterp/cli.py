@@ -63,7 +63,7 @@ class SolveOptions:
     max_iters: int = 10000
     seed: int = 0
     trace_preserving: bool | None = None  # None: take the instance file's flag
-    certify_budget: int = 6
+    certify_budget: int = certify.SEARCH_RESTARTS
 
 
 def _tool_block() -> dict:
@@ -162,10 +162,11 @@ def _solve(
     report["solver"] = _solver_block(outcome, method)
 
     if strict:
-        span = certify.span_contains_positive(pruned, seed=options.seed)
+        span = certify.span_contains_positive(pruned, exp_cfg)
         report["span_check"] = {
             "contains_positive_definite": bool(span.contains_positive_definite),
             "best_min_eigenvalue": float(span.best_min_eigenvalue),
+            "source": span.source.value,
         }
 
     status, cert = certify.verdict(
@@ -436,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="characterize feasibility with certificates")
     p_cert.add_argument("instance", help="instance JSON file")
-    p_cert.add_argument("--budget", type=int, default=6,
+    p_cert.add_argument("--budget", type=int, default=certify.SEARCH_RESTARTS,
                         help="random restarts for the fallback certificate search")
     _add_solver_flags(p_cert)
 

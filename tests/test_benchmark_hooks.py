@@ -52,3 +52,20 @@ def test_traced_solve_reports_what_the_benchmark_reads(tmp_path, capsys):
     report = json.loads(out.read_text(), parse_constant=_refuse)
     assert isinstance(report["solver"]["iterations"], int)
     assert isinstance(report["support"]["reduced_dim"], int)
+
+
+def test_traced_certify_runs_the_span_check_once(tmp_path, capsys):
+    instance = tmp_path / "negative_identity.json"
+    instance.write_text(json.dumps(
+        {"n": 2, "k": 2, "pairs": [{"A": [[1, 0], [0, 1]], "B": [[-1, 0], [0, -1]]}]}
+    ))
+    tracer = load_tracer()
+    spans = tracer.Tracer()
+    out = tmp_path / "report.json"
+    code, _ = spans.call(cli.main, ["certify", str(instance), "--out", str(out)])
+    assert code == cli.EXIT_CERTIFIED_INFEASIBLE
+    assert capsys.readouterr().out == ""
+    assert spans.absent == []
+    assert spans.calls["certify.span_check"] == 1
+    report = json.loads(out.read_text(), parse_constant=_refuse)
+    assert report["span_check"]["contains_positive_definite"]

@@ -7,6 +7,7 @@ from cpinterp.certify import (
     CertificateKind,
     CertificateSource,
     FeasibilityStatus,
+    SpanSource,
     feasibility_report,
     ray_certificate,
     search_certificate,
@@ -14,6 +15,7 @@ from cpinterp.certify import (
     validate,
 )
 from cpinterp.constraints import ConstraintSystem, ProblemInstance, instance_system, prune_dependent
+from cpinterp.solvers import ExpSolveConfig, SolveStatus, solve_exp
 from helpers import golden_system, planted_instance
 
 
@@ -169,6 +171,86 @@ def test_span_check_negative_case():
     sys = system_of([e11()], [1.0])
     check = span_contains_positive(sys)
     assert not check.contains_positive_definite
+
+
+def planted_draw(seed, shape, draw):
+    """The pruned system of the ``draw``-th (from 0) planted instance of a seed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draw + 1):
+        inst, _ = planted_instance(rng, *shape)
+    return prune_dependent(instance_system(inst))
+
+
+def assert_exact_yes(sys, check):
+    assert check.contains_positive_definite
+    assert check.best_min_eigenvalue > 1e-9
+    assert np.linalg.norm(check.witness) == pytest.approx(1.0)
+    combo = sys.aggregate(check.witness)
+    assert np.linalg.eigvalsh(combo)[0] == pytest.approx(check.best_min_eigenvalue)
+
+
+@pytest.mark.parametrize("seed, draw, mineig", [(7, 11, 0.036), (8, 1, 0.014)])
+def test_span_check_finds_a_positive_combination_an_ascent_missed(seed, draw, mineig):
+    # a supergradient ascent from the identity fit and 3 seeded starts
+    # reached -0.048 and -0.141 on these systems
+    sys = planted_draw(seed, (4, 4, 6), draw)
+    check = span_contains_positive(sys)
+    assert_exact_yes(sys, check)
+    assert check.best_min_eigenvalue == pytest.approx(mineig, abs=2e-3)
+    assert check.source is SpanSource.DIVERGENCE_RAY
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The (config, outcome) of every exp solve run through ``certify``."""
+    calls = []
+
+    def recording_solve(sys, cfg=None):
+        calls.append((cfg, solve_exp(sys, cfg)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(certify, "solve_exp", recording_solve)
+    return calls
+
+
+def test_span_check_reads_the_witness_of_a_solve_that_hit_its_limit(solves):
+    # the iterate runs off to |x| ~ 1e15 without the recession test firing
+    sys = planted_draw(5, (3, 3, 3), 59)
+    check = span_contains_positive(sys)
+    assert [o.status for _, o in solves] == [SolveStatus.ITERATION_LIMIT]
+    assert_exact_yes(sys, check)
+    assert check.source is SpanSource.DIVERGENCE_RAY
+
+
+def test_span_check_sources():
+    # span{E_11} on C^2: X = E_22 solves the alternative system
+    no = span_contains_positive(system_of([e11()], [1.0]))
+    assert not no.contains_positive_definite
+    assert no.best_min_eigenvalue <= 0
+    assert no.source is SpanSource.SOLUTION
+    # E_11 + E_22 = I: prune finds the identity in the span
+    sys = system_of([e11(), np.diag([0.0, 1.0])], [1.0, 2.0])
+    yes = span_contains_positive(sys)
+    assert_exact_yes(sys, yes)
+    assert yes.source is SpanSource.LINEAR_SYSTEM
+    assert yes.witness == pytest.approx(np.full(2, np.sqrt(0.5)))
+
+
+def test_span_check_without_rows_is_no():
+    check = span_contains_positive(ConstraintSystem(2, np.zeros((0, 2, 2)), np.zeros(0)))
+    assert not check.contains_positive_definite
+    assert check.witness is None
+
+
+def test_span_check_refuses_an_unpruned_system():
+    with pytest.raises(ValueError, match="pruned"):
+        span_contains_positive(system_of([e11(), 2 * e11()], [1.0, 2.0]))
+
+
+def test_span_check_solve_is_bounded_by_the_config(solves):
+    cfg = ExpSolveConfig(max_iterations=3)
+    span_contains_positive(system_of([e11()], [1.0]), cfg)
+    assert [c for c, _ in solves] == [cfg]
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,21 @@ def test_certify_report_is_the_solve_report_plus_span_check(tmp_path, doc):
     assert reps["certify"]["constraints"] == reps["solve"]["constraints"]
 
 
+def test_certify_span_check_does_not_depend_on_the_seed(tmp_path):
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        inst, _ = planted_instance(rng, 3, 3, 3)
+    path = write_json(tmp_path / "inst.json", instance_to_jsonable(inst))
+    checks = []
+    for seed in ("0", "5"):
+        out = tmp_path / f"certify-{seed}.json"
+        assert cli.main(["certify", str(path), "--seed", seed, "--out", str(out)]) == 0
+        checks.append(json.loads(out.read_text())["span_check"])
+    assert checks[0] == checks[1]
+    assert checks[0]["contains_positive_definite"]
+    assert checks[0]["source"] == "divergence-ray"
+
+
 def test_certify_honours_the_method_flag(tmp_path):
     _, reps = run_both(tmp_path, json.loads(GOLDEN_INSTANCE.read_text()),
                        "--method", "barrier", "--tol", "1e-6")
