@@ -13,10 +13,12 @@ unbounded below, its iterates run off along a direction d with
 a PSD-excluding certificate: an exact one when the solver stopped on its
 recession test, otherwise one up to an ``O(1/|x|)`` lag.  Second, a short hinge
 descent repairs a ray that misses the cone by that lag.  Only when neither
-yields a PSD-excluding certificate does a heuristic penalized-descent search
-over the unit sphere run; its failure to find one proves nothing.  Whatever
-the source, a certificate is returned only after the exact eigenvalue check
-in ``validate``, which is independent of how the certificate was found.
+yields a PSD-excluding certificate does a search over fixed directions run:
+each row's ``+e_i`` and ``-e_i`` and the target direction ``-b/|b|``, each
+as it is and repaired onto the cone; its failure to find one proves nothing.
+No step uses randomness.  Whatever the source, a certificate is returned
+only after the exact eigenvalue check in ``validate``, which is independent
+of how the certificate was found.
 ``span_contains_positive`` decides with prune and the exp solve whether the
 span of the C(i) holds a positive definite matrix.
 """
@@ -33,7 +35,6 @@ from .constraints import ConstraintSystem, InconsistentSystemError, prune_depend
 from .solvers import ExpSolveConfig, SolveOutcome, SolveStatus, solve_exp
 
 DEFAULT_VALIDATION_TOL = 1e-9
-SEARCH_RESTARTS = 6  # random starts of the certificate search
 
 
 class CertificateKind(enum.Enum):
@@ -187,44 +188,6 @@ def _eig_gradient(sys: ConstraintSystem, u: np.ndarray) -> np.ndarray:
     return sys.traces(np.outer(u, u.conj()))
 
 
-def _penalized_descent(
-    sys: ConstraintSystem, x0: np.ndarray, rho0: float, rounds: int = 3, steps: int = 80
-) -> np.ndarray:
-    """Minimize ``b . x + rho * max(0, -min eig(sum x C))**2`` on the unit sphere."""
-    b = sys.targets
-    x = x0 / np.linalg.norm(x0)
-    rho = rho0
-    for _ in range(rounds):
-        lr = 0.2
-        mineig, u = _min_eig_pair(sys.aggregate(x))
-        hinge = max(0.0, -mineig)
-        f = float(b @ x) + rho * hinge**2
-        for _ in range(steps):
-            if hinge > 0.0:
-                eig_grad = _eig_gradient(sys, u)
-                g = b - 2.0 * rho * hinge * eig_grad
-            else:
-                g = b.copy()
-            g -= (g @ x) * x  # tangent to the sphere
-            gn = float(np.linalg.norm(g))
-            if gn < 1e-14:
-                break
-            trial = x - lr * g
-            trial /= np.linalg.norm(trial)
-            mineig_t, u_t = _min_eig_pair(sys.aggregate(trial))
-            hinge_t = max(0.0, -mineig_t)
-            f_t = float(b @ trial) + rho * hinge_t**2
-            if f_t < f:
-                x, f, mineig, u, hinge = trial, f_t, mineig_t, u_t, hinge_t
-                lr = min(lr * 1.2, 1.0)
-            else:
-                lr *= 0.5
-                if lr < 1e-12:
-                    break
-        rho *= 100.0
-    return x
-
-
 def _repair_into_cone(sys: ConstraintSystem, x: np.ndarray, tol: float) -> np.ndarray:
     """Push a near-certificate onto the PSD cone by minimizing the hinge alone."""
     lr = 0.1
@@ -298,50 +261,32 @@ def ray_certificate(
 
 
 def search_certificate(
-    sys: ConstraintSystem,
-    seed: int = 0,
-    budget: int = SEARCH_RESTARTS,
-    tol: float = DEFAULT_VALIDATION_TOL,
+    sys: ConstraintSystem, tol: float = DEFAULT_VALIDATION_TOL
 ) -> Certificate | None:
-    """Heuristic search for an infeasibility certificate.
+    """A certificate among fixed directions: ``+e_i`` and ``-e_i`` for every
+    row, and ``-b/|b|`` when ``b != 0``.
 
-    Starts from the coordinate directions, the target direction and
-    ``budget`` seeded random points, runs penalized descent with an
-    increasing cone penalty, repairs the best iterates onto the cone and
-    returns the strongest validated certificate (PSD-excluding preferred,
-    then lowest objective).  Returning None proves nothing.
+    Each direction is classified as it is and after its repair onto the
+    cone; the strongest validated certificate is returned (PSD-excluding
+    preferred, then lowest objective).  Returning None proves nothing.
     """
-    rng = np.random.default_rng(seed)
-    starts = []
-    eye = np.eye(sys.q)
-    for i in range(sys.q):
-        starts.append(eye[i])
-        starts.append(-eye[i])
+    directions = [sign * e for e in np.eye(sys.q) for sign in (1.0, -1.0)]
     bn = float(np.linalg.norm(sys.targets))
     if bn > 0:
-        starts.append(-sys.targets / bn)
-    starts.extend(rng.standard_normal(sys.q) for _ in range(budget))
-    rho0 = 10.0 * (1.0 + bn)
+        directions.append(-sys.targets / bn)
     source = CertificateSource.SEARCH
 
-    found = []
-    for x0 in starts:
-        found.append(_classify(sys, x0, tol, source))
-        x = _penalized_descent(sys, x0, rho0)
-        for cand in (x, _repair_into_cone(sys, x, tol)):
-            found.append(_classify(sys, cand, tol, source))
+    def rank(cert: Certificate) -> tuple[bool, float]:
+        return cert.kind is CertificateKind.EXCLUDES_PSD, -cert.objective
 
     best: Certificate | None = None
-    for cert in found:
-        if cert is None or not validate(cert, sys, tol):  # defense in depth
-            continue
-        if best is None:
-            best = cert
-            continue
-        rank = (cert.kind is CertificateKind.EXCLUDES_PSD, -cert.objective)
-        best_rank = (best.kind is CertificateKind.EXCLUDES_PSD, -best.objective)
-        if rank > best_rank:
-            best = cert
+    for x in directions:
+        for cand in (x, _repair_into_cone(sys, x, tol)):
+            cert = _classify(sys, cand, tol, source)
+            if cert is None or not validate(cert, sys, tol):  # defense in depth
+                continue
+            if best is None or rank(cert) > rank(best):
+                best = cert
     return best
 
 
@@ -349,8 +294,6 @@ def verdict(
     sys: ConstraintSystem,
     outcome: SolveOutcome,
     strict: bool,
-    seed: int = 0,
-    budget: int = SEARCH_RESTARTS,
     tol: float = DEFAULT_VALIDATION_TOL,
 ) -> tuple[FeasibilityStatus, Certificate | None]:
     """The status a solve outcome on ``sys`` earns, and its certificate.
@@ -379,7 +322,7 @@ def verdict(
         unproven = FeasibilityStatus.UNDETERMINED
     cert = ray_certificate(sys, outcome.coefficients, tol)
     if cert is None:
-        cert = search_certificate(sys, seed=seed, budget=budget, tol=tol)
+        cert = search_certificate(sys, tol)
     if cert is None:
         return unproven, None
     if cert.kind is CertificateKind.EXCLUDES_PSD:
@@ -425,8 +368,6 @@ def span_contains_positive(
 def feasibility_report(
     sys: ConstraintSystem,
     exp_config: ExpSolveConfig | None = None,
-    seed: int = 0,
-    budget: int = SEARCH_RESTARTS,
     tol: float = DEFAULT_VALIDATION_TOL,
 ) -> FeasibilityReport:
     """Solve with the exp potential and take the strict ``verdict``.
@@ -439,5 +380,5 @@ def feasibility_report(
     """
     outcome = solve_exp(sys, exp_config)
     span = span_contains_positive(sys, exp_config, tol)
-    status, cert = verdict(sys, outcome, True, seed, budget, tol)
+    status, cert = verdict(sys, outcome, True, tol)
     return FeasibilityReport(status, outcome, cert, span)

@@ -55,15 +55,19 @@ _EXIT_CODES = {
     certify.FeasibilityStatus.UNDETERMINED: EXIT_UNDETERMINED,
 }
 
+# the certificate kind each certified status needs
+_CERTIFIED_KINDS = {
+    certify.FeasibilityStatus.CERTIFIED_INFEASIBLE.value: certify.CertificateKind.EXCLUDES_PSD,
+    certify.FeasibilityStatus.CERTIFIED_NO_STRICT.value: certify.CertificateKind.EXCLUDES_PD,
+}
+
 
 @dataclass
 class SolveOptions:
     method: str = "auto"
     tol: float = 1e-9
     max_iters: int = 10000
-    seed: int = 0
     trace_preserving: bool | None = None  # None: take the instance file's flag
-    certify_budget: int = certify.SEARCH_RESTARTS
 
 
 def _tool_block() -> dict:
@@ -169,9 +173,7 @@ def _solve(
             "source": span.source.value,
         }
 
-    status, cert = certify.verdict(
-        pruned, outcome, strict, seed=options.seed, budget=options.certify_budget
-    )
+    status, cert = certify.verdict(pruned, outcome, strict)
     if status is certify.FeasibilityStatus.FEASIBLE:
         x = embed_solution(outcome.solution, reduction)
         x = project_affine(x, pruned)
@@ -212,7 +214,6 @@ def _run(inst: ProblemInstance, options: SolveOptions, strict: bool) -> tuple[di
             "pairs": inst.count,
             "trace_preserving": bool(tp),
         },
-        "seed": int(options.seed),
     }
     try:
         base = instance_system(inst, trace_preserving=tp)
@@ -317,10 +318,14 @@ def run_verify(report_path: str | Path, instance_path: str | Path, tol: float = 
         yield ("kraus", True, f"round-trip gap {gap:.3g}")
         return
 
-    if status == "certified-infeasible":
+    kind = _CERTIFIED_KINDS.get(status) if isinstance(status, str) else None
+    if kind is not None:
         cert_doc = doc.get("certificate")
-        if not cert_doc:
-            yield ("payload", False, "certified-infeasible report carries no certificate")
+        if not isinstance(cert_doc, dict):
+            yield ("payload", False, f"{status} report carries no certificate")
+            return
+        if doc.get("choi") is not None:
+            yield ("payload", False, f"status {status!r} must not carry a solution")
             return
         yield ("payload", True, "certificate present")
         try:
@@ -333,17 +338,18 @@ def run_verify(report_path: str | Path, instance_path: str | Path, tol: float = 
             yield ("certificate", False, "certificate constraint list does not match "
                    "the rebuilt system")
             return
-        cert = certify.Certificate(
-            np.asarray(cert_doc["coefficients"], dtype=float),
-            certify.CertificateKind(cert_doc["kind"]),
-            objective=float(cert_doc.get("objective", 0.0)),
-            min_eigenvalue=float(cert_doc.get("min_eigenvalue", 0.0)),
-        )
-        if not certify.validate(cert, system):
-            yield ("certificate", False, "certificate does not validate against the "
-                   "rebuilt system")
+        try:
+            cert = certify.Certificate(np.asarray(cert_doc.get("coefficients"), dtype=float),
+                                       kind, objective=0.0, min_eigenvalue=0.0)
+            valid = certify.validate(cert, system)
+        except (TypeError, ValueError) as exc:
+            yield ("certificate", False, f"malformed certificate coefficients: {exc}")
             return
-        yield ("certificate", True, "certificate validates")
+        if not valid:
+            yield ("certificate", False, f"certificate does not validate as {kind.value} "
+                   "against the rebuilt system")
+            return
+        yield ("certificate", True, f"certificate validates as {kind.value}")
         return
 
     yield ("payload", doc.get("choi") is None,
@@ -377,9 +383,8 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=None,
                         help="residual tolerance (default 1e-9)")
     parser.add_argument("--max-iters", type=int, default=None,
-                        help="iteration cap (default 10000)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for the certificate search (default 0)")
+                        help="iteration cap of each solve, certify's span check "
+                             "included (default 10000)")
     parser.add_argument("--trace-preserving", action="store_true", default=None,
                         help="require a quantum channel (trace preserving)")
     parser.add_argument("--out", default=None, help="write the report to this path")
@@ -395,13 +400,10 @@ def _options_from_args(args, file_options: dict) -> SolveOptions:
     opts.max_iters = (
         args.max_iters if args.max_iters is not None else file_options.get("max_iters", 10000)
     )
-    opts.seed = args.seed if args.seed is not None else file_options.get("seed", 0)
     opts.trace_preserving = True if args.trace_preserving else None
-    # solver.max_iters and solver.seed were checked when the file was read
+    # solver.max_iters was checked when the file was read
     if opts.max_iters < 1:
         raise InstanceFormatError("--max-iters must be at least 1")
-    if opts.seed < 0:
-        raise InstanceFormatError("--seed must be non-negative")
     return opts
 
 
@@ -437,8 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="characterize feasibility with certificates")
     p_cert.add_argument("instance", help="instance JSON file")
-    p_cert.add_argument("--budget", type=int, default=certify.SEARCH_RESTARTS,
-                        help="random restarts for the fallback certificate search")
     _add_solver_flags(p_cert)
 
     p_apply = sub.add_parser("apply", help="apply a solved map to a matrix")
@@ -462,11 +462,8 @@ def main(argv=None) -> int:
             doc = reports.load_json(args.instance)
             inst = reports.instance_from_jsonable(doc)
             options = _options_from_args(args, reports.solver_options_from_jsonable(doc))
-            if args.command == "solve":
-                report, code = run_solve(inst, options)
-            else:
-                options.certify_budget = args.budget
-                report, code = run_certify(inst, options)
+            run = run_solve if args.command == "solve" else run_certify
+            report, code = run(inst, options)
             _emit_report(report, args.out)
             return code
 

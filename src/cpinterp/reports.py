@@ -163,7 +163,8 @@ def checked_tol(value: Any, where: str) -> float:
 
 
 def solver_options_from_jsonable(doc: Any) -> dict:
-    """Extract the optional per-file solver section (method, tol, caps, seed)."""
+    """Extract the optional per-file solver section (method, tol, max_iters);
+    other keys are ignored."""
     if not isinstance(doc, dict):
         return {}
     solver = doc.get("solver", {})
@@ -176,15 +177,12 @@ def solver_options_from_jsonable(doc: Any) -> dict:
         out["method"] = solver["method"]
     if "tol" in solver:
         out["tol"] = checked_tol(solver["tol"], "solver.tol")
-    for key in ("max_iters", "seed"):
-        if key in solver:
-            if not is_integer(solver[key]):
-                raise InstanceFormatError(f"solver.{key} must be an integer")
-            out[key] = solver[key]
-    if out.get("max_iters", 1) < 1:
-        raise InstanceFormatError("solver.max_iters must be at least 1")
-    if out.get("seed", 0) < 0:
-        raise InstanceFormatError("solver.seed must be non-negative")
+    if "max_iters" in solver:
+        if not is_integer(solver["max_iters"]):
+            raise InstanceFormatError("solver.max_iters must be an integer")
+        if solver["max_iters"] < 1:
+            raise InstanceFormatError("solver.max_iters must be at least 1")
+        out["max_iters"] = solver["max_iters"]
     return out
 
 

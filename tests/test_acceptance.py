@@ -127,7 +127,7 @@ def test_criterion_04_planted_feasibility():
     with criterion(4, "50 planted instances solve to 1e-8 with no certificate"):
         started = time.perf_counter()
         rng = np.random.default_rng(404)
-        for trial in range(50):
+        for _ in range(50):
             n = int(rng.integers(1, 4))
             k = int(rng.integers(1, 4))
             num_pairs = int(rng.integers(1, 5))
@@ -136,7 +136,7 @@ def test_criterion_04_planted_feasibility():
             out = solve_exp(sys)
             assert out.status is SolveStatus.FEASIBLE
             assert out.max_residual <= 1e-8
-            assert search_certificate(sys, seed=trial, budget=2) is None
+            assert search_certificate(sys) is None
         assert time.perf_counter() - started < 60.0
 
 

@@ -69,3 +69,22 @@ def test_traced_certify_runs_the_span_check_once(tmp_path, capsys):
     assert spans.calls["certify.span_check"] == 1
     report = json.loads(out.read_text(), parse_constant=_refuse)
     assert report["span_check"]["contains_positive_definite"]
+
+
+def test_traced_certify_observes_what_the_search_found(tmp_path, capsys):
+    # phi(E11) = 0, phi(E22) = 1: the ray excludes no PSD solution, so the
+    # search runs and finds the PD-excluding e_1
+    instance = tmp_path / "e11.json"
+    instance.write_text(json.dumps({"n": 2, "k": 1, "pairs": [
+        {"A": [[1, 0], [0, 0]], "B": [[0]]}, {"A": [[0, 0], [0, 1]], "B": [[1]]},
+    ]}))
+    tracer = load_tracer()
+    spans = tracer.Tracer()
+    out = tmp_path / "report.json"
+    code, _ = spans.call(cli.main, ["certify", str(instance), "--out", str(out)])
+    assert code == cli.EXIT_UNDETERMINED
+    assert capsys.readouterr().out == ""
+    assert spans.absent == []
+    assert spans.calls["certify.search"] == 1
+    assert spans.observed["certify.search", "found"] == [True]
+    assert json.loads(out.read_text())["certificate"]["source"] == "search"

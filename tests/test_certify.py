@@ -84,7 +84,7 @@ def test_no_valid_psd_certificate_on_feasible_golden_system():
         x = rng.standard_normal(sys.q)
         cert = Certificate(x, CertificateKind.EXCLUDES_PSD, 0.0, 0.0)
         assert not validate(cert, sys, tol=1e-9)
-    found = search_certificate(sys, seed=0, budget=4)
+    found = search_certificate(sys)
     assert found is None
 
 
@@ -94,7 +94,7 @@ def test_no_valid_psd_certificate_on_feasible_golden_system():
 
 def test_search_finds_planted_coordinate_certificate():
     sys = system_of([e11()], [-1.0])
-    cert = search_certificate(sys, seed=0, budget=2)
+    cert = search_certificate(sys)
     assert cert is not None
     assert cert.kind is CertificateKind.EXCLUDES_PSD
     assert validate(cert, sys, tol=1e-9)
@@ -104,7 +104,7 @@ def test_search_finds_planted_coordinate_certificate():
 def test_search_certifies_negative_identity_instance():
     inst = ProblemInstance(2, 2, [(np.eye(2), -np.eye(2))])
     sys = prune_dependent(instance_system(inst))
-    cert = search_certificate(sys, seed=0, budget=4)
+    cert = search_certificate(sys)
     assert cert is not None
     assert cert.kind is CertificateKind.EXCLUDES_PSD
     assert validate(cert, sys, tol=1e-9)
@@ -113,18 +113,47 @@ def test_search_certifies_negative_identity_instance():
 
 def test_search_returns_none_on_planted_feasible():
     rng = np.random.default_rng(7)
-    for trial in range(3):
+    for _ in range(3):
         inst, _ = planted_instance(rng, 2, 2, 2)
         sys = prune_dependent(instance_system(inst))
-        assert search_certificate(sys, seed=trial, budget=4) is None
+        assert search_certificate(sys) is None
 
 
 def test_search_finds_pd_certificate():
     sys = system_of([e11()], [0.0])
-    cert = search_certificate(sys, seed=0, budget=2)
+    cert = search_certificate(sys)
     assert cert is not None
     assert cert.kind is CertificateKind.EXCLUDES_PD
     assert validate(cert, sys, tol=1e-9)
+
+
+def cone_repair_system():
+    # neither row is semidefinite, but their sum [[.5, .5], [.5, .5]] is, at b = 0
+    d = np.diag([1.0, -1.0])
+    return system_of([d, np.full((2, 2), 0.5) - d], [0.0, 0.0])
+
+
+def test_search_finds_a_certificate_only_the_cone_repair_reaches():
+    sys = cone_repair_system()
+    for x in (*np.eye(2), *-np.eye(2)):
+        assert certify._classify(sys, x, 1e-9, CertificateSource.SEARCH) is None
+    cert = search_certificate(sys)
+    assert cert is not None
+    assert cert.kind is CertificateKind.EXCLUDES_PD
+    assert cert.source is CertificateSource.SEARCH
+    assert validate(cert, sys, tol=1e-9)
+    assert np.allclose(cert.coefficients, np.ones(2) / np.sqrt(2.0), atol=1e-4)
+
+
+def test_search_is_deterministic():
+    rng = np.random.default_rng(12)
+    planted, _ = planted_instance(rng, 2, 2, 2)
+    infeasible = ProblemInstance(2, 2, planted.pairs + [(np.eye(2), -np.eye(2))])
+    for sys in (cone_repair_system(), prune_dependent(instance_system(infeasible))):
+        first, second = search_certificate(sys), search_certificate(sys)
+        assert first is not None
+        assert first.kind is second.kind
+        assert np.array_equal(first.coefficients, second.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +334,10 @@ def test_report_no_strict_singleton():
 
 def test_report_never_pairs_feasible_with_psd_certificate():
     rng = np.random.default_rng(11)
-    for trial in range(5):
+    for _ in range(5):
         inst, _ = planted_instance(rng, 2, 2, 2)
         sys = prune_dependent(instance_system(inst))
-        rep = feasibility_report(sys, seed=trial, budget=3)
+        rep = feasibility_report(sys)
         feasible = rep.status is FeasibilityStatus.FEASIBLE
         has_psd_cert = (
             rep.certificate is not None
