@@ -13,10 +13,11 @@ unbounded below, its iterates run off along a direction d with
 a PSD-excluding certificate: an exact one when the solver stopped on its
 recession test, otherwise one up to an ``O(1/|x|)`` lag.  Second, a short hinge
 descent repairs a ray that misses the cone by that lag.  Only when neither
-yields a PSD-excluding certificate does a search over fixed directions run:
+yields a PSD-excluding certificate does a search from fixed starts run:
 each row's ``+e_i`` and ``-e_i`` and the target direction ``-b/|b|``, each
-as it is and repaired onto the cone; its failure to find one proves nothing.
-No step uses randomness.  Whatever the source, a certificate is returned
+classified as it is and repaired onto the cone, and then again after a
+penalized descent from it; its failure to find one proves nothing.  No step
+uses randomness.  Whatever the source, a certificate is returned
 only after the exact eigenvalue check in ``validate``, which is independent
 of how the certificate was found.
 ``span_contains_positive`` decides with prune and the exp solve whether the
@@ -67,6 +68,13 @@ class FeasibilityStatus(enum.Enum):
     CERTIFIED_INFEASIBLE = "certified-infeasible"
     CERTIFIED_NO_STRICT = "certified-no-strict"
     UNDETERMINED = "undetermined"
+
+
+# the status each certificate kind earns
+CERTIFIED_STATUS = {
+    CertificateKind.EXCLUDES_PSD: FeasibilityStatus.CERTIFIED_INFEASIBLE,
+    CertificateKind.EXCLUDES_PD: FeasibilityStatus.CERTIFIED_NO_STRICT,
+}
 
 
 @dataclass
@@ -188,6 +196,44 @@ def _eig_gradient(sys: ConstraintSystem, u: np.ndarray) -> np.ndarray:
     return sys.traces(np.outer(u, u.conj()))
 
 
+def _penalized_descent(
+    sys: ConstraintSystem, x0: np.ndarray, rho0: float, rounds: int = 3, steps: int = 80
+) -> np.ndarray:
+    """Minimize ``b . x + rho * max(0, -min eig(sum x C))**2`` on the unit sphere."""
+    b = sys.targets
+    x = x0 / np.linalg.norm(x0)
+    rho = rho0
+    for _ in range(rounds):
+        lr = 0.2
+        mineig, u = _min_eig_pair(sys.aggregate(x))
+        hinge = max(0.0, -mineig)
+        f = float(b @ x) + rho * hinge**2
+        for _ in range(steps):
+            if hinge > 0.0:
+                eig_grad = _eig_gradient(sys, u)
+                g = b - 2.0 * rho * hinge * eig_grad
+            else:
+                g = b.copy()
+            g -= (g @ x) * x  # tangent to the sphere
+            gn = float(np.linalg.norm(g))
+            if gn < 1e-14:
+                break
+            trial = x - lr * g
+            trial /= np.linalg.norm(trial)
+            mineig_t, u_t = _min_eig_pair(sys.aggregate(trial))
+            hinge_t = max(0.0, -mineig_t)
+            f_t = float(b @ trial) + rho * hinge_t**2
+            if f_t < f:
+                x, f, mineig, u, hinge = trial, f_t, mineig_t, u_t, hinge_t
+                lr = min(lr * 1.2, 1.0)
+            else:
+                lr *= 0.5
+                if lr < 1e-12:
+                    break
+        rho *= 100.0
+    return x
+
+
 def _repair_into_cone(sys: ConstraintSystem, x: np.ndarray, tol: float) -> np.ndarray:
     """Push a near-certificate onto the PSD cone by minimizing the hinge alone."""
     lr = 0.1
@@ -263,30 +309,34 @@ def ray_certificate(
 def search_certificate(
     sys: ConstraintSystem, tol: float = DEFAULT_VALIDATION_TOL
 ) -> Certificate | None:
-    """A certificate among fixed directions: ``+e_i`` and ``-e_i`` for every
-    row, and ``-b/|b|`` when ``b != 0``.
+    """Search for a certificate from fixed starts: ``+e_i`` and ``-e_i`` for
+    every row, and ``-b/|b|`` when ``b != 0``.
 
-    Each direction is classified as it is and after its repair onto the
-    cone; the strongest validated certificate is returned (PSD-excluding
-    preferred, then lowest objective).  Returning None proves nothing.
+    Each start is classified as it is and after its repair onto the cone;
+    a penalized descent with an increasing cone penalty then runs from it,
+    and its end point is classified likewise.  The strongest validated
+    certificate is returned (PSD-excluding preferred, then lowest
+    objective).  Returning None proves nothing.
     """
-    directions = [sign * e for e in np.eye(sys.q) for sign in (1.0, -1.0)]
+    starts = [sign * e for e in np.eye(sys.q) for sign in (1.0, -1.0)]
     bn = float(np.linalg.norm(sys.targets))
     if bn > 0:
-        directions.append(-sys.targets / bn)
+        starts.append(-sys.targets / bn)
+    rho0 = 10.0 * (1.0 + bn)
     source = CertificateSource.SEARCH
 
     def rank(cert: Certificate) -> tuple[bool, float]:
         return cert.kind is CertificateKind.EXCLUDES_PSD, -cert.objective
 
     best: Certificate | None = None
-    for x in directions:
-        for cand in (x, _repair_into_cone(sys, x, tol)):
-            cert = _classify(sys, cand, tol, source)
-            if cert is None or not validate(cert, sys, tol):  # defense in depth
-                continue
-            if best is None or rank(cert) > rank(best):
-                best = cert
+    for x0 in starts:
+        for x in (x0, _penalized_descent(sys, x0, rho0)):
+            for cand in (x, _repair_into_cone(sys, x, tol)):
+                cert = _classify(sys, cand, tol, source)
+                if cert is None or not validate(cert, sys, tol):  # defense in depth
+                    continue
+                if best is None or rank(cert) > rank(best):
+                    best = cert
     return best
 
 
@@ -325,9 +375,7 @@ def verdict(
         cert = search_certificate(sys, tol)
     if cert is None:
         return unproven, None
-    if cert.kind is CertificateKind.EXCLUDES_PSD:
-        return FeasibilityStatus.CERTIFIED_INFEASIBLE, cert
-    return FeasibilityStatus.CERTIFIED_NO_STRICT, cert
+    return CERTIFIED_STATUS[cert.kind], cert
 
 
 def span_contains_positive(

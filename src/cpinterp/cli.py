@@ -55,12 +55,6 @@ _EXIT_CODES = {
     certify.FeasibilityStatus.UNDETERMINED: EXIT_UNDETERMINED,
 }
 
-# the certificate kind each certified status needs
-_CERTIFIED_KINDS = {
-    certify.FeasibilityStatus.CERTIFIED_INFEASIBLE.value: certify.CertificateKind.EXCLUDES_PSD,
-    certify.FeasibilityStatus.CERTIFIED_NO_STRICT.value: certify.CertificateKind.EXCLUDES_PD,
-}
-
 
 @dataclass
 class SolveOptions:
@@ -318,7 +312,7 @@ def run_verify(report_path: str | Path, instance_path: str | Path, tol: float = 
         yield ("kraus", True, f"round-trip gap {gap:.3g}")
         return
 
-    kind = _CERTIFIED_KINDS.get(status) if isinstance(status, str) else None
+    kind = next((k for k, s in certify.CERTIFIED_STATUS.items() if s.value == status), None)
     if kind is not None:
         cert_doc = doc.get("certificate")
         if not isinstance(cert_doc, dict):

@@ -135,6 +135,25 @@ def random_channel_kraus(rng: np.random.Generator, n: int, count: int) -> KrausS
     return KrausSet(n, n, [s_inv_half @ v for v in vs])
 
 
+def vv_face_instance(seed: int, n: int = 3, k: int = 2) -> ProblemInstance:
+    """A feasible instance with no strictly positive solution.
+
+    Two Kraus maps both kill a vector v, and the inputs A1 and A2 = vv* - A1
+    sum to vv*, so the outputs of the first two pairs sum to zero; a third
+    pair is generic.  A PD-excluding certificate is equal on the rows of
+    pairs 1 and 2 and zero on those of pair 3.
+    """
+    rng = np.random.default_rng(seed)
+    v = random_complex(rng, n, 1)
+    vv = v @ v.conj().T
+    kill_v = np.eye(n) - vv / np.trace(vv).real
+    kraus = [random_complex(rng, k, n) @ kill_v / n for _ in range(2)]
+    a1, a3 = random_hermitian(rng, n), random_hermitian(rng, n)
+    return ProblemInstance(
+        n, k, [(a, sum(m @ a @ m.conj().T for m in kraus)) for a in (a1, vv - a1, a3)]
+    )
+
+
 # ---------------------------------------------------------------------------
 # Reference build: one kron and one RawConstraint per output entry, and a
 # row-by-row hermitization.  The array-shaped build in cpinterp.constraints

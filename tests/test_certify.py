@@ -16,7 +16,7 @@ from cpinterp.certify import (
 )
 from cpinterp.constraints import ConstraintSystem, ProblemInstance, instance_system, prune_dependent
 from cpinterp.solvers import ExpSolveConfig, SolveStatus, solve_exp
-from helpers import golden_system, planted_instance
+from helpers import golden_system, planted_instance, vv_face_instance
 
 
 def system_of(mats, targets):
@@ -145,10 +145,29 @@ def test_search_finds_a_certificate_only_the_cone_repair_reaches():
     assert np.allclose(cert.coefficients, np.ones(2) / np.sqrt(2.0), atol=1e-4)
 
 
-def test_search_is_deterministic():
+def test_search_certifies_a_face_only_the_descent_reaches():
+    # no row direction reaches the cone here: the hinge repair stalls short of
+    # the tolerance from each, and the penalized descent is what finds y
+    sys = prune_dependent(instance_system(vv_face_instance(66)))
+    for e in np.eye(sys.q):
+        for x in (e, -e):
+            for cand in (x, certify._repair_into_cone(sys, x, 1e-9)):
+                assert certify._classify(sys, cand, 1e-9, CertificateSource.SEARCH) is None
+    cert = search_certificate(sys)
+    assert cert is not None
+    assert cert.kind is CertificateKind.EXCLUDES_PD
+    assert cert.source is CertificateSource.SEARCH
+    assert validate(cert, sys, tol=1e-9)
+
+
+def test_search_draws_no_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate search drew random numbers")
+
     rng = np.random.default_rng(12)
     planted, _ = planted_instance(rng, 2, 2, 2)
     infeasible = ProblemInstance(2, 2, planted.pairs + [(np.eye(2), -np.eye(2))])
+    monkeypatch.setattr(np.random, "default_rng", refuse)
     for sys in (cone_repair_system(), prune_dependent(instance_system(infeasible))):
         first, second = search_certificate(sys), search_certificate(sys)
         assert first is not None

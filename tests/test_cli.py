@@ -26,6 +26,7 @@ from helpers import (
     random_channel_kraus,
     random_complex,
     random_hermitian,
+    vv_face_instance,
 )
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
@@ -494,6 +495,16 @@ def test_certify_finds_a_no_strict_certificate_through_the_cone_repair(tmp_path)
     cert = report["certificate"]
     assert (cert["kind"], cert["source"]) == ("excludes-pd", "search")
     assert np.allclose(cert["coefficients"], np.ones(2) / np.sqrt(2.0), atol=1e-4)
+    assert_verify_accepts(tmp_path, inst, report)
+
+
+def test_certify_finds_the_no_strict_certificate_of_a_vv_face(tmp_path):
+    # A1 + A2 = vv* maps to zero; no row direction, repaired or not, certifies it
+    inst = vv_face_instance(66)
+    report, code = cli.run_certify(inst, cli.SolveOptions())
+    assert (report["status"], code) == ("certified-no-strict", cli.EXIT_UNDETERMINED)
+    cert = report["certificate"]
+    assert (cert["kind"], cert["source"]) == ("excludes-pd", "search")
     assert_verify_accepts(tmp_path, inst, report)
 
 
