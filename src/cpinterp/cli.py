@@ -59,8 +59,8 @@ _EXIT_CODES = {
 @dataclass
 class SolveOptions:
     method: str = "auto"
-    tol: float = 1e-9
-    max_iters: int = 10000
+    tol: float = ExpSolveConfig.gradient_tol
+    max_iters: int = ExpSolveConfig.max_iterations
     trace_preserving: bool | None = None  # None: take the instance file's flag
 
 
@@ -138,7 +138,7 @@ def _solve(
     report["constraints"] = [str(t) for t in base.provenance]
     report["targets"] = [float(b) for b in base.targets]
 
-    reduced, reduction = joint_support_reduce(pruned)
+    reduced, reduction = joint_support_reduce(pruned, inst)
     report["support"] = {
         "full_dim": int(reduction.full_dim),
         "reduced_dim": int(reduction.reduced_dim),
@@ -281,21 +281,19 @@ def run_verify(report_path: str | Path, instance_path: str | Path, tol: float = 
         yield ("hermitian", True, f"gap {herm_gap:.3g}")
 
         base = instance_system(inst, trace_preserving=tp)
-        res = base.residuals(phi)
-        max_res = float(np.max(np.abs(res), initial=0.0))
-        if max_res > tol:
-            worst = int(np.argmax(np.abs(res)))
+        check = verify_solution(phi, base, tol)
+        if check.max_residual > tol:
+            worst = int(np.argmax(np.abs(check.residuals)))
             yield ("residuals", False,
-                   f"constraint {base.provenance[worst]} residual {res[worst]:.3g} "
-                   f"exceeds {tol:.3g}")
+                   f"constraint {base.provenance[worst]} residual "
+                   f"{check.residuals[worst]:.3g} exceeds {tol:.3g}")
             return
-        yield ("residuals", True, f"max residual {max_res:.3g}")
+        yield ("residuals", True, f"max residual {check.max_residual:.3g}")
 
-        mineig = linalg.min_eigenvalue(phi)
-        if mineig < -tol * (1.0 + linalg.frobenius(phi)):
-            yield ("psd", False, f"min eigenvalue {mineig:.3g}")
+        if not check.positive_semidefinite:
+            yield ("psd", False, f"min eigenvalue {check.min_eigenvalue:.3g}")
             return
-        yield ("psd", True, f"min eigenvalue {mineig:.3g}")
+        yield ("psd", True, f"min eigenvalue {check.min_eigenvalue:.3g}")
 
         if doc.get("kraus") is None:
             yield ("kraus", False, "feasible report carries no Kraus elements")
@@ -375,10 +373,10 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
                         help="solver: exponential potential, log-det barrier, or auto "
                              "(diagonal fast path when applicable; default auto)")
     parser.add_argument("--tol", type=float, default=None,
-                        help="residual tolerance (default 1e-9)")
+                        help=f"residual tolerance (default {SolveOptions.tol:g})")
     parser.add_argument("--max-iters", type=int, default=None,
                         help="iteration cap of each solve, certify's span check "
-                             "included (default 10000)")
+                             f"included (default {SolveOptions.max_iters})")
     parser.add_argument("--trace-preserving", action="store_true", default=None,
                         help="require a quantum channel (trace preserving)")
     parser.add_argument("--out", default=None, help="write the report to this path")
@@ -386,13 +384,14 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 
 def _options_from_args(args, file_options: dict) -> SolveOptions:
     opts = SolveOptions()
-    opts.method = args.method or file_options.get("method", "auto")
+    opts.method = args.method or file_options.get("method", opts.method)
     opts.tol = (
         reports.checked_tol(args.tol, "--tol") if args.tol is not None
-        else file_options.get("tol", 1e-9)
+        else file_options.get("tol", opts.tol)
     )
     opts.max_iters = (
-        args.max_iters if args.max_iters is not None else file_options.get("max_iters", 10000)
+        args.max_iters if args.max_iters is not None
+        else file_options.get("max_iters", opts.max_iters)
     )
     opts.trace_preserving = True if args.trace_preserving else None
     # solver.max_iters was checked when the file was read

@@ -18,6 +18,9 @@ made on the n x n data, and each output row is written once into one stack.
 ``prune_dependent`` then drops the real-linearly dependent rows, reading the
 pivots off Householder QR: one factorization when no row is dependent, and
 one of a shrinking trailing block per round of dropped rows.
+``joint_support_reduce`` compresses the system onto the joint support of its
+rows, which it reads off the n x n inputs: the rows share the kernel
+``K kron C^k``, with K the common kernel of the ``A_nu^T`` and ``conj(A_nu)``.
 """
 
 from __future__ import annotations
@@ -428,41 +431,41 @@ def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> Cons
     )
 
 
-def _all_diagonal(sys: ConstraintSystem) -> bool:
-    """True when every off-diagonal entry is negligible against the largest entry.
-
-    Row i of ``flat`` without its first entry, read as p - 1 rows of p + 1,
-    holds the off-diagonal entries in its first p columns and the diagonal
-    in its last, so both maxima come from strided views of the stack.
-    """
-    rows = sys.flat[:, 1:].reshape(sys.q, sys.p - 1, sys.p + 1)
-    off = float(np.max(np.abs(rows[:, :, :-1]), initial=0.0))
-    diag = float(np.max(np.abs(np.diagonal(sys.matrices, axis1=1, axis2=2)), initial=0.0))
-    return off <= STRUCTURE_RTOL * (1.0 + max(off, diag))
-
-
 def joint_support_reduce(
-    sys: ConstraintSystem, tol: float | None = None
+    sys: ConstraintSystem, inst: ProblemInstance
 ) -> tuple[ConstraintSystem, SupportReduction]:
-    """Compress the system onto the joint support of its constraint matrices.
+    """Compress a system built from ``inst`` onto the joint support of its rows.
 
-    With K the common kernel and W an orthonormal basis of its complement
-    (``linalg.joint_support``), every C(i) satisfies C(i) = P C(i) P for the
+    Every row of ``instance_system(inst)`` is ``A_nu^T kron F`` or
+    ``conj(A_nu) kron F`` (a hermitized part of one), with F a k x k matrix,
+    or a trace row ``E_ji kron I_k``.  So the common kernel K of every
+    ``A_nu^T`` and ``conj(A_nu)`` gives the common kernel ``K kron C^k`` of
+    the value rows, and trace rows leave none.  Prune drops only
+    combinations of kept rows, so the same holds for ``sys`` when it is a
+    pruned copy.  With W_n an orthonormal basis of K's complement
+    (``linalg.joint_support`` on the stacked ``A_nu^T`` and ``conj(A_nu)``)
+    and ``W = W_n kron I_k``, every row satisfies C(i) = P C(i) P for the
     projector P = W W^*, so ``tr(C(i) W X' W^*) = tr(W^* C(i) W X')`` and the
     compressed system ``(W^* C(i) W, b_i)`` has the same feasible targets.
-    For all-diagonal systems the basis is the coordinate one, preserving
-    diagonality.  When the kernel is trivial the basis is the identity and
-    ``sys`` itself is returned, uncompressed.  So it is for a system of no
-    constraints: compressing it onto its empty support would leave only
-    X = 0, while every positive X solves it.
+    When every A_nu is diagonal, W_n is a set of coordinate vectors, so a
+    diagonal system stays diagonal.
+
+    ``sys`` itself is returned, with the identity basis, when the kernel is
+    trivial, when ``sys`` has trace rows, and when it has no rows at all:
+    compressing a system of no constraints onto its empty support would
+    leave only X = 0, while every positive X solves it.
     """
-    if sys.q == 0:
-        return sys, SupportReduction(basis=np.eye(sys.p, dtype=complex))
-    w, _ = linalg.joint_support(
-        sys.matrices.reshape(-1, sys.p), tol, diagonal=_all_diagonal(sys)
-    )
-    if w.shape[1] == sys.p:
-        return sys, SupportReduction(basis=np.eye(sys.p, dtype=complex))
+    identity = sys, SupportReduction(basis=np.eye(sys.p, dtype=complex))
+    if sys.q == 0 or any(t.kind == "trace" for t in sys.provenance):
+        return identity
+    a = np.array([a for a, _ in inst.pairs])
+    off = a - np.diagonal(a, axis1=1, axis2=2)[:, :, None] * np.eye(inst.n)
+    diagonal = np.max(np.abs(off)) <= STRUCTURE_RTOL * (1.0 + np.max(np.abs(a)))
+    stack = np.concatenate([a.transpose(0, 2, 1), a.conj()]).reshape(-1, inst.n)
+    w, _ = linalg.joint_support(stack, diagonal=bool(diagonal))
+    if w.shape[1] == inst.n:
+        return identity
+    w = np.kron(w, np.eye(inst.k))
     reduced = w.conj().T @ sys.matrices @ w
     reduced = (reduced + np.conj(np.swapaxes(reduced, 1, 2))) / 2
     return (

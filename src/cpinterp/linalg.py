@@ -8,7 +8,7 @@ a relative policy of ``1e-10 * (1 + Frobenius norm)``.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,70 +83,28 @@ def expm_herm(h: np.ndarray) -> np.ndarray:
     return hermitian_part((u * np.exp(w)) @ u.conj().T)
 
 
-def trace_pair(a: np.ndarray, b: np.ndarray) -> float:
-    """Real trace pairing ``Re tr(a @ b)`` of two Hermitian matrices.
-
-    For Hermitian arguments this is the real inner product used by the
-    constraint machinery.  A significant imaginary residue means the inputs
-    were not Hermitian and is rejected.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    t = complex(np.sum(a * b.T))
-    imag_cap = 1e-12 * (1.0 + frobenius(a) * frobenius(b))
-    if abs(t.imag) > imag_cap:
-        raise ValueError(
-            f"trace pairing has imaginary residue {t.imag:.3e}; inputs not Hermitian"
-        )
-    return t.real
-
-
 def min_eigenvalue(h: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     return float(np.linalg.eigvalsh(hermitian_part(as_complex_matrix(h)))[0])
 
 
-def joint_support(
-    stack: np.ndarray, tol: float | None = None, diagonal: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def joint_support(stack: np.ndarray, diagonal: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases of the joint support and the common kernel of a family.
 
     ``stack`` is the family of p x p matrices stacked vertically, shape
     (m p, p).  Returns ``(support, kernel)``, p x r and p x (p - r) arrays
     whose columns together form a unitary.  A right singular direction of the
-    stack is in the kernel when its singular value is at most ``tol``, by
-    default ``scale_tol(stack)``.  The thin SVD never forms the (m p) x (m p)
-    left factor.  With ``diagonal=True`` the family is known to be diagonal:
-    the singular values are the column norms of the stack and both bases are
+    stack is in the kernel when its singular value is at most
+    ``scale_tol(stack)``.  The thin SVD never forms the (m p) x (m p) left
+    factor.  With ``diagonal=True`` the family is known to be diagonal: the
+    singular values are the column norms of the stack and both bases are
     sets of coordinate vectors.
     """
     p = stack.shape[1]
-    if tol is None:
-        tol = scale_tol(stack)
     if diagonal:
         sigma = np.linalg.norm(stack, axis=0)
         vh = np.eye(p, dtype=complex)
     else:
         _, sigma, vh = np.linalg.svd(stack, full_matrices=False)
-    above = sigma > tol
+    above = sigma > scale_tol(stack)
     return vh[above].conj().T, vh[~above].conj().T
-
-
-def common_nullspace(hs: Sequence[np.ndarray], tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis of the joint kernel of a family of Hermitian matrices.
-
-    Returns a ``p x d`` array whose columns span the intersection of the
-    kernels; ``d = 0`` (an empty basis) is allowed.  Kernel membership is
-    decided by ``joint_support``'s singular-value threshold: ``tol`` if
-    given, otherwise ``1e-10 * (1 + Frobenius norm of the stacked family)``.
-    """
-    mats = [as_complex_matrix(h) for h in hs]
-    if not mats:
-        raise ValueError("empty matrix family")
-    p = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (p, p):
-            raise ValueError(f"dimension mismatch in family: {m.shape} vs ({p}, {p})")
-    return joint_support(np.vstack(mats), tol)[1]

@@ -27,8 +27,9 @@ constraint residual vector of a positive definite matrix:
   only weakly infeasible, and on planted infeasible data the recession test
   fires before the hand-off; should a hand-off happen, Newton cannot
   converge and the resumed CG stops on the recession test as before.  The
-  scalar offset ``s`` shifts the exponent by a multiple of the identity; it
-  changes which feasible point is found but not feasibility.
+  scalar offset ``s`` (``EXPONENT_OFFSET``) shifts the exponent by a multiple
+  of the identity; it changes which feasible point is found but not
+  feasibility.
 
 * ``solve_barrier`` minimizes the log-det barrier objective
 
@@ -81,6 +82,11 @@ NEWTON_HANDOFF = 0.3
 SUFFICIENT_DECREASE, CURVATURE = 1e-4, 0.4
 DIVERGENCE_THRESHOLD = 1e4
 
+# The exp potential's offset s in X = exp(sum x C + s I).  It changes which
+# feasible point is found, not whether one exists; the shipped golden report
+# holds the point found with s = -1.
+EXPONENT_OFFSET = -1.0
+
 
 @dataclass
 class ExpSolveConfig:
@@ -88,13 +94,11 @@ class ExpSolveConfig:
 
     ``max_iterations`` caps the CG steps of a run; each Newton phase takes at
     most ``_newton_polish``'s 50 steps.  Every run hands CG's iterate to
-    Newton at ``NEWTON_HANDOFF``.  ``exponent_offset`` is the exp potential's
-    ``s``; the barrier objective has none and ignores it.
+    Newton at ``NEWTON_HANDOFF``.  The defaults are those of the command line.
     """
 
     gradient_tol: float = 1e-9
     max_iterations: int = 10000
-    exponent_offset: float = -1.0
 
     def __post_init__(self):
         if self.gradient_tol <= 0:
@@ -267,18 +271,18 @@ def _barrier_objective(sys: ConstraintSystem) -> _Objective:
     return _Objective(value_grad, hessian, functools.partial(_recedes, sys))
 
 
-def _diag_objective(coeffs: np.ndarray, targets: np.ndarray, offset: float) -> _Objective:
+def _diag_objective(coeffs: np.ndarray, targets: np.ndarray) -> _Objective:
     """Potential restricted to diagonal matrices: entrywise exponential."""
 
     def value_grad(x):
-        s = coeffs.T @ x + offset
+        s = coeffs.T @ x + EXPONENT_OFFSET
         if np.max(s) > linalg.EXP_ARG_LIMIT:
             return np.inf, None
         es = np.exp(s)
         return float(np.sum(es) - x @ targets), coeffs @ es - targets
 
     def hessian(x):
-        es = np.exp(np.clip(coeffs.T @ x + offset, None, linalg.EXP_ARG_LIMIT))
+        es = np.exp(np.clip(coeffs.T @ x + EXPONENT_OFFSET, None, linalg.EXP_ARG_LIMIT))
         return (coeffs * es) @ coeffs.T
 
     def recedes(x):
@@ -505,7 +509,6 @@ def _outcome_from_point(
     sys: ConstraintSystem,
     builder: Callable[[np.ndarray], np.ndarray],
     result: _MinimizeResult,
-    cfg: ExpSolveConfig,
 ) -> SolveOutcome:
     x = result.x
     if result.diverged:
@@ -546,7 +549,7 @@ def solve_exp(
     starting value, then damped Newton finishes; if Newton stalls, CG resumes
     (see ``_minimize``).  Convergence of the gradient (2-norm below
     ``cfg.gradient_tol``) certifies feasibility: the returned
-    ``X = exp(sum x C + offset I)`` is positive definite by construction and
+    ``X = exp(sum x C + s I)`` is positive definite by construction and
     its residuals equal the final gradient.  Divergence reports that no
     strictly positive solution exists (the potential is coercive exactly
     when one does).  It is declared at the first iterate whose ray the
@@ -556,15 +559,15 @@ def solve_exp(
     Hitting the iteration cap is a soft outcome.
     """
     cfg = cfg or ExpSolveConfig()
-    obj = _exp_objective(sys, cfg.exponent_offset)
+    obj = _exp_objective(sys, EXPONENT_OFFSET)
     start = np.zeros(sys.q) if x0 is None else np.asarray(x0, dtype=float).copy()
     result = _minimize(obj, start, cfg)
 
     def build(x):
-        s = linalg.hermitian_part(sys.aggregate(x)) + cfg.exponent_offset * np.eye(sys.p)
+        s = linalg.hermitian_part(sys.aggregate(x)) + EXPONENT_OFFSET * np.eye(sys.p)
         return linalg.expm_herm(s)
 
-    return _outcome_from_point(sys, build, result, cfg)
+    return _outcome_from_point(sys, build, result)
 
 
 def solve_barrier(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> SolveOutcome:
@@ -574,7 +577,7 @@ def solve_barrier(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> S
     of the exp potential, from y = 0 where ``Z = I``.  Convergence returns
     ``X = (I - sum y C)^{-1}``, positive definite by construction, with its
     residuals equal to the final gradient; divergence reports that no
-    strictly positive solution exists.  ``cfg.exponent_offset`` is unused.
+    strictly positive solution exists.
     """
     cfg = cfg or ExpSolveConfig()
     result = _minimize(_barrier_objective(sys), np.zeros(sys.q), cfg)
@@ -583,7 +586,7 @@ def solve_barrier(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> S
         k = _barrier_factor(sys, y)
         return k.conj().T @ k
 
-    return _outcome_from_point(sys, build, result, cfg)
+    return _outcome_from_point(sys, build, result)
 
 
 def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> SolveOutcome:
@@ -614,13 +617,13 @@ def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> 
     coeffs = diag[active]  # (q_active, p)
     targets = sys.targets[active]
 
-    obj = _diag_objective(coeffs, targets, cfg.exponent_offset)
+    obj = _diag_objective(coeffs, targets)
     result = _minimize(obj, np.zeros(len(targets)), cfg)
 
     def build(x):
-        return np.diag(np.exp(coeffs.T @ x + cfg.exponent_offset)).astype(complex)
+        return np.diag(np.exp(coeffs.T @ x + EXPONENT_OFFSET)).astype(complex)
 
-    outcome = _outcome_from_point(sys, build, result, cfg)
+    outcome = _outcome_from_point(sys, build, result)
     if outcome.coefficients is not None:
         full = np.zeros(sys.q)
         full[active] = outcome.coefficients

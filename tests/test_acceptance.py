@@ -241,7 +241,7 @@ def test_criterion_10_support_reduction():
             base = instance_system(inst)
             pruned = prune_dependent(base)
 
-            reduced, reduction = joint_support_reduce(pruned)
+            reduced, reduction = joint_support_reduce(pruned, inst)
             d = d0 * k
             assert reduction.reduced_dim == n * k - d
 

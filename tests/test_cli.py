@@ -683,16 +683,21 @@ def test_trace_preserving_flag(tmp_path):
     assert rep["max_residual"] <= 1e-8
 
 
-def test_trace_preserving_cli_flag_overrides_file(tmp_path):
-    doc = {"n": 2, "k": 2,
+def test_trace_preserving_cli_flag_overrides_file(tmp_path, capsys):
+    # A = E_11 vanishes on e_2, but the trace rows the flag adds leave no
+    # common kernel, so the support is not reduced
+    doc = {"n": 2, "k": 2, "trace_preserving": False,
            "pairs": [{"A": [[1, 0], [0, 0]], "B": [[1, 0], [0, 0]]}]}
+    path = write_json(tmp_path / "tp.json", doc)
     out = tmp_path / "report.json"
-    code = cli.main(["solve", str(write_json(tmp_path / "tp.json", doc)),
-                     "--trace-preserving", "--out", str(out)])
+    code = cli.main(["solve", str(path), "--trace-preserving", "--out", str(out)])
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["problem"]["trace_preserving"] is True
     assert any(tag.startswith("trace(") for tag in rep["constraints"])
+    assert rep["support"]["reduced_dim"] == rep["support"]["full_dim"] == 4
+    assert cli.main(["verify", str(out), str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_seventeen_digit_floats(tmp_path):

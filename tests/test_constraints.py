@@ -9,8 +9,6 @@ from cpinterp.constraints import (
     InconsistentSystemError,
     ProblemInstance,
     Provenance,
-    STRUCTURE_RTOL,
-    _all_diagonal,
     embed_solution,
     instance_system,
     is_diagonal_instance,
@@ -488,10 +486,26 @@ def test_prune_keeps_trace_rows_after_repeated_pairs(scale):
 # joint_support_reduce / embed_solution
 
 
+def scalar_instance(mats, targets):
+    """The k = 1 instance whose hermitized rows are the Hermitian ``mats``,
+    each with its target: the one row of the pair (A, B) is A^T."""
+    mats = np.asarray(mats, dtype=complex)
+    pairs = [(m.T, np.array([[t]])) for m, t in zip(mats, targets)]
+    return ProblemInstance(mats.shape[1], 1, pairs)
+
+
+def reduce_scalar_instance(mats, targets):
+    inst = scalar_instance(mats, targets)
+    sys = instance_system(inst)
+    assert np.abs(sys.matrices - np.asarray(mats)).max() < 1e-15
+    return sys, joint_support_reduce(sys, inst)
+
+
 def test_reduce_full_rank_system_is_returned_uncompressed():
     rng = np.random.default_rng(32)
-    sys = base_system([random_hermitian(rng, 4) for _ in range(5)], rng.standard_normal(5))
-    reduced, red = joint_support_reduce(sys)
+    sys, (reduced, red) = reduce_scalar_instance(
+        [random_hermitian(rng, 4) for _ in range(5)], rng.standard_normal(5)
+    )
     assert np.array_equal(red.basis, np.eye(4))
     x = random_hermitian(rng, 4)
     assert np.array_equal(reduced.residuals(x), sys.residuals(x))
@@ -500,15 +514,13 @@ def test_reduce_full_rank_system_is_returned_uncompressed():
 def test_reduce_to_first_coordinate():
     c = np.zeros((2, 2), dtype=complex)
     c[0, 0] = 1.0
-    sys = base_system([c], [1.0])
-    reduced, red = joint_support_reduce(sys)
+    _, (reduced, red) = reduce_scalar_instance([c], [1.0])
     assert red.reduced_dim == 1
     assert reduced.p == 1
 
 
 def test_reduce_without_kernel_is_identity():
-    sys = base_system([np.eye(3)], [1.0])
-    reduced, red = joint_support_reduce(sys)
+    sys, (reduced, red) = reduce_scalar_instance([np.eye(3)], [1.0])
     assert red.reduced_dim == 3
     assert np.abs(red.basis - np.eye(3)).max() == 0
     assert np.abs(reduced.matrices - sys.matrices).max() == 0
@@ -524,8 +536,7 @@ def test_reduce_block_system_and_embed():
     x_red_feasible = random_hermitian(rng, 3)
     x_red_feasible = x_red_feasible @ x_red_feasible.conj().T + np.eye(3)
     targets = [np.trace(m[:3, :3] @ x_red_feasible).real for m in mats]
-    sys = base_system(mats, targets)
-    reduced, red = joint_support_reduce(sys)
+    sys, (reduced, red) = reduce_scalar_instance(mats, targets)
     assert red.reduced_dim == 3
     # support projector leaves every constraint unchanged
     proj = red.basis @ red.basis.conj().T
@@ -539,49 +550,37 @@ def test_reduce_block_system_and_embed():
 
 
 def test_embed_identity_and_projector():
-    sys = base_system([np.eye(2)], [1.0])
-    _, red = joint_support_reduce(sys)
+    _, (_, red) = reduce_scalar_instance([np.eye(2)], [1.0])
     x = np.array([[1.0, 2.0], [2.0, 5.0]], dtype=complex)
     assert np.abs(embed_solution(x, red) - x).max() == 0
     c = np.zeros((3, 3), dtype=complex)
     c[0, 0] = 1.0
     c[1, 1] = 1.0
-    _, red2 = joint_support_reduce(base_system([c], [1.0]))
+    _, (_, red2) = reduce_scalar_instance([c], [1.0])
     proj = embed_solution(np.eye(red2.reduced_dim), red2)
     assert np.abs(proj - np.diag([1.0, 1.0, 0.0])).max() < 1e-12
 
 
 def test_reduce_keeps_diagonal_systems_diagonal():
-    sys = base_system([np.diag([1.0, 0.0, 2.0]), np.diag([0.0, 0.0, 1.0])], [1.0, 1.0])
-    reduced, red = joint_support_reduce(sys)
+    _, (reduced, red) = reduce_scalar_instance(
+        [np.diag([1.0, 0.0, 2.0]), np.diag([0.0, 0.0, 1.0])], [1.0, 1.0]
+    )
     assert red.reduced_dim == 2
     for m in reduced.matrices:
         assert np.abs(m - np.diag(np.diag(m))).max() == 0
 
 
-def test_all_diagonal_matches_the_dense_off_diagonal_test():
-    def dense(matrices):
-        p = matrices.shape[1]
-        off = matrices - np.diagonal(matrices, axis1=1, axis2=2)[:, :, None] * np.eye(p)
-        return float(np.max(np.abs(off))) <= STRUCTURE_RTOL * (
-            1.0 + float(np.max(np.abs(matrices)))
-        )
-
-    rng = np.random.default_rng(77)
-    for p in (1, 2, 3, 5):
-        for q in (1, 4):
-            diag = np.zeros((q, p, p), dtype=complex)
-            diag[:, np.arange(p), np.arange(p)] = rng.uniform(-2.0, 2.0, size=(q, p))
-            cases = [diag]
-            for i, j in ((0, p - 1), (p - 1, 0), (p // 2, (p // 2 + 1) % p)):
-                for size in (1e-14, 1e-11):
-                    bumped = diag.copy()
-                    bumped[q - 1, i, j] += size * (1.0 + 1.0j)
-                    cases.append(bumped)
-            for m in cases:
-                sys = base_system(m, np.ones(q))
-                assert _all_diagonal(sys) == dense(sys.matrices)
-    assert _all_diagonal(base_system(np.ones((2, 3, 3)), [1.0, 1.0])) is False
+def test_reduce_intersects_the_kernels_of_the_transpose_and_the_conjugate():
+    # A = x y^*: ker A^T = {v : x^T v = 0} and ker conj(A) = {v : y^T v = 0}
+    # are lines, but they meet only in 0, so no row shares a kernel
+    x, y = np.array([1.0, 1.0j]), np.array([1.0, 2.0])
+    a = np.outer(x, y.conj())
+    assert np.linalg.matrix_rank(a.T) == 1
+    inst = ProblemInstance(2, 2, [(a, a)])  # the identity map interpolates it
+    pruned = prune_dependent(instance_system(inst))
+    reduced, red = joint_support_reduce(pruned, inst)
+    assert red.reduced_dim == 4
+    assert reduced is pruned
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from cpinterp.constraints import (
     prune_dependent,
 )
 from cpinterp.solvers import (
+    EXPONENT_OFFSET,
     ExpSolveConfig,
     SolveStatus,
     gradient,
@@ -71,8 +72,8 @@ def test_potential_scalar_family():
     sys = system_of([np.diag([1.0, -1.0])], [0.0])
     for t in (-1.0, -0.3, 0.0, 0.5, 2.0):
         assert potential(sys, np.array([t])) == pytest.approx(np.exp(t) + np.exp(-t))
-    # minimized at t = 0
-    out = solve_exp(sys, ExpSolveConfig(exponent_offset=0.0))
+    # the solver's potential exp(t + s) + exp(-t + s) is still minimized at t = 0
+    out = solve_exp(sys)
     assert out.status is SolveStatus.FEASIBLE
     assert abs(out.coefficients[0]) < 1e-9
 
@@ -121,11 +122,14 @@ def test_exp_hessian_matches_finite_differences():
     s = np.tensordot(rng.uniform(-0.5, 0.5, size=len(mats)), mats, axes=1)
     w, u = np.linalg.eigh(s)
     x_true = (u * np.exp(w)) @ u.conj().T
-    pruned = prune_dependent(system_of(mats, [np.trace(c @ x_true).real for c in mats]))
-    reduced, red = joint_support_reduce(pruned)
+    # k = 1: the one row of the pair (c^T, [tr(c X)]) is c
+    inst = ProblemInstance(p, 1, [(c.T, np.array([[np.trace(c @ x_true).real]])) for c in mats])
+    pruned = prune_dependent(instance_system(inst))
+    assert np.abs(pruned.matrices - mats).max() < 1e-15
+    reduced, red = joint_support_reduce(pruned, inst)
     assert red.reduced_dim < p
     for sys in (pruned, reduced):
-        obj = _exp_objective(sys, -1.0)
+        obj = _exp_objective(sys, EXPONENT_OFFSET)
         for _ in range(3):
             x = rng.uniform(-0.3, 0.3, size=sys.q)
             h = obj.hessian(x)
@@ -155,7 +159,7 @@ def test_diagonal_hessian_matches_finite_differences():
     rng = np.random.default_rng(59)
     coeffs = rng.uniform(-2.0, 2.0, size=(5, 8))
     targets = coeffs @ np.exp(rng.uniform(-1.0, 1.0, size=8))
-    obj = _diag_objective(coeffs, targets, -1.0)
+    obj = _diag_objective(coeffs, targets)
     for _ in range(3):
         x = rng.uniform(-0.3, 0.3, size=5)
         h = obj.hessian(x)
@@ -213,10 +217,11 @@ def test_solve_exp_reproduces_reference_solution():
 def test_solve_exp_trace_constraint_identity():
     p = 3
     sys = system_of([np.eye(p)], [float(p)])
-    out = solve_exp(sys, ExpSolveConfig(exponent_offset=0.0))
+    out = solve_exp(sys)
     assert out.status is SolveStatus.FEASIBLE
-    # the aggregate vanishes at the critical point and X is the identity
-    assert np.abs(sys.aggregate(out.coefficients)).max() < 1e-9
+    # X = exp(x + s) I is the identity at the critical point x = -s = 1
+    assert abs(out.coefficients[0] + EXPONENT_OFFSET) < 1e-9
+    assert abs(out.coefficients[0] - 1.0) < 1e-9
     assert np.abs(out.solution - np.eye(p)).max() < 1e-9
 
 
