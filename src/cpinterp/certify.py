@@ -11,8 +11,9 @@ in order.  First the divergence ray: when the exponential potential is
 unbounded below, its iterates run off along a direction d with
 ``sum d C <= 0`` and ``d . b > 0``, so the normalized ``-x`` at solver exit is
 a PSD-excluding certificate: an exact one when the solver stopped on its
-recession test, otherwise one up to an ``O(1/|x|)`` lag.  Second, a short hinge
-descent repairs a ray that misses the cone by that lag.  Only when neither
+recession test (at an iterate or at a line-search trial point, whichever
+passed it first), otherwise one up to an ``O(1/|x|)`` lag.  Second, a short
+hinge descent repairs a ray that misses the cone by that lag.  Only when neither
 yields a PSD-excluding certificate does a search from fixed starts run:
 each row's ``+e_i`` and ``-e_i`` and the target direction ``-b/|b|``, each
 classified as it is and repaired onto the cone, and then again after a
@@ -279,7 +280,7 @@ def ray_certificate(
     coefficients: np.ndarray | None,
     tol: float = DEFAULT_VALIDATION_TOL,
 ) -> Certificate | None:
-    """PSD-excluding certificate read off a solver's final iterate (exp or barrier).
+    """PSD-excluding certificate read off a solver's final point (exp or barrier).
 
     Classifies the normalized ``-coefficients``; when that misses the cone
     (typically by the ``O(1/|x|)`` lag of a diverging iterate) it repairs the
@@ -388,7 +389,7 @@ def span_contains_positive(
     Exactly one holds (theorem of alternatives): some ``sum y C > 0``, or
     some ``X >= 0`` solving the rows of ``sys`` at target 0 and ``tr X = 1``.
     Prune finding the row ``(I, 1)`` dependent gives ``sum y C = c I`` with
-    ``c > 0``; else y is ``-x`` for the last iterate x of the exp solve under
+    ``c > 0``; else y is ``-x`` for the final point x of the exp solve under
     ``cfg``.  The answer is ``min eig(sum y C) > tol`` for the unit y.
     ``sys`` must be pruned: a row that prune drops raises ``ValueError``.
     """

@@ -141,10 +141,11 @@ class ConstraintSystem:
         """Real Gram matrix of the constraints in the trace inner product.
 
         ``tr(C(a) C(b))`` equals the Frobenius product of C(a) and C(b)
-        because every C(b) is selfadjoint.
+        because every C(b) is selfadjoint.  Its real part is the real inner
+        product of the interleaved (re, im) rows: one SYRK, exactly symmetric.
         """
-        flat = self.flat
-        return (flat @ flat.conj().T).real
+        flat = self.flat.view(float)
+        return flat @ flat.T
 
 
 @dataclass

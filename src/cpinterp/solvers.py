@@ -19,17 +19,20 @@ constraint residual vector of a positive definite matrix:
   the constraint residuals of ``X = exp(sum x C + s I)``, so a critical
   point is an exact strictly positive solution; V is coercive precisely
   when such a solution exists, and unbounded growth of the iterates
-  witnesses that none does.  The solver stops as soon as an iterate x
-  proves it: with ``sum x C <= 0`` and ``b . x > 0`` the potential falls
-  without bound along the ray through x, and ``-x`` is itself an
-  infeasibility certificate.  On such data the gradient, a residual vector
-  of a positive definite matrix, stays away from zero unless the data are
-  only weakly infeasible, and on planted infeasible data the recession test
-  fires before the hand-off; should a hand-off happen, Newton cannot
-  converge and the resumed CG stops on the recession test as before.  The
-  scalar offset ``s`` (``EXPONENT_OFFSET``) shifts the exponent by a multiple
-  of the identity; it changes which feasible point is found but not
-  feasibility.
+  witnesses that none does.  The solver stops as soon as any evaluated
+  point x proves it, an iterate or a trial point of either line search:
+  with ``sum x C <= 0`` and ``b . x > 0`` the potential falls without bound
+  along the ray through x, and ``-x`` is itself an infeasibility
+  certificate.  Each point is factored once, by one eigendecomposition of
+  ``sum x C``, whose spectrum gives the value, the gradient, this test and,
+  for Newton, the Hessian.  On infeasible data the gradient, a residual
+  vector of a positive definite matrix, stays away from zero unless the
+  data are only weakly infeasible, and on planted infeasible data the
+  recession test fires before the hand-off; should a hand-off happen,
+  Newton cannot converge, and its backtracking or the resumed CG stops on
+  the recession test.  The scalar offset ``s`` (``EXPONENT_OFFSET``) shifts
+  the exponent by a multiple of the identity; it changes which feasible
+  point is found but not feasibility.
 
 * ``solve_barrier`` minimizes the log-det barrier objective
 
@@ -51,7 +54,6 @@ approximate solution exactly onto the constraint subspace.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,8 +75,10 @@ class SolveStatus(enum.Enum):
 # evaluations: CG converges only linearly, Newton quadratically once it is
 # near the minimizer.  Newton from x = 0 is not safe: on infeasible data it
 # can run along a ray without the recession test firing.  On planted
-# infeasible data that test fires before the gradient falls to 0.3 of its
-# start (on all of 1 280 instances), so those runs stay CG only.
+# infeasible data that test fires during CG, before the gradient falls to
+# 0.3 of its start (on all of 1 280 instances), so those runs stay CG only.
+# A run that is handed off on infeasible data, as the span check's can be,
+# ends at the first Newton trial point that passes the test.
 NEWTON_HANDOFF = 0.3
 
 # Strong-Wolfe constants of the CG line search (0 < c1 < c2 < 1), and the
@@ -155,10 +159,10 @@ def verify(x: np.ndarray, sys: ConstraintSystem, tol: float = 1e-8) -> VerifyRep
 
 def _value_grad(sys: ConstraintSystem, x: np.ndarray, offset: float) -> tuple[float, np.ndarray]:
     """The potential and its gradient at x; ``OverflowError`` past the exp range."""
-    f, g = _exp_objective(sys, offset).value_grad(np.asarray(x, dtype=float))
-    if g is None:
+    point = _exp_objective(sys, offset).evaluate(np.asarray(x, dtype=float))
+    if point.g is None:
         raise OverflowError("the exponent exceeds the exp() range of double precision")
-    return f, g
+    return point.f, point.g
 
 
 def potential(sys: ConstraintSystem, x: np.ndarray, offset: float = 0.0) -> float:
@@ -179,37 +183,57 @@ def gradient(sys: ConstraintSystem, x: np.ndarray, offset: float = 0.0) -> np.nd
 
 
 @dataclass
-class _Objective:
-    """Fused value/gradient/Hessian oracle for a smooth convex function.
+class _Point:
+    """An objective evaluated at x, all of it read off one factorization.
 
-    ``value_grad`` returns ``(f, g)`` with ``f = inf`` (and ``g = None``) on
-    exponential overflow or outside the domain, which the line searches treat
-    as a step that went too far.  ``recedes(x)`` is True when the function is
-    provably unbounded below along the ray through x.
+    ``f = inf`` (and ``g = None``) on exponential overflow or outside the
+    domain, which the line searches treat as a step that went too far.
+    ``recedes`` is True when the objective is provably unbounded below along
+    the ray through x.  ``factor`` is the objective's factorization at x,
+    which its ``hessian`` and ``solution`` reuse.
     """
 
-    value_grad: Callable[[np.ndarray], tuple[float, np.ndarray | None]]
-    hessian: Callable[[np.ndarray], np.ndarray]
-    recedes: Callable[[np.ndarray], bool]
+    x: np.ndarray
+    f: float
+    g: np.ndarray | None = None
+    recedes: bool = False
+    factor: tuple = ()
+
+
+@dataclass
+class _Objective:
+    """A smooth convex function: ``evaluate(x)`` factors x once, and
+    ``hessian(point)`` and ``solution(point)`` (the positive definite matrix
+    whose residuals are the gradient) read the point's factorization."""
+
+    evaluate: Callable[[np.ndarray], _Point]
+    hessian: Callable[[_Point], np.ndarray]
+    solution: Callable[[_Point], np.ndarray]
 
 
 def _exp_objective(sys: ConstraintSystem, offset: float) -> _Objective:
-    eye = np.eye(sys.p)
+    """The exp potential, factored by one ``eigh`` of ``sum x C`` per point.
+
+    Its recession test (``sum x C <= 0`` and ``b . x > 0``; see
+    ``_barrier_objective``) reads the top of that same spectrum.
+    """
     mats = sys.matrices
     targets = sys.targets
 
-    def value_grad(x):
-        s = linalg.hermitian_part(sys.aggregate(x)) + offset * eye
-        w, u = np.linalg.eigh(s)
+    def evaluate(x):
+        w, u = np.linalg.eigh(linalg.hermitian_part(sys.aggregate(x)))
+        top = float(w[-1])  # the largest eigenvalue of sum x C
+        w = w + offset
         if w[-1] > linalg.EXP_ARG_LIMIT:
-            return np.inf, None
-        ex = (u * np.exp(w)) @ u.conj().T
-        f = float(np.sum(np.exp(w)) - x @ targets)
-        return f, sys.residuals(ex)
+            return _Point(x, np.inf)
+        ew = np.exp(w)
+        ex = (u * ew) @ u.conj().T
+        bx = float(x @ targets)
+        return _Point(x, float(np.sum(ew) - bx), sys.residuals(ex), bx > 0.0 and top <= 0.0,
+                      (w, u, ex))
 
-    def hessian(x):
-        s = linalg.hermitian_part(sys.aggregate(x)) + offset * eye
-        w, u = np.linalg.eigh(s)
+    def hessian(point):
+        w, u, _ = point.factor
         ew = np.exp(w)
         # divided differences of exp over the spectrum
         dw = w[:, None] - w[None, :]
@@ -221,74 +245,67 @@ def _exp_objective(sys: ConstraintSystem, offset: float) -> _Objective:
         rot = (u.conj().T @ mats @ u).view(np.float64).reshape(sys.q, -1)
         return (rot * np.repeat(phi.ravel(), 2)) @ rot.T
 
-    return _Objective(value_grad, hessian, functools.partial(_recedes, sys))
-
-
-def _recedes(sys: ConstraintSystem, x: np.ndarray) -> bool:
-    """The recession test of the exp and barrier objectives: ``sum x C <= 0``
-    and ``b . x > 0``.
-
-    Along ``t x`` the term ``-t b . x`` then falls without bound while
-    ``tr exp(sum t x C + s I)`` stays bounded and ``-ln det(I - sum t x C)``
-    stays at most 0, and ``-x`` is an infeasibility certificate.
-    """
-    if float(x @ sys.targets) <= 0.0:
-        return False
-    return float(np.linalg.eigvalsh(linalg.hermitian_part(sys.aggregate(x)))[-1]) <= 0.0
-
-
-def _barrier_factor(sys: ConstraintSystem, y: np.ndarray) -> np.ndarray | None:
-    """``K = L^{-1}`` for ``Z = I - sum y C = L L^*``, so that ``Z^{-1} = K^* K``;
-    None when Z is not positive definite (y is outside the barrier's domain)."""
-    z = np.eye(sys.p) - linalg.hermitian_part(sys.aggregate(y))
-    try:
-        return np.linalg.inv(np.linalg.cholesky(z))
-    except np.linalg.LinAlgError:
-        return None
+    return _Objective(evaluate, hessian, lambda point: linalg.hermitian_part(point.factor[2]))
 
 
 def _barrier_objective(sys: ConstraintSystem) -> _Objective:
     """``F(y) = -b . y - ln det Z`` with ``Z = I - sum y C``; see the module docstring.
 
-    With ``X = Z^{-1} = K^* K`` (``_barrier_factor``), the gradient is
-    ``tr(C(i) X) - b_i`` and the Hessian ``tr(X C(i) X C(j))``, the Gram
-    matrix of the ``K C(i) K^*``.
+    A point is factored by the Cholesky inverse ``K = L^{-1}`` of
+    ``Z = L L^*``, so that ``X = Z^{-1} = K^* K``; y is outside the domain
+    when Z is not positive definite.  The gradient is ``tr(C(i) X) - b_i``
+    and the Hessian ``tr(X C(i) X C(j))``, the Gram matrix of the
+    ``K C(i) K^*``.
+
+    The recession test, shared with the exp potential, is ``sum y C <= 0``
+    and ``b . y > 0``: along ``t y`` the term ``-t b . y`` then falls without
+    bound while ``-ln det(I - sum t y C)`` stays at most 0 (and
+    ``tr exp(sum t y C + s I)`` stays bounded), and ``-y`` is an
+    infeasibility certificate.  The Cholesky factor does not show the top of
+    the spectrum, so the test takes one ``eigvalsh`` when ``b . y > 0`` and
+    no diagonal entry of ``sum y C`` is positive (one that is rules out
+    ``sum y C <= 0``).
     """
 
-    def value_grad(y):
-        k = _barrier_factor(sys, y)
-        if k is None:
-            return np.inf, None
+    def evaluate(y):
+        s = linalg.hermitian_part(sys.aggregate(y))
+        try:
+            k = np.linalg.inv(np.linalg.cholesky(np.eye(sys.p) - s))
+        except np.linalg.LinAlgError:
+            return _Point(y, np.inf)
+        x = k.conj().T @ k
+        by = float(y @ sys.targets)
         # ln det Z = -2 sum ln |K_ii|, K being triangular
-        f = float(2.0 * np.sum(np.log(np.abs(np.diagonal(k)))) - y @ sys.targets)
-        return f, sys.residuals(k.conj().T @ k)
+        f = float(2.0 * np.sum(np.log(np.abs(np.diagonal(k)))) - by)
+        recedes = (by > 0.0 and float(np.max(s.diagonal().real)) <= 0.0
+                   and float(np.linalg.eigvalsh(s)[-1]) <= 0.0)
+        return _Point(y, f, sys.residuals(x), recedes, (k, x))
 
-    def hessian(y):
-        k = _barrier_factor(sys, y)
+    def hessian(point):
+        k, _ = point.factor
         rot = (k @ sys.matrices @ k.conj().T).view(np.float64).reshape(sys.q, -1)
         return rot @ rot.T
 
-    return _Objective(value_grad, hessian, functools.partial(_recedes, sys))
+    return _Objective(evaluate, hessian, lambda point: point.factor[1])
 
 
 def _diag_objective(coeffs: np.ndarray, targets: np.ndarray) -> _Objective:
     """Potential restricted to diagonal matrices: entrywise exponential."""
 
-    def value_grad(x):
-        s = coeffs.T @ x + EXPONENT_OFFSET
+    def evaluate(x):
+        cx = coeffs.T @ x
+        s = cx + EXPONENT_OFFSET
         if np.max(s) > linalg.EXP_ARG_LIMIT:
-            return np.inf, None
+            return _Point(x, np.inf)
         es = np.exp(s)
-        return float(np.sum(es) - x @ targets), coeffs @ es - targets
+        bx = float(x @ targets)
+        return _Point(x, float(np.sum(es) - bx), coeffs @ es - targets,
+                      bx > 0.0 and float(np.max(cx)) <= 0.0, (es,))
 
-    def hessian(x):
-        es = np.exp(np.clip(coeffs.T @ x + EXPONENT_OFFSET, None, linalg.EXP_ARG_LIMIT))
-        return (coeffs * es) @ coeffs.T
+    def hessian(point):
+        return (coeffs * point.factor[0]) @ coeffs.T
 
-    def recedes(x):
-        return float(x @ targets) > 0.0 and float(np.max(coeffs.T @ x)) <= 0.0
-
-    return _Objective(value_grad, hessian, recedes)
+    return _Objective(evaluate, hessian, lambda point: np.diag(point.factor[0]).astype(complex))
 
 
 def _wolfe_search(fg_line, f0, slope0, c1, c2, alpha0):
@@ -341,8 +358,7 @@ def _wolfe_search(fg_line, f0, slope0, c1, c2, alpha0):
 
 @dataclass
 class _MinimizeResult:
-    x: np.ndarray
-    grad: np.ndarray
+    point: _Point
     cg_iterations: int
     newton_steps: int
     converged: bool
@@ -350,124 +366,137 @@ class _MinimizeResult:
     message: str = ""
 
 
-# Why a CG run stopped, besides convergence, and how a message puts it.
+# Why a CG run stopped, besides convergence, and how a message puts it;
+# Newton's backtracking also stops on "trial-recedes".
 _CG_STOPS = {
     "recedes": "found the objective unbounded below along the ray through the iterate",
+    "trial-recedes": "found the objective unbounded below along the ray through a trial point",
     "norm-cap": "saw the iterates diverge with the objective still decreasing",
     "stalled": "stalled in the line search",
     "limit": "hit the iteration limit",
 }
-_DIVERGED = ("recedes", "norm-cap")
+_DIVERGED = ("recedes", "trial-recedes", "norm-cap")
+
+
+class _TrialRecedes(Exception):
+    """A line search's trial point passed the recession test, which ends the run there."""
+
+    def __init__(self, point: _Point):
+        super().__init__()
+        self.point = point
 
 
 def _minimize_cg(
     obj: _Objective,
-    x0: np.ndarray,
+    start: _Point,
     cfg: ExpSolveConfig,
     budget: int,
     handoff: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, int, str]:
+) -> tuple[_Point, int, str]:
     """Polak-Ribiere+ conjugate gradients with periodic restarts.
 
     Takes at most ``budget`` steps and declares divergence once
-    ``|x| > DIVERGENCE_THRESHOLD * (1 + |x0|)``.  Returns the last
-    iterate, its gradient, the step count and why the run stopped:
+    ``|x| > DIVERGENCE_THRESHOLD * (1 + |x0|)``, or as soon as the start,
+    an iterate or a trial point of the line search passes the recession
+    test.  Returns the last point, the step count and why the run stopped:
     ``"converged"``, ``"handoff"`` (the gradient norm fell to ``handoff``
     times its starting value; 0 never hands off) or a key of ``_CG_STOPS``.
     """
-    q = len(x0)
-    restart_every = max(q, 10)
-    divergence_cap = DIVERGENCE_THRESHOLD * (1.0 + float(np.linalg.norm(x0)))
-
-    x = np.asarray(x0, dtype=float).copy()
-    f, g = obj.value_grad(x)
-    if not np.isfinite(f):
+    if not np.isfinite(start.f):
         raise ValueError("objective overflows at the starting point")
-    handoff_norm = handoff * float(np.linalg.norm(g))
+    restart_every = max(len(start.x), 10)
+    divergence_cap = DIVERGENCE_THRESHOLD * (1.0 + float(np.linalg.norm(start.x)))
+    handoff_norm = handoff * float(np.linalg.norm(start.g))
+    point = start
     since_restart = 0
-    d = -g
+    d = -point.g
     iterations = 0
 
     while iterations < budget:
+        x, f, g = point.x, point.f, point.g
         gnorm = float(np.linalg.norm(g))
         if gnorm <= cfg.gradient_tol:
-            return x, g, iterations, "converged"
-        if obj.recedes(x):
-            return x, g, iterations, "recedes"
+            return point, iterations, "converged"
+        if point.recedes:
+            return point, iterations, "recedes"
         if float(np.linalg.norm(x)) > divergence_cap:
-            return x, g, iterations, "norm-cap"
+            return point, iterations, "norm-cap"
         if gnorm <= handoff_norm:
-            return x, g, iterations, "handoff"
+            return point, iterations, "handoff"
         slope = float(g @ d)
         if slope >= 0:  # not a descent direction: restart on steepest descent
             d = -g
             slope = -gnorm**2
             since_restart = 0
 
-        state: dict = {}
+        probes: dict = {}
 
-        def fg_line(alpha, _state=state, _x=x, _d=d):
-            fa, ga = obj.value_grad(_x + alpha * _d)
-            if ga is not None:
-                _state[alpha] = (fa, ga)
-            return fa, np.inf if ga is None else float(ga @ _d)
+        def fg_line(alpha, _probes=probes, _x=x, _d=d):
+            probe = obj.evaluate(_x + alpha * _d)
+            if probe.recedes:
+                raise _TrialRecedes(probe)
+            _probes[alpha] = probe
+            return probe.f, np.inf if probe.g is None else float(probe.g @ _d)
 
         alpha0 = min(1.0, 2.0 * max(abs(f), 1.0) / max(gnorm**2, 1e-30)) if iterations == 0 else 1.0
-        alpha = _wolfe_search(fg_line, f, slope, SUFFICIENT_DECREASE, CURVATURE, alpha0)
         iterations += 1
+        try:
+            alpha = _wolfe_search(fg_line, f, slope, SUFFICIENT_DECREASE, CURVATURE, alpha0)
+        except _TrialRecedes as stop:
+            return stop.point, iterations, "trial-recedes"
         if alpha is None or alpha == 0.0:
-            return x, g, iterations, "stalled"
-        x = x + alpha * d
-        f_new, g_new = state.get(alpha, (None, None))
-        if g_new is None:
-            f_new, g_new = obj.value_grad(x)
+            return point, iterations, "stalled"
+        # every step the search accepts is one it evaluated with a finite value
+        point = probes[alpha]
         since_restart += 1
         if since_restart >= restart_every:
             beta = 0.0
             since_restart = 0
         else:
-            beta = max(0.0, float(g_new @ (g_new - g)) / max(float(g @ g), 1e-300))
-        d = -g_new + beta * d
-        f, g = f_new, g_new
+            beta = max(0.0, float(point.g @ (point.g - g)) / max(float(g @ g), 1e-300))
+        d = -point.g + beta * d
 
-    return x, g, iterations, "limit"
+    return point, iterations, "limit"
 
 
 def _newton_polish(
-    obj: _Objective, x: np.ndarray, g: np.ndarray, tol: float, max_steps: int = 50
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Damped Newton steps judged on the gradient norm (robust near the minimum)."""
+    obj: _Objective, point: _Point, tol: float, max_steps: int = 50
+) -> tuple[_Point, int]:
+    """Damped Newton steps judged on the gradient norm (robust near the minimum).
+
+    Returns the last point and the step count.  A trial point of the
+    backtracking that passes the recession test ends the run, and is
+    returned.
+    """
     steps = 0
-    gnorm = float(np.linalg.norm(g))
+    gnorm = float(np.linalg.norm(point.g))
     while gnorm > tol and steps < max_steps:
-        h = obj.hessian(x)
+        h = obj.hessian(point)
         ridge = 0.0
         for _ in range(6):
             try:
-                delta = np.linalg.solve(h + ridge * np.eye(len(x)), -g)
+                delta = np.linalg.solve(h + ridge * np.eye(len(point.x)), -point.g)
                 break
             except np.linalg.LinAlgError:
-                ridge = max(ridge * 10, 1e-12 * (1.0 + float(np.trace(h)) / len(x)))
+                ridge = max(ridge * 10, 1e-12 * (1.0 + float(np.trace(h)) / len(point.x)))
         else:
             break
-        improved = False
+        steps += 1
         alpha = 1.0
         for _ in range(30):
-            f_new, g_new = obj.value_grad(x + alpha * delta)
+            trial = obj.evaluate(point.x + alpha * delta)
+            if trial.recedes:
+                return trial, steps
             # a long step's gradient can overflow the norm: inf rejects it
             with np.errstate(over="ignore"):
-                trial = np.inf if g_new is None else float(np.linalg.norm(g_new))
-            if trial < gnorm:
-                x = x + alpha * delta
-                g = g_new
-                gnorm = trial
-                improved = True
+                trial_norm = np.inf if trial.g is None else float(np.linalg.norm(trial.g))
+            if trial_norm < gnorm:
+                point, gnorm = trial, trial_norm
                 break
             alpha *= 0.5
-        steps += 1
-        if not improved:
+        else:  # no step lowered the gradient norm
             break
-    return x, g, steps
+    return point, steps
 
 
 def _minimize(obj: _Objective, x0: np.ndarray, cfg: ExpSolveConfig) -> _MinimizeResult:
@@ -481,56 +510,64 @@ def _minimize(obj: _Objective, x0: np.ndarray, cfg: ExpSolveConfig) -> _Minimize
     followed by a Newton polish.  The resumed run measures the norm cap from
     Newton's point: on ill-conditioned data the minimizer can lie beyond the
     cap of the first start, and Newton may have walked most of the way there.
+    Every point either method evaluates is tested for recession, and the
+    first that passes ends the run as diverged.
     """
-    x, g, cg_steps, stop = _minimize_cg(obj, x0, cfg, cfg.max_iterations, NEWTON_HANDOFF)
+    point, cg_steps, stop = _minimize_cg(
+        obj, obj.evaluate(x0), cfg, cfg.max_iterations, NEWTON_HANDOFF
+    )
     newton_steps = 0
     phase = "CG"
     if stop == "handoff":
-        x, g, newton_steps = _newton_polish(obj, x, g, cfg.gradient_tol)
-        if float(np.linalg.norm(g)) <= cfg.gradient_tol:
-            return _MinimizeResult(x, g, cg_steps, newton_steps, True, False)
-        x, g, more, stop = _minimize_cg(obj, x, cfg, cfg.max_iterations - cg_steps)
+        point, newton_steps = _newton_polish(obj, point, cfg.gradient_tol)
+        if point.recedes:
+            message = f"Newton {_CG_STOPS['trial-recedes']}"
+            return _MinimizeResult(point, cg_steps, newton_steps, False, True, message)
+        if float(np.linalg.norm(point.g)) <= cfg.gradient_tol:
+            return _MinimizeResult(point, cg_steps, newton_steps, True, False)
+        point, more, stop = _minimize_cg(obj, point, cfg, cfg.max_iterations - cg_steps)
         cg_steps += more
         phase = "Newton stalled after hand-off; CG resumed and"
     if stop == "converged":
-        return _MinimizeResult(x, g, cg_steps, newton_steps, True, False)
+        return _MinimizeResult(point, cg_steps, newton_steps, True, False)
     message = f"{phase} {_CG_STOPS[stop]}"
     if stop in _DIVERGED:
-        return _MinimizeResult(x, g, cg_steps, newton_steps, False, True, message)
-    x, g, more = _newton_polish(obj, x, g, cfg.gradient_tol)
+        return _MinimizeResult(point, cg_steps, newton_steps, False, True, message)
+    point, more = _newton_polish(obj, point, cfg.gradient_tol)
     newton_steps += more
-    if float(np.linalg.norm(g)) <= cfg.gradient_tol:
-        return _MinimizeResult(x, g, cg_steps, newton_steps, True, False)
+    if point.recedes:
+        message += f"; Newton polish {_CG_STOPS['trial-recedes']}"
+        return _MinimizeResult(point, cg_steps, newton_steps, False, True, message)
+    if float(np.linalg.norm(point.g)) <= cfg.gradient_tol:
+        return _MinimizeResult(point, cg_steps, newton_steps, True, False)
     message += "; Newton polish did not converge"
-    return _MinimizeResult(x, g, cg_steps, newton_steps, False, False, message)
+    return _MinimizeResult(point, cg_steps, newton_steps, False, False, message)
 
 
 def _outcome_from_point(
-    sys: ConstraintSystem,
-    builder: Callable[[np.ndarray], np.ndarray],
-    result: _MinimizeResult,
+    sys: ConstraintSystem, obj: _Objective, result: _MinimizeResult
 ) -> SolveOutcome:
-    x = result.x
+    point = result.point
     if result.diverged:
         return SolveOutcome(
             status=SolveStatus.NO_STRICTLY_POSITIVE_SOLUTION,
             solution=None,
-            coefficients=x,
-            residuals=result.grad,
-            max_residual=float(np.max(np.abs(result.grad))),
+            coefficients=point.x,
+            residuals=point.g,
+            max_residual=float(np.max(np.abs(point.g))),
             min_eigenvalue=float("nan"),
             cg_iterations=result.cg_iterations,
             newton_steps=result.newton_steps,
             message=result.message,
         )
-    solution = builder(x)
+    solution = obj.solution(point)
     res = sys.residuals(solution)
     max_res = float(np.max(np.abs(res), initial=0.0))
     status = SolveStatus.FEASIBLE if result.converged else SolveStatus.ITERATION_LIMIT
     return SolveOutcome(
         status=status,
         solution=solution,
-        coefficients=x,
+        coefficients=point.x,
         residuals=res,
         max_residual=max_res,
         min_eigenvalue=linalg.min_eigenvalue(solution),
@@ -552,22 +589,18 @@ def solve_exp(
     ``X = exp(sum x C + s I)`` is positive definite by construction and
     its residuals equal the final gradient.  Divergence reports that no
     strictly positive solution exists (the potential is coercive exactly
-    when one does).  It is declared at the first iterate whose ray the
-    potential provably falls along without bound, or else when the iterates
-    outgrow ``DIVERGENCE_THRESHOLD``.
+    when one does).  It is declared at the first evaluated point, iterate
+    or line-search trial, whose ray the potential provably falls along
+    without bound, or else when the iterates outgrow
+    ``DIVERGENCE_THRESHOLD``.  The returned X is read off the eigenvalue
+    decomposition that evaluated the last point.
 
     Hitting the iteration cap is a soft outcome.
     """
     cfg = cfg or ExpSolveConfig()
     obj = _exp_objective(sys, EXPONENT_OFFSET)
     start = np.zeros(sys.q) if x0 is None else np.asarray(x0, dtype=float).copy()
-    result = _minimize(obj, start, cfg)
-
-    def build(x):
-        s = linalg.hermitian_part(sys.aggregate(x)) + EXPONENT_OFFSET * np.eye(sys.p)
-        return linalg.expm_herm(s)
-
-    return _outcome_from_point(sys, build, result)
+    return _outcome_from_point(sys, obj, _minimize(obj, start, cfg))
 
 
 def solve_barrier(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> SolveOutcome:
@@ -580,13 +613,8 @@ def solve_barrier(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> S
     strictly positive solution exists.
     """
     cfg = cfg or ExpSolveConfig()
-    result = _minimize(_barrier_objective(sys), np.zeros(sys.q), cfg)
-
-    def build(y):
-        k = _barrier_factor(sys, y)
-        return k.conj().T @ k
-
-    return _outcome_from_point(sys, build, result)
+    obj = _barrier_objective(sys)
+    return _outcome_from_point(sys, obj, _minimize(obj, np.zeros(sys.q), cfg))
 
 
 def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> SolveOutcome:
@@ -618,12 +646,7 @@ def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> 
     targets = sys.targets[active]
 
     obj = _diag_objective(coeffs, targets)
-    result = _minimize(obj, np.zeros(len(targets)), cfg)
-
-    def build(x):
-        return np.diag(np.exp(coeffs.T @ x + EXPONENT_OFFSET)).astype(complex)
-
-    outcome = _outcome_from_point(sys, build, result)
+    outcome = _outcome_from_point(sys, obj, _minimize(obj, np.zeros(len(targets)), cfg))
     if outcome.coefficients is not None:
         full = np.zeros(sys.q)
         full[active] = outcome.coefficients

@@ -11,7 +11,12 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 from cpinterp import cli
+from cpinterp.constraints import ProblemInstance
+from cpinterp.reports import instance_to_jsonable
+from helpers import planted_instance
 
 ROOT = Path(__file__).parent.parent
 GOLDEN_INSTANCE = ROOT / "golden" / "qubit_pair.json"
@@ -88,3 +93,22 @@ def test_traced_certify_observes_what_the_search_found(tmp_path, capsys):
     assert spans.calls["certify.search"] == 1
     assert spans.observed["certify.search", "found"] == [True]
     assert json.loads(out.read_text())["certificate"]["source"] == "search"
+
+
+def test_traced_certify_of_planted_infeasible_data_bounds_its_eigh_calls(tmp_path, capsys):
+    # the benchmark's infeasible-certify recipe: planted n = 3 data plus the
+    # pair (I, -I).  The exp solves end at the first point, iterate or
+    # line-search trial, that passes the recession test, and each point is
+    # factored by one eigh; testing recession only at iterates took 49 here
+    inst, _ = planted_instance(np.random.default_rng(0), 3, 3, 3)
+    eye = np.eye(3, dtype=complex)
+    instance = tmp_path / "planted_infeasible.json"
+    doc = instance_to_jsonable(ProblemInstance(3, 3, inst.pairs + [(eye, -eye)]))
+    instance.write_text(json.dumps(doc))
+    tracer = load_tracer()
+    spans = tracer.Tracer()
+    out = tmp_path / "report.json"
+    code, _ = spans.call(cli.main, ["certify", str(instance), "--out", str(out)])
+    assert code == cli.EXIT_CERTIFIED_INFEASIBLE
+    assert capsys.readouterr().out == ""
+    assert spans.calls["kernel.eigh"] <= 25

@@ -237,7 +237,7 @@ def assert_exact_yes(sys, check):
     assert np.linalg.eigvalsh(combo)[0] == pytest.approx(check.best_min_eigenvalue)
 
 
-@pytest.mark.parametrize("seed, draw, mineig", [(7, 11, 0.036), (8, 1, 0.014)])
+@pytest.mark.parametrize("seed, draw, mineig", [(7, 11, 0.032), (8, 1, 0.014)])
 def test_span_check_finds_a_positive_combination_an_ascent_missed(seed, draw, mineig):
     # a supergradient ascent from the identity fit and 3 seeded starts
     # reached -0.048 and -0.141 on these systems
@@ -262,12 +262,37 @@ def solves(monkeypatch):
 
 
 def test_span_check_reads_the_witness_of_a_solve_that_hit_its_limit(solves):
-    # the iterate runs off to |x| ~ 1e15 without the recession test firing
-    sys = planted_draw(5, (3, 3, 3), 59)
-    check = span_contains_positive(sys)
+    # one CG step, then 14 Newton steps that neither converge nor reach a
+    # point that passes the recession test
+    sys = planted_draw(5, (3, 3, 3), 23)
+    check = span_contains_positive(sys, ExpSolveConfig(max_iterations=1))
     assert [o.status for _, o in solves] == [SolveStatus.ITERATION_LIMIT]
     assert_exact_yes(sys, check)
     assert check.source is SpanSource.DIVERGENCE_RAY
+
+
+@pytest.mark.parametrize("seed, draw", [(7, 9), (8, 1)])
+def test_span_check_ends_newton_on_a_receding_trial_point(solves, seed, draw):
+    # these solves used to take 50 Newton steps before CG, resumed, found the
+    # ray; Newton's backtracking passes a point on it within a few steps
+    sys = planted_draw(seed, (4, 4, 6), draw)
+    check = span_contains_positive(sys)
+    [(_, outcome)] = solves
+    assert outcome.status is SolveStatus.NO_STRICTLY_POSITIVE_SOLUTION
+    assert outcome.newton_steps <= 10
+    assert_exact_yes(sys, check)
+    assert check.source is SpanSource.DIVERGENCE_RAY
+
+
+@pytest.mark.parametrize("draw", [59, 53])
+def test_span_check_solve_diverges_before_round_off_hides_the_ray(solves, draw):
+    # these solves used to run to |x| ~ 1e15-1e16, where round-off in sum x C
+    # exceeds the ray's margin, and end on the iteration cap
+    sys = planted_draw(5, (3, 3, 3), draw)
+    span_contains_positive(sys)
+    [(_, outcome)] = solves
+    assert outcome.status is SolveStatus.NO_STRICTLY_POSITIVE_SOLUTION
+    assert np.linalg.norm(outcome.coefficients) < 1e3
 
 
 def test_span_check_sources():

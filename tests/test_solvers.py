@@ -106,8 +106,21 @@ def fd_hessian(obj, x, step=1e-5):
     for i in range(len(x)):
         e = np.zeros(len(x))
         e[i] = step
-        out[:, i] = (obj.value_grad(x + e)[1] - obj.value_grad(x - e)[1]) / (2 * step)
+        out[:, i] = (obj.evaluate(x + e).g - obj.evaluate(x - e).g) / (2 * step)
     return out
+
+
+def assert_hessian_matches_fd(obj, x, other):
+    """The Hessian at x equals finite differences both when x is evaluated
+    fresh and when its point is read after the objective evaluated ``other``,
+    so neither case can be served another point's factorization."""
+    fd = fd_hessian(obj, x)
+    assert np.all(np.isfinite(fd))
+    fresh = obj.hessian(obj.evaluate(x))  # x itself was never evaluated
+    at_x = obj.evaluate(x)
+    obj.evaluate(other)
+    for h in (fresh, obj.hessian(at_x)):
+        assert np.linalg.norm(h - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 def test_exp_hessian_matches_finite_differences():
@@ -131,10 +144,8 @@ def test_exp_hessian_matches_finite_differences():
     for sys in (pruned, reduced):
         obj = _exp_objective(sys, EXPONENT_OFFSET)
         for _ in range(3):
-            x = rng.uniform(-0.3, 0.3, size=sys.q)
-            h = obj.hessian(x)
-            fd = fd_hessian(obj, x)
-            assert np.linalg.norm(h - fd) <= 1e-6 * np.linalg.norm(fd)
+            x, other = rng.uniform(-0.3, 0.3, size=(2, sys.q))
+            assert_hessian_matches_fd(obj, x, other)
 
 
 def test_barrier_hessian_matches_finite_differences():
@@ -144,13 +155,11 @@ def test_barrier_hessian_matches_finite_differences():
     for sys in (golden_system(), random_system(rng, 4, 6)):
         obj = _barrier_objective(sys)
         for _ in range(3):
-            y = rng.uniform(-1.0, 1.0, size=sys.q)
-            # scale y into the domain: |sum y C| <= 1/2, so I - sum y C >= I/2
-            y *= 0.5 / np.abs(np.linalg.eigvalsh(sys.aggregate(y))).max()
-            h = obj.hessian(y)
-            fd = fd_hessian(obj, y)
-            assert np.all(np.isfinite(fd))
-            assert np.linalg.norm(h - fd) <= 1e-6 * np.linalg.norm(fd)
+            y, other = rng.uniform(-1.0, 1.0, size=(2, sys.q))
+            # scale both into the domain: |sum y C| <= 1/2, so I - sum y C >= I/2
+            for v in (y, other):
+                v *= 0.5 / np.abs(np.linalg.eigvalsh(sys.aggregate(v))).max()
+            assert_hessian_matches_fd(obj, y, other)
 
 
 def test_diagonal_hessian_matches_finite_differences():
@@ -161,10 +170,8 @@ def test_diagonal_hessian_matches_finite_differences():
     targets = coeffs @ np.exp(rng.uniform(-1.0, 1.0, size=8))
     obj = _diag_objective(coeffs, targets)
     for _ in range(3):
-        x = rng.uniform(-0.3, 0.3, size=5)
-        h = obj.hessian(x)
-        fd = fd_hessian(obj, x)
-        assert np.linalg.norm(h - fd) <= 1e-6 * np.linalg.norm(fd)
+        x, other = rng.uniform(-0.3, 0.3, size=(2, 5))
+        assert_hessian_matches_fd(obj, x, other)
 
 
 def test_potential_overflow_is_diagnosed():
@@ -307,9 +314,9 @@ def test_solve_diagonal_hands_planted_data_to_newton():
 
 
 def test_solve_exp_keeps_planted_infeasible_data_on_cg():
-    # planted data plus (I, -I): the recession test fires before the
-    # gradient falls to the hand-off, so these runs never reach Newton;
-    # they take at most 19 CG steps here
+    # planted data plus (I, -I): the recession test fires at a trial point
+    # of CG's line search before the gradient falls to the hand-off, so
+    # these runs never reach Newton; they take at most 19 CG steps here
     rng = np.random.default_rng(405)
     eye = np.eye(3, dtype=complex)
     for _ in range(40):
@@ -319,7 +326,9 @@ def test_solve_exp_keeps_planted_infeasible_data_on_cg():
         assert out.status is SolveStatus.NO_STRICTLY_POSITIVE_SOLUTION
         assert out.newton_steps == 0
         assert out.cg_iterations <= 25
-        assert out.message.startswith("CG found the objective unbounded below")
+        assert out.message == (
+            "CG found the objective unbounded below along the ray through a trial point"
+        )
 
 
 def test_solve_exp_resumes_cg_when_newton_stalls(monkeypatch):
@@ -327,7 +336,7 @@ def test_solve_exp_resumes_cg_when_newton_stalls(monkeypatch):
 
     sys = golden_system()
     handoff = solve_exp(sys).cg_iterations
-    monkeypatch.setattr(solvers, "_newton_polish", lambda obj, x, g, tol: (x, g, 0))
+    monkeypatch.setattr(solvers, "_newton_polish", lambda obj, point, tol: (point, 0))
     out = solve_exp(sys, ExpSolveConfig(max_iterations=handoff + 1))
     # the resumed CG gets only what is left of the budget
     assert out.status is SolveStatus.ITERATION_LIMIT
@@ -360,7 +369,7 @@ def test_solve_exp_iteration_limit_is_soft(monkeypatch):
     from cpinterp import solvers
 
     sys = golden_system()
-    monkeypatch.setattr(solvers, "_newton_polish", lambda obj, x, g, tol: (x, g, 0))
+    monkeypatch.setattr(solvers, "_newton_polish", lambda obj, point, tol: (point, 0))
     out = solve_exp(sys, ExpSolveConfig(max_iterations=1))
     assert out.status is SolveStatus.ITERATION_LIMIT
     assert out.solution is not None  # best iterate still reported
