@@ -92,10 +92,13 @@ class ConstraintSystem:
 
     ``matrices`` has shape (q, p, p) and is stored C-contiguous, so ``flat``
     is a (q, p*p) view of the same memory: row i is C(i) read row by row.
-    The trace pairings ``tr(C(i) X)``, the combinations ``sum_i x_i C(i)``
-    and the Gram matrix are then single GEMV/GEMM calls on ``flat``.
-    ``targets`` has shape (q,).  ``provenance`` tracks the origin of every
-    row for reporting.
+    The trace pairings ``tr(C(i) X)`` and the combinations
+    ``sum_i x_i C(i)`` are single complex GEMV calls on ``flat``.  Every
+    C(i) must be exactly Hermitian (a ``ValueError`` otherwise), since the
+    Gram matrix, prune and the Newton Hessians read C(i) through its p^2
+    real Hermitian coordinates (``linalg.hermitian_coordinates``): its
+    diagonal and upper triangle.  ``targets`` has shape (q,).
+    ``provenance`` tracks the origin of every row for reporting.
     """
 
     p: int
@@ -115,6 +118,11 @@ class ConstraintSystem:
             self.provenance = [
                 Provenance("value", (i + 1,)) for i in range(len(self.targets))
             ]
+        # exact equality: a tolerance test through np.abs costs 3-4 times as much
+        adjoint = self.matrices.transpose(0, 2, 1).conj()
+        if not np.array_equal(self.matrices, adjoint):
+            i = int(np.flatnonzero(np.any(self.matrices != adjoint, axis=(1, 2)))[0])
+            raise ValueError(f"constraint {self.provenance[i]} is not Hermitian")
 
     @property
     def q(self) -> int:
@@ -138,14 +146,12 @@ class ConstraintSystem:
         return (np.asarray(coeffs, dtype=float) @ self.flat).reshape(self.p, self.p)
 
     def gram(self) -> np.ndarray:
-        """Real Gram matrix of the constraints in the trace inner product.
+        """Real Gram matrix ``tr(C(a) C(b))`` of the constraints.
 
-        ``tr(C(a) C(b))`` equals the Frobenius product of C(a) and C(b)
-        because every C(b) is selfadjoint.  Its real part is the real inner
-        product of the interleaved (re, im) rows: one SYRK, exactly symmetric.
+        One SYRK of the rows' Hermitian coordinates, exactly symmetric.
         """
-        flat = self.flat.view(float)
-        return flat @ flat.T
+        coords = linalg.hermitian_coordinates(self.matrices)
+        return coords @ coords.T
 
 
 @dataclass
@@ -343,12 +349,12 @@ def _stacked(p: int, blocks: list) -> ConstraintSystem:
 def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> ConstraintSystem:
     """Keep a maximal real-linearly-independent subset, in order.
 
-    Row i is read as the real vector of the real and imaginary parts of
-    C(i)'s entries, whose dot products are the trace pairings, scaled with its
-    target to unit norm, so that no row's scale decides another's fate.  A
-    row is dropped when the squared norm of its residual after projecting out
-    the kept rows before it falls below ``tol``: it is then a real
-    combination of those rows.
+    Row i is read as the real vector of C(i)'s p^2 Hermitian coordinates
+    (``linalg.hermitian_coordinates``), whose dot products are the trace
+    pairings, scaled with its target to unit norm, so that no row's scale
+    decides another's fate.  A row is dropped when the squared norm of its
+    residual after projecting out the kept rows before it falls below
+    ``tol``: it is then a real combination of those rows.
 
     The pivots come from Householder QR of the rows taken as columns.  An
     unpivoted QR measures each column against all earlier columns, dropped
@@ -370,12 +376,12 @@ def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> Cons
     (1 + ||c||_1)``, with b the scaled targets, the whole system is
     contradictory, and an ``InconsistentSystemError`` with a certificate in
     the unscaled rows is raised.  A system of no constraints (every pair of
-    an instance is zero) is returned as it is.
+    an instance is zero), and one that keeps every row, is returned as it is.
     """
     if sys.q == 0:
         return sys
     # r factors the rows in ``cols`` (as columns); its first ``start`` are kept
-    r = np.linalg.qr(sys.flat.view(float).T, mode="r")
+    r = np.linalg.qr(linalg.hermitian_coordinates(sys.matrices).T, mode="r")
     # R's columns have the rows' norms, and scaling them is the QR of the scaled rows
     scale = np.sqrt(np.sum(r * r, axis=0))
     if np.max(scale) == 0.0:
@@ -424,6 +430,8 @@ def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> Cons
             cert,
             sys.provenance[i],
         )
+    if len(cols) == sys.q:
+        return sys
     return ConstraintSystem(
         sys.p,
         sys.matrices[cols],

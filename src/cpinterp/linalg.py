@@ -8,6 +8,7 @@ a relative policy of ``1e-10 * (1 + Frobenius norm)``.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -68,21 +69,6 @@ def herm_eig(h: np.ndarray) -> EigDecomp:
     return EigDecomp(w, u)
 
 
-def expm_herm(h: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a Hermitian matrix via eigendecomposition.
-
-    The result is exactly Hermitian (symmetrized reconstruction) and strictly
-    positive definite.  Raises ``OverflowError`` when the top of the spectrum
-    exceeds the double-precision exponential range.
-    """
-    w, u = herm_eig(h)
-    if w[-1] > EXP_ARG_LIMIT:
-        raise OverflowError(
-            f"eigenvalue {w[-1]:.6g} exceeds the exp() range of double precision"
-        )
-    return hermitian_part((u * np.exp(w)) @ u.conj().T)
-
-
 def min_eigenvalue(h: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     return float(np.linalg.eigvalsh(hermitian_part(as_complex_matrix(h)))[0])
@@ -108,3 +94,44 @@ def joint_support(stack: np.ndarray, diagonal: bool = False) -> tuple[np.ndarray
         _, sigma, vh = np.linalg.svd(stack, full_matrices=False)
     above = sigma > scale_tol(stack)
     return vh[above].conj().T, vh[~above].conj().T
+
+
+@functools.cache
+def _hermitian_index(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the p^2 real coordinates of a p x p Hermitian matrix sit.
+
+    Returns their positions in the interleaved (re, im) view of the
+    flattened matrix, the flat position of each one's entry, and their
+    scales: the real diagonal, then sqrt(2) times the real parts and the
+    imaginary parts of the strict upper triangle.
+    """
+    rows, cols = np.triu_indices(p, 1)
+    entry = np.concatenate([np.arange(p) * (p + 1), rows * p + cols, rows * p + cols])
+    part = np.repeat([0, 0, 1], [p, len(rows), len(rows)])
+    scale = np.repeat([1.0, np.sqrt(2.0)], [p, 2 * len(rows)])
+    index = (2 * entry + part, entry, scale)
+    for a in index:
+        a.flags.writeable = False
+    return index
+
+
+def hermitian_coordinates(stack: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Real coordinates of a (m, p, p) stack of Hermitian matrices, shape (m, p^2).
+
+    The dot product of rows i and j is ``tr(C_i C_j)``, the real trace
+    pairing: p^2 coordinates, half those of the interleaved (re, im) view.
+    Only the real diagonal and the strict upper triangle are read, so a
+    matrix that is Hermitian only up to round-off counts as the Hermitian
+    matrix with that upper triangle.  With symmetric positive p x p
+    ``weights`` phi, each coordinate is scaled by ``sqrt(phi_ab)``, so the
+    dot product becomes ``sum_ab phi_ab Re(C_i[a, b] conj(C_j[a, b]))``.
+    """
+    m, p = stack.shape[0], stack.shape[-1]
+    where, entry, scale = _hermitian_index(p)
+    if weights is not None:
+        scale = scale * np.sqrt(weights.ravel()[entry])
+    flat = np.ascontiguousarray(stack, dtype=complex).reshape(m, p * p).view(float)
+    # take, unlike fancy indexing, gives a C-contiguous result for the SYRK
+    coords = np.take(flat, where, axis=1)
+    coords *= scale
+    return coords

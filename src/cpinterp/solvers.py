@@ -240,10 +240,11 @@ def _exp_objective(sys: ConstraintSystem, offset: float) -> _Objective:
         near = np.abs(dw) < 1e-12
         dw_safe = np.where(near, 1.0, dw)
         phi = np.where(near, (ew[:, None] + ew[None, :]) / 2, (ew[:, None] - ew[None, :]) / dw_safe)
-        # H_ij = Re sum_ab phi_ab (U^* C(i) U)_ab conj((U^* C(j) U)_ab); phi
-        # is real, so this is a real GEMM on the interleaved (re, im) parts
-        rot = (u.conj().T @ mats @ u).view(np.float64).reshape(sys.q, -1)
-        return (rot * np.repeat(phi.ravel(), 2)) @ rot.T
+        # H_ij = Re sum_ab phi_ab (U^* C(i) U)_ab conj((U^* C(j) U)_ab), and
+        # phi is symmetric and positive (exp is increasing), so H is one SYRK
+        # of the rotated rows' Hermitian coordinates, each scaled by sqrt(phi)
+        rot = linalg.hermitian_coordinates(u.conj().T @ mats @ u, phi)
+        return rot @ rot.T
 
     return _Objective(evaluate, hessian, lambda point: linalg.hermitian_part(point.factor[2]))
 
@@ -255,7 +256,7 @@ def _barrier_objective(sys: ConstraintSystem) -> _Objective:
     ``Z = L L^*``, so that ``X = Z^{-1} = K^* K``; y is outside the domain
     when Z is not positive definite.  The gradient is ``tr(C(i) X) - b_i``
     and the Hessian ``tr(X C(i) X C(j))``, the Gram matrix of the
-    ``K C(i) K^*``.
+    ``K C(i) K^*``: one SYRK of their Hermitian coordinates.
 
     The recession test, shared with the exp potential, is ``sum y C <= 0``
     and ``b . y > 0``: along ``t y`` the term ``-t b . y`` then falls without
@@ -283,7 +284,7 @@ def _barrier_objective(sys: ConstraintSystem) -> _Objective:
 
     def hessian(point):
         k, _ = point.factor
-        rot = (k @ sys.matrices @ k.conj().T).view(np.float64).reshape(sys.q, -1)
+        rot = linalg.hermitian_coordinates(k @ sys.matrices @ k.conj().T)
         return rot @ rot.T
 
     return _Objective(evaluate, hessian, lambda point: point.factor[1])
@@ -626,10 +627,7 @@ def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> 
     matrix exponential is entrywise on the diagonal.
     """
     cfg = cfg or ExpSolveConfig()
-    diag = np.diagonal(sys.matrices, axis1=1, axis2=2)
-    if float(np.max(np.abs(diag.imag), initial=0.0)) > 1e-12:
-        raise ValueError("constraint matrices are not selfadjoint")
-    diag = diag.real.copy()
+    diag = np.diagonal(sys.matrices, axis1=1, axis2=2).real.copy()
     mass = np.abs(sys.flat)
     scale = 1e-12 * (1.0 + float(np.max(mass, initial=0.0)))
     # off-diagonal mass of every row: one GEMV on the squared magnitudes
@@ -664,22 +662,14 @@ def project_affine(x: np.ndarray, sys: ConstraintSystem) -> np.ndarray:
     x = linalg.hermitian_part(linalg.as_complex_matrix(x, "candidate"))
     gram = sys.gram()
     try:
-        chol = np.linalg.cholesky(gram)
+        pivots = np.diag(np.linalg.cholesky(gram))
     except np.linalg.LinAlgError:
-        chol = None
+        pivots = np.zeros(1)
     # rank deficiency shows up as Cholesky pivots at the sqrt(machine eps) scale
-    pivots = None if chol is None else np.diag(chol)
-    if chol is None or not np.all(pivots > 1e-6 * np.max(pivots, initial=0.0)):
+    if not np.all(pivots > 1e-6 * np.max(pivots, initial=0.0)):
         raise ValueError(
             "Gram matrix is singular; run prune_dependent before projecting"
         )
     for _ in range(2):  # one refinement pass reaches machine precision
-        res = sys.residuals(x)
-        y = _chol_solve(chol, res)
-        x = x - sys.aggregate(y)
+        x = x - sys.aggregate(np.linalg.solve(gram, sys.residuals(x)))
     return linalg.hermitian_part(x)
-
-
-def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    z = np.linalg.solve(chol, rhs)
-    return np.linalg.solve(chol.conj().T, z)

@@ -56,27 +56,6 @@ def random_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def expm_taylor(h: np.ndarray, terms: int = 12) -> np.ndarray:
-    """Truncated power series of exp(h); accurate for small norms."""
-    p = h.shape[0]
-    out = np.eye(p, dtype=complex)
-    term = np.eye(p, dtype=complex)
-    for j in range(1, terms + 1):
-        term = term @ h / j
-        out = out + term
-    return out
-
-
-def expm_series_squared(h: np.ndarray) -> np.ndarray:
-    """Independent matrix exponential: scale to tiny norm, Taylor, square back."""
-    norm = np.linalg.norm(h)
-    s = max(0, int(np.ceil(np.log2(max(norm, 1e-16) / 0.05))))
-    small = expm_taylor(h / 2**s, terms=20)
-    for _ in range(s):
-        small = small @ small
-    return small
-
-
 def planted_instance(
     rng: np.random.Generator,
     n: int,

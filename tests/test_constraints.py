@@ -233,11 +233,25 @@ def base_system(mats, targets):
     return ConstraintSystem(mats.shape[1], mats, np.asarray(targets, dtype=float))
 
 
+def test_a_row_that_is_not_hermitian_raises():
+    c = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValueError, match=r"value\(2\) is not Hermitian"):
+        base_system([np.eye(2), c], [1.0, 1.0])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        base_system([np.diag([1.0, 1.0 + 1e-300j])], [1.0])
+
+
 def test_prune_removes_duplicates():
     c = np.diag([1.0, 2.0]).astype(complex)
     sys = base_system([c, c], [1.0, 1.0])
     pruned = prune_dependent(sys)
     assert pruned.q == 1
+
+
+def test_prune_returns_a_system_that_keeps_every_row_as_it_is():
+    rng = np.random.default_rng(24)
+    sys = base_system([random_hermitian(rng, 3) for _ in range(4)], [1.0, 2.0, 3.0, 4.0])
+    assert prune_dependent(sys) is sys
 
 
 def test_prune_flags_contradictory_duplicates():

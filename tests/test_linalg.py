@@ -3,7 +3,7 @@ import pytest
 
 from cpinterp import linalg
 from cpinterp.constraints import ConstraintSystem
-from helpers import A1, X_REF, expm_taylor, random_hermitian
+from helpers import A1, X_REF, random_hermitian
 
 
 def unit(p, i, j):
@@ -80,40 +80,6 @@ def test_herm_eig_spectrum_unitary_invariance():
     w1, _ = linalg.herm_eig(h)
     w2, _ = linalg.herm_eig(u @ h @ u.conj().T)
     assert np.abs(w1 - w2).max() < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# expm_herm
-
-
-def test_expm_zero_is_identity():
-    assert np.abs(linalg.expm_herm(np.zeros((4, 4))) - np.eye(4)).max() < 1e-15
-
-
-def test_expm_diagonal():
-    out = linalg.expm_herm(np.diag([1.0, 2.0]))
-    assert np.allclose(np.diag(out), [np.e, np.e**2])
-
-
-def test_expm_matches_truncated_series():
-    rng = np.random.default_rng(21)
-    h = random_hermitian(rng, 5)
-    h *= 0.1 / np.linalg.norm(h)
-    assert np.abs(linalg.expm_herm(h) - expm_taylor(h, 12)).max() < 1e-12
-
-
-def test_expm_commutes_and_determinant():
-    rng = np.random.default_rng(22)
-    h = random_hermitian(rng, 4)
-    e = linalg.expm_herm(h)
-    assert np.abs(e @ h - h @ e).max() < 1e-12 * (1 + np.abs(e).max())
-    det = np.linalg.det(e).real
-    assert abs(det - np.exp(np.trace(h).real)) < 1e-10 * abs(det)
-
-
-def test_expm_overflow_raises():
-    with pytest.raises(OverflowError):
-        linalg.expm_herm(np.diag([800.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -211,3 +177,38 @@ def test_common_nullspace_membership_property():
     # the two bases together form a unitary
     both = np.hstack([support, basis])
     assert np.abs(both.conj().T @ both - np.eye(5)).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# hermitian_coordinates
+
+
+def random_hermitian_stack(rng, m, p):
+    return np.array([random_hermitian(rng, p) for _ in range(m)])
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_hermitian_coordinates_give_the_trace_pairing(p):
+    rng = np.random.default_rng(40 + p)
+    stack = random_hermitian_stack(rng, 6, p)
+    coords = linalg.hermitian_coordinates(stack)
+    assert coords.shape == (6, p * p)
+    oracle = np.einsum("iab,jba->ij", stack, stack).real  # Re tr(C_i C_j)
+    assert np.abs(coords @ coords.T - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def test_hermitian_coordinates_of_an_empty_stack():
+    coords = linalg.hermitian_coordinates(np.zeros((0, 3, 3), dtype=complex))
+    assert coords.shape == (0, 9)
+    assert (coords @ coords.T).shape == (0, 0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_weighted_hermitian_coordinates(p):
+    rng = np.random.default_rng(50 + p)
+    stack = random_hermitian_stack(rng, 5, p)
+    phi = rng.uniform(0.1, 2.0, size=(p, p))
+    phi = phi + phi.T
+    coords = linalg.hermitian_coordinates(stack, phi)
+    oracle = np.einsum("ab,iab,jab->ij", phi, stack, stack.conj()).real
+    assert np.abs(coords @ coords.T - oracle).max() <= 1e-13 * np.abs(oracle).max()

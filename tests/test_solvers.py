@@ -162,6 +162,36 @@ def test_barrier_hessian_matches_finite_differences():
             assert_hessian_matches_fd(obj, y, other)
 
 
+def test_exp_hessian_at_zero_matches_the_interleaved_formula():
+    from cpinterp.solvers import _exp_objective
+
+    # at x = 0 every eigenvalue of sum x C + s I is s: the equal-eigenvalue branch
+    rng = np.random.default_rng(60)
+    for sys in (golden_system(), random_system(rng, 5, 12)):
+        obj = _exp_objective(sys, EXPONENT_OFFSET)
+        point = obj.evaluate(np.zeros(sys.q))
+        w, u, _ = point.factor
+        assert np.all(w == w[0])
+        phi = np.full((sys.p, sys.p), np.exp(w[0]))
+        rot = (u.conj().T @ sys.matrices @ u).view(float).reshape(sys.q, -1)
+        interleaved = (rot * np.repeat(phi.ravel(), 2)) @ rot.T
+        h = obj.hessian(point)
+        assert np.abs(h - interleaved).max() <= 1e-13 * np.abs(interleaved).max()
+        assert np.array_equal(h, h.T)
+
+
+def test_barrier_hessian_is_exactly_symmetric():
+    from cpinterp.solvers import _barrier_objective
+
+    rng = np.random.default_rng(61)
+    for sys in (golden_system(), random_system(rng, 5, 12)):
+        obj = _barrier_objective(sys)
+        y = rng.uniform(-1.0, 1.0, size=sys.q)
+        y *= 0.5 / np.abs(np.linalg.eigvalsh(sys.aggregate(y))).max()
+        h = obj.hessian(obj.evaluate(y))
+        assert np.array_equal(h, h.T)
+
+
 def test_diagonal_hessian_matches_finite_differences():
     from cpinterp.solvers import _diag_objective
 
