@@ -35,8 +35,7 @@ import numpy as np
 from . import linalg
 from .constraints import ConstraintSystem, InconsistentSystemError, prune_dependent
 from .solvers import ExpSolveConfig, SolveOutcome, SolveStatus, solve_exp
-
-DEFAULT_VALIDATION_TOL = 1e-9
+from .tolerances import MARGINAL_FACTOR, REPAIR_FRACTION, VALIDATION_TOL
 
 
 class CertificateKind(enum.Enum):
@@ -168,7 +167,7 @@ def _strongest_kind(
 
 
 def validate(
-    cert: Certificate, sys: ConstraintSystem, tol: float = DEFAULT_VALIDATION_TOL
+    cert: Certificate, sys: ConstraintSystem, tol: float = VALIDATION_TOL
 ) -> bool:
     """Exact check of a certificate against a system.
 
@@ -235,12 +234,13 @@ def _penalized_descent(
     return x
 
 
-def _repair_into_cone(sys: ConstraintSystem, x: np.ndarray, tol: float) -> np.ndarray:
-    """Push a near-certificate onto the PSD cone by minimizing the hinge alone."""
+def _repair_into_cone(sys: ConstraintSystem, x: np.ndarray) -> np.ndarray:
+    """Push a near-certificate onto the PSD cone by minimizing the hinge alone,
+    until its least eigenvalue is at least ``-REPAIR_FRACTION * VALIDATION_TOL``."""
     lr = 0.1
     mineig, u = _min_eig_pair(sys.aggregate(x))
     for _ in range(200):
-        if mineig >= -tol / 2:
+        if mineig >= -REPAIR_FRACTION * VALIDATION_TOL:
             break
         eig_grad = _eig_gradient(sys, u)
         g = -eig_grad
@@ -262,24 +262,20 @@ def _repair_into_cone(sys: ConstraintSystem, x: np.ndarray, tol: float) -> np.nd
 
 
 def _classify(
-    sys: ConstraintSystem, x: np.ndarray, tol: float, source: CertificateSource
+    sys: ConstraintSystem, x: np.ndarray, source: CertificateSource
 ) -> Certificate | None:
     """Build the strongest certificate the vector supports, if any."""
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         return None
     x = x / norm
-    kind, objective, mineig = _strongest_kind(sys, x, tol)
+    kind, objective, mineig = _strongest_kind(sys, x, VALIDATION_TOL)
     if kind is None:
         return None
     return Certificate(x, kind, objective, mineig, source)
 
 
-def ray_certificate(
-    sys: ConstraintSystem,
-    coefficients: np.ndarray | None,
-    tol: float = DEFAULT_VALIDATION_TOL,
-) -> Certificate | None:
+def ray_certificate(sys: ConstraintSystem, coefficients: np.ndarray | None) -> Certificate | None:
     """PSD-excluding certificate read off a solver's final point (exp or barrier).
 
     Classifies the normalized ``-coefficients``; when that misses the cone
@@ -295,21 +291,15 @@ def ray_certificate(
         return None
     ray = -np.asarray(coefficients, dtype=float) / norm
     source = CertificateSource.DIVERGENCE_RAY
-    cert = _classify(sys, ray, tol, source)
+    cert = _classify(sys, ray, source)
     if cert is None or cert.kind is not CertificateKind.EXCLUDES_PSD:
-        cert = _classify(sys, _repair_into_cone(sys, ray, tol), tol, source)
-    if (
-        cert is not None
-        and cert.kind is CertificateKind.EXCLUDES_PSD
-        and validate(cert, sys, tol)
-    ):
+        cert = _classify(sys, _repair_into_cone(sys, ray), source)
+    if cert is not None and cert.kind is CertificateKind.EXCLUDES_PSD and validate(cert, sys):
         return cert
     return None
 
 
-def search_certificate(
-    sys: ConstraintSystem, tol: float = DEFAULT_VALIDATION_TOL
-) -> Certificate | None:
+def search_certificate(sys: ConstraintSystem) -> Certificate | None:
     """Search for a certificate from fixed starts: ``+e_i`` and ``-e_i`` for
     every row, and ``-b/|b|`` when ``b != 0``.
 
@@ -332,9 +322,9 @@ def search_certificate(
     best: Certificate | None = None
     for x0 in starts:
         for x in (x0, _penalized_descent(sys, x0, rho0)):
-            for cand in (x, _repair_into_cone(sys, x, tol)):
-                cert = _classify(sys, cand, tol, source)
-                if cert is None or not validate(cert, sys, tol):  # defense in depth
+            for cand in (x, _repair_into_cone(sys, x)):
+                cert = _classify(sys, cand, source)
+                if cert is None or not validate(cert, sys):  # defense in depth
                     continue
                 if best is None or rank(cert) > rank(best):
                     best = cert
@@ -342,20 +332,17 @@ def search_certificate(
 
 
 def verdict(
-    sys: ConstraintSystem,
-    outcome: SolveOutcome,
-    strict: bool,
-    tol: float = DEFAULT_VALIDATION_TOL,
+    sys: ConstraintSystem, outcome: SolveOutcome, strict: bool
 ) -> tuple[FeasibilityStatus, Certificate | None]:
     """The status a solve outcome on ``sys`` earns, and its certificate.
 
     A feasible outcome stands unless ``strict`` asks for a strictly positive
     solution and the witness is marginal (least eigenvalue within
-    ``1e3 * tol`` of zero relative to its norm, as when the potential's
-    infimum is not attained).  Otherwise the certificate is the divergence
-    ray's, else the search's best; no search result ranks above a validated
-    PSD-excluding one, so skipping the search after the ray loses no
-    verdict.  PSD-excluding gives ``certified-infeasible``, PD-excluding
+    ``MARGINAL_FACTOR * VALIDATION_TOL`` of zero relative to its norm, as
+    when the potential's infimum is not attained).  Otherwise the
+    certificate is the divergence ray's, else the search's best; no search
+    result ranks above a validated PSD-excluding one, so skipping the search
+    after the ray loses no verdict.  PSD-excluding gives ``certified-infeasible``, PD-excluding
     ``certified-no-strict``; with none a feasible outcome stands and any
     other is ``undetermined``.
 
@@ -365,32 +352,31 @@ def verdict(
     when it certifies on the other.
     """
     if outcome.status is SolveStatus.FEASIBLE:
-        boundary = 1e3 * tol * (1.0 + float(np.linalg.norm(outcome.solution)))
+        boundary = MARGINAL_FACTOR * VALIDATION_TOL * (
+            1.0 + float(np.linalg.norm(outcome.solution))
+        )
         if not strict or outcome.min_eigenvalue > boundary:
             return FeasibilityStatus.FEASIBLE, None
         unproven = FeasibilityStatus.FEASIBLE
     else:
         unproven = FeasibilityStatus.UNDETERMINED
-    cert = ray_certificate(sys, outcome.coefficients, tol)
+    cert = ray_certificate(sys, outcome.coefficients)
     if cert is None:
-        cert = search_certificate(sys, tol)
+        cert = search_certificate(sys)
     if cert is None:
         return unproven, None
     return CERTIFIED_STATUS[cert.kind], cert
 
 
-def span_contains_positive(
-    sys: ConstraintSystem,
-    cfg: ExpSolveConfig | None = None,
-    tol: float = DEFAULT_VALIDATION_TOL,
-) -> SpanCheck:
+def span_contains_positive(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> SpanCheck:
     """Decide whether span{C(i)} holds a positive definite matrix.
 
     Exactly one holds (theorem of alternatives): some ``sum y C > 0``, or
     some ``X >= 0`` solving the rows of ``sys`` at target 0 and ``tr X = 1``.
     Prune finding the row ``(I, 1)`` dependent gives ``sum y C = c I`` with
     ``c > 0``; else y is ``-x`` for the final point x of the exp solve under
-    ``cfg``.  The answer is ``min eig(sum y C) > tol`` for the unit y.
+    ``cfg``.  The answer is ``min eig(sum y C) > VALIDATION_TOL`` for the
+    unit y.
     ``sys`` must be pruned: a row that prune drops raises ``ValueError``.
     """
     extended = ConstraintSystem(sys.p, np.concatenate([sys.matrices, np.eye(sys.p)[None]]),
@@ -411,13 +397,11 @@ def span_contains_positive(
         return SpanCheck(False, 0.0, None, source)
     y = y / norm
     mineig = linalg.min_eigenvalue(sys.aggregate(y))
-    return SpanCheck(mineig > tol, mineig, y, source)
+    return SpanCheck(mineig > VALIDATION_TOL, mineig, y, source)
 
 
 def feasibility_report(
-    sys: ConstraintSystem,
-    exp_config: ExpSolveConfig | None = None,
-    tol: float = DEFAULT_VALIDATION_TOL,
+    sys: ConstraintSystem, exp_config: ExpSolveConfig | None = None
 ) -> FeasibilityReport:
     """Solve with the exp potential and take the strict ``verdict``.
 
@@ -428,6 +412,6 @@ def feasibility_report(
     certificate cannot coexist.  ``sys`` must be pruned, for the span check.
     """
     outcome = solve_exp(sys, exp_config)
-    span = span_contains_positive(sys, exp_config, tol)
-    status, cert = verdict(sys, outcome, True, tol)
+    span = span_contains_positive(sys, exp_config)
+    status, cert = verdict(sys, outcome, True)
     return FeasibilityReport(status, outcome, cert, span)

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
+from .tolerances import RANK_RTOL
 
 
 @dataclass
@@ -139,7 +140,7 @@ def _fix_phase(u: np.ndarray) -> np.ndarray:
 def _rank_tol(eigenvalues: np.ndarray, tol: float | None) -> float:
     if tol is not None:
         return tol
-    return 1e-9 * max(float(eigenvalues[-1]), 0.0)
+    return RANK_RTOL * max(float(eigenvalues[-1]), 0.0)
 
 
 def choi_to_kraus(c: ChoiMatrix, tol: float | None = None) -> KrausSet:
@@ -149,7 +150,7 @@ def choi_to_kraus(c: ChoiMatrix, tol: float | None = None) -> KrausSet:
     ``conj(reshape(sqrt(lam) * u, (n, k)))``; the conjugation makes
     ``kraus_to_choi`` invert this exactly.  Eigenvector phases are fixed so
     the output is deterministic.  The default threshold is
-    ``1e-9 * max eigenvalue``.
+    ``RANK_RTOL * max eigenvalue``.
 
     Raises ``ValueError`` when the matrix is not PSD within ``tol``.
     """

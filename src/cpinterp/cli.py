@@ -41,6 +41,7 @@ from .solvers import (
     solve_exp,
     verify as verify_solution,
 )
+from .tolerances import KRAUS_FACTOR, VERIFY_TOL
 
 EXIT_FEASIBLE = 0
 EXIT_VERIFY_FAIL = 1
@@ -171,9 +172,8 @@ def _solve(
     if status is certify.FeasibilityStatus.FEASIBLE:
         x = embed_solution(outcome.solution, reduction)
         x = project_affine(x, pruned)
-        check = verify_solution(x, base, tol=max(options.tol, 1e-12))
-        # projection can nudge eigenvalues at the residual-tolerance scale
-        kraus_tol = 10.0 * options.tol * (1.0 + linalg.frobenius(x))
+        check = verify_solution(x, base)
+        kraus_tol = KRAUS_FACTOR * options.tol * (1.0 + linalg.frobenius(x))
         kraus = choi_to_kraus(ChoiMatrix(inst.n, inst.k, x), tol=kraus_tol)
         report["choi"] = reports.matrix_to_jsonable(x)
         report["kraus"] = [reports.matrix_to_jsonable(v) for v in kraus.elements]
@@ -248,7 +248,7 @@ def run_apply(report_path: str | Path, matrix_path: str | Path) -> np.ndarray:
     return apply_choi(ChoiMatrix(n, k, phi), a)
 
 
-def run_verify(report_path: str | Path, instance_path: str | Path, tol: float = 1e-8):
+def run_verify(report_path: str | Path, instance_path: str | Path, tol: float = VERIFY_TOL):
     """Independently re-check a report against its instance.
 
     Yields (check name, passed, detail) tuples, stopping after the first
@@ -444,7 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="independently re-check a report")
     p_verify.add_argument("report", help="report JSON file")
     p_verify.add_argument("instance", help="instance JSON file")
-    p_verify.add_argument("--tol", type=float, default=1e-8)
+    p_verify.add_argument("--tol", type=float, default=VERIFY_TOL,
+                          help=f"residual and eigenvalue tolerance (default {VERIFY_TOL:g})")
     return parser
 
 

@@ -29,12 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-
-# cut on the squared residual of a unit-norm row: below it, the row is dependent
-DEPENDENCE_RTOL = 1e-10
-
-# exact-structure detection (Hermitian data, diagonal matrices)
-STRUCTURE_RTOL = 1e-12
+from .tolerances import DEPENDENCE_RTOL, STRUCTURE_RTOL, TARGET_GAP_FACTOR
 
 
 @dataclass(frozen=True)
@@ -222,7 +217,7 @@ def _plan_rows(
     norm = np.where(sa, np.stack([np.zeros(len(t)), norms[:, 0]], axis=1), norms[:, 1:])
     emit = norm > STRUCTURE_RTOL * (1.0 + raw_scale)
     # tr(0 X) = b is contradictory unless b = 0
-    bad = ~emit & (np.abs(value) > 1e-12)
+    bad = ~emit & (np.abs(value) > STRUCTURE_RTOL)
     bad[:, 0] = np.where(
         sa[:, 0], np.abs(t.imag) > STRUCTURE_RTOL * (1.0 + np.abs(t)), bad[:, 0]
     )
@@ -346,15 +341,15 @@ def _stacked(p: int, blocks: list) -> ConstraintSystem:
     )
 
 
-def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> ConstraintSystem:
+def prune_dependent(sys: ConstraintSystem) -> ConstraintSystem:
     """Keep a maximal real-linearly-independent subset, in order.
 
     Row i is read as the real vector of C(i)'s p^2 Hermitian coordinates
     (``linalg.hermitian_coordinates``), whose dot products are the trace
     pairings, scaled with its target to unit norm, so that no row's scale
     decides another's fate.  A row is dropped when the squared norm of its
-    residual after projecting out the kept rows before it falls below
-    ``tol``: it is then a real combination of those rows.
+    residual after projecting out the kept rows before it is at most
+    ``DEPENDENCE_RTOL``: it is then a real combination of those rows.
 
     The pivots come from Householder QR of the rows taken as columns.  An
     unpivoted QR measures each column against all earlier columns, dropped
@@ -372,11 +367,12 @@ def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> Cons
     A dropped row's target must match its combination of the rows kept
     before its round, whose coefficients c solve the triangular
     ``R[:j, :j]``.  At the first dropped row, in order, whose scaled target
-    misses its combination's by more than ``100 * tol * (1 + max|b|) *
-    (1 + ||c||_1)``, with b the scaled targets, the whole system is
-    contradictory, and an ``InconsistentSystemError`` with a certificate in
-    the unscaled rows is raised.  A system of no constraints (every pair of
-    an instance is zero), and one that keeps every row, is returned as it is.
+    misses its combination's by more than ``TARGET_GAP_FACTOR *
+    DEPENDENCE_RTOL * (1 + max|b|) * (1 + ||c||_1)``, with b the scaled
+    targets, the whole system is contradictory, and an
+    ``InconsistentSystemError`` with a certificate in the unscaled rows is
+    raised.  A system of no constraints (every pair of an instance is zero),
+    and one that keeps every row, is returned as it is.
     """
     if sys.q == 0:
         return sys
@@ -389,18 +385,18 @@ def prune_dependent(sys: ConstraintSystem, tol: float = DEPENDENCE_RTOL) -> Cons
     scale[scale == 0.0] = 1.0  # a zero row stays zero and is dropped
     r /= scale
     targets = sys.targets / scale
-    b_cut = 100.0 * tol * (1.0 + float(np.max(np.abs(targets))))
+    b_cut = TARGET_GAP_FACTOR * DEPENDENCE_RTOL * (1.0 + float(np.max(np.abs(targets))))
     cols = np.arange(sys.q)
     start = 0
     offending = None  # (row, gap, certificate) of the first contradicted row
     while start < len(cols):
         pivots = np.diagonal(r)[start:] ** 2
-        j = start + int(np.argmax(np.append(pivots, 0.0) <= tol))
+        j = start + int(np.argmax(np.append(pivots, 0.0) <= DEPENDENCE_RTOL))
         if j == len(cols) or (offending is not None and offending[0] < cols[j]):
             break
         residual2 = np.sum(r[j:, j:] ** 2, axis=0)
-        dropped = j + np.flatnonzero(residual2 <= tol)
-        rest = j + np.flatnonzero(residual2 > tol)
+        dropped = j + np.flatnonzero(residual2 <= DEPENDENCE_RTOL)
+        rest = j + np.flatnonzero(residual2 > DEPENDENCE_RTOL)
         kept = cols[:j]
         coeffs = np.linalg.solve(r[:j, :j], r[:j, dropped])
         gaps = targets[cols[dropped]] - targets[kept] @ coeffs
@@ -494,12 +490,12 @@ def embed_solution(xred: np.ndarray, red: SupportReduction) -> np.ndarray:
     return red.basis @ xred @ red.basis.conj().T
 
 
-def is_diagonal_instance(inst: ProblemInstance, tol: float = STRUCTURE_RTOL) -> bool:
-    """True when every A_nu and B_nu is diagonal within ``tol``."""
+def is_diagonal_instance(inst: ProblemInstance) -> bool:
+    """True when every A_nu and B_nu is diagonal within ``STRUCTURE_RTOL``."""
     for a, b in inst.pairs:
         for m in (a, b):
             off = m - np.diag(np.diag(m))
-            if np.max(np.abs(off)) > tol:
+            if np.max(np.abs(off)) > STRUCTURE_RTOL:
                 return False
     return True
 

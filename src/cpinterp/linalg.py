@@ -2,8 +2,9 @@
 
 All matrices are plain ``numpy.ndarray`` objects with complex entries in
 row-major order.  Hermitian inputs are symmetrized on entry, so callers may
-pass matrices that are Hermitian only up to round-off.  Tolerances default to
-a relative policy of ``1e-10 * (1 + Frobenius norm)``.
+pass matrices that are Hermitian only up to round-off.  Tolerances are
+relative, ``rtol * (1 + Frobenius norm)`` (``scale_tol``), with the cuts of
+``tolerances``.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .tolerances import SUPPORT_RTOL
+
 # exp() overflows double precision just above this exponent
 EXP_ARG_LIMIT = 700.0
-
-DEFAULT_RTOL = 1e-10
 
 
 class EigDecomp(NamedTuple):
@@ -40,7 +41,7 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def scale_tol(a: np.ndarray, rtol: float = DEFAULT_RTOL) -> float:
+def scale_tol(a: np.ndarray, rtol: float) -> float:
     """Relative tolerance at the Frobenius scale of ``a``."""
     return rtol * (1.0 + frobenius(a))
 
@@ -81,8 +82,8 @@ def joint_support(stack: np.ndarray, diagonal: bool = False) -> tuple[np.ndarray
     (m p, p).  Returns ``(support, kernel)``, p x r and p x (p - r) arrays
     whose columns together form a unitary.  A right singular direction of the
     stack is in the kernel when its singular value is at most
-    ``scale_tol(stack)``.  The thin SVD never forms the (m p) x (m p) left
-    factor.  With ``diagonal=True`` the family is known to be diagonal: the
+    ``scale_tol(stack, SUPPORT_RTOL)``.  The thin SVD never forms the
+    (m p) x (m p) left factor.  With ``diagonal=True`` the family is known to be diagonal: the
     singular values are the column norms of the stack and both bases are
     sets of coordinate vectors.
     """
@@ -92,7 +93,7 @@ def joint_support(stack: np.ndarray, diagonal: bool = False) -> tuple[np.ndarray
         vh = np.eye(p, dtype=complex)
     else:
         _, sigma, vh = np.linalg.svd(stack, full_matrices=False)
-    above = sigma > scale_tol(stack)
+    above = sigma > scale_tol(stack, SUPPORT_RTOL)
     return vh[above].conj().T, vh[~above].conj().T
 
 

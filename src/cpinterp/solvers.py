@@ -61,6 +61,7 @@ import numpy as np
 
 from . import linalg
 from .constraints import ConstraintSystem
+from .tolerances import DEPENDENCE_RTOL, GRADIENT_TOL, STRUCTURE_RTOL, VERIFY_TOL
 
 
 class SolveStatus(enum.Enum):
@@ -101,7 +102,7 @@ class ExpSolveConfig:
     Newton at ``NEWTON_HANDOFF``.  The defaults are those of the command line.
     """
 
-    gradient_tol: float = 1e-9
+    gradient_tol: float = GRADIENT_TOL
     max_iterations: int = 10000
 
     def __post_init__(self):
@@ -142,7 +143,7 @@ class VerifyReport:
     positive_semidefinite: bool
 
 
-def verify(x: np.ndarray, sys: ConstraintSystem, tol: float = 1e-8) -> VerifyReport:
+def verify(x: np.ndarray, sys: ConstraintSystem, tol: float = VERIFY_TOL) -> VerifyReport:
     """Residuals, minimum eigenvalue and a PSD verdict for a candidate solution."""
     x = linalg.as_complex_matrix(x, "candidate solution")
     if x.shape != (sys.p, sys.p):
@@ -578,9 +579,7 @@ def _outcome_from_point(
     )
 
 
-def solve_exp(
-    sys: ConstraintSystem, cfg: ExpSolveConfig | None = None, x0: np.ndarray | None = None
-) -> SolveOutcome:
+def solve_exp(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> SolveOutcome:
     """Find a strictly positive solution by minimizing the exponential potential.
 
     A few CG steps bring the gradient norm to ``NEWTON_HANDOFF`` (0.3) of its
@@ -600,8 +599,7 @@ def solve_exp(
     """
     cfg = cfg or ExpSolveConfig()
     obj = _exp_objective(sys, EXPONENT_OFFSET)
-    start = np.zeros(sys.q) if x0 is None else np.asarray(x0, dtype=float).copy()
-    return _outcome_from_point(sys, obj, _minimize(obj, start, cfg))
+    return _outcome_from_point(sys, obj, _minimize(obj, np.zeros(sys.q), cfg))
 
 
 def solve_barrier(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> SolveOutcome:
@@ -629,13 +627,13 @@ def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> 
     cfg = cfg or ExpSolveConfig()
     diag = np.diagonal(sys.matrices, axis1=1, axis2=2).real.copy()
     mass = np.abs(sys.flat)
-    scale = 1e-12 * (1.0 + float(np.max(mass, initial=0.0)))
+    scale = STRUCTURE_RTOL * (1.0 + float(np.max(mass, initial=0.0)))
     # off-diagonal mass of every row: one GEMV on the squared magnitudes
     mass *= mass
     off_mass = np.sqrt(mass @ (1.0 - np.eye(sys.p).ravel()))
     active = off_mass <= scale
     for i in np.flatnonzero(~active):
-        if float(np.linalg.norm(diag[i])) > scale or abs(sys.targets[i]) > 1e-12:
+        if float(np.linalg.norm(diag[i])) > scale or abs(sys.targets[i]) > STRUCTURE_RTOL:
             raise ValueError(
                 f"constraint {sys.provenance[i]} is not diagonal and not droppable; "
                 "the diagonal solver only applies to diagonal systems"
@@ -655,18 +653,25 @@ def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> 
 def project_affine(x: np.ndarray, sys: ConstraintSystem) -> np.ndarray:
     """Closest point to ``x`` (Frobenius norm) satisfying all trace constraints.
 
-    Subtracts ``sum_i y_i C(i)`` with ``G y = residuals``; requires a pruned
-    system (invertible Gram matrix).  Positivity is not preserved and must be
-    re-checked by the caller.
+    Subtracts ``sum_i y_i C(i)`` with ``G y = residuals``.  The system must
+    be one that prune keeps whole, and the rank is decided as prune decides
+    it: the Gram matrix scaled to a unit diagonal, ``S G S`` with
+    ``S = diag(G)^(-1/2)``, is that of the rows at unit norm, and its squared
+    Cholesky pivots are the squared residuals that ``prune_dependent`` cuts.
+    A ``ValueError`` is raised when one is at most ``DEPENDENCE_RTOL``.  The
+    solve takes G unscaled, whose residuals match the scaled solve's at row
+    scales up to 1e10.  Positivity is not preserved and must be re-checked
+    by the caller.
     """
     x = linalg.hermitian_part(linalg.as_complex_matrix(x, "candidate"))
     gram = sys.gram()
+    diag = np.diagonal(gram)
+    scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))  # a zero row stays zero
     try:
-        pivots = np.diag(np.linalg.cholesky(gram))
+        pivots = np.diagonal(np.linalg.cholesky(gram * np.outer(scale, scale)))
     except np.linalg.LinAlgError:
         pivots = np.zeros(1)
-    # rank deficiency shows up as Cholesky pivots at the sqrt(machine eps) scale
-    if not np.all(pivots > 1e-6 * np.max(pivots, initial=0.0)):
+    if not np.all(pivots**2 > DEPENDENCE_RTOL):
         raise ValueError(
             "Gram matrix is singular; run prune_dependent before projecting"
         )

@@ -85,6 +85,15 @@ def planted_instance(
     return ProblemInstance(n, k, pairs), x_true
 
 
+def norm_cap_instance() -> ProblemInstance:
+    """Planted data plus the pair (I, -I), on which CG's iterates outgrow the
+    norm cap (``DIVERGENCE_THRESHOLD``) before any evaluated point passes the
+    recession test."""
+    inst, _ = planted_instance(np.random.default_rng(87), 3, 3, 3)
+    eye = np.eye(3, dtype=complex)
+    return ProblemInstance(3, 3, inst.pairs + [(eye, -eye)])
+
+
 def planted_diagonal_instance(
     rng: np.random.Generator, n: int, k: int, num_pairs: int
 ) -> tuple[ProblemInstance, np.ndarray]:

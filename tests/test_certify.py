@@ -73,7 +73,7 @@ def test_validate_rejects_an_objective_the_eigenvalue_slack_explains():
     # but tr X = 2 on every solution, so b . x >= 2 * min eig S = -1.6e-9
     assert not validate(psd_cert, sys, tol=1e-9)
     assert validate(Certificate(x, CertificateKind.EXCLUDES_PD, objective, mineig), sys, tol=1e-9)
-    found = certify._classify(sys, x, 1e-9, CertificateSource.SEARCH)
+    found = certify._classify(sys, x, CertificateSource.SEARCH)
     assert found.kind is CertificateKind.EXCLUDES_PD
 
 
@@ -136,7 +136,7 @@ def cone_repair_system():
 def test_search_finds_a_certificate_only_the_cone_repair_reaches():
     sys = cone_repair_system()
     for x in (*np.eye(2), *-np.eye(2)):
-        assert certify._classify(sys, x, 1e-9, CertificateSource.SEARCH) is None
+        assert certify._classify(sys, x, CertificateSource.SEARCH) is None
     cert = search_certificate(sys)
     assert cert is not None
     assert cert.kind is CertificateKind.EXCLUDES_PD
@@ -151,8 +151,8 @@ def test_search_certifies_a_face_only_the_descent_reaches():
     sys = prune_dependent(instance_system(vv_face_instance(66)))
     for e in np.eye(sys.q):
         for x in (e, -e):
-            for cand in (x, certify._repair_into_cone(sys, x, 1e-9)):
-                assert certify._classify(sys, cand, 1e-9, CertificateSource.SEARCH) is None
+            for cand in (x, certify._repair_into_cone(sys, x)):
+                assert certify._classify(sys, cand, CertificateSource.SEARCH) is None
     cert = search_certificate(sys)
     assert cert is not None
     assert cert.kind is CertificateKind.EXCLUDES_PD
@@ -184,7 +184,7 @@ def test_ray_certificate_repairs_a_ray_just_outside_the_cone():
     coefficients = -np.array([1.0, -1e-3])  # a diverging x runs along minus the ray
     raw = Certificate(-coefficients, CertificateKind.EXCLUDES_PSD, 0.0, 0.0)
     assert not validate(raw, sys, tol=1e-9)  # the raw ray's min eigenvalue is about -1e-3
-    cert = ray_certificate(sys, coefficients, tol=1e-9)
+    cert = ray_certificate(sys, coefficients)
     assert cert is not None
     assert cert.kind is CertificateKind.EXCLUDES_PSD
     assert cert.source is CertificateSource.DIVERGENCE_RAY

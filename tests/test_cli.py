@@ -21,6 +21,7 @@ from helpers import (
     B1,
     B2,
     X_REF,
+    norm_cap_instance,
     planted_diagonal_instance,
     planted_instance,
     random_channel_kraus,
@@ -794,6 +795,29 @@ def test_consistent_pair_at_a_large_scale_solves_feasible(tmp_path):
     report, code = cli.run_solve(inst, cli.SolveOptions())
     assert (report["status"], code) == ("feasible", cli.EXIT_FEASIBLE)
     assert_verify_accepts(tmp_path, inst, report)
+
+
+def test_golden_with_a_pair_scaled_by_1e6_solves_feasible(tmp_path, capsys):
+    # prune keeps both pairs at unit row norm, and the projection makes the
+    # same decision on its Gram matrix scaled to a unit diagonal
+    doc = json.loads(GOLDEN_INSTANCE.read_text())
+    doc["pairs"][1] = {key: (1e6 * np.array(value)).tolist()
+                       for key, value in doc["pairs"][1].items()}
+    path = write_json(tmp_path / "scaled.json", doc)
+    out = tmp_path / "report.json"
+    assert cli.main(["solve", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "feasible"
+    assert cli.main(["verify", str(out), str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_norm_cap_stop_certifies_infeasibility():
+    report, code = cli.run_certify(norm_cap_instance(), cli.SolveOptions())
+    assert report["solver"]["message"] == (
+        "CG saw the iterates diverge with the objective still decreasing"
+    )
+    assert (report["status"], code) == ("certified-infeasible", cli.EXIT_CERTIFIED_INFEASIBLE)
+    assert report["certificate"]["source"] == "divergence-ray"
 
 
 @pytest.mark.parametrize("seed, index", [(203, 57), (303, 102)])

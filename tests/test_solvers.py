@@ -9,9 +9,12 @@ from cpinterp.constraints import (
     prune_dependent,
 )
 from cpinterp.solvers import (
+    DIVERGENCE_THRESHOLD,
     EXPONENT_OFFSET,
     ExpSolveConfig,
     SolveStatus,
+    _exp_objective,
+    _minimize,
     gradient,
     potential,
     project_affine,
@@ -23,6 +26,7 @@ from cpinterp.solvers import (
 from helpers import (
     X_REF,
     golden_system,
+    norm_cap_instance,
     planted_diagonal_instance,
     planted_instance,
     random_hermitian,
@@ -277,8 +281,10 @@ def test_solve_exp_unique_critical_point():
     rng = np.random.default_rng(61)
     sys = golden_system()
     cfg = ExpSolveConfig(gradient_tol=1e-11)
-    x_first = solve_exp(sys, cfg, x0=rng.uniform(-0.5, 0.5, size=sys.q)).coefficients
-    x_second = solve_exp(sys, cfg, x0=rng.uniform(-0.5, 0.5, size=sys.q)).coefficients
+    obj = _exp_objective(sys, EXPONENT_OFFSET)
+    x_first, x_second = (
+        _minimize(obj, rng.uniform(-0.5, 0.5, size=sys.q), cfg).point.x for _ in range(2)
+    )
     assert np.abs(x_first - x_second).max() < 1e-6
 
 
@@ -307,6 +313,16 @@ def test_solve_exp_stops_on_recession_ray():
         x = out.coefficients
         assert np.linalg.eigvalsh(sys.aggregate(x))[-1] <= 0.0
         assert x @ sys.targets > 0.0
+
+
+def test_solve_exp_stops_on_the_norm_cap():
+    inst = norm_cap_instance()
+    sys, _ = joint_support_reduce(prune_dependent(instance_system(inst)), inst)
+    out = solve_exp(sys)
+    assert out.status is SolveStatus.NO_STRICTLY_POSITIVE_SOLUTION
+    assert out.message == "CG saw the iterates diverge with the objective still decreasing"
+    assert (out.cg_iterations, out.newton_steps) == (7, 0)
+    assert np.linalg.norm(out.coefficients) > DIVERGENCE_THRESHOLD
 
 
 def test_solve_diagonal_stops_on_recession_ray():
@@ -482,6 +498,16 @@ def test_project_affine_idempotent():
     twice = project_affine(once, sys)
     assert np.abs(once - twice).max() < 1e-12
     assert np.abs(sys.residuals(once)).max() < 1e-12
+
+
+def test_project_affine_accepts_what_prune_keeps_at_any_row_scale():
+    # prune measures rows at unit norm and keeps both; unscaled, the second
+    # Cholesky pivot is 1e-10 of the first
+    sys = system_of([1e7 * np.diag([1.0, 0.0]), np.diag([1.0, 1e-3])], [1e7, 1.001])
+    assert prune_dependent(sys) is sys
+    projected = project_affine(np.zeros((2, 2)), sys)
+    assert np.abs(sys.residuals(projected)).max() <= 1e-8
+    assert np.abs(projected - np.eye(2)).max() <= 1e-6
 
 
 def test_project_affine_requires_pruned_system():
