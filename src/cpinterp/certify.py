@@ -129,10 +129,13 @@ def _trace_scale(sys: ConstraintSystem, tol: float) -> float:
     least eigenvalue ``mu > tol``, every solution has
     ``mu tr X <= tr(P X) = z . b`` (exactly ``tr X = z . b`` when the data
     hold trace preservation).  Otherwise the data give no bound, and the
-    size of ``X = I`` stands in for one.
+    size of ``X = I`` stands in for one.  The fit is made in the p^2
+    Hermitian coordinates (``ConstraintSystem.coordinates``), an isometry
+    of Herm(p), so it is the fit over the real and imaginary parts of all
+    p^2 entries, with half the equations.
     """
-    design = np.concatenate([sys.flat.real, sys.flat.imag], axis=1).T
-    rhs = np.concatenate([np.eye(sys.p).ravel(), np.zeros(sys.p * sys.p)])
+    design = sys.coordinates().T
+    rhs = linalg.hermitian_coordinates(np.eye(sys.p)[None])[0]
     z = np.linalg.lstsq(design, rhs, rcond=None)[0]
     combo = sys.aggregate(z)
     mu = linalg.min_eigenvalue(combo) if linalg.frobenius(combo) > 0 else 0.0

@@ -1,31 +1,35 @@
 """Translate map-interpolation data into trace-constrained PSD feasibility.
 
 An instance asks for a completely positive ``phi: M_n -> M_k`` with
-``phi(A_nu) = B_nu``.  Equating entries of each image gives one linear trace
-condition per output entry on the Choi matrix X:
+``phi(A_nu) = B_nu``.  A CP map preserves Hermiticity, so a pair holds
+exactly when its two Hermitian halves do:
 
-    tr((A_nu^T kron E_lm) X) = B_nu[m, l],
+    ((A + A^*)/2, (B + B^*)/2)   and   ((A - A^*)/2i, (B - B^*)/2i).
 
-with E_lm the (l, m) matrix unit of M_k.  For Hermitian X, a raw equation
-``tr(C X) = b`` whose C is not selfadjoint is the pair of real equations
-``tr((C + C^*) X) = 2 Re b`` and ``tr(i(C - C^*) X) = -2 Im b`` with
-selfadjoint matrices.  The resulting system "find X >= 0 with
-tr(C(i) X) = b_i" is what the solvers consume.
+A Hermitian pair (H, G) holds exactly when, for F over a basis of Herm(k),
+the Choi matrix X meets the real trace condition
 
-``instance_system`` builds that system: every raw matrix is a Kronecker
-product of an n x n and a k x k matrix, so each hermitization decision is
-made on the n x n data, and each output row is written once into one stack.
-``prune_dependent`` then drops the real-linearly dependent rows, reading the
-pivots off Householder QR: one factorization when no row is dependent, and
-one of a shrinking trailing block per round of dropped rows.
-``joint_support_reduce`` compresses the system onto the joint support of its
-rows, which it reads off the n x n inputs: the rows share the kernel
-``K kron C^k``, with K the common kernel of the ``A_nu^T`` and ``conj(A_nu)``.
+    tr((H^T kron F) X) = tr(F G),
+
+with the selfadjoint matrix ``H^T kron F``.  Trace preservation is
+``tr((G kron I_k) X) = tr G`` for G over a basis of Herm(n).  The resulting
+system "find X >= 0 with tr(C(i) X) = b_i" is what the solvers consume.
+
+``instance_system`` builds that system: every row is one Kronecker product,
+written once into one stack.  ``prune_dependent`` then drops the
+real-linearly dependent rows, reading the pivots off Householder QR: one
+factorization when no row is dependent, and one of a shrinking trailing
+block per round of dropped rows.  ``joint_support_reduce`` compresses the
+system onto the joint support of its rows, which it reads off the n x n
+inputs: the rows share the kernel ``K kron C^k``, with K the common kernel
+of the halves' ``H^T``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from . import linalg
@@ -36,10 +40,12 @@ from .tolerances import DEPENDENCE_RTOL, STRUCTURE_RTOL, TARGET_GAP_FACTOR
 class Provenance:
     """Where a constraint came from.
 
-    ``kind`` is "value" for an interpolation pair (indices ``(nu, m, l)``,
-    1-based) or "trace" for a trace-preservation condition (indices
-    ``(i, j)``).  ``part`` is "whole" for a raw or already-selfadjoint
-    constraint, "re"/"im" for the two hermitized parts.
+    ``kind`` is "value" for the Hermitian half ``(A + A^*)/2`` of an
+    interpolation pair, "value-i" for its half ``(A - A^*)/2i`` (indices
+    ``(nu, m, l)``, 1-based), or "trace" for a trace-preservation condition
+    (indices ``(i, j)``).  ``part`` names the basis element of Herm(k), or
+    of Herm(n) for a trace row: "whole" for ``E_mm``, "re" for
+    ``E_lm + E_ml`` and "im" for ``i (E_lm - E_ml)``.
     """
 
     kind: str
@@ -140,12 +146,17 @@ class ConstraintSystem:
         """Real linear combination ``sum_i coeffs[i] C(i)``."""
         return (np.asarray(coeffs, dtype=float) @ self.flat).reshape(self.p, self.p)
 
+    def coordinates(self) -> np.ndarray:
+        """The rows' (q, p^2) real Hermitian coordinates, whose dot products
+        are the trace pairings ``tr(C(a) C(b))``."""
+        return linalg.hermitian_coordinates(self.matrices)
+
     def gram(self) -> np.ndarray:
         """Real Gram matrix ``tr(C(a) C(b))`` of the constraints.
 
         One SYRK of the rows' Hermitian coordinates, exactly symmetric.
         """
-        coords = linalg.hermitian_coordinates(self.matrices)
+        coords = self.coordinates()
         return coords @ coords.T
 
 
@@ -184,50 +195,76 @@ class InconsistentSystemError(Exception):
         self.offending = offending
 
 
-_WHOLE, _RE, _IM = 0, 1, 2
-_PART_NAMES = ("whole", "re", "im")
+@functools.cache
+def _hermitian_basis(k: int) -> tuple[np.ndarray, tuple]:
+    """A basis F of Herm(k), read-only, with the label ``((m, l), part)`` of each element.
 
-
-def _plan_rows(
-    origins: list, targets: np.ndarray, selfadjoint: np.ndarray, norms: np.ndarray,
-    raw_scale: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """Decide which hermitized rows a list of kept raw constraints gives.
-
-    ``origins`` holds each raw row's provenance kind and indices, ``norms``
-    its ``||C||``, ``||C + C^*||`` and ``||C - C^*||`` as columns.  A
-    selfadjoint row gives its "whole" row, after the check that its target
-    is real; any other row gives "re", then "im".  A row whose matrix
-    vanishes (norm at most ``STRUCTURE_RTOL * (1 + raw_scale)``) is dropped,
-    and contradicts the system unless its target is zero.
-
-    Returns the raw row and the part of every output row, then the targets
-    and provenance of the output rows followed by those of the
-    contradictions, each in raw-row order.
+    For each m <= l, in row-major order and 1-based in the labels: ``E_mm``
+    ("whole") when m = l, else ``E_lm + E_ml`` ("re"), then
+    ``i (E_lm - E_ml)`` ("im"), with E_lm the (l, m) matrix unit.
     """
-    t = np.asarray(targets, dtype=complex)
-    sa = np.asarray(selfadjoint)[:, None]
-    # two slots per raw row: (target check, whole) if selfadjoint, else (re, im)
-    part = np.where(sa, [_IM, _WHOLE], [_RE, _IM])
-    value = np.where(
-        sa,
-        np.stack([-2.0 * t.imag, t.real], axis=1),
-        np.stack([2.0 * t.real, -2.0 * t.imag], axis=1),
+    matrices, labels = [], []
+    for m in range(k):
+        for l in range(m, k):
+            for part in ("whole",) if m == l else ("re", "im"):
+                f = np.zeros((k, k), dtype=complex)
+                f[l, m], f[m, l] = (1j, -1j) if part == "im" else (1.0, 1.0)
+                matrices.append(f)
+                labels.append(((m + 1, l + 1), part))
+    matrices = np.array(matrices)
+    matrices.flags.writeable = False
+    return matrices, tuple(labels)
+
+
+def _pairings(g: np.ndarray, labels: tuple) -> np.ndarray:
+    """``tr(F G)`` for G in the stack ``g`` of Hermitian matrices, then F by its label.
+
+    That is ``G[m, m]``, ``2 Re G[m, l]`` or ``-2 Im G[m, l]``, read off the
+    entry, so that it is exact.
+    """
+    m, l = np.array([idx for idx, _ in labels]).T - 1
+    im = np.array([part == "im" for _, part in labels])
+    values = g[:, m, l]
+    return np.where(im, -2.0 * values.imag, np.where(m == l, 1.0, 2.0) * values.real)
+
+
+def _kron_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The stack of ``kron(L, R)`` over L in ``left``, then R in ``right``."""
+    (a, n, _), (j, k, _) = left.shape, right.shape
+    rows = left[:, None, :, None, :, None] * right[None, :, None, :, None, :]
+    return rows.reshape(a * j, n * k, n * k)
+
+
+_HALVES = ("value", "value-i")
+
+
+def _hermitian_halves(
+    inst: ProblemInstance,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Hermitian halves of every pair, and which of them count.
+
+    Pair nu gives two halves, in order: ``((A + A^*)/2, (B + B^*)/2)``,
+    named "value", and ``((A - A^*)/2i, (B - B^*)/2i)``, named "value-i".
+    A half whose A-part has norm at most ``STRUCTURE_RTOL * (1 + max_nu
+    ||A_nu||)`` is zero and gives no rows; it contradicts the data when its
+    B-part's norm is above ``STRUCTURE_RTOL * (1 + ||B_nu||)``.  Returns the
+    A-parts and the B-parts, of shapes (2 pairs, n, n) and (2 pairs, k, k),
+    and the masks of the halves that are kept and of those that contradict.
+    """
+    a = np.array([a for a, _ in inst.pairs])
+    b = np.array([b for _, b in inst.pairs])
+
+    def split(m):
+        adj = m.conj().transpose(0, 2, 1)
+        return np.stack([(m + adj) / 2, -0.5j * (m - adj)], axis=1).reshape(-1, *m.shape[1:])
+
+    ha, hb = split(a), split(b)
+    norm_a, norm_b = np.linalg.norm(a, axis=(1, 2)), np.linalg.norm(b, axis=(1, 2))
+    kept = np.linalg.norm(ha, axis=(1, 2)) > STRUCTURE_RTOL * (1.0 + np.max(norm_a))
+    bad = ~kept & (
+        np.linalg.norm(hb, axis=(1, 2)) > STRUCTURE_RTOL * (1.0 + np.repeat(norm_b, 2))
     )
-    norm = np.where(sa, np.stack([np.zeros(len(t)), norms[:, 0]], axis=1), norms[:, 1:])
-    emit = norm > STRUCTURE_RTOL * (1.0 + raw_scale)
-    # tr(0 X) = b is contradictory unless b = 0
-    bad = ~emit & (np.abs(value) > STRUCTURE_RTOL)
-    bad[:, 0] = np.where(
-        sa[:, 0], np.abs(t.imag) > STRUCTURE_RTOL * (1.0 + np.abs(t)), bad[:, 0]
-    )
-    kept = np.flatnonzero(emit)
-    order = np.concatenate([kept, np.flatnonzero(bad)])
-    parts = part.ravel()
-    provenance = [
-        Provenance(*origins[s // 2], _PART_NAMES[parts[s]]) for s in order.tolist()
-    ]
-    return kept // 2, parts[kept], value.ravel()[order], provenance
+    return ha, hb, kept, bad
 
 
 def _contradiction(system: ConstraintSystem, first: int) -> InconsistentSystemError:
@@ -240,104 +277,6 @@ def _contradiction(system: ConstraintSystem, first: int) -> InconsistentSystemEr
         system,
         coeffs,
         system.provenance[first],
-    )
-
-
-class _PairRows:
-    """Hermitized rows of the raw constraints of stacked pairs ``(A_nu, B_nu)``.
-
-    The raw rows are ``C(nu, m, l) = A_nu^T kron E_lm`` with targets
-    ``B_nu[m, l]``, ordered by nu, then m, then l, each kept "whole" when C
-    is selfadjoint and split into "re" and "im" rows as in the module
-    docstring otherwise (``_plan_rows``).  When every A_nu and B_nu is
-    Hermitian, ``C(nu, l, m)`` is the adjoint of ``C(nu, m, l)`` with the
-    conjugate target, and only the rows with m <= l are kept.  Since
-    ``C(nu, m, l)^* = conj(A_nu) kron E_ml``, the norms these decisions rest
-    on follow from the n x n data: ``||C|| = ||A_nu||``; for m = l,
-    ``||C +- C^*|| = ||A_nu^T +- conj(A_nu)||`` and C is selfadjoint when
-    A_nu is Hermitian; for m != l the two terms do not overlap, so both
-    norms are ``sqrt(2) ||A_nu||``.
-
-    Every output row is an n x n block at position (l, m), plus for m != l
-    one at (m, l); ``write`` puts them in place.  ``origin(nu, m, l)`` gives
-    the provenance kind and indices of a raw row (1-based).  With
-    ``swapped`` the tensor factors trade places, so the blocks are the
-    right-hand factor.
-    """
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, origin, swapped: bool = False):
-        self.block, self.unit, self.swapped = a.shape[1], b.shape[1], swapped
-        at, ac = a.transpose(0, 2, 1), a.conj()
-        herm, anti = at + ac, at - ac
-        norm_a = np.linalg.norm(a, axis=(1, 2))
-        norm_herm, norm_anti = (np.linalg.norm(h, axis=(1, 2)) for h in (herm, anti))
-        hermitian = norm_anti <= STRUCTURE_RTOL * (1.0 + norm_a)
-        paired = bool(np.all(hermitian)) and bool(np.all(
-            np.abs(b.transpose(0, 2, 1) - b.conj()) <= STRUCTURE_RTOL * (1.0 + np.abs(b))
-        ))
-        k = self.unit
-        m, l = np.triu_indices(k) if paired else np.indices((k, k)).reshape(2, -1)
-        nu = np.repeat(np.arange(len(a)), len(m))
-        m, l = np.tile(m, len(a)), np.tile(l, len(a))
-        diag = m == l
-        off = np.sqrt(2.0) * norm_a[nu]
-        norms = np.stack(
-            [norm_a[nu], np.where(diag, norm_herm[nu], off), np.where(diag, norm_anti[nu], off)],
-            axis=1,
-        )
-        selfadjoint = np.where(diag, hermitian[nu], off <= STRUCTURE_RTOL * (1.0 + norm_a[nu]))
-        origins = [
-            origin(*idx) for idx in zip((nu + 1).tolist(), (m + 1).tolist(), (l + 1).tolist())
-        ]
-        rows, self.parts, self.targets, self.provenance = _plan_rows(
-            origins, b[nu, m, l], selfadjoint, norms, float(np.max(norm_a))
-        )
-        self.nu, self.m, self.l = nu[rows], m[rows], l[rows]
-        # block at (l, m) by part, for m = l and then for m != l; block at (m, l)
-        self.first = np.stack([herm / 2, herm, 1j * anti, at / 2, at, 1j * at], axis=1)
-        self.second = np.stack([ac / 2, ac, -1j * ac], axis=1)
-
-    def write(self, out: np.ndarray) -> None:
-        """Write the output rows into the zeroed ``(rows, p, p)`` stack ``out``."""
-        if self.swapped:
-            out5 = out.reshape(-1, self.unit, self.block, self.unit, self.block)
-            out5 = out5.transpose(0, 2, 1, 4, 3)
-        else:
-            out5 = out.reshape(-1, self.block, self.unit, self.block, self.unit)
-        r = np.arange(len(self.parts))
-        off = self.m != self.l
-        out5[r, :, self.l, :, self.m] = self.first[self.nu, self.parts + 3 * off]
-        out5[r[off], :, self.m[off], :, self.l[off]] = self.second[
-            self.nu[off], self.parts[off]
-        ]
-
-
-def _trace_rows(n: int, k: int) -> _PairRows:
-    """Hermitized rows of ``tr((E_ij^T kron I_k) X) = tr(phi(E_ij)) = delta_ij``.
-
-    ``E_ji kron I_k`` is ``I_k kron E_ji`` with the tensor factors swapped,
-    so these are the rows of the pair ``(I_k, I_n)``, swapped.
-    """
-    return _PairRows(
-        np.eye(k, dtype=complex)[None],
-        np.eye(n, dtype=complex)[None],
-        lambda nu, i, j: ("trace", (i, j)),
-        swapped=True,
-    )
-
-
-def _stacked(p: int, blocks: list) -> ConstraintSystem:
-    """One system of the blocks' rows, each written once into a zeroed stack."""
-    matrices = np.zeros((sum(len(b.provenance) for b in blocks), p, p), dtype=complex)
-    start = 0
-    for b in blocks:
-        b.write(matrices[start : start + len(b.parts)])
-        start += len(b.provenance)
-    return ConstraintSystem(
-        p,
-        matrices,
-        np.concatenate([b.targets for b in blocks]),
-        [t for b in blocks for t in b.provenance],
     )
 
 
@@ -377,7 +316,7 @@ def prune_dependent(sys: ConstraintSystem) -> ConstraintSystem:
     if sys.q == 0:
         return sys
     # r factors the rows in ``cols`` (as columns); its first ``start`` are kept
-    r = np.linalg.qr(linalg.hermitian_coordinates(sys.matrices).T, mode="r")
+    r = np.linalg.qr(sys.coordinates().T, mode="r")
     # R's columns have the rows' norms, and scaling them is the QR of the scaled rows
     scale = np.sqrt(np.sum(r * r, axis=0))
     if np.max(scale) == 0.0:
@@ -441,18 +380,18 @@ def joint_support_reduce(
 ) -> tuple[ConstraintSystem, SupportReduction]:
     """Compress a system built from ``inst`` onto the joint support of its rows.
 
-    Every row of ``instance_system(inst)`` is ``A_nu^T kron F`` or
-    ``conj(A_nu) kron F`` (a hermitized part of one), with F a k x k matrix,
-    or a trace row ``E_ji kron I_k``.  So the common kernel K of every
-    ``A_nu^T`` and ``conj(A_nu)`` gives the common kernel ``K kron C^k`` of
-    the value rows, and trace rows leave none.  Prune drops only
-    combinations of kept rows, so the same holds for ``sys`` when it is a
-    pruned copy.  With W_n an orthonormal basis of K's complement
-    (``linalg.joint_support`` on the stacked ``A_nu^T`` and ``conj(A_nu)``)
-    and ``W = W_n kron I_k``, every row satisfies C(i) = P C(i) P for the
+    Every value row of ``instance_system(inst)`` is ``H^T kron F``, with H
+    the A-part of a kept Hermitian half and F a k x k matrix, and every trace
+    row is ``G kron I_k``.  So the common kernel K of the halves' ``H^T``
+    gives the common kernel ``K kron C^k`` of the value rows (``conj(H)`` is
+    ``H^T``, so no more matrices are needed), and trace rows leave none.
+    Prune drops only combinations of kept rows, so the same holds for
+    ``sys`` when it is a pruned copy.  With W_n an orthonormal basis of K's
+    complement (``linalg.joint_support`` on the stacked ``H^T``) and
+    ``W = W_n kron I_k``, every row satisfies C(i) = P C(i) P for the
     projector P = W W^*, so ``tr(C(i) W X' W^*) = tr(W^* C(i) W X')`` and the
     compressed system ``(W^* C(i) W, b_i)`` has the same feasible targets.
-    When every A_nu is diagonal, W_n is a set of coordinate vectors, so a
+    When every H is diagonal, W_n is a set of coordinate vectors, so a
     diagonal system stays diagonal.
 
     ``sys`` itself is returned, with the identity basis, when the kernel is
@@ -463,11 +402,11 @@ def joint_support_reduce(
     identity = sys, SupportReduction(basis=np.eye(sys.p, dtype=complex))
     if sys.q == 0 or any(t.kind == "trace" for t in sys.provenance):
         return identity
-    a = np.array([a for a, _ in inst.pairs])
-    off = a - np.diagonal(a, axis1=1, axis2=2)[:, :, None] * np.eye(inst.n)
-    diagonal = np.max(np.abs(off)) <= STRUCTURE_RTOL * (1.0 + np.max(np.abs(a)))
-    stack = np.concatenate([a.transpose(0, 2, 1), a.conj()]).reshape(-1, inst.n)
-    w, _ = linalg.joint_support(stack, diagonal=bool(diagonal))
+    ha, _, kept, _ = _hermitian_halves(inst)
+    h = ha[kept]
+    off = h - np.diagonal(h, axis1=1, axis2=2)[:, :, None] * np.eye(inst.n)
+    diagonal = np.max(np.abs(off)) <= STRUCTURE_RTOL * (1.0 + np.max(np.abs(h)))
+    w, _ = linalg.joint_support(h.transpose(0, 2, 1).reshape(-1, inst.n), diagonal=bool(diagonal))
     if w.shape[1] == inst.n:
         return identity
     w = np.kron(w, np.eye(inst.k))
@@ -503,20 +442,39 @@ def is_diagonal_instance(inst: ProblemInstance) -> bool:
 def instance_system(
     inst: ProblemInstance, trace_preserving: bool | None = None
 ) -> ConstraintSystem:
-    """Build the hermitized system of an instance, optionally with channel constraints.
+    """Build the system of an instance, optionally with channel constraints.
 
-    The rows are those of every pair (``_PairRows``), then the
-    trace-preservation rows when ``trace_preserving`` (by default the
-    instance's flag) asks for them.  Contradictory rows raise
-    ``InconsistentSystemError``.
+    Each kept Hermitian half (H, G) of a pair (``_hermitian_halves``) gives
+    the rows ``H^T kron F`` with targets ``tr(F G)``, for F over the basis of
+    Herm(k) (``_hermitian_basis``), ordered by pair, then half, then F.
+    Then, when ``trace_preserving`` (by default the instance's flag) asks
+    for them, come the rows ``G kron I_k`` with targets ``tr G``, for G over
+    the same basis of Herm(n).  When a half contradicts the data, an
+    ``InconsistentSystemError`` is raised on the value rows followed by the
+    zero rows of every contradicting half, with their targets ``tr(F G)``;
+    it names the first contradicting half's row of largest ``|tr(F G)|``.
     """
-    value = _PairRows(
-        np.array([a for a, _ in inst.pairs]),
-        np.array([b for _, b in inst.pairs]),
-        lambda nu, m, l: ("value", (nu, m, l)),
-    )
+    ha, hb, kept, bad = _hermitian_halves(inst)
+    basis, labels = _hermitian_basis(inst.k)
+    halves = np.concatenate([np.flatnonzero(kept), np.flatnonzero(bad)])
+    # a contradicting half's rows are zero, with its own targets
+    left = np.where(kept[:, None, None], ha, 0.0)[halves].transpose(0, 2, 1)
+    matrices = _kron_rows(left, basis)
+    targets = _pairings(hb[halves], labels).ravel()
+    provenance = [
+        Provenance(_HALVES[h % 2], (h // 2 + 1, *idx), part)
+        for h in halves.tolist()
+        for idx, part in labels
+    ]
     p = inst.n * inst.k
-    if len(value.provenance) > len(value.parts):
-        raise _contradiction(_stacked(p, [value]), len(value.parts))
-    tp = inst.trace_preserving if trace_preserving is None else trace_preserving
-    return _stacked(p, [value, _trace_rows(inst.n, inst.k)] if tp else [value])
+    if bad.any():
+        first = int(np.count_nonzero(kept)) * len(labels)
+        block = targets[first : first + len(labels)]
+        system = ConstraintSystem(p, matrices, targets, provenance)
+        raise _contradiction(system, first + int(np.argmax(np.abs(block))))
+    if inst.trace_preserving if trace_preserving is None else trace_preserving:
+        basis, labels = _hermitian_basis(inst.n)
+        matrices = np.concatenate([matrices, _kron_rows(basis, np.eye(inst.k)[None])])
+        targets = np.concatenate([targets, _pairings(np.eye(inst.n)[None], labels)[0]])
+        provenance += [Provenance("trace", idx, part) for idx, part in labels]
+    return ConstraintSystem(p, matrices, targets, provenance)

@@ -143,9 +143,9 @@ def vv_face_instance(seed: int, n: int = 3, k: int = 2) -> ProblemInstance:
 
 
 # ---------------------------------------------------------------------------
-# Reference build: one kron and one RawConstraint per output entry, and a
-# row-by-row hermitization.  The array-shaped build in cpinterp.constraints
-# must give the same rows.
+# Reference build: the Hermitian halves of every pair, one kron and one
+# RawConstraint per output entry of a half, and a row-by-row hermitization.
+# The array-shaped build in cpinterp.constraints must give the same rows.
 
 
 @dataclass
@@ -157,10 +157,43 @@ class RawConstraint:
     origin: Provenance
 
 
-def reference_assemble(inst: ProblemInstance) -> list[RawConstraint]:
-    raw = []
+@dataclass
+class Half:
+    """One Hermitian half ``(a, b)`` of pair ``nu``: "value" or "value-i"."""
+
+    kind: str
+    nu: int
+    a: np.ndarray
+    b: np.ndarray
+
+
+def reference_halves(inst: ProblemInstance) -> tuple[list[Half], list[Half]]:
+    """The kept and the contradicting Hermitian halves of the pairs, in order.
+
+    ``(A - A^*)/2i`` is the Hermitian part of ``-iA``.  A half is zero when
+    its A-part's norm is at most ``STRUCTURE_RTOL (1 + max ||A||)``, and a
+    zero half contradicts when its B-part's norm is above
+    ``STRUCTURE_RTOL (1 + ||B||)``.
+    """
+    a_scale = max(linalg.frobenius(a) for a, _ in inst.pairs)
+    kept, bad = [], []
     for nu, (a, b) in enumerate(inst.pairs, start=1):
-        at = a.T
+        for kind, h, g in (
+            ("value", linalg.hermitian_part(a), linalg.hermitian_part(b)),
+            ("value-i", linalg.hermitian_part(-1j * a), linalg.hermitian_part(-1j * b)),
+        ):
+            if linalg.frobenius(h) > STRUCTURE_RTOL * (1.0 + a_scale):
+                kept.append(Half(kind, nu, h, g))
+            elif linalg.frobenius(g) > linalg.scale_tol(b, STRUCTURE_RTOL):
+                bad.append(Half(kind, nu, h, g))
+    return kept, bad
+
+
+def reference_assemble(inst: ProblemInstance) -> list[RawConstraint]:
+    """``A^T kron E_lm`` with target ``B[m, l]`` for every kept half (A, B)."""
+    raw = []
+    for half in reference_halves(inst)[0]:
+        at = half.a.T
         for m in range(inst.k):
             for l in range(inst.k):
                 unit_lm = np.zeros((inst.k, inst.k), dtype=complex)
@@ -168,8 +201,8 @@ def reference_assemble(inst: ProblemInstance) -> list[RawConstraint]:
                 raw.append(
                     RawConstraint(
                         matrix=linalg.kron(at, unit_lm),
-                        target=complex(b[m, l]),
-                        origin=Provenance("value", (nu, m + 1, l + 1)),
+                        target=complex(half.b[m, l]),
+                        origin=Provenance(half.kind, (half.nu, m + 1, l + 1)),
                     )
                 )
     return raw
@@ -192,100 +225,74 @@ def reference_trace_preserving_raw(n: int, k: int) -> list[RawConstraint]:
     return raw
 
 
-def _conjugate_partner(origin: Provenance) -> tuple | None:
-    if origin.kind == "value":
-        nu, m, l = origin.indices
-        return (nu, l, m)
+def _conjugate_partner(origin: Provenance) -> tuple:
     if origin.kind == "trace":
         i, j = origin.indices
         return (j, i)
-    return None
-
-
-def _adjoint_paired(raw: Sequence[RawConstraint]) -> bool:
-    by_indices = {(rc.origin.kind, rc.origin.indices): rc for rc in raw}
-    for rc in raw:
-        partner_idx = _conjugate_partner(rc.origin)
-        partner = by_indices.get((rc.origin.kind, partner_idx))
-        if partner is None:
-            return False
-        scale = linalg.scale_tol(rc.matrix, STRUCTURE_RTOL)
-        if linalg.frobenius(partner.matrix - rc.matrix.conj().T) > scale:
-            return False
-        if abs(partner.target - np.conj(rc.target)) > STRUCTURE_RTOL * (
-            1.0 + abs(rc.target)
-        ):
-            return False
-    return True
+    nu, m, l = origin.indices
+    return (nu, l, m)
 
 
 def reference_hermitize(raw: Sequence[RawConstraint]) -> ConstraintSystem:
+    """One row per adjoint pair of raw rows of Hermitian pairs.
+
+    The raw row of a diagonal entry, ``H^T kron E_mm`` or ``E_ii kron I_k``,
+    is selfadjoint and gives itself ("whole") with target ``Re b``.  Any
+    other raw row C and its adjoint, the raw row of the transposed entry
+    with the conjugate target, give ``C + C^*`` ("re") and ``i (C - C^*)``
+    ("im"), with targets ``2 Re b`` and ``-2 Im b``.
+    """
     raw = list(raw)
-    if not raw:
-        raise ValueError("empty constraint list")
-    p = raw[0].matrix.shape[0]
-
-    kept = []
-    if _adjoint_paired(raw):
-        seen = set()
-        for rc in raw:
-            key = (rc.origin.kind, rc.origin.indices)
-            if key in seen:
-                continue
-            seen.add(key)
-            seen.add((rc.origin.kind, _conjugate_partner(rc.origin)))
-            kept.append(rc)
-    else:
-        kept = raw
-
+    by_indices = {(rc.origin.kind, rc.origin.indices): rc for rc in raw}
     matrices, targets, provenance = [], [], []
-    contradictions = []
-    raw_scale = max(linalg.frobenius(rc.matrix) for rc in kept)
-
-    def emit(h: np.ndarray, b: float, origin: Provenance, part: str):
-        if linalg.frobenius(h) <= STRUCTURE_RTOL * (1.0 + raw_scale):
-            if abs(b) > 1e-12:
-                contradictions.append((h, b, replace(origin, part=part)))
-            return
-        matrices.append(linalg.hermitian_part(h))
-        targets.append(b)
-        provenance.append(replace(origin, part=part))
-
-    for rc in kept:
-        c = rc.matrix
-        adj = c.conj().T
-        if linalg.frobenius(c - adj) <= linalg.scale_tol(c, STRUCTURE_RTOL):
-            if abs(rc.target.imag) > STRUCTURE_RTOL * (1.0 + abs(rc.target)):
-                contradictions.append(
-                    (np.zeros_like(c), -2.0 * rc.target.imag, replace(rc.origin, part="im"))
-                )
-            emit(c, rc.target.real, rc.origin, "whole")
+    for rc in raw:
+        *_, row, col = rc.origin.indices
+        partner = by_indices[(rc.origin.kind, _conjugate_partner(rc.origin))]
+        assert np.array_equal(partner.matrix, rc.matrix.conj().T)
+        assert partner.target == np.conj(rc.target)
+        c, b = rc.matrix, rc.target
+        if row == col:
+            rows = [(c, b.real, "whole")]
+        elif row < col:
+            adj = c.conj().T
+            rows = [(c + adj, 2.0 * b.real, "re"), (1j * (c - adj), -2.0 * b.imag, "im")]
         else:
-            emit(c + adj, 2.0 * rc.target.real, rc.origin, "re")
-            emit(1j * (c - adj), -2.0 * rc.target.imag, rc.origin, "im")
-
-    if contradictions:
-        for h, b, origin in contradictions:
-            matrices.append(np.zeros((p, p), dtype=complex))
-            targets.append(b)
-            provenance.append(origin)
-        system = ConstraintSystem(p, np.array(matrices), np.array(targets), provenance)
-        first = len(matrices) - len(contradictions)
-        coeffs = np.zeros(system.q)
-        coeffs[first] = -np.sign(targets[first])
-        raise InconsistentSystemError(
-            f"constraint {provenance[first]} is contradictory: "
-            f"tr(0 @ X) = {targets[first]:.6g} has no solution",
-            system,
-            coeffs,
-            provenance[first],
-        )
-
-    return ConstraintSystem(p, np.array(matrices), np.array(targets), provenance)
+            continue
+        for h, target, part in rows:
+            matrices.append(h)
+            targets.append(target)
+            provenance.append(replace(rc.origin, part=part))
+    return ConstraintSystem(raw[0].matrix.shape[0], np.array(matrices), np.array(targets),
+                            provenance)
 
 
 def reference_instance_system(inst: ProblemInstance, trace_preserving: bool = False):
     sys = reference_hermitize(reference_assemble(inst))
+    bad = reference_halves(inst)[1]
+    if bad:
+        # the zero rows of every contradicting half, with the targets its rows
+        # would have; the first such half's largest target is the contradiction
+        zero = reference_hermitize(
+            RawConstraint(np.zeros((sys.p, sys.p), dtype=complex), complex(half.b[m, l]),
+                          Provenance(half.kind, (half.nu, m + 1, l + 1)))
+            for half in bad for m in range(inst.k) for l in range(inst.k)
+        )
+        first = sys.q + int(np.argmax(np.abs(zero.targets[: zero.q // len(bad)])))
+        system = ConstraintSystem(
+            sys.p,
+            np.concatenate([sys.matrices, zero.matrices]),
+            np.concatenate([sys.targets, zero.targets]),
+            list(sys.provenance) + list(zero.provenance),
+        )
+        coeffs = np.zeros(system.q)
+        coeffs[first] = -np.sign(system.targets[first])
+        raise InconsistentSystemError(
+            f"constraint {system.provenance[first]} is contradictory: "
+            f"tr(0 @ X) = {system.targets[first]:.6g} has no solution",
+            system,
+            coeffs,
+            system.provenance[first],
+        )
     if trace_preserving:
         tp = reference_hermitize(reference_trace_preserving_raw(inst.n, inst.k))
         sys = ConstraintSystem(

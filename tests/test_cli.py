@@ -8,6 +8,7 @@ import pytest
 from cpinterp import cli
 from cpinterp.choi import ChoiMatrix, apply_choi, kraus_to_choi
 from cpinterp.constraints import InconsistentSystemError, ProblemInstance
+from cpinterp.linalg import hermitian_part
 from cpinterp.reports import (
     InstanceFormatError,
     dumps_canonical,
@@ -570,6 +571,34 @@ def test_certify_reduces_the_support(tmp_path, capsys):
     assert rep["support"]["reduced_dim"] < rep["support"]["full_dim"]
     assert cli.main(["verify", str(tmp_path / "certify.json"), str(path)]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def hermitian_halves_instance(inst: ProblemInstance) -> ProblemInstance:
+    """The same instance with every pair written as its two Hermitian halves,
+    ``(A + A^*)/2`` and ``(A - A^*)/2i``, the Hermitian part of ``-iA``."""
+    pairs = [
+        (hermitian_part(c * a), hermitian_part(c * b)) for a, b in inst.pairs for c in (1.0, -1j)
+    ]
+    return ProblemInstance(inst.n, inst.k, pairs, inst.trace_preserving)
+
+
+@pytest.mark.parametrize("infeasible", [False, True])
+def test_a_complex_instance_answers_as_its_hermitian_halves(infeasible):
+    inst, _ = planted_instance(np.random.default_rng(1011), 3, 3, 3, hermitian_data=False)
+    if infeasible:
+        eye = np.eye(3, dtype=complex)
+        inst = ProblemInstance(3, 3, inst.pairs + [(eye, -eye)])
+    for run in (cli.run_solve, cli.run_certify):
+        (rep, code), (halves, halves_code) = (
+            run(i, cli.SolveOptions()) for i in (inst, hermitian_halves_instance(inst))
+        )
+        assert (rep["status"], code) == (halves["status"], halves_code)
+        assert (rep["status"] == "feasible") != infeasible
+        if infeasible:
+            assert rep["certificate"]["source"] == halves["certificate"]["source"]
+        else:
+            gap = np.abs(report_matrix(rep, "choi") - report_matrix(halves, "choi")).max()
+            assert gap < 1e-9
 
 
 # ---------------------------------------------------------------------------

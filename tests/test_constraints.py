@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cpinterp import certify
+from cpinterp.linalg import hermitian_part
 from cpinterp.choi import ChoiMatrix, KrausSet, apply_choi, kraus_to_choi, matrix_unit
 from cpinterp.constraints import (
     DEPENDENCE_RTOL,
@@ -67,7 +68,7 @@ def test_assemble_unital_condition():
 
 
 # ---------------------------------------------------------------------------
-# hermitization in instance_system
+# Hermitian halves and the basis of Herm(k) in instance_system
 
 
 def test_hermitize_passes_selfadjoint_through():
@@ -89,7 +90,7 @@ def test_hermitize_golden_couples():
 
 
 def test_hermitize_sign_oracle():
-    # mandatory: a random Hermitian X must satisfy the hermitized system exactly
+    # mandatory: a random Hermitian X must satisfy the system exactly
     rng = np.random.default_rng(17)
     for _ in range(10):
         x = random_hermitian(rng, 3)
@@ -108,10 +109,12 @@ def test_hermitize_keeps_both_parts_for_nonhermitian_data():
         2, 2, [(random_complex(rng, 2, 2), random_complex(rng, 2, 2))]
     )
     sys = instance_system(inst)
-    # no deduplication: every couple contributes two real constraints
-    assert sys.q == 8
-    couples = {t.indices for t in sys.provenance}
-    assert len(couples) == 4
+    # both Hermitian halves of the pair give a row per basis element of Herm(2)
+    assert [str(t) for t in sys.provenance] == [
+        f"{kind}(1, {m}, {l}){part}"
+        for kind in ("value", "value-i")
+        for m, l, part in ((1, 1, ""), (1, 2, ".re"), (1, 2, ".im"), (2, 2, ""))
+    ]
 
 
 def test_hermitize_rejects_selfadjoint_with_complex_target():
@@ -123,6 +126,38 @@ def test_hermitize_rejects_selfadjoint_with_complex_target():
     combo = exc.system.aggregate(exc.certificate_coefficients)
     assert np.abs(combo).max() < 1e-12
     assert exc.certificate_coefficients @ exc.system.targets < 0
+
+
+def test_the_anti_hermitian_round_off_of_large_data_is_no_contradiction():
+    # B = phi(A) is Hermitian only up to round-off, which grows with the data:
+    # at scale 1e8 its anti-Hermitian part is far above an absolute 1e-12
+    inst, x_true = planted_instance(np.random.default_rng(19), 3, 3, 4)
+    scaled = ProblemInstance(3, 3, [(1e8 * a, 1e8 * b) for a, b in inst.pairs])
+    anti = max(np.abs(b - b.conj().T).max() / 2 for _, b in scaled.pairs)
+    assert 1e-12 < anti < 1e-6
+    sys = instance_system(scaled)
+    assert sys.q == 4 * 9
+    assert {t.kind for t in sys.provenance} == {"value"}
+    assert np.abs(sys.residuals(x_true)).max() < 1e-12 * np.abs(sys.targets).max()
+
+
+def test_a_complex_diagonal_of_b_contradicts_on_a_value_i_row():
+    rng = np.random.default_rng(20)
+    a = random_hermitian(rng, 2)
+    b = random_hermitian(rng, 3) + 0.5j * np.diag([0.0, 1.0, 2.0])
+    with pytest.raises(InconsistentSystemError) as err:
+        instance_system(ProblemInstance(2, 3, [(a, b)]))
+    exc = err.value
+    # the half (A - A^*)/2i is zero, and its B-part is diag(0, 0.5, 1)
+    assert exc.offending == Provenance("value-i", (1, 3, 3), "whole")
+    assert exc.system.targets[exc.system.provenance.index(exc.offending)] == 1.0
+    cert = certify.Certificate(
+        exc.certificate_coefficients,
+        certify.CertificateKind.EXCLUDES_PSD,
+        objective=float(exc.certificate_coefficients @ exc.system.targets),
+        min_eigenvalue=0.0,
+    )
+    assert certify.validate(cert, exc.system)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +414,9 @@ def test_prune_certificate_validates_on_a_perturbed_target():
 
 
 def test_prune_past_the_rank_cap_matches_the_reference():
-    # n = k = 2: 6 complex pairs and trace preservation give q = 52 rows in a
-    # space of real dimension 2 p^2 = 32, more rows than R has pivots
+    # n = k = 2: the 12 Hermitian halves of 6 complex pairs and trace
+    # preservation give q = 52 rows in a space of real dimension p^2 = 16,
+    # more rows than R has pivots
     rng = np.random.default_rng(27)
     a_mats = [random_complex(rng, 2, 2) for _ in range(6)]
     channel = kraus_to_choi(random_channel_kraus(rng, 2, 2))
@@ -428,7 +464,7 @@ def test_prune_keeps_unit_rows_beside_a_large_scale_pair():
 def test_prune_keeps_an_independent_row_after_exact_duplicates(copies, target):
     # an exact duplicate leaves an unpivoted QR a zero subcolumn; the row after
     # the duplicates must still be measured against the kept row alone.  With
-    # 9 copies the last row lies past 2 p^2 = 8 rows.
+    # either count the last row lies past R's p^2 = 4 rows.
     e00, e11 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     sys = base_system([e00] * copies + [e11], [target] * (copies + 1))
     assert [t.indices[0] - 1 for t in prune_dependent(sys).provenance] == [0, copies]
@@ -477,7 +513,7 @@ def test_prune_matches_the_reference_on_exactly_dependent_rows():
 
 @pytest.mark.parametrize("scale", [1.0, 2.0])
 def test_prune_keeps_trace_rows_after_repeated_pairs(scale):
-    # nine copies of one pair give 36 value rows of rank 4, past 2 p^2 = 32;
+    # nine copies of one pair give 36 value rows of rank 4, past p^2 = 16;
     # three of the four trace-preservation rows after them are independent
     e00 = np.diag([1.0, 0.0])
     inst = ProblemInstance(2, 2, [(e00, scale * e00)] * 9, trace_preserving=True)
@@ -637,13 +673,19 @@ def test_system_equivalent_to_interpolation_conditions():
                 ]
                 pairs = [(a, apply_choi(ChoiMatrix(n, k, x), a)) for a in a_mats]
                 sys = instance_system(ProblemInstance(n, k, pairs, trace_preserving))
-                # X satisfies the hermitized system by construction
+                # X satisfies the system by construction
                 assert np.abs(sys.residuals(x)).max() < 1e-10
-                # and a perturbed Y violates it exactly when the map values move
+                # and a perturbed Y violates it exactly when the map values of
+                # the pairs' Hermitian halves move
                 y = x + random_hermitian(rng, n * k, scale=0.1)
                 res = np.abs(sys.residuals(y)).max()
+                halves = [
+                    (hermitian_part(c * a), hermitian_part(c * b))
+                    for a, b in pairs
+                    for c in (1.0, -1j)
+                ]
                 gap = max(
-                    np.abs(apply_choi(ChoiMatrix(n, k, y), a) - b).max() for a, b in pairs
+                    np.abs(apply_choi(ChoiMatrix(n, k, y), a) - b).max() for a, b in halves
                 )
                 if trace_preserving:
                     gap = max(gap, np.abs(output_partial_trace(y, n, k) - np.eye(n)).max())

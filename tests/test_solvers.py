@@ -396,7 +396,7 @@ def test_solve_exp_non_hermitian_data():
     rng = np.random.default_rng(63)
     inst, _ = planted_instance(rng, 2, 2, 2, hermitian_data=False)
     sys = prune_dependent(instance_system(inst))
-    assert sys.q == 16  # both hermitized parts of every couple survive
+    assert sys.q == 16  # every row of both Hermitian halves of each pair survives
     out = solve_exp(sys)
     assert out.status is SolveStatus.FEASIBLE
     assert out.max_residual <= 1e-8
