@@ -382,10 +382,8 @@ def span_contains_positive(sys: ConstraintSystem, cfg: ExpSolveConfig | None = N
     unit y.
     ``sys`` must be pruned: a row that prune drops raises ``ValueError``.
     """
-    extended = ConstraintSystem(sys.p, np.concatenate([sys.matrices, np.eye(sys.p)[None]]),
-                                np.append(np.zeros(sys.q), 1.0))
     try:
-        pruned = prune_dependent(extended)
+        pruned = prune_dependent(sys.with_unit_trace())
     except InconsistentSystemError as exc:
         y, source = exc.certificate_coefficients[: sys.q], SpanSource.LINEAR_SYSTEM
     else:

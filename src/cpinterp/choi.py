@@ -137,10 +137,20 @@ def _fix_phase(u: np.ndarray) -> np.ndarray:
     return u * (pivot.conjugate() / abs(pivot))
 
 
-def _rank_tol(eigenvalues: np.ndarray, tol: float | None) -> float:
-    if tol is not None:
-        return tol
-    return RANK_RTOL * max(float(eigenvalues[-1]), 0.0)
+def _psd_spectrum(c: ChoiMatrix, tol: float | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """The eigenvalues (ascending) and eigenvectors of a Choi matrix, and the
+    rank cut: ``tol``, or by default ``RANK_RTOL * max eigenvalue``.
+
+    Raises ``ValueError`` when the matrix is not PSD within the cut.
+    """
+    w, u = linalg.herm_eig(c.matrix)
+    cut = tol if tol is not None else RANK_RTOL * max(float(w[-1]), 0.0)
+    if w[0] < -cut:
+        raise ValueError(
+            f"Choi matrix is not positive semidefinite: min eigenvalue {w[0]:.6g} "
+            f"below -{cut:.3g}"
+        )
+    return w, u, cut
 
 
 def choi_to_kraus(c: ChoiMatrix, tol: float | None = None) -> KrausSet:
@@ -154,13 +164,7 @@ def choi_to_kraus(c: ChoiMatrix, tol: float | None = None) -> KrausSet:
 
     Raises ``ValueError`` when the matrix is not PSD within ``tol``.
     """
-    w, u = linalg.herm_eig(c.matrix)
-    cut = _rank_tol(w, tol)
-    if w[0] < -cut:
-        raise ValueError(
-            f"Choi matrix is not positive semidefinite: min eigenvalue {w[0]:.6g} "
-            f"below -{cut:.3g}"
-        )
+    w, u, cut = _psd_spectrum(c, tol)
     elements = []
     for r in range(len(w) - 1, -1, -1):  # descending eigenvalue order
         if w[r] <= cut:
@@ -172,11 +176,5 @@ def choi_to_kraus(c: ChoiMatrix, tol: float | None = None) -> KrausSet:
 
 def minimal_kraus_count(c: ChoiMatrix, tol: float | None = None) -> int:
     """Minimal number of operation elements = numerical rank of the Choi matrix."""
-    w, _ = linalg.herm_eig(c.matrix)
-    cut = _rank_tol(w, tol)
-    if w[0] < -cut:
-        raise ValueError(
-            f"Choi matrix is not positive semidefinite: min eigenvalue {w[0]:.6g} "
-            f"below -{cut:.3g}"
-        )
+    w, _, cut = _psd_spectrum(c, tol)
     return int(np.count_nonzero(w > cut))

@@ -17,7 +17,8 @@ system "find X >= 0 with tr(C(i) X) = b_i" is what the solvers consume.
 
 ``instance_system`` builds that system: every row is one Kronecker product,
 written once into one stack.  ``prune_dependent`` then drops the
-real-linearly dependent rows, reading the pivots off Householder QR: one
+real-linearly dependent rows, reading the pivots off Householder QR
+(``ConstraintSystem.factor``, which the projection reuses): one
 factorization when no row is dependent, and one of a shrinking trailing
 block per round of dropped rows.  ``joint_support_reduce`` compresses the
 system onto the joint support of its rows, which it reads off the n x n
@@ -91,21 +92,22 @@ class ProblemInstance:
 class ConstraintSystem:
     """Selfadjoint constraint matrices with real targets.
 
-    ``matrices`` has shape (q, p, p) and is stored C-contiguous, so ``flat``
-    is a (q, p*p) view of the same memory: row i is C(i) read row by row.
-    The trace pairings ``tr(C(i) X)`` and the combinations
-    ``sum_i x_i C(i)`` are single complex GEMV calls on ``flat``.  Every
-    C(i) must be exactly Hermitian (a ``ValueError`` otherwise), since the
-    Gram matrix, prune and the Newton Hessians read C(i) through its p^2
-    real Hermitian coordinates (``linalg.hermitian_coordinates``): its
-    diagonal and upper triangle.  ``targets`` has shape (q,).
-    ``provenance`` tracks the origin of every row for reporting.
+    ``matrices`` has shape (q, p, p), C-contiguous, and every C(i) must be
+    exactly Hermitian (a ``ValueError`` otherwise).  ``targets`` has shape
+    (q,); ``provenance`` tracks the origin of every row for reporting.  Only
+    this module reads ``matrices``; the package reads the rows through the
+    methods: ``traces``, ``residuals`` and ``aggregate`` (one complex GEMV
+    each on the (q, p*p) view ``_flat``), ``coordinates`` (the p^2 real
+    Hermitian coordinates of the rows, rotated and weighted as the Newton
+    Hessians need), ``factor`` (the one triangular factor from which prune
+    and the projection decide linear dependence) and ``with_unit_trace``.
     """
 
     p: int
     matrices: np.ndarray
     targets: np.ndarray
     provenance: list = field(default_factory=list)
+    _factor: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrices = np.ascontiguousarray(self.matrices, dtype=complex)
@@ -130,13 +132,13 @@ class ConstraintSystem:
         return len(self.targets)
 
     @property
-    def flat(self) -> np.ndarray:
-        """The (q, p*p) view of ``matrices``."""
+    def _flat(self) -> np.ndarray:
+        """The (q, p*p) view of ``matrices``: row i is C(i) read row by row."""
         return self.matrices.reshape(self.q, self.p * self.p)
 
     def traces(self, x: np.ndarray) -> np.ndarray:
         """Real parts of ``tr(C(i) x)`` for every row, as one GEMV."""
-        return (self.flat @ np.asarray(x, dtype=complex).T.ravel()).real
+        return (self._flat @ np.asarray(x, dtype=complex).T.ravel()).real
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Per-constraint residuals ``tr(C(i) x) - b_i`` for Hermitian x."""
@@ -144,20 +146,36 @@ class ConstraintSystem:
 
     def aggregate(self, coeffs: np.ndarray) -> np.ndarray:
         """Real linear combination ``sum_i coeffs[i] C(i)``."""
-        return (np.asarray(coeffs, dtype=float) @ self.flat).reshape(self.p, self.p)
+        return (np.asarray(coeffs, dtype=float) @ self._flat).reshape(self.p, self.p)
 
-    def coordinates(self) -> np.ndarray:
-        """The rows' (q, p^2) real Hermitian coordinates, whose dot products
-        are the trace pairings ``tr(C(a) C(b))``."""
-        return linalg.hermitian_coordinates(self.matrices)
+    def coordinates(
+        self, rotation: np.ndarray | None = None, weights: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``linalg.hermitian_coordinates(R^* C(i) R, weights)``, shape (q, p^2), for
+        the p x p ``rotation`` R (the rows themselves without one).  The first
+        p coordinates are the diagonal; the rest have the off-diagonal norm."""
+        rows = self.matrices if rotation is None else rotation.conj().T @ self.matrices @ rotation
+        return linalg.hermitian_coordinates(rows, weights)
 
-    def gram(self) -> np.ndarray:
-        """Real Gram matrix ``tr(C(a) C(b))`` of the constraints.
+    def factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """R of the QR of the rows' coordinates at unit norm (as columns; a zero
+        row stays zero), and the row norms.  ``R^T R`` is the Gram matrix
+        ``tr(C(a) C(b))`` of the unit-norm rows, and ``R[j, j]^2`` row j's
+        squared residual after the rows before it.  Computed once per system,
+        or handed over by ``prune_dependent`` for the rows it keeps."""
+        if self._factor is None:
+            r = np.linalg.qr(self.coordinates().T, mode="r")
+            # R's columns have the rows' norms, and scaling them is the QR of the scaled rows
+            norms = np.sqrt(np.sum(r * r, axis=0))
+            r /= np.where(norms == 0.0, 1.0, norms)
+            self._factor = r, norms
+        return self._factor
 
-        One SYRK of the rows' Hermitian coordinates, exactly symmetric.
-        """
-        coords = self.coordinates()
-        return coords @ coords.T
+    def with_unit_trace(self) -> ConstraintSystem:
+        """The rows at target 0, then ``(I, 1)``: its PSD solutions are the
+        X with ``tr X = 1`` and every ``tr(C(i) X) = 0``."""
+        return ConstraintSystem(self.p, np.concatenate([self.matrices, np.eye(self.p)[None]]),
+                                np.append(np.zeros(self.q), 1.0))
 
 
 @dataclass
@@ -290,7 +308,7 @@ def prune_dependent(sys: ConstraintSystem) -> ConstraintSystem:
     residual after projecting out the kept rows before it is at most
     ``DEPENDENCE_RTOL``: it is then a real combination of those rows.
 
-    The pivots come from Householder QR of the rows taken as columns.  An
+    The pivots come from ``sys.factor()``: QR of the rows as columns.  An
     unpivoted QR measures each column against all earlier columns, dropped
     ones included, so its diagonal is exact only up to the first dropped row.
     Prune therefore works in rounds.  In a round, ``|R[j, j]|`` gives the
@@ -311,18 +329,16 @@ def prune_dependent(sys: ConstraintSystem) -> ConstraintSystem:
     targets, the whole system is contradictory, and an
     ``InconsistentSystemError`` with a certificate in the unscaled rows is
     raised.  A system of no constraints (every pair of an instance is zero),
-    and one that keeps every row, is returned as it is.
+    and one that keeps every row, is returned as it is; a pruned copy carries
+    the factor of the rows it keeps, the R of the last round.
     """
     if sys.q == 0:
         return sys
     # r factors the rows in ``cols`` (as columns); its first ``start`` are kept
-    r = np.linalg.qr(sys.coordinates().T, mode="r")
-    # R's columns have the rows' norms, and scaling them is the QR of the scaled rows
-    scale = np.sqrt(np.sum(r * r, axis=0))
-    if np.max(scale) == 0.0:
+    r, norms = sys.factor()
+    if np.max(norms) == 0.0:
         raise ValueError("cannot prune a system of zero constraints")
-    scale[scale == 0.0] = 1.0  # a zero row stays zero and is dropped
-    r /= scale
+    scale = np.where(norms == 0.0, 1.0, norms)
     targets = sys.targets / scale
     b_cut = TARGET_GAP_FACTOR * DEPENDENCE_RTOL * (1.0 + float(np.max(np.abs(targets))))
     cols = np.arange(sys.q)
@@ -367,12 +383,11 @@ def prune_dependent(sys: ConstraintSystem) -> ConstraintSystem:
         )
     if len(cols) == sys.q:
         return sys
-    return ConstraintSystem(
-        sys.p,
-        sys.matrices[cols],
-        sys.targets[cols],
-        [sys.provenance[i] for i in cols],
+    pruned = ConstraintSystem(
+        sys.p, sys.matrices[cols], sys.targets[cols], [sys.provenance[i] for i in cols]
     )
+    pruned._factor = r, norms[cols]
+    return pruned
 
 
 def joint_support_reduce(

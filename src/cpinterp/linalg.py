@@ -51,15 +51,6 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with lexicographic (row-major) pair indexing.
-
-    ``kron(a, b)[(i, r), (j, s)] = a[i, j] * b[r, s]`` where the row index
-    pairs ``(i, r)`` are flattened as ``i * rows(b) + r``.
-    """
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def herm_eig(h: np.ndarray) -> EigDecomp:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 

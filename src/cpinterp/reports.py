@@ -33,6 +33,9 @@ from .constraints import ProblemInstance
 # the exact types of JSON numbers; bool, a subclass of int, is not one
 _REAL_TYPES = frozenset((int, float))
 
+# the solver names that ``--method`` and an instance file's ``solver.method`` accept
+SOLVER_METHODS = ("exp", "barrier", "auto")
+
 
 class InstanceFormatError(ValueError):
     """Malformed instance or report file; the message names the location."""
@@ -172,8 +175,8 @@ def solver_options_from_jsonable(doc: Any) -> dict:
         raise InstanceFormatError("'solver' must be an object")
     out = {}
     if "method" in solver:
-        if solver["method"] not in ("exp", "barrier", "auto"):
-            raise InstanceFormatError("solver.method must be one of exp, barrier, auto")
+        if solver["method"] not in SOLVER_METHODS:
+            raise InstanceFormatError(f"solver.method must be one of {', '.join(SOLVER_METHODS)}")
         out["method"] = solver["method"]
     if "tol" in solver:
         out["tol"] = checked_tol(solver["tol"], "solver.tol")

@@ -218,7 +218,6 @@ def _exp_objective(sys: ConstraintSystem, offset: float) -> _Objective:
     Its recession test (``sum x C <= 0`` and ``b . x > 0``; see
     ``_barrier_objective``) reads the top of that same spectrum.
     """
-    mats = sys.matrices
     targets = sys.targets
 
     def evaluate(x):
@@ -244,7 +243,7 @@ def _exp_objective(sys: ConstraintSystem, offset: float) -> _Objective:
         # H_ij = Re sum_ab phi_ab (U^* C(i) U)_ab conj((U^* C(j) U)_ab), and
         # phi is symmetric and positive (exp is increasing), so H is one SYRK
         # of the rotated rows' Hermitian coordinates, each scaled by sqrt(phi)
-        rot = linalg.hermitian_coordinates(u.conj().T @ mats @ u, phi)
+        rot = sys.coordinates(u, phi)
         return rot @ rot.T
 
     return _Objective(evaluate, hessian, lambda point: linalg.hermitian_part(point.factor[2]))
@@ -285,7 +284,7 @@ def _barrier_objective(sys: ConstraintSystem) -> _Objective:
 
     def hessian(point):
         k, _ = point.factor
-        rot = linalg.hermitian_coordinates(k @ sys.matrices @ k.conj().T)
+        rot = sys.coordinates(k.conj().T)
         return rot @ rot.T
 
     return _Objective(evaluate, hessian, lambda point: point.factor[1])
@@ -625,13 +624,11 @@ def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> 
     matrix exponential is entrywise on the diagonal.
     """
     cfg = cfg or ExpSolveConfig()
-    diag = np.diagonal(sys.matrices, axis1=1, axis2=2).real.copy()
-    mass = np.abs(sys.flat)
-    scale = STRUCTURE_RTOL * (1.0 + float(np.max(mass, initial=0.0)))
-    # off-diagonal mass of every row: one GEMV on the squared magnitudes
-    mass *= mass
-    off_mass = np.sqrt(mass @ (1.0 - np.eye(sys.p).ravel()))
-    active = off_mass <= scale
+    coords = sys.coordinates()
+    diag = coords[:, : sys.p]
+    scale = STRUCTURE_RTOL * (1.0 + float(np.max(np.abs(coords), initial=0.0)))
+    # the norm of the other coordinates is that of the off-diagonal entries
+    active = np.linalg.norm(coords[:, sys.p :], axis=1) <= scale
     for i in np.flatnonzero(~active):
         if float(np.linalg.norm(diag[i])) > scale or abs(sys.targets[i]) > STRUCTURE_RTOL:
             raise ValueError(
@@ -653,28 +650,23 @@ def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> 
 def project_affine(x: np.ndarray, sys: ConstraintSystem) -> np.ndarray:
     """Closest point to ``x`` (Frobenius norm) satisfying all trace constraints.
 
-    Subtracts ``sum_i y_i C(i)`` with ``G y = residuals``.  The system must
-    be one that prune keeps whole, and the rank is decided as prune decides
-    it: the Gram matrix scaled to a unit diagonal, ``S G S`` with
-    ``S = diag(G)^(-1/2)``, is that of the rows at unit norm, and its squared
-    Cholesky pivots are the squared residuals that ``prune_dependent`` cuts.
-    A ``ValueError`` is raised when one is at most ``DEPENDENCE_RTOL``.  The
-    solve takes G unscaled, whose residuals match the scaled solve's at row
-    scales up to 1e10.  Positivity is not preserved and must be re-checked
-    by the caller.
+    Subtracts ``sum_i y_i C(i)`` with ``G y = residuals``, G the Gram matrix
+    ``tr(C(a) C(b))``.  The system must be one that prune keeps whole, and
+    the rank is decided on prune's own factor (``ConstraintSystem.factor``):
+    ``G = N R^T R N``, with N the diagonal of the row norms and R the
+    triangular factor of the unit-norm rows, so y takes one solve with
+    ``R^T`` and one with R, and the squared pivots ``R[j, j]^2`` are the
+    squared residuals that ``prune_dependent`` cuts.  A ``ValueError`` is
+    raised when one is at most ``DEPENDENCE_RTOL``.  Positivity is not
+    preserved and must be re-checked by the caller.
     """
     x = linalg.hermitian_part(linalg.as_complex_matrix(x, "candidate"))
-    gram = sys.gram()
-    diag = np.diagonal(gram)
-    scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))  # a zero row stays zero
-    try:
-        pivots = np.diagonal(np.linalg.cholesky(gram * np.outer(scale, scale)))
-    except np.linalg.LinAlgError:
-        pivots = np.zeros(1)
-    if not np.all(pivots**2 > DEPENDENCE_RTOL):
+    r, norms = sys.factor()
+    if len(r) < sys.q or not np.all(np.diagonal(r) ** 2 > DEPENDENCE_RTOL):
         raise ValueError(
-            "Gram matrix is singular; run prune_dependent before projecting"
+            "the constraints are linearly dependent; run prune_dependent before projecting"
         )
     for _ in range(2):  # one refinement pass reaches machine precision
-        x = x - sys.aggregate(np.linalg.solve(gram, sys.residuals(x)))
+        z = np.linalg.solve(r.T, sys.residuals(x) / norms)
+        x = x - sys.aggregate(np.linalg.solve(r, z) / norms)
     return linalg.hermitian_part(x)

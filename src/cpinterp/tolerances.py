@@ -21,9 +21,9 @@ STRUCTURE_RTOL = 1e-12
 
 # Linear dependence, decided by prune and refused by the projection: a row
 # scaled to unit norm is dependent when its squared residual after the rows
-# kept before it is at most this.  Cholesky of the Gram matrix scaled to a
-# unit diagonal has the same squared pivots, so the projection refuses
-# exactly the systems that prune would not keep whole.
+# kept before it is at most this: a squared pivot of the rows' triangular
+# factor R (``ConstraintSystem.factor``).  The projection solves with prune's
+# own R, so it refuses exactly the systems that prune would not keep whole.
 DEPENDENCE_RTOL = 1e-10
 
 # A dependent row contradicts its combination of kept rows when their scaled

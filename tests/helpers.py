@@ -200,7 +200,7 @@ def reference_assemble(inst: ProblemInstance) -> list[RawConstraint]:
                 unit_lm[l, m] = 1.0
                 raw.append(
                     RawConstraint(
-                        matrix=linalg.kron(at, unit_lm),
+                        matrix=np.kron(at, unit_lm),
                         target=complex(half.b[m, l]),
                         origin=Provenance(half.kind, (half.nu, m + 1, l + 1)),
                     )
@@ -217,7 +217,7 @@ def reference_trace_preserving_raw(n: int, k: int) -> list[RawConstraint]:
             unit[i, j] = 1.0
             raw.append(
                 RawConstraint(
-                    matrix=linalg.kron(unit.T, eye_k),
+                    matrix=np.kron(unit.T, eye_k),
                     target=1.0 + 0j if i == j else 0j,
                     origin=Provenance("trace", (i + 1, j + 1)),
                 )

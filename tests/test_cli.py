@@ -414,6 +414,19 @@ def test_verify_catches_perturbed_choi(golden_report, tmp_path, capsys):
     assert "residual" in capsys.readouterr().out
 
 
+def test_verify_fails_a_feasible_report_on_contradictory_data(tmp_path, capsys):
+    # a zero A with B = I contradicts itself: the report fails the residual
+    # check on the first contradicting row instead of crashing
+    good = write_json(tmp_path / "good.json",
+                      {"n": 2, "k": 2, "pairs": [{"A": [[1, 0], [0, 1]], "B": [[1, 0], [0, 1]]}]})
+    bad = write_json(tmp_path / "bad.json",
+                     {"n": 2, "k": 2, "pairs": [{"A": [[0, 0], [0, 0]], "B": [[1, 0], [0, 1]]}]})
+    report = tmp_path / "report.json"
+    assert cli.main(["solve", str(good), "--out", str(report)]) == cli.EXIT_FEASIBLE
+    assert cli.main(["verify", str(report), str(bad)]) == cli.EXIT_VERIFY_FAIL
+    assert "FAIL: residuals: constraint value(1, 1, 1) residual -1 " in capsys.readouterr().out
+
+
 def test_verify_catches_missing_kraus_element(golden_report, tmp_path, capsys):
     doc = json.loads(golden_report.read_text())
     doc["kraus"] = doc["kraus"][:-1]

@@ -532,6 +532,27 @@ def test_prune_keeps_trace_rows_after_repeated_pairs(scale):
         assert err.value.offending == offending
 
 
+def test_prune_hands_over_the_factor_of_the_rows_it_keeps():
+    # a consistent combination of two pairs, and rows past the rank cap
+    inst, _ = planted_instance(np.random.default_rng(31), 3, 3, 4)
+    (a1, b1), (a2, b2) = inst.pairs[:2]
+    e00 = np.diag([1.0, 0.0])
+    for inst in (ProblemInstance(3, 3, inst.pairs + [(a1 + 2 * a2, b1 + 2 * b2)]),
+                 ProblemInstance(2, 2, [(e00, e00)] * 9, trace_preserving=True)):
+        sys = instance_system(inst)
+        pruned = prune_dependent(sys)
+        assert pruned.q < sys.q
+        r, norms = pruned.factor()
+        assert r.shape == (pruned.q, pruned.q)
+        assert np.array_equal(r, np.triu(r))
+        assert np.all(np.diagonal(r) ** 2 > DEPENDENCE_RTOL)
+        # R^T R is the Gram matrix of the kept rows at unit norm
+        coords = pruned.coordinates()
+        assert np.allclose(norms, np.linalg.norm(coords, axis=1), rtol=1e-14, atol=0.0)
+        unit = coords / norms[:, None]
+        assert np.abs(r.T @ r - unit @ unit.T).max() < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # joint_support_reduce / embed_solution
 

@@ -25,6 +25,7 @@ from cpinterp.solvers import (
 )
 from helpers import (
     X_REF,
+    golden_instance,
     golden_system,
     norm_cap_instance,
     planted_diagonal_instance,
@@ -502,12 +503,48 @@ def test_project_affine_idempotent():
 
 def test_project_affine_accepts_what_prune_keeps_at_any_row_scale():
     # prune measures rows at unit norm and keeps both; unscaled, the second
-    # Cholesky pivot is 1e-10 of the first
+    # pivot of the Gram matrix is 1e-10 of the first
     sys = system_of([1e7 * np.diag([1.0, 0.0]), np.diag([1.0, 1e-3])], [1e7, 1.001])
     assert prune_dependent(sys) is sys
     projected = project_affine(np.zeros((2, 2)), sys)
     assert np.abs(sys.residuals(projected)).max() <= 1e-8
     assert np.abs(projected - np.eye(2)).max() <= 1e-6
+    # the golden with pair 2 scaled by 1e3 to 1e8, and diagonal draws of the
+    # test suite's recipe, which has no condition filter: 20 from one seed
+    # and two whose inputs have condition numbers 2.8e4 and 1.3e4 (prune
+    # calls seed 580057656's draw 7, at 6e5, contradictory)
+    (a1, b1), (a2, b2) = golden_instance().pairs
+    instances = [ProblemInstance(2, 2, [(a1, b1), (10.0**e * a2, 10.0**e * b2)])
+                 for e in range(3, 9)]
+    rng = np.random.default_rng(72)
+    instances += [planted_diagonal_instance(rng, 4, 4, 6)[0] for _ in range(20)]
+    for seed, index in [(203, 57), (303, 102)]:
+        rng = np.random.default_rng(seed)
+        instances.append([planted_diagonal_instance(rng, 4, 4, 6)[0] for _ in range(index + 1)][-1])
+    rng = np.random.default_rng(73)
+    for inst in instances:
+        sys = prune_dependent(instance_system(inst))
+        projected = project_affine(random_hermitian(rng, sys.p), sys)
+        # round-off of each row's pairing with the result, with room
+        norms = np.linalg.norm(sys.matrices, axis=(1, 2))
+        bound = 1e-14 * norms * (1.0 + np.linalg.norm(projected))
+        assert np.all(np.abs(sys.residuals(projected)) <= bound)
+
+
+def test_project_affine_factors_nothing_after_prune(monkeypatch):
+    # the projection reads the R factor that prune computed or handed over
+    rng = np.random.default_rng(74)
+    inst, x_true = planted_instance(rng, 2, 2, 3)
+    (a1, b1), (a2, b2) = inst.pairs[:2]
+    for inst in (inst, ProblemInstance(2, 2, inst.pairs + [(a1 - a2, b1 - b2)])):
+        pruned = prune_dependent(instance_system(inst))
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or qr(*a, **k))
+        projected = project_affine(x_true + random_hermitian(rng, 4, 0.1), pruned)
+        monkeypatch.undo()
+        assert calls == []
+        assert np.abs(pruned.residuals(projected)).max() < 1e-12
 
 
 def test_project_affine_requires_pruned_system():
