@@ -379,7 +379,9 @@ def span_contains_positive(sys: ConstraintSystem, cfg: ExpSolveConfig | None = N
     Prune finding the row ``(I, 1)`` dependent gives ``sum y C = c I`` with
     ``c > 0``; else y is ``-x`` for the final point x of the exp solve under
     ``cfg``.  The answer is ``min eig(sum y C) > VALIDATION_TOL`` for the
-    unit y.
+    unit y.  The extended system carries ``sys.factor()`` with the
+    identity's column appended (``with_unit_trace``), so prune factors no
+    coordinate matrix for it.
     ``sys`` must be pruned: a row that prune drops raises ``ValueError``.
     """
     try:

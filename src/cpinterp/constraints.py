@@ -16,14 +16,18 @@ with the selfadjoint matrix ``H^T kron F``.  Trace preservation is
 system "find X >= 0 with tr(C(i) X) = b_i" is what the solvers consume.
 
 ``instance_system`` builds that system: every row is one Kronecker product,
-written once into one stack.  ``prune_dependent`` then drops the
-real-linearly dependent rows, reading the pivots off Householder QR
-(``ConstraintSystem.factor``, which the projection reuses): one
-factorization when no row is dependent, and one of a shrinking trailing
-block per round of dropped rows.  ``joint_support_reduce`` compresses the
-system onto the joint support of its rows, which it reads off the n x n
-inputs: the rows share the kernel ``K kron C^k``, with K the common kernel
-of the halves' ``H^T``.
+written once into one stack.  It factors the rows from the pairs as well
+(``ConstraintSystem.factor``, which the projection reuses): at unit norm the
+rows ``H^T kron F``, over an orthogonal basis of Herm(k), have the Gram
+matrix ``G_H kron I``, so one QR of the halves' n^2 coordinates, and one of
+the trace rows' residual in n^2 coordinates, give the triangular factor R of
+all q rows (block QR, Golub & Van Loan, *Matrix Computations*, 5.2).
+``prune_dependent`` then drops the real-linearly dependent rows, reading the
+pivots off that R: no factorization when no row is dependent, and one of a
+shrinking trailing block per round of dropped rows.
+``joint_support_reduce`` compresses the system onto the joint support of
+its rows, which it reads off the n x n inputs: the rows share the kernel
+``K kron C^k``, with K the common kernel of the halves' ``H^T``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .tolerances import DEPENDENCE_RTOL, STRUCTURE_RTOL, TARGET_GAP_FACTOR
+from .tolerances import DEPENDENCE_RTOL, STRUCTURE_RTOL, TARGET_GAP_RTOL
 
 
 @dataclass(frozen=True)
@@ -158,11 +162,14 @@ class ConstraintSystem:
         return linalg.hermitian_coordinates(rows, weights)
 
     def factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """R of the QR of the rows' coordinates at unit norm (as columns; a zero
-        row stays zero), and the row norms.  ``R^T R`` is the Gram matrix
-        ``tr(C(a) C(b))`` of the unit-norm rows, and ``R[j, j]^2`` row j's
-        squared residual after the rows before it.  Computed once per system,
-        or handed over by ``prune_dependent`` for the rows it keeps."""
+        """An upper triangular R, of shape (min(p^2, q), q), with ``R^T R`` the
+        Gram matrix ``tr(C(a) C(b))`` of the rows at unit norm (a zero row
+        stays zero), and the row norms.  ``R[j, j]^2`` is row j's squared
+        residual after the rows before it.  ``instance_system`` builds it from
+        the pairs, ``with_unit_trace`` extends the pruned system's, and
+        ``prune_dependent`` hands over the R of the rows it keeps.  Only a
+        system made from a raw stack of rows falls back to the QR of its
+        (p^2, q) coordinate matrix, once."""
         if self._factor is None:
             r = np.linalg.qr(self.coordinates().T, mode="r")
             # R's columns have the rows' norms, and scaling them is the QR of the scaled rows
@@ -173,9 +180,30 @@ class ConstraintSystem:
 
     def with_unit_trace(self) -> ConstraintSystem:
         """The rows at target 0, then ``(I, 1)``: its PSD solutions are the
-        X with ``tr X = 1`` and every ``tr(C(i) X) = 0``."""
-        return ConstraintSystem(self.p, np.concatenate([self.matrices, np.eye(self.p)[None]]),
-                                np.append(np.zeros(self.q), 1.0))
+        X with ``tr X = 1`` and every ``tr(C(i) X) = 0``.
+
+        When ``factor()`` is square with every squared pivot above
+        ``DEPENDENCE_RTOL``, as for a pruned system, the column of the unit
+        identity ``I / sqrt p`` is appended to it: its coordinates c solve
+        ``R^T c = g``, with g its pairings ``tr C(i) / (|C(i)| sqrt p)`` with
+        the unit rows, and its pivot is the norm of its residual after them,
+        ``I / sqrt p - sum y_i C(i) / |C(i)|`` with ``R y = c``.  That norm is
+        taken directly: ``sqrt(1 - |c|^2)`` loses it to cancellation when I
+        is nearly in the span.
+        """
+        q, p = self.q, self.p
+        extended = ConstraintSystem(p, np.concatenate([self.matrices, np.eye(p)[None]]),
+                                    np.append(np.zeros(q), 1.0))
+        r, norms = self.factor()
+        if len(r) == q and np.all(np.diagonal(r) ** 2 > DEPENDENCE_RTOL):
+            unit = np.eye(p) / np.sqrt(p)
+            c = np.linalg.solve(r.T, self.traces(unit) / norms)
+            residual = unit - self.aggregate(np.linalg.solve(r, c) / norms)
+            ext = np.zeros((min(p * p, q + 1), q + 1))
+            ext[:q, :q], ext[:q, q] = r, c
+            ext[q:, q] = np.linalg.norm(residual)
+            extended._factor = ext, np.append(norms, np.sqrt(p))
+        return extended
 
 
 @dataclass
@@ -219,7 +247,9 @@ def _hermitian_basis(k: int) -> tuple[np.ndarray, tuple]:
 
     For each m <= l, in row-major order and 1-based in the labels: ``E_mm``
     ("whole") when m = l, else ``E_lm + E_ml`` ("re"), then
-    ``i (E_lm - E_ml)`` ("im"), with E_lm the (l, m) matrix unit.
+    ``i (E_lm - E_ml)`` ("im"), with E_lm the (l, m) matrix unit.  The
+    elements are orthogonal in the trace pairing, of norm 1 ("whole") or
+    sqrt 2.
     """
     matrices, labels = [], []
     for m in range(k):
@@ -232,6 +262,17 @@ def _hermitian_basis(k: int) -> tuple[np.ndarray, tuple]:
     matrices = np.array(matrices)
     matrices.flags.writeable = False
     return matrices, tuple(labels)
+
+
+@functools.cache
+def _unit_basis(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The basis of Herm(k) at unit norm, as the columns of its Hermitian
+    coordinates (an orthogonal k^2 x k^2 matrix), and the elements' norms."""
+    coords = linalg.hermitian_coordinates(_hermitian_basis(k)[0])
+    norms = np.linalg.norm(coords, axis=1)
+    unit = coords.T / norms
+    unit.flags.writeable = norms.flags.writeable = False
+    return unit, norms
 
 
 def _pairings(g: np.ndarray, labels: tuple) -> np.ndarray:
@@ -251,6 +292,53 @@ def _kron_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     (a, n, _), (j, k, _) = left.shape, right.shape
     rows = left[:, None, :, None, :, None] * right[None, :, None, :, None, :]
     return rows.reshape(a * j, n * k, n * k)
+
+
+def _pair_factor(
+    halves: np.ndarray, k: int, trace_preserving: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """``factor()`` of the rows ``instance_system`` builds from the stack
+    ``halves`` (h, n, n) of the kept halves' ``H^T``, without their stack.
+
+    ``kron`` maps Herm(n) x Herm(k) isometrically onto Herm(p), so in
+    product coordinates the unit row of ``H^T kron F_j`` is ``h kron e_j``,
+    with h the unit coordinates of ``H^T`` and e_j those of the orthonormal
+    ``F_j / |F_j|``, and its norm is ``|H| |F_j|``.  With the QR
+    ``Hhat = Q_H R_H`` of the unit halves as columns (n^2 x h), the value
+    rows' R is ``R_H kron I_{k^2}``.  The unit trace row of ``G_t kron I_k``
+    is ``g_t kron u``, with u the coordinates of ``I_k / sqrt k``; its
+    coordinates along the value rows' ``Q_H kron I`` are
+    ``(Q_H^T Ghat) kron u``, and its residual ``(Q_perp^T Ghat) kron u``, in
+    the complement ``Q_perp`` of ``Q_H``, is factored by a QR of
+    ``Q_perp^T Ghat``, at most n^2 x n^2.  R is padded with zero rows to
+    (min(p^2, q), q), the shape of the QR of the (p^2, q) coordinates.
+    """
+    h, n, _ = halves.shape
+    n2, k2 = n * n, k * k
+    coords = linalg.hermitian_coordinates(halves)
+    h_norms = np.sqrt(np.sum(coords * coords, axis=1))
+    f_unit, f_norms = _unit_basis(k)
+    norms = (h_norms[:, None] * f_norms).ravel()
+    if trace_preserving:
+        q_h, r_h = np.linalg.qr(coords.T / h_norms, mode="complete")
+    else:
+        r_h = np.linalg.qr(coords.T / h_norms, mode="r")
+    m = min(n2, h)  # the rows of R_H
+    value = np.zeros((m, k2, h, k2))
+    j = np.arange(k2)
+    value[:, j, :, j] = r_h[:m]
+    value = value.reshape(m * k2, h * k2)
+    if not trace_preserving:
+        return value, norms
+    g_unit, g_norms = _unit_basis(n)
+    u = f_unit.T @ linalg.hermitian_coordinates(np.eye(k)[None])[0] / np.sqrt(k)
+    residual = np.linalg.qr(q_h[:, m:].T @ g_unit, mode="r")
+    q = h * k2 + n2
+    r = np.zeros((min(n2 * k2, q), q))
+    r[: m * k2, : h * k2] = value
+    r[: m * k2, h * k2 :] = np.kron(q_h[:, :m].T @ g_unit, u[:, None])
+    r[m * k2 : m * k2 + len(residual), h * k2 :] = residual
+    return r, np.concatenate([norms, g_norms * np.sqrt(k)])
 
 
 _HALVES = ("value", "value-i")
@@ -308,9 +396,12 @@ def prune_dependent(sys: ConstraintSystem) -> ConstraintSystem:
     residual after projecting out the kept rows before it is at most
     ``DEPENDENCE_RTOL``: it is then a real combination of those rows.
 
-    The pivots come from ``sys.factor()``: QR of the rows as columns.  An
-    unpivoted QR measures each column against all earlier columns, dropped
-    ones included, so its diagonal is exact only up to the first dropped row.
+    The pivots come from ``sys.factor()``: an upper triangular R whose
+    ``R^T R`` is the unit rows' Gram matrix, built by ``instance_system``
+    from the pairs, extended by ``with_unit_trace``, or, for a raw stack of
+    rows, the QR of the rows as columns.  Like an unpivoted QR, R measures
+    each column against all earlier columns, dropped ones included, so its
+    diagonal is exact only up to the first dropped row.
     Prune therefore works in rounds.  In a round, ``|R[j, j]|`` gives the
     pivots up to the first row j whose pivot is below the cut.  The rows
     before j are kept and span R's first j coordinates, so ``||R[j:, c]||``
@@ -319,18 +410,18 @@ def prune_dependent(sys: ConstraintSystem) -> ConstraintSystem:
     shrinks as more rows are kept.  The block ``R[j:, rest]`` of the other
     columns is factored again for the next round.  Past R's last row the
     kept rows span every row, and all remaining rows are dropped.  Rows with
-    no dependence cost one QR.
+    no dependence cost no factorization here.
 
     A dropped row's target must match its combination of the rows kept
     before its round, whose coefficients c solve the triangular
     ``R[:j, :j]``.  At the first dropped row, in order, whose scaled target
-    misses its combination's by more than ``TARGET_GAP_FACTOR *
-    DEPENDENCE_RTOL * (1 + max|b|) * (1 + ||c||_1)``, with b the scaled
-    targets, the whole system is contradictory, and an
-    ``InconsistentSystemError`` with a certificate in the unscaled rows is
-    raised.  A system of no constraints (every pair of an instance is zero),
-    and one that keeps every row, is returned as it is; a pruned copy carries
-    the factor of the rows it keeps, the R of the last round.
+    misses its combination's by more than ``TARGET_GAP_RTOL * (1 + max|b|)
+    * (1 + ||c||_1)``, with b the scaled targets, the whole system is
+    contradictory, and an ``InconsistentSystemError`` with a certificate in
+    the unscaled rows is raised.  A system of no constraints (every pair of
+    an instance is zero), and one that keeps every row, is returned as it
+    is; a pruned copy carries the factor of the rows it keeps, the R of the
+    last round.
     """
     if sys.q == 0:
         return sys
@@ -340,7 +431,7 @@ def prune_dependent(sys: ConstraintSystem) -> ConstraintSystem:
         raise ValueError("cannot prune a system of zero constraints")
     scale = np.where(norms == 0.0, 1.0, norms)
     targets = sys.targets / scale
-    b_cut = TARGET_GAP_FACTOR * DEPENDENCE_RTOL * (1.0 + float(np.max(np.abs(targets))))
+    b_cut = TARGET_GAP_RTOL * (1.0 + float(np.max(np.abs(targets))))
     cols = np.arange(sys.q)
     start = 0
     offending = None  # (row, gap, certificate) of the first contradicted row
@@ -487,9 +578,13 @@ def instance_system(
         block = targets[first : first + len(labels)]
         system = ConstraintSystem(p, matrices, targets, provenance)
         raise _contradiction(system, first + int(np.argmax(np.abs(block))))
-    if inst.trace_preserving if trace_preserving is None else trace_preserving:
+    tp = inst.trace_preserving if trace_preserving is None else trace_preserving
+    if tp:
         basis, labels = _hermitian_basis(inst.n)
         matrices = np.concatenate([matrices, _kron_rows(basis, np.eye(inst.k)[None])])
         targets = np.concatenate([targets, _pairings(np.eye(inst.n)[None], labels)[0]])
         provenance += [Provenance("trace", idx, part) for idx, part in labels]
-    return ConstraintSystem(p, matrices, targets, provenance)
+    system = ConstraintSystem(p, matrices, targets, provenance)
+    if system.q:
+        system._factor = _pair_factor(left, inst.k, tp)
+    return system

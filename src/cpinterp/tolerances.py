@@ -27,10 +27,11 @@ STRUCTURE_RTOL = 1e-12
 DEPENDENCE_RTOL = 1e-10
 
 # A dependent row contradicts its combination of kept rows when their scaled
-# targets differ by more than this multiple of DEPENDENCE_RTOL (times
-# (1 + max |b|) (1 + ||c||_1)): the residual a dependent row may keep is
-# round-off that the target gap has to beat with room.
-TARGET_GAP_FACTOR = 100.0
+# targets differ by more than this (times (1 + max |b|) (1 + ||c||_1)): the
+# residual a dependent row may keep is round-off that the target gap has to
+# beat with room.  A decision of its own, apart from DEPENDENCE_RTOL, so that
+# the pivot cut can move without moving it; 1e-8 is 100 * 1e-10 exactly.
+TARGET_GAP_RTOL = 1e-8
 
 # The joint support of the inputs: a singular value of the stacked inputs at
 # most this multiple of (1 + their Frobenius norm) belongs to the kernel.

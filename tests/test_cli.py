@@ -614,6 +614,33 @@ def test_a_complex_instance_answers_as_its_hermitian_halves(infeasible):
             assert gap < 1e-9
 
 
+def test_solve_and_certify_factor_no_p2_row_coordinate_matrix(monkeypatch):
+    # every built system arrives with its factor, so no QR has the p^2 rows
+    # of the coordinate matrix
+    rng = np.random.default_rng(1012)
+    eye = np.eye(3, dtype=complex)
+    planted, _ = planted_instance(rng, 3, 3, 3)
+    channel = kraus_to_choi(random_channel_kraus(rng, 2, 4))
+    inputs = [random_hermitian(rng, 2) for _ in range(3)]
+    instances = [
+        planted,
+        planted_instance(rng, 3, 2, 3, hermitian_data=False)[0],
+        planted_diagonal_instance(rng, 3, 3, 5)[0],
+        ProblemInstance(2, 2, [(a, apply_choi(channel, a)) for a in inputs], trace_preserving=True),
+        ProblemInstance(3, 3, planted.pairs + [(eye, -eye)]),
+    ]
+    shapes = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(
+        np.linalg, "qr", lambda a, *args, **kw: shapes.append(a.shape) or qr(a, *args, **kw)
+    )
+    for inst in instances:
+        for run in (cli.run_solve, cli.run_certify):
+            shapes.clear()
+            run(inst, cli.SolveOptions())
+            assert shapes and all(rows != (inst.n * inst.k) ** 2 for rows, _ in shapes)
+
+
 # ---------------------------------------------------------------------------
 # options
 

@@ -6,6 +6,7 @@ from cpinterp.linalg import hermitian_part
 from cpinterp.choi import ChoiMatrix, KrausSet, apply_choi, kraus_to_choi, matrix_unit
 from cpinterp.constraints import (
     DEPENDENCE_RTOL,
+    TARGET_GAP_RTOL,
     ConstraintSystem,
     InconsistentSystemError,
     ProblemInstance,
@@ -375,7 +376,7 @@ def reference_offending(sys):
     target cut, or None."""
     vecs = real_vectors(sys)
     kept = reference_kept_rows(sys)
-    b_cut = 100.0 * DEPENDENCE_RTOL * (1.0 + np.max(np.abs(sys.targets)))
+    b_cut = TARGET_GAP_RTOL * (1.0 + np.max(np.abs(sys.targets)))
     for i in sorted(set(range(sys.q)) - set(kept)):
         before = [j for j in kept if j < i]
         coeffs = np.linalg.lstsq(vecs[before].T, vecs[i], rcond=None)[0]
@@ -551,6 +552,51 @@ def test_prune_hands_over_the_factor_of_the_rows_it_keeps():
         assert np.allclose(norms, np.linalg.norm(coords, axis=1), rtol=1e-14, atol=0.0)
         unit = coords / norms[:, None]
         assert np.abs(r.T @ r - unit @ unit.T).max() < 1e-13
+
+
+def channel_instance(rng, n, inputs, with_identity):
+    """A trace-preserving channel of Kraus rank 2 seen on random Hermitian inputs,
+    and on I as well when ``with_identity``."""
+    choi = kraus_to_choi(random_channel_kraus(rng, n, 2))
+    a_mats = [random_hermitian(rng, n) for _ in range(inputs)]
+    a_mats += [np.eye(n, dtype=complex)] if with_identity else []
+    return ProblemInstance(n, n, [(a, apply_choi(choi, a)) for a in a_mats], trace_preserving=True)
+
+
+FACTOR_CASES = {
+    "hermitian": lambda rng: planted_instance(rng, 3, 3, 4)[0],
+    "complex, n < k, more halves than n^2":
+        lambda rng: planted_instance(rng, 2, 3, 3, hermitian_data=False)[0],
+    "complex, n > k": lambda rng: planted_instance(rng, 3, 2, 4, hermitian_data=False)[0],
+    "diagonal, dependent pairs": lambda rng: planted_diagonal_instance(rng, 3, 3, 6)[0],
+    "channel, I in the inputs' span": lambda rng: channel_instance(rng, 3, 3, True),
+    "channel, more halves than n^2": lambda rng: channel_instance(rng, 2, 5, False),
+}
+
+
+def assert_factor_is_the_dense_qr(sys):
+    """``sys.factor()`` against the QR of the unit rows' p^2 coordinates."""
+    r, norms = sys.factor()
+    coords = sys.coordinates()
+    dense_norms = np.linalg.norm(coords, axis=1)
+    dense = np.linalg.qr((coords / dense_norms[:, None]).T, mode="r")
+    assert r.shape == dense.shape == (min(sys.p**2, sys.q), sys.q)
+    assert np.abs(np.abs(r) - np.abs(dense)).max() <= 1e-12
+    assert np.abs(norms / dense_norms - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", FACTOR_CASES)
+def test_the_built_factor_matches_the_dense_qr(case):
+    # the factors built from the pairs and extended by the identity, which
+    # prune and the span check read
+    rng = np.random.default_rng(32)
+    for _ in range(3):
+        sys = instance_system(FACTOR_CASES[case](rng))
+        assert_factor_is_the_dense_qr(sys)
+        raw = ConstraintSystem(sys.p, sys.matrices, sys.targets, sys.provenance)
+        pruned = prune_dependent(sys)
+        assert pruned.provenance == prune_dependent(raw).provenance
+        assert_factor_is_the_dense_qr(pruned.with_unit_trace())
 
 
 # ---------------------------------------------------------------------------
