@@ -129,14 +129,6 @@ def kraus_to_choi(ks: KrausSet) -> ChoiMatrix:
     return choi_from_unit_images(ks.n, ks.k, images)
 
 
-def _fix_phase(u: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its largest-magnitude component is real positive."""
-    pivot = u[np.argmax(np.abs(u))]
-    if abs(pivot) == 0.0:
-        return u
-    return u * (pivot.conjugate() / abs(pivot))
-
-
 def _psd_spectrum(c: ChoiMatrix, tol: float | None) -> tuple[np.ndarray, np.ndarray, float]:
     """The eigenvalues (ascending) and eigenvectors of a Choi matrix, and the
     rank cut: ``tol``, or by default ``RANK_RTOL * max eigenvalue``.
@@ -157,21 +149,22 @@ def choi_to_kraus(c: ChoiMatrix, tol: float | None = None) -> KrausSet:
     """Extract operation elements from a PSD Choi matrix.
 
     Each eigenpair ``(lam, u)`` with ``lam > tol`` contributes the element
-    ``conj(reshape(sqrt(lam) * u, (n, k)))``; the conjugation makes
-    ``kraus_to_choi`` invert this exactly.  Eigenvector phases are fixed so
-    the output is deterministic.  The default threshold is
-    ``RANK_RTOL * max eigenvalue``.
+    ``conj(reshape(sqrt(lam) * u, (n, k)))``, in descending eigenvalue
+    order; the conjugation makes ``kraus_to_choi`` invert this exactly.
+    Each eigenvector's phase is fixed, so the output is deterministic: it is
+    rotated so that its largest-magnitude component (the first, on ties) is
+    real positive.  All kept eigenvectors are rotated and scaled at once.
+    The default threshold is ``RANK_RTOL * max eigenvalue``.
 
     Raises ``ValueError`` when the matrix is not PSD within ``tol``.
     """
     w, u, cut = _psd_spectrum(c, tol)
-    elements = []
-    for r in range(len(w) - 1, -1, -1):  # descending eigenvalue order
-        if w[r] <= cut:
-            break
-        vec = _fix_phase(u[:, r]) * np.sqrt(w[r])
-        elements.append(vec.conj().reshape(c.n, c.k))
-    return KrausSet(c.n, c.k, elements)
+    kept = np.flatnonzero(w > cut)[::-1]  # w ascends, so this is a suffix
+    vecs = u[:, kept]
+    # eigenvectors have unit norm, so no pivot is zero
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(kept))]
+    vecs = vecs * (pivots.conj() / np.abs(pivots)) * np.sqrt(w[kept])
+    return KrausSet(c.n, c.k, list(vecs.T.conj().reshape(len(kept), c.n, c.k)))
 
 
 def minimal_kraus_count(c: ChoiMatrix, tol: float | None = None) -> int:

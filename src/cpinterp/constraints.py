@@ -47,24 +47,36 @@ class Provenance:
 
     ``kind`` is "value" for the Hermitian half ``(A + A^*)/2`` of an
     interpolation pair, "value-i" for its half ``(A - A^*)/2i`` (indices
-    ``(nu, m, l)``, 1-based), or "trace" for a trace-preservation condition
-    (indices ``(i, j)``).  ``part`` names the basis element of Herm(k), or
-    of Herm(n) for a trace row: "whole" for ``E_mm``, "re" for
-    ``E_lm + E_ml`` and "im" for ``i (E_lm - E_ml)``.
+    ``(nu, m, l)``, 1-based), "trace" for a trace-preservation condition
+    (indices ``(i, j)``), or "unit-trace" for the row ``(I, 1)`` that
+    ``ConstraintSystem.with_unit_trace`` appends (no indices).  ``part``
+    names the basis element of Herm(k), or of Herm(n) for a trace row:
+    "whole" for ``E_mm``, "re" for ``E_lm + E_ml`` and "im" for
+    ``i (E_lm - E_ml)``.  The label is formatted once, when the object is
+    made, and ``instance_system`` makes each layout's labels once.
     """
 
     kind: str
     indices: tuple
     part: str = "whole"
+    _text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        base = f"{self.kind}({', '.join(str(i) for i in self.indices)})"
+        object.__setattr__(self, "_text", base if self.part == "whole" else f"{base}.{self.part}")
 
     def __str__(self) -> str:
-        base = f"{self.kind}({', '.join(str(i) for i in self.indices)})"
-        return base if self.part == "whole" else f"{base}.{self.part}"
+        return self._text
 
 
 @dataclass
 class ProblemInstance:
-    """Interpolation data: pairs (A_nu, B_nu) and an optional channel flag."""
+    """Interpolation data: pairs (A_nu, B_nu) and an optional channel flag.
+
+    The pairs are checked when the instance is made and split into their
+    Hermitian halves once, on first use (``_halves``); make a new instance
+    to change them.
+    """
 
     n: int
     k: int
@@ -91,6 +103,15 @@ class ProblemInstance:
     def count(self) -> int:
         return len(self.pairs)
 
+    @functools.cached_property
+    def _halves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``_hermitian_halves`` of the pairs, read-only: the build, the support
+        reduction and ``is_diagonal_instance`` all read them."""
+        halves = _hermitian_halves(self)
+        for array in halves:
+            array.flags.writeable = False
+        return halves
+
 
 @dataclass
 class ConstraintSystem:
@@ -98,8 +119,13 @@ class ConstraintSystem:
 
     ``matrices`` has shape (q, p, p), C-contiguous, and every C(i) must be
     exactly Hermitian (a ``ValueError`` otherwise).  ``targets`` has shape
-    (q,); ``provenance`` tracks the origin of every row for reporting.  Only
-    this module reads ``matrices``; the package reads the rows through the
+    (q,); ``provenance`` tracks the origin of every row for reporting.  The
+    check runs once on rows from outside: a system derived from a checked
+    one (prune's subset of its rows, its ``with_unit_trace`` extension, and
+    ``joint_support_reduce``'s symmetrized compression, all exactly
+    Hermitian by construction) is made by the private ``_derived``, which
+    skips it, and only this module calls that.  Only this module reads
+    ``matrices``; the package reads the rows through the
     methods: ``traces``, ``residuals`` and ``aggregate`` (one complex GEMV
     each on the (q, p*p) view ``_flat``), ``coordinates`` (the p^2 real
     Hermitian coordinates of the rows, rotated and weighted as the Newton
@@ -130,6 +156,19 @@ class ConstraintSystem:
         if not np.array_equal(self.matrices, adjoint):
             i = int(np.flatnonzero(np.any(self.matrices != adjoint, axis=(1, 2)))[0])
             raise ValueError(f"constraint {self.provenance[i]} is not Hermitian")
+
+    @classmethod
+    def _derived(
+        cls, p: int, matrices: np.ndarray, targets: np.ndarray, provenance: list,
+        factor: tuple | None = None,
+    ) -> ConstraintSystem:
+        """A system of exactly Hermitian rows derived from a checked system:
+        C-contiguous complex ``matrices`` and float ``targets``, taken as they
+        are, with one label per row, and without the Hermitian check."""
+        system = cls.__new__(cls)
+        system.p, system.matrices, system.targets = p, matrices, targets
+        system.provenance, system._factor = provenance, factor
+        return system
 
     @property
     def q(self) -> int:
@@ -192,8 +231,10 @@ class ConstraintSystem:
         is nearly in the span.
         """
         q, p = self.q, self.p
-        extended = ConstraintSystem(p, np.concatenate([self.matrices, np.eye(p)[None]]),
-                                    np.append(np.zeros(q), 1.0))
+        extended = ConstraintSystem._derived(
+            p, np.concatenate([self.matrices, np.eye(p)[None]]),
+            np.append(np.zeros(q), 1.0), [*self.provenance, _UNIT_TRACE],
+        )
         r, norms = self.factor()
         if len(r) == q and np.all(np.diagonal(r) ** 2 > DEPENDENCE_RTOL):
             unit = np.eye(p) / np.sqrt(p)
@@ -204,6 +245,9 @@ class ConstraintSystem:
             ext[q:, q] = np.linalg.norm(residual)
             extended._factor = ext, np.append(norms, np.sqrt(p))
         return extended
+
+
+_UNIT_TRACE = Provenance("unit-trace", ())
 
 
 @dataclass
@@ -275,16 +319,29 @@ def _unit_basis(k: int) -> tuple[np.ndarray, np.ndarray]:
     return unit, norms
 
 
-def _pairings(g: np.ndarray, labels: tuple) -> np.ndarray:
-    """``tr(F G)`` for G in the stack ``g`` of Hermitian matrices, then F by its label.
+@functools.cache
+def _pairing_index(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where ``_pairings`` reads each element of Herm(k)'s basis, read-only: its
+    0-based entry (m, l), whether it is "im", and the factor of the entry's
+    real part."""
+    labels = _hermitian_basis(k)[1]
+    m, l = np.array([idx for idx, _ in labels]).T - 1
+    index = m, l, np.array([part == "im" for _, part in labels]), np.where(m == l, 1.0, 2.0)
+    for a in index:
+        a.flags.writeable = False
+    return index
+
+
+def _pairings(g: np.ndarray) -> np.ndarray:
+    """``tr(F G)`` for G in the stack ``g`` of Hermitian matrices, then F over
+    the basis of Herm(k) (``_hermitian_basis``), k being G's size.
 
     That is ``G[m, m]``, ``2 Re G[m, l]`` or ``-2 Im G[m, l]``, read off the
     entry, so that it is exact.
     """
-    m, l = np.array([idx for idx, _ in labels]).T - 1
-    im = np.array([part == "im" for _, part in labels])
+    m, l, im, factor = _pairing_index(g.shape[-1])
     values = g[:, m, l]
-    return np.where(im, -2.0 * values.imag, np.where(m == l, 1.0, 2.0) * values.real)
+    return np.where(im, -2.0 * values.imag, factor * values.real)
 
 
 def _kron_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -474,11 +531,17 @@ def prune_dependent(sys: ConstraintSystem) -> ConstraintSystem:
         )
     if len(cols) == sys.q:
         return sys
-    pruned = ConstraintSystem(
-        sys.p, sys.matrices[cols], sys.targets[cols], [sys.provenance[i] for i in cols]
+    return ConstraintSystem._derived(
+        sys.p, sys.matrices[cols], sys.targets[cols],
+        [sys.provenance[i] for i in cols.tolist()], (r, norms[cols]),
     )
-    pruned._factor = r, norms[cols]
-    return pruned
+
+
+def _diagonal_halves(h: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the stack ``h`` is diagonal: its off-diagonal
+    part has norm at most ``STRUCTURE_RTOL * (1 + max |H|)``."""
+    off = np.linalg.norm(np.where(np.eye(h.shape[-1], dtype=bool), 0.0, h), axis=(1, 2))
+    return off <= STRUCTURE_RTOL * (1.0 + np.max(np.abs(h), axis=(1, 2), initial=0.0))
 
 
 def joint_support_reduce(
@@ -497,8 +560,8 @@ def joint_support_reduce(
     ``W = W_n kron I_k``, every row satisfies C(i) = P C(i) P for the
     projector P = W W^*, so ``tr(C(i) W X' W^*) = tr(W^* C(i) W X')`` and the
     compressed system ``(W^* C(i) W, b_i)`` has the same feasible targets.
-    When every H is diagonal, W_n is a set of coordinate vectors, so a
-    diagonal system stays diagonal.
+    When every H is diagonal (``_diagonal_halves``), W_n is a set of
+    coordinate vectors, so a diagonal system stays diagonal.
 
     ``sys`` itself is returned, with the identity basis, when the kernel is
     trivial, when ``sys`` has trace rows, and when it has no rows at all:
@@ -506,20 +569,20 @@ def joint_support_reduce(
     leave only X = 0, while every positive X solves it.
     """
     identity = sys, SupportReduction(basis=np.eye(sys.p, dtype=complex))
-    if sys.q == 0 or any(t.kind == "trace" for t in sys.provenance):
+    # trace rows come last, and prune keeps the order
+    if sys.q == 0 or sys.provenance[-1].kind == "trace":
         return identity
-    ha, _, kept, _ = _hermitian_halves(inst)
+    ha, _, kept, _ = inst._halves
     h = ha[kept]
-    off = h - np.diagonal(h, axis1=1, axis2=2)[:, :, None] * np.eye(inst.n)
-    diagonal = np.max(np.abs(off)) <= STRUCTURE_RTOL * (1.0 + np.max(np.abs(h)))
-    w, _ = linalg.joint_support(h.transpose(0, 2, 1).reshape(-1, inst.n), diagonal=bool(diagonal))
+    diagonal = bool(np.all(_diagonal_halves(h)))
+    w, _ = linalg.joint_support(h.transpose(0, 2, 1).reshape(-1, inst.n), diagonal=diagonal)
     if w.shape[1] == inst.n:
         return identity
     w = np.kron(w, np.eye(inst.k))
     reduced = w.conj().T @ sys.matrices @ w
     reduced = (reduced + np.conj(np.swapaxes(reduced, 1, 2))) / 2
     return (
-        ConstraintSystem(w.shape[1], reduced, sys.targets.copy(), list(sys.provenance)),
+        ConstraintSystem._derived(w.shape[1], reduced, sys.targets.copy(), list(sys.provenance)),
         SupportReduction(basis=w),
     )
 
@@ -536,13 +599,41 @@ def embed_solution(xred: np.ndarray, red: SupportReduction) -> np.ndarray:
 
 
 def is_diagonal_instance(inst: ProblemInstance) -> bool:
-    """True when every A_nu and B_nu is diagonal within ``STRUCTURE_RTOL``."""
-    for a, b in inst.pairs:
-        for m in (a, b):
-            off = m - np.diag(np.diag(m))
-            if np.max(np.abs(off)) > STRUCTURE_RTOL:
-                return False
-    return True
+    """True when ``solve_diagonal`` takes every row that the instance gives.
+
+    The rows of a kept Hermitian half (H, G) (``_hermitian_halves``) are
+    ``H^T kron F``.  For a diagonal F the row's off-diagonal part is H's, so
+    H must be diagonal: its off-diagonal part must have norm at most
+    ``STRUCTURE_RTOL * (1 + max |H|)``, which is at most the cut at which
+    ``solve_diagonal`` keeps the row, since the row's own coordinates hold
+    H's entries.  For an off-diagonal F the row has a zero diagonal, and
+    ``solve_diagonal`` drops it only when its target ``tr(F G)``
+    (``_pairings``: ``2 Re G[m, l]`` or ``-2 Im G[m, l]``) is at most
+    ``STRUCTURE_RTOL``: that is the rule for G's off-diagonal entries.
+    Trace rows always qualify.
+    """
+    ha, hb, kept, _ = inst._halves
+    if not np.all(_diagonal_halves(ha[kept])):
+        return False
+    m, l, _, _ = _pairing_index(inst.k)
+    targets = _pairings(hb[kept])[:, m != l]
+    return float(np.max(np.abs(targets), initial=0.0)) <= STRUCTURE_RTOL
+
+
+@functools.lru_cache(maxsize=32)
+def _value_provenance(k: int, halves: tuple) -> tuple:
+    """The labels of the value rows of the Hermitian halves ``halves``
+    (indices into the pairs' halves, in row order), by pair, then F."""
+    labels = _hermitian_basis(k)[1]
+    return tuple(
+        Provenance(_HALVES[h % 2], (h // 2 + 1, *idx), part) for h in halves for idx, part in labels
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def _trace_provenance(n: int) -> tuple:
+    """The labels of the trace rows of inputs of size n."""
+    return tuple(Provenance("trace", idx, part) for idx, part in _hermitian_basis(n)[1])
 
 
 def instance_system(
@@ -560,18 +651,14 @@ def instance_system(
     zero rows of every contradicting half, with their targets ``tr(F G)``;
     it names the first contradicting half's row of largest ``|tr(F G)|``.
     """
-    ha, hb, kept, bad = _hermitian_halves(inst)
+    ha, hb, kept, bad = inst._halves
     basis, labels = _hermitian_basis(inst.k)
     halves = np.concatenate([np.flatnonzero(kept), np.flatnonzero(bad)])
     # a contradicting half's rows are zero, with its own targets
     left = np.where(kept[:, None, None], ha, 0.0)[halves].transpose(0, 2, 1)
     matrices = _kron_rows(left, basis)
-    targets = _pairings(hb[halves], labels).ravel()
-    provenance = [
-        Provenance(_HALVES[h % 2], (h // 2 + 1, *idx), part)
-        for h in halves.tolist()
-        for idx, part in labels
-    ]
+    targets = _pairings(hb[halves]).ravel()
+    provenance = list(_value_provenance(inst.k, tuple(halves.tolist())))
     p = inst.n * inst.k
     if bad.any():
         first = int(np.count_nonzero(kept)) * len(labels)
@@ -580,10 +667,11 @@ def instance_system(
         raise _contradiction(system, first + int(np.argmax(np.abs(block))))
     tp = inst.trace_preserving if trace_preserving is None else trace_preserving
     if tp:
-        basis, labels = _hermitian_basis(inst.n)
-        matrices = np.concatenate([matrices, _kron_rows(basis, np.eye(inst.k)[None])])
-        targets = np.concatenate([targets, _pairings(np.eye(inst.n)[None], labels)[0]])
-        provenance += [Provenance("trace", idx, part) for idx, part in labels]
+        matrices = np.concatenate(
+            [matrices, _kron_rows(_hermitian_basis(inst.n)[0], np.eye(inst.k)[None])]
+        )
+        targets = np.concatenate([targets, _pairings(np.eye(inst.n)[None])[0]])
+        provenance += _trace_provenance(inst.n)
     system = ConstraintSystem(p, matrices, targets, provenance)
     if system.q:
         system._factor = _pair_factor(left, inst.k, tp)

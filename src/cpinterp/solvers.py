@@ -629,12 +629,13 @@ def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> 
     scale = STRUCTURE_RTOL * (1.0 + float(np.max(np.abs(coords), initial=0.0)))
     # the norm of the other coordinates is that of the off-diagonal entries
     active = np.linalg.norm(coords[:, sys.p :], axis=1) <= scale
-    for i in np.flatnonzero(~active):
-        if float(np.linalg.norm(diag[i])) > scale or abs(sys.targets[i]) > STRUCTURE_RTOL:
-            raise ValueError(
-                f"constraint {sys.provenance[i]} is not diagonal and not droppable; "
-                "the diagonal solver only applies to diagonal systems"
-            )
+    droppable = (np.linalg.norm(diag, axis=1) <= scale) & (np.abs(sys.targets) <= STRUCTURE_RTOL)
+    refused = np.flatnonzero(~(active | droppable))
+    if refused.size:
+        raise ValueError(
+            f"constraint {sys.provenance[refused[0]]} is not diagonal and not droppable; "
+            "the diagonal solver only applies to diagonal systems"
+        )
     coeffs = diag[active]  # (q_active, p)
     targets = sys.targets[active]
 

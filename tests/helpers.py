@@ -10,7 +10,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from cpinterp import linalg
-from cpinterp.choi import ChoiMatrix, KrausSet, apply_choi, kraus_to_choi
+from cpinterp.choi import ChoiMatrix, KrausSet, _psd_spectrum, apply_choi, kraus_to_choi
 from cpinterp.constraints import (
     STRUCTURE_RTOL,
     ConstraintSystem,
@@ -302,6 +302,27 @@ def reference_instance_system(inst: ProblemInstance, trace_preserving: bool = Fa
             list(sys.provenance) + list(tp.provenance),
         )
     return sys
+
+
+# ---------------------------------------------------------------------------
+# Reference Kraus extraction: one eigenpair at a time, as choi_to_kraus did
+# before it handled all kept eigenvectors at once.
+
+
+def reference_choi_to_kraus(c: ChoiMatrix, tol: float | None = None) -> KrausSet:
+    """``conj(reshape(sqrt(lam) * u, (n, k)))`` per eigenpair above the cut, in
+    descending order, with u rotated so its largest component is real positive."""
+    w, u, cut = _psd_spectrum(c, tol)
+    elements = []
+    for r in range(len(w) - 1, -1, -1):
+        if w[r] <= cut:
+            break
+        vec = u[:, r]
+        pivot = vec[np.argmax(np.abs(vec))]
+        if abs(pivot) != 0.0:
+            vec = vec * (pivot.conjugate() / abs(pivot))
+        elements.append((vec * np.sqrt(w[r])).conj().reshape(c.n, c.k))
+    return KrausSet(c.n, c.k, elements)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,16 @@ from cpinterp.choi import (
     matrix_unit,
     minimal_kraus_count,
 )
-from helpers import A1, A2, B2, X_REF, random_complex, random_kraus_set
+from helpers import (
+    A1,
+    A2,
+    B2,
+    X_REF,
+    random_complex,
+    random_hermitian,
+    random_kraus_set,
+    reference_choi_to_kraus,
+)
 
 
 def identity_choi(n: int) -> ChoiMatrix:
@@ -151,6 +160,36 @@ def test_round_trip_random_sets():
         ks2 = choi_to_kraus(ChoiMatrix(n, k, phi))
         phi2 = kraus_to_choi(ks2).matrix
         assert np.linalg.norm(phi2 - phi) < 1e-10
+
+
+def kraus_reference_cases():
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        n, k = (int(v) for v in rng.integers(1, 4, size=2))
+        yield "full rank", kraus_to_choi(random_kraus_set(rng, n, k, n * k))
+        yield "rank deficient", kraus_to_choi(random_kraus_set(rng, n, k, max(1, n * k - 2)))
+    # repeated eigenvalues: 3 (twice) and 1 (twice)
+    u = np.linalg.qr(random_complex(rng, 4, 4))[0]
+    yield "repeated", ChoiMatrix(2, 2, (u * [3.0, 3.0, 1.0, 1.0]) @ u.conj().T)
+    yield "identity", ChoiMatrix(2, 3, np.eye(6))
+    yield "zero", ChoiMatrix(2, 2, np.zeros((4, 4)))
+    # a real matrix, whose eigenvectors are real, with a negative pivot
+    h = random_hermitian(rng, 4).real
+    yield "negative pivot", ChoiMatrix(2, 2, h @ h.T)
+
+
+def test_choi_to_kraus_matches_the_per_eigenpair_reference():
+    negative_pivot = False
+    for name, c in kraus_reference_cases():
+        ks, ref = choi_to_kraus(c), reference_choi_to_kraus(c)
+        assert len(ks.elements) == len(ref.elements), name
+        for v, r in zip(ks.elements, ref.elements):
+            assert v.shape == r.shape == (c.n, c.k)
+            assert np.abs(v - r).max() <= 1e-15 * np.abs(r).max(), name
+        if name == "negative pivot":
+            u = np.linalg.eigh(c.matrix)[1]
+            negative_pivot = bool(np.any(u[np.argmax(np.abs(u), axis=0), range(4)] < 0))
+    assert negative_pivot
 
 
 def test_apply_matches_direct_kraus_evaluation():

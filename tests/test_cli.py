@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -323,13 +324,53 @@ def test_solve_malformed_json_is_input_error(tmp_path, capsys):
     assert cli.main(["solve", str(path)]) == 4
 
 
-def test_determinism_excluding_timing(tmp_path):
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    cli.main(["solve", str(GOLDEN_INSTANCE), "--out", str(out1)])
-    cli.main(["solve", str(GOLDEN_INSTANCE), "--out", str(out2)])
-    d1, d2 = json.loads(out1.read_text()), json.loads(out2.read_text())
-    d1.pop("timing"), d2.pop("timing")
-    assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+def determinism_instance(tmp_path, case):
+    if case == "golden":
+        return GOLDEN_INSTANCE
+    if case == "diagonal":
+        inst, _ = planted_diagonal_instance(np.random.default_rng(90), 3, 3, 5)
+    else:
+        inst, _ = planted_instance(np.random.default_rng(91), 3, 3, 3)
+        inst = ProblemInstance(3, 3, inst.pairs + [(np.eye(3), -np.eye(3))])
+    return write_json(tmp_path / f"{case}.json", instance_to_jsonable(inst))
+
+
+@pytest.mark.parametrize("command, case", [
+    ("solve", "golden"), ("solve", "diagonal"), ("certify", "infeasible"),
+], ids=["golden-solve", "diagonal-solve", "infeasible-certify"])
+def test_determinism_excluding_timing(tmp_path, command, case):
+    # the rows' labels are cached per layout: an instance of another layout
+    # (complex data, so both halves of every pair, with trace rows) runs
+    # between the two calls
+    path = determinism_instance(tmp_path, case)
+    other, _ = planted_instance(np.random.default_rng(92), 2, 3, 4, hermitian_data=False)
+    other.trace_preserving = True
+    other_path = write_json(tmp_path / "other.json", instance_to_jsonable(other))
+    texts = []
+    for argv in ([command, path], ["certify", other_path], [command, path]):
+        out = tmp_path / "report.json"
+        cli.main([argv[0], str(argv[1]), "--out", str(out)])
+        texts.append(re.sub(r'"seconds": [^\n]*', '"seconds"', out.read_text()))
+    assert texts[0] == texts[2]
+    assert texts[0] != texts[1]
+
+
+def test_output_round_off_above_the_target_cut_takes_the_exp_path(tmp_path, capsys):
+    # B_1 carries 8e-13 off its diagonal: the targets 1.6e-12 of its strictly
+    # off-diagonal rows are above the cut at which the diagonal solver drops
+    # such a row, so auto must not pick it (it raised ValueError here once)
+    inst, _ = planted_diagonal_instance(np.random.default_rng(5), 2, 2, 3)
+    a, b = inst.pairs[0]
+    b = b.copy()
+    b[0, 1] = b[1, 0] = 0.8e-12
+    inst = ProblemInstance(2, 2, [(a, b), *inst.pairs[1:]])
+    path = write_json(tmp_path / "instance.json", instance_to_jsonable(inst))
+    out = tmp_path / "report.json"
+    assert cli.main(["solve", str(path), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert (rep["status"], rep["solver"]["method"]) == ("feasible", "exp")
+    assert cli.main(["verify", str(out), str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from cpinterp.linalg import hermitian_part
 from cpinterp.choi import ChoiMatrix, KrausSet, apply_choi, kraus_to_choi, matrix_unit
 from cpinterp.constraints import (
     DEPENDENCE_RTOL,
+    STRUCTURE_RTOL,
     TARGET_GAP_RTOL,
     ConstraintSystem,
     InconsistentSystemError,
@@ -17,6 +18,7 @@ from cpinterp.constraints import (
     joint_support_reduce,
     prune_dependent,
 )
+from cpinterp.solvers import SolveStatus, solve_diagonal
 from helpers import (
     A1,
     B1,
@@ -711,6 +713,88 @@ def test_is_diagonal_instance():
     # commuting but non-diagonal data must be pre-diagonalized by the caller
     h = np.array([[1.0, 1.0], [1.0, 1.0]])
     assert not is_diagonal_instance(ProblemInstance(2, 2, [(h, np.eye(2))]))
+
+
+def with_off_diagonal(inst, which, value):
+    """``inst`` with ``value`` at (0, 1) and its conjugate at (1, 0) of the first
+    pair's A (``which`` 0) or B (``which`` 1)."""
+    pair = [m.copy() for m in inst.pairs[0]]
+    pair[which][0, 1], pair[which][1, 0] = value, np.conj(value)
+    return ProblemInstance(inst.n, inst.k, [tuple(pair), *inst.pairs[1:]])
+
+
+def diagonal_solver_takes(inst):
+    pruned = prune_dependent(instance_system(inst))
+    return solve_diagonal(joint_support_reduce(pruned, inst)[0]).status is SolveStatus.FEASIBLE
+
+
+def test_is_diagonal_instance_cuts_a_relative_to_its_scale_and_b_at_the_target_cut():
+    inst, _ = planted_diagonal_instance(np.random.default_rng(6), 3, 2, 4)
+    # inputs of size 1e6 with 1e-9 of off-diagonal round-off in every A
+    noise = 1e-9 * (np.ones((3, 3)) - np.eye(3))
+    scaled = ProblemInstance(3, 2, [(1e6 * a + noise, 1e6 * b) for a, b in inst.pairs])
+    assert is_diagonal_instance(scaled)
+    assert diagonal_solver_takes(scaled)
+    # the off-diagonal part of A, of norm sqrt(2) |x|, against 1 + max |A|
+    cut = STRUCTURE_RTOL * (1.0 + np.abs(scaled.pairs[0][0]).max())
+    below = with_off_diagonal(scaled, 0, 0.99 * cut / np.sqrt(2.0))
+    assert is_diagonal_instance(below)
+    assert diagonal_solver_takes(below)
+    assert not is_diagonal_instance(with_off_diagonal(scaled, 0, 1.01 * cut / np.sqrt(2.0)))
+    # B's off-diagonal entries are the targets 2 Re B[0, 1] and -2 Im B[0, 1]
+    # of strictly off-diagonal rows, which the diagonal solver drops only at
+    # most STRUCTURE_RTOL, whatever the scale
+    for value in (0.49e-12, 0.49e-12j):
+        assert is_diagonal_instance(with_off_diagonal(scaled, 1, value))
+        assert diagonal_solver_takes(with_off_diagonal(scaled, 1, value))
+    for value in (0.51e-12, 0.51e-12j):
+        above = with_off_diagonal(scaled, 1, value)
+        assert not is_diagonal_instance(above)
+        with pytest.raises(ValueError, match=r"value\(1, 1, 2\)\.(re|im) is not diagonal"):
+            diagonal_solver_takes(above)
+
+
+# ---------------------------------------------------------------------------
+# systems derived from a checked one
+
+
+def assert_exactly_hermitian(sys):
+    assert np.array_equal(sys.matrices, sys.matrices.conj().transpose(0, 2, 1))
+
+
+def test_derived_systems_are_hermitian_and_keep_their_parents_labels():
+    # prune's copy, the extension by (I, 1) and the support-reduced system
+    # skip the Hermitian check: they must be exactly Hermitian as made
+    inst, _ = planted_diagonal_instance(np.random.default_rng(7), 2, 2, 4)
+    sys = instance_system(inst)
+    pruned = prune_dependent(sys)
+    assert pruned.q < sys.q
+    assert_exactly_hermitian(pruned)
+    kept = [sys.provenance.index(t) for t in pruned.provenance]
+    assert kept == sorted(kept)
+    assert np.array_equal(pruned.targets, sys.targets[kept])
+
+    extended = pruned.with_unit_trace()
+    assert_exactly_hermitian(extended)
+    assert extended.provenance[: pruned.q] == pruned.provenance
+    assert extended.provenance[-1].kind == "unit-trace"
+
+    # inputs with a common kernel that is no coordinate axis: the rotated
+    # compression is symmetrized
+    rng = np.random.default_rng(8)
+    u = np.linalg.qr(random_complex(rng, 3, 3))[0]
+    pairs = []
+    for _ in range(3):
+        a = np.zeros((3, 3), dtype=complex)
+        a[:2, :2] = random_hermitian(rng, 2)
+        pairs.append((u @ a @ u.conj().T, random_hermitian(rng, 2)))
+    inst = ProblemInstance(3, 2, pairs)
+    pruned = prune_dependent(instance_system(inst))
+    reduced, red = joint_support_reduce(pruned, inst)
+    assert red.reduced_dim == 4
+    assert_exactly_hermitian(reduced)
+    assert reduced.provenance == pruned.provenance
+    assert np.array_equal(reduced.targets, pruned.targets)
 
 
 # ---------------------------------------------------------------------------

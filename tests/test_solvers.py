@@ -579,6 +579,18 @@ def test_solve_diagonal_planted():
         assert np.diag(x).real.min() > 0
 
 
+def test_solve_diagonal_names_the_first_row_it_refuses():
+    # rows 2 and 4 are strictly off-diagonal with nonzero targets; row 3 is
+    # off-diagonal with a zero target and is dropped
+    off = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sys = system_of([np.eye(2), off, 2.0 * off, 3.0 * off], [2.0, 1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match=r"^constraint value\(2\) is not diagonal"):
+        solve_diagonal(sys)
+    out = solve_diagonal(system_of([np.eye(2), off], [2.0, 0.0]))
+    assert out.status is SolveStatus.FEASIBLE
+    assert list(out.coefficients[1:]) == [0.0]
+
+
 def test_diagonal_part_of_full_solution_is_feasible():
     rng = np.random.default_rng(81)
     inst, _ = planted_diagonal_instance(rng, 2, 2, 2)
