@@ -116,10 +116,12 @@ class SpanCheck:
 
 @dataclass
 class FeasibilityReport:
+    """A verdict with what it rests on; no solve or span check ran where None."""
+
     status: FeasibilityStatus
-    solve_outcome: SolveOutcome
+    solve_outcome: SolveOutcome | None
     certificate: Certificate | None
-    span_check: SpanCheck
+    span_check: SpanCheck | None
 
 
 def _trace_scale(sys: ConstraintSystem, tol: float) -> float:
@@ -406,7 +408,7 @@ def span_contains_positive(sys: ConstraintSystem, cfg: ExpSolveConfig | None = N
 def feasibility_report(
     sys: ConstraintSystem, exp_config: ExpSolveConfig | None = None
 ) -> FeasibilityReport:
-    """Solve with the exp potential and take the strict ``verdict``.
+    """The pipeline's stage ``pipeline.decide``: the exp solve and the strict verdict.
 
     Outcomes: ``feasible`` with a positive solution; ``certified-infeasible``
     (no PSD solution at all); ``certified-no-strict`` (no strictly positive
@@ -414,7 +416,5 @@ def feasibility_report(
     or ``undetermined``.  A feasible verdict and a validated PSD-excluding
     certificate cannot coexist.  ``sys`` must be pruned, for the span check.
     """
-    outcome = solve_exp(sys, exp_config)
-    span = span_contains_positive(sys, exp_config)
-    status, cert = verdict(sys, outcome, True)
-    return FeasibilityReport(status, outcome, cert, span)
+    from .pipeline import decide  # the pipeline imports this module
+    return decide(sys, sys, solve_exp, exp_config, True)

@@ -1,12 +1,11 @@
 """Command-line front end.
 
-Subcommands: ``solve`` (full pipeline to a report), ``certify`` (the same
-pipeline, asking for a strictly positive solution; see ``_run``), ``apply``
-(evaluate a solved map), ``kraus`` (print operation elements), ``verify``
-(independently re-check a report).  Exit codes for solve/certify: 0
-feasible, 2 certified infeasible, 3 undetermined (including
-certified-no-strict), 4 input error, usage errors included.  ``verify``
-exits 1 on the first failing check.
+Subcommands: ``solve`` (``pipeline.run`` to a report), ``certify`` (the same
+pipeline, asking for a strictly positive solution), ``apply`` (evaluate a
+solved map), ``kraus`` (print operation elements), ``verify`` (independently
+re-check a report).  Exit codes for solve/certify: 0 feasible, 2 certified
+infeasible, 3 undetermined (including certified-no-strict), 4 input error,
+usage errors included.  ``verify`` exits 1 on the first failing check.
 """
 
 from __future__ import annotations
@@ -14,34 +13,17 @@ from __future__ import annotations
 import argparse
 import functools
 import sys as _sys
-import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, certify, linalg, reports
-from .choi import ChoiMatrix, KrausSet, apply_choi, choi_to_kraus, kraus_to_choi
-from .constraints import (
-    ConstraintSystem,
-    InconsistentSystemError,
-    ProblemInstance,
-    instance_system,
-    is_diagonal_instance,
-    joint_support_reduce,
-    embed_solution,
-    prune_dependent,
-)
+from . import __version__, certify, linalg, pipeline, reports
+from .choi import ChoiMatrix, KrausSet, apply_choi, kraus_to_choi
+from .constraints import InconsistentSystemError, ProblemInstance, instance_system, prune_dependent
+from .pipeline import SolveOptions
 from .reports import InstanceFormatError
-from .solvers import (
-    ExpSolveConfig,
-    project_affine,
-    solve_barrier,
-    solve_diagonal,
-    solve_exp,
-    verify as verify_solution,
-)
-from .tolerances import KRAUS_FACTOR, VERIFY_TOL
+from .solvers import verify as verify_solution
+from .tolerances import VERIFY_TOL
 
 EXIT_FEASIBLE = 0
 EXIT_VERIFY_FAIL = 1
@@ -56,190 +38,94 @@ _EXIT_CODES = {
     certify.FeasibilityStatus.UNDETERMINED: EXIT_UNDETERMINED,
 }
 
-
-@dataclass
-class SolveOptions:
-    method: str = "auto"
-    tol: float = ExpSolveConfig.gradient_tol
-    max_iters: int = ExpSolveConfig.max_iterations
-    trace_preserving: bool | None = None  # None: take the instance file's flag
-
-
-def _tool_block() -> dict:
-    return {"name": "cpinterp", "version": __version__}
+# The keys of the two report shapes in order: a solved system, and one that the build or
+# prune found contradictory.  span_check is certify's, kraus_count..min_eigenvalue a map's.
+_SOLVED_KEYS = ("tool", "status", "problem", "constraints", "targets", "support", "solver",
+                "span_check", "choi", "kraus", "kraus_count", "residuals", "max_residual",
+                "min_eigenvalue", "certificate", "timing")
+_INCONSISTENT_KEYS = ("tool", "status", "problem", "solver", "constraints", "certificate",
+                      "targets", "choi", "kraus", "span_check", "timing")
 
 
-def _certificate_block(cert: certify.Certificate, system: ConstraintSystem) -> dict:
-    coefficients = cert.coefficients
-    combo = system.aggregate(coefficients)
+def _certificate_block(result: pipeline.Result) -> dict | None:
+    cert, system = result.feasibility.certificate, result.pruned
+    if cert is None:
+        return None
+    combo = system.aggregate(cert.coefficients)
     return {
         "kind": cert.kind.value,
         "source": cert.source.value,
-        "coefficients": [float(v) for v in coefficients],
-        "objective": float(coefficients @ system.targets),
-        "min_eigenvalue": float(linalg.min_eigenvalue(combo))
-        if linalg.frobenius(combo) > 0
+        "coefficients": [float(v) for v in cert.coefficients],
+        "objective": float(cert.coefficients @ system.targets),
+        "min_eigenvalue": float(linalg.min_eigenvalue(combo)) if linalg.frobenius(combo) > 0
         else 0.0,
         "constraints": [str(t) for t in system.provenance],
     }
 
 
-def _report_inconsistent(report: dict, exc: InconsistentSystemError) -> certify.FeasibilityStatus:
-    """Fill the report for a contradictory linear system; return its status.
-
-    Pruning decides dependence with a tolerance, so on ill-conditioned data
-    its certificate can fail the exact check; then nothing is proven and the
-    verdict is undetermined.
-    """
-    cert = certify.Certificate(
-        exc.certificate_coefficients,
-        certify.CertificateKind.EXCLUDES_PSD,
-        objective=float(exc.certificate_coefficients @ exc.system.targets),
-        min_eigenvalue=0.0,
-        source=certify.CertificateSource.LINEAR_SYSTEM,
-    )
-    valid = certify.validate(cert, exc.system)
-    report["solver"] = {
-        "method": "none",
-        "status": "inconsistent-linear-system",
-        "iterations": 0,
-        "cg_iterations": 0,
-        "newton_steps": 0,
-        "message": str(exc) if valid else (
-            f"{exc}; its certificate fails validation, so infeasibility is not proven"
-        ),
-    }
-    report["constraints"] = [str(t) for t in exc.system.provenance]
-    report["certificate"] = _certificate_block(cert, exc.system) if valid else None
-    report["targets"] = [float(b) for b in exc.system.targets]
-    report["choi"] = None
-    report["kraus"] = None
-    return (
-        certify.FeasibilityStatus.CERTIFIED_INFEASIBLE if valid
-        else certify.FeasibilityStatus.UNDETERMINED
-    )
-
-
-def _solver_block(outcome, method: str) -> dict:
-    return {
-        "method": method,
-        "status": outcome.status.value,
-        "iterations": int(outcome.iterations),
-        "cg_iterations": int(outcome.cg_iterations),
-        "newton_steps": int(outcome.newton_steps),
-        "message": outcome.message,
-    }
-
-
-def _solve(
-    report: dict, inst: ProblemInstance, base: ConstraintSystem, pruned: ConstraintSystem,
-    options: SolveOptions, strict: bool,
-) -> certify.FeasibilityStatus:
-    """Reduce the support, solve, take the verdict; fill the report, return the status."""
-    report["constraints"] = [str(t) for t in base.provenance]
-    report["targets"] = [float(b) for b in base.targets]
-
-    reduced, reduction = joint_support_reduce(pruned, inst)
-    report["support"] = {
-        "full_dim": int(reduction.full_dim),
-        "reduced_dim": int(reduction.reduced_dim),
-    }
-
-    method = options.method
-    if method == "auto":
-        method = "diagonal" if is_diagonal_instance(inst) else "exp"
-
-    exp_cfg = ExpSolveConfig(gradient_tol=options.tol, max_iterations=options.max_iters)
-    if method == "exp":
-        outcome = solve_exp(reduced, exp_cfg)
-    elif method == "diagonal":
-        outcome = solve_diagonal(reduced, exp_cfg)
-    elif method == "barrier":
-        outcome = solve_barrier(reduced, exp_cfg)
+def _solver_block(result: pipeline.Result) -> dict:
+    outcome, exc = result.feasibility.solve_outcome, result.inconsistency
+    if outcome is None:
+        status, steps, message = "inconsistent-linear-system", (0, 0), str(exc)
+        if result.feasibility.certificate is None:
+            message += "; its certificate fails validation, so infeasibility is not proven"
     else:
-        raise InstanceFormatError(f"unknown method {options.method!r}")
-    report["solver"] = _solver_block(outcome, method)
+        status, message = outcome.status.value, outcome.message
+        steps = (int(outcome.cg_iterations), int(outcome.newton_steps))
+    return {"method": result.method, "status": status, "iterations": sum(steps),
+            "cg_iterations": steps[0], "newton_steps": steps[1], "message": message}
 
-    if strict:
-        span = certify.span_contains_positive(pruned, exp_cfg)
-        report["span_check"] = {
+
+def _render(result: pipeline.Result) -> tuple[dict, int]:
+    """The report of a pipeline result, and the process exit code."""
+    inst, feasibility, x = result.instance, result.feasibility, result.choi
+    span = feasibility.span_check
+    values = {
+        "tool": {"name": "cpinterp", "version": __version__},
+        "status": feasibility.status.value,
+        "problem": {"n": inst.n, "k": inst.k, "pairs": inst.count,
+                    "trace_preserving": result.trace_preserving},
+        "constraints": [str(t) for t in result.system.provenance],
+        "targets": [float(b) for b in result.system.targets],
+        "solver": _solver_block(result),
+        "choi": None,
+        "kraus": None,
+        "certificate": _certificate_block(result),
+        "timing": {"seconds": result.seconds},
+    }
+    if result.reduction is not None:
+        values["support"] = {"full_dim": int(result.reduction.full_dim),
+                             "reduced_dim": int(result.reduction.reduced_dim)}
+    if result.strict:
+        values["span_check"] = None if span is None else {
             "contains_positive_definite": bool(span.contains_positive_definite),
             "best_min_eigenvalue": float(span.best_min_eigenvalue),
             "source": span.source.value,
         }
-
-    status, cert = certify.verdict(pruned, outcome, strict)
-    if status is certify.FeasibilityStatus.FEASIBLE:
-        x = embed_solution(outcome.solution, reduction)
-        x = project_affine(x, pruned)
-        check = verify_solution(x, base)
-        kraus_tol = KRAUS_FACTOR * options.tol * (1.0 + linalg.frobenius(x))
-        kraus = choi_to_kraus(ChoiMatrix(inst.n, inst.k, x), tol=kraus_tol)
-        report["choi"] = reports.matrix_to_jsonable(x)
-        report["kraus"] = [reports.matrix_to_jsonable(v) for v in kraus.elements]
-        report["kraus_count"] = len(kraus.elements)
-        report["residuals"] = [float(r) for r in check.residuals]
-        report["max_residual"] = float(check.max_residual)
-        report["min_eigenvalue"] = float(check.min_eigenvalue)
-    else:
-        report["choi"] = None
-        report["kraus"] = None
-    report["certificate"] = None if cert is None else _certificate_block(cert, pruned)
-    return status
-
-
-def _run(inst: ProblemInstance, options: SolveOptions, strict: bool) -> tuple[dict, int]:
-    """The pipeline behind ``solve`` and ``certify``: build, prune, reduce the
-    support, solve with the resolved method, take the verdict, write the report.
-
-    ``strict`` asks for a strictly positive solution: a feasible solve with a
-    marginal witness is checked for a PD-excluding certificate, and the
-    report gains a ``span_check`` block.  Returns the report dictionary and
-    the process exit code.
-    """
-    started = time.perf_counter()
-    tp = inst.trace_preserving if options.trace_preserving is None else options.trace_preserving
-    report: dict = {
-        "tool": _tool_block(),
-        "status": None,
-        "problem": {
-            "n": inst.n,
-            "k": inst.k,
-            "pairs": inst.count,
-            "trace_preserving": bool(tp),
-        },
-    }
-    try:
-        base = instance_system(inst, trace_preserving=tp)
-        pruned = prune_dependent(base)
-    except InconsistentSystemError as exc:
-        status = _report_inconsistent(report, exc)
-        if strict:
-            report["span_check"] = None
-    else:
-        status = _solve(report, inst, base, pruned, options, strict)
-    report["status"] = status.value
-    report["timing"] = {"seconds": time.perf_counter() - started}
-    return report, _EXIT_CODES[status]
+    if x is not None:
+        values["choi"] = reports.matrix_to_jsonable(x)
+        values["kraus"] = [reports.matrix_to_jsonable(v) for v in result.kraus.elements]
+        values["kraus_count"] = len(result.kraus.elements)
+        values["residuals"] = [float(r) for r in result.check.residuals]
+        values["max_residual"] = float(result.check.max_residual)
+        values["min_eigenvalue"] = float(result.check.min_eigenvalue)
+    keys = _SOLVED_KEYS if result.inconsistency is None else _INCONSISTENT_KEYS
+    return {key: values[key] for key in keys if key in values}, _EXIT_CODES[feasibility.status]
 
 
 def run_solve(inst: ProblemInstance, options: SolveOptions) -> tuple[dict, int]:
     """Solve an instance: returns the report dictionary and the exit code."""
-    return _run(inst, options, strict=False)
+    return _render(pipeline.run(inst, options, strict=False))
 
 
 def run_certify(inst: ProblemInstance, options: SolveOptions) -> tuple[dict, int]:
-    """Solve asking for a strictly positive solution; see ``_run``."""
-    return _run(inst, options, strict=True)
+    """Solve asking for a strictly positive solution (see ``pipeline.run``)."""
+    return _render(pipeline.run(inst, options, strict=True))
 
 
 def run_apply(report_path: str | Path, matrix_path: str | Path) -> np.ndarray:
     """Evaluate the solved map (from a report's Choi matrix) on an input matrix."""
-    doc = reports.read_report(report_path)
-    problem = doc.get("problem", {})
-    n, k = problem.get("n"), problem.get("k")
-    if not reports.is_integer(n) or not reports.is_integer(k):
-        raise InstanceFormatError("report lacks problem dimensions")
+    doc, n, k = reports.read_report(report_path)
     phi = reports.report_matrix(doc, "choi", n * k, n * k)
     matrix_doc = reports.load_json(matrix_path)
     if isinstance(matrix_doc, dict) and "A" in matrix_doc:
@@ -254,16 +140,13 @@ def run_verify(report_path: str | Path, instance_path: str | Path, tol: float = 
     Yields (check name, passed, detail) tuples, stopping after the first
     failure.
     """
-    doc = reports.read_report(report_path)
+    doc, n, k = reports.read_report(report_path)
     inst = reports.parse_instance(instance_path)
     status = doc.get("status")
-    problem = doc.get("problem", {})
-    tp = bool(problem.get("trace_preserving", inst.trace_preserving))
+    tp = bool(doc["problem"].get("trace_preserving", inst.trace_preserving))
 
-    if problem.get("n") != inst.n or problem.get("k") != inst.k:
-        yield ("dimensions", False,
-               f"report is for {problem.get('n')} x {problem.get('k')}, "
-               f"instance is {inst.n} x {inst.k}")
+    if (n, k) != (inst.n, inst.k):
+        yield ("dimensions", False, f"report is for {n} x {k}, instance is {inst.n} x {inst.k}")
         return
     yield ("dimensions", True, f"n={inst.n} k={inst.k}")
 
@@ -272,8 +155,7 @@ def run_verify(report_path: str | Path, instance_path: str | Path, tol: float = 
             yield ("payload", False, "status feasible but no Choi matrix present")
             return
         yield ("payload", True, "feasible report carries a Choi matrix")
-        p = inst.n * inst.k
-        phi = reports.report_matrix(doc, "choi", p, p)
+        phi = reports.report_matrix(doc, "choi", n * k, n * k)
         herm_gap = linalg.frobenius(phi - phi.conj().T)
         if herm_gap > tol * (1.0 + linalg.frobenius(phi)):
             yield ("hermitian", False, f"Choi matrix is not Hermitian (gap {herm_gap:.3g})")
@@ -301,10 +183,7 @@ def run_verify(report_path: str | Path, instance_path: str | Path, tol: float = 
         if doc.get("kraus") is None:
             yield ("kraus", False, "feasible report carries no Kraus elements")
             return
-        elements = [
-            reports.matrix_from_json(v, inst.n, inst.k, f"kraus[{i}]")
-            for i, v in enumerate(doc["kraus"])
-        ]
+        elements = reports.report_kraus(doc, inst.n, inst.k)
         rebuilt = kraus_to_choi(KrausSet(inst.n, inst.k, elements)).matrix
         gap = linalg.frobenius(rebuilt - phi) / (1.0 + linalg.frobenius(phi))
         if gap > tol:
@@ -350,8 +229,7 @@ def run_verify(report_path: str | Path, instance_path: str | Path, tol: float = 
            f"status {status!r} must not carry a solution")
 
 
-def _print_matrix(m: np.ndarray, stream=None) -> None:
-    stream = stream or _sys.stdout
+def _print_matrix(m: np.ndarray) -> None:
     for row in np.asarray(m, dtype=complex):
         cells = []
         for z in row:
@@ -359,15 +237,7 @@ def _print_matrix(m: np.ndarray, stream=None) -> None:
                 cells.append(format(z.real, ".17g"))
             else:
                 cells.append(f"{format(z.real, '.17g')}{z.imag:+.17g}j")
-        stream.write("  ".join(cells) + "\n")
-
-
-def _emit_report(report: dict, out: str | None) -> None:
-    text = reports.dumps_canonical(report) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        _sys.stdout.write(text)
+        _sys.stdout.write("  ".join(cells) + "\n")
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
@@ -428,13 +298,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cpinterp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve an instance and emit a report")
-    p_solve.add_argument("instance", help="instance JSON file")
-    _add_solver_flags(p_solve)
-
-    p_cert = sub.add_parser("certify", help="characterize feasibility with certificates")
-    p_cert.add_argument("instance", help="instance JSON file")
-    _add_solver_flags(p_cert)
+    for name, text in (("solve", "solve an instance and emit a report"),
+                       ("certify", "characterize feasibility with certificates")):
+        p_run = sub.add_parser(name, help=text)
+        p_run.add_argument("instance", help="instance JSON file")
+        _add_solver_flags(p_run)
 
     p_apply = sub.add_parser("apply", help="apply a solved map to a matrix")
     p_apply.add_argument("report", help="report JSON file with a Choi matrix")
@@ -460,39 +328,33 @@ def main(argv=None) -> int:
             options = _options_from_args(args, reports.solver_options_from_jsonable(doc))
             run = run_solve if args.command == "solve" else run_certify
             report, code = run(inst, options)
-            _emit_report(report, args.out)
+            text = reports.dumps_canonical(report) + "\n"
+            if args.out:
+                Path(args.out).write_text(text)
+            else:
+                _sys.stdout.write(text)
             return code
 
         if args.command == "apply":
-            result = run_apply(args.report, args.matrix)
-            _print_matrix(result)
+            _print_matrix(run_apply(args.report, args.matrix))
             return 0
 
         if args.command == "kraus":
-            doc = reports.read_report(args.report)
-            problem = doc.get("problem", {})
-            n, k = problem.get("n"), problem.get("k")
-            if doc.get("kraus") is None or not reports.is_integer(n) or not reports.is_integer(k):
-                raise InstanceFormatError("report carries no Kraus elements")
-            for i, v in enumerate(doc["kraus"]):
+            doc, n, k = reports.read_report(args.report)
+            for i, v in enumerate(reports.report_kraus(doc, n, k)):
                 _sys.stdout.write(f"# element {i + 1}\n")
-                _print_matrix(reports.matrix_from_json(v, n, k, f"kraus[{i}]"))
+                _print_matrix(v)
             return 0
 
         if args.command == "verify":
-            failed = False
             tol = reports.checked_tol(args.tol, "--tol")
             for name, ok, detail in run_verify(args.report, args.instance, tol=tol):
                 _sys.stdout.write(f"{'ok' if ok else 'FAIL'}: {name}: {detail}\n")
                 if not ok:
-                    failed = True
-                    break
-            return EXIT_VERIFY_FAIL if failed else 0
+                    return EXIT_VERIFY_FAIL
+            return 0
 
-    except InstanceFormatError as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (InstanceFormatError, OSError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
     raise AssertionError("unreachable")

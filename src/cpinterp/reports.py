@@ -320,11 +320,24 @@ def dumps_canonical(obj: Any, indent: int = 0) -> str:
     return _dump(obj, indent)
 
 
-def read_report(path: str | Path) -> dict:
+def read_report(path: str | Path) -> tuple[dict, int, int]:
+    """A report document and its ``problem``'s n and k, which must be positive integers."""
     doc = load_json(path)
     if not isinstance(doc, dict):
         raise InstanceFormatError("report document must be a JSON object")
-    return doc
+    problem = doc.get("problem")
+    n, k = (problem.get("n"), problem.get("k")) if isinstance(problem, dict) else (None, None)
+    if not all(is_integer(v) and v >= 1 for v in (n, k)):
+        raise InstanceFormatError("report lacks problem dimensions")
+    return doc, n, k
+
+
+def report_kraus(doc: dict, n: int, k: int) -> list[np.ndarray]:
+    """A report's Kraus elements, each n x k."""
+    elements = doc.get("kraus")
+    if not isinstance(elements, list):
+        raise InstanceFormatError("report carries no Kraus elements")
+    return [matrix_from_json(v, n, k, f"kraus[{i}]") for i, v in enumerate(elements)]
 
 
 def report_matrix(doc: dict, key: str, rows: int, cols: int) -> np.ndarray:

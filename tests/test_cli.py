@@ -6,9 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpinterp import cli
+from cpinterp import certify, cli, pipeline
 from cpinterp.choi import ChoiMatrix, apply_choi, kraus_to_choi
-from cpinterp.constraints import InconsistentSystemError, ProblemInstance
+from cpinterp.constraints import (
+    InconsistentSystemError,
+    ProblemInstance,
+    instance_system,
+    prune_dependent,
+)
 from cpinterp.linalg import hermitian_part
 from cpinterp.reports import (
     InstanceFormatError,
@@ -268,7 +273,7 @@ def test_invalid_linear_system_certificate_is_undetermined(tmp_path, monkeypatch
         raise InconsistentSystemError("planted contradiction", system,
                                       system.targets.copy(), system.provenance[0])
 
-    monkeypatch.setattr(cli, "prune_dependent", contradiction)
+    monkeypatch.setattr(pipeline, "prune_dependent", contradiction)
     out = tmp_path / "report.json"
     code = cli.main([command, str(GOLDEN_INSTANCE), "--out", str(out)])
     assert code == 3
@@ -437,6 +442,23 @@ def test_boolean_report_dimensions_are_input_error(tmp_path, capsys, command):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, change", [
+    ("verify", {"problem": 2}), ("apply", {"problem": 2}), ("kraus", {"problem": 2}),
+    ("verify", {"problem": [2, 2]}), ("apply", {"problem": [2, 2]}), ("kraus", {"problem": [2, 2]}),
+    ("verify", {"kraus": 2}), ("kraus", {"kraus": 2}),
+])
+def test_malformed_report_is_input_error(golden_report, tmp_path, capsys, command, change):
+    # a malformed problem or kraus is bad input (exit 4); verify's exit 1 means a failed check
+    doc = json.loads(golden_report.read_text())
+    doc.update(change)
+    argv = [command, str(write_json(tmp_path / "report.json", doc))]
+    if command != "kraus":
+        argv.append(str(GOLDEN_INSTANCE if command == "verify"
+                        else write_json(tmp_path / "a.json", A1.tolist())))
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -562,6 +584,7 @@ def test_certify_finds_the_no_strict_certificate_of_a_vv_face(tmp_path):
     cert = report["certificate"]
     assert (cert["kind"], cert["source"]) == ("excludes-pd", "search")
     assert_verify_accepts(tmp_path, inst, report)
+    assert_one_decision(inst, report)
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +634,16 @@ def test_certify_honours_the_method_flag(tmp_path):
     assert reps["certify"]["solver"]["method"] == "barrier"
 
 
+@pytest.mark.parametrize("run", [cli.run_solve, cli.run_certify])
+def test_an_unknown_method_is_refused_before_the_build(monkeypatch, run):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the system was built")
+
+    monkeypatch.setattr(pipeline, "instance_system", no_build)
+    with pytest.raises(InstanceFormatError, match="unknown method 'newton'"):
+        run(parse_instance(GOLDEN_INSTANCE), cli.SolveOptions(method="newton"))
+
+
 def test_certify_takes_the_diagonal_path_under_auto(tmp_path):
     doc = {"n": 2, "k": 2, "pairs": [{"A": [[2, 0], [0, 1]], "B": [[3, 0], [0, 1]]}]}
     _, reps = run_both(tmp_path, doc)
@@ -634,6 +667,35 @@ def hermitian_halves_instance(inst: ProblemInstance) -> ProblemInstance:
         (hermitian_part(c * a), hermitian_part(c * b)) for a, b in inst.pairs for c in (1.0, -1j)
     ]
     return ProblemInstance(inst.n, inst.k, pairs, inst.trace_preserving)
+
+
+def assert_one_decision(inst, report):
+    """``feasibility_report`` on the pruned system decides as ``certify`` did."""
+    rep = certify.feasibility_report(prune_dependent(instance_system(inst)))
+    cert = report["certificate"]
+    assert rep.status.value == report["status"]
+    assert (cert and (cert["kind"], cert["source"])) == (
+        rep.certificate and (rep.certificate.kind.value, rep.certificate.source.value)
+    )
+
+
+@pytest.mark.parametrize("case, status", [
+    ("golden", "feasible"), ("e11", "certified-no-strict"),
+    ("planted-negative-identity", "certified-infeasible"),
+])
+def test_feasibility_report_and_certify_share_one_decision(case, status):
+    # vv_face_instance(66) is checked in the vv-face test above: each of its
+    # two certificate searches takes about 0.9 s
+    if case == "golden":
+        inst = parse_instance(GOLDEN_INSTANCE)
+    elif case == "e11":
+        inst = instance_from_jsonable(e11_no_strict_doc())
+    else:
+        planted, _ = planted_instance(np.random.default_rng(0), 3, 3, 3)
+        inst = ProblemInstance(3, 3, planted.pairs + [(np.eye(3), -np.eye(3))])
+    report, _ = cli.run_certify(inst, cli.SolveOptions(method="exp"))
+    assert report["status"] == status
+    assert_one_decision(inst, report)
 
 
 @pytest.mark.parametrize("infeasible", [False, True])
