@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -405,10 +406,20 @@ def span_contains_positive(sys: ConstraintSystem, cfg: ExpSolveConfig | None = N
     return SpanCheck(mineig > VALIDATION_TOL, mineig, y, source)
 
 
+def decide(pruned: ConstraintSystem, reduced: ConstraintSystem, solve: Callable,
+           cfg: ExpSolveConfig | None, strict: bool) -> FeasibilityReport:
+    """Solve ``reduced`` (``pruned`` or its support-reduced copy), check the
+    span of ``pruned`` when ``strict``, and take the ``verdict``."""
+    outcome = solve(reduced, cfg)
+    span = span_contains_positive(pruned, cfg) if strict else None
+    status, cert = verdict(pruned, outcome, strict)
+    return FeasibilityReport(status, outcome, cert, span)
+
+
 def feasibility_report(
     sys: ConstraintSystem, exp_config: ExpSolveConfig | None = None
 ) -> FeasibilityReport:
-    """The pipeline's stage ``pipeline.decide``: the exp solve and the strict verdict.
+    """Solve with the exp potential and take the strict ``verdict`` (``decide``).
 
     Outcomes: ``feasible`` with a positive solution; ``certified-infeasible``
     (no PSD solution at all); ``certified-no-strict`` (no strictly positive
@@ -416,5 +427,4 @@ def feasibility_report(
     or ``undetermined``.  A feasible verdict and a validated PSD-excluding
     certificate cannot coexist.  ``sys`` must be pruned, for the span check.
     """
-    from .pipeline import decide  # the pipeline imports this module
     return decide(sys, sys, solve_exp, exp_config, True)

@@ -57,7 +57,8 @@ def _certificate_block(result: pipeline.Result) -> dict | None:
         "source": cert.source.value,
         "coefficients": [float(v) for v in cert.coefficients],
         "objective": float(cert.coefficients @ system.targets),
-        "min_eigenvalue": float(linalg.min_eigenvalue(combo)) if linalg.frobenius(combo) > 0
+        "min_eigenvalue": float(linalg.min_eigenvalue(combo))
+        if linalg.frobenius(combo) > 0
         else 0.0,
         "constraints": [str(t) for t in system.provenance],
     }
@@ -66,14 +67,24 @@ def _certificate_block(result: pipeline.Result) -> dict | None:
 def _solver_block(result: pipeline.Result) -> dict:
     outcome, exc = result.feasibility.solve_outcome, result.inconsistency
     if outcome is None:
-        status, steps, message = "inconsistent-linear-system", (0, 0), str(exc)
-        if result.feasibility.certificate is None:
-            message += "; its certificate fails validation, so infeasibility is not proven"
-    else:
-        status, message = outcome.status.value, outcome.message
-        steps = (int(outcome.cg_iterations), int(outcome.newton_steps))
-    return {"method": result.method, "status": status, "iterations": sum(steps),
-            "cg_iterations": steps[0], "newton_steps": steps[1], "message": message}
+        return {
+            "method": "none",
+            "status": "inconsistent-linear-system",
+            "iterations": 0,
+            "cg_iterations": 0,
+            "newton_steps": 0,
+            "message": str(exc) if result.feasibility.certificate is not None else (
+                f"{exc}; its certificate fails validation, so infeasibility is not proven"
+            ),
+        }
+    return {
+        "method": result.method,
+        "status": outcome.status.value,
+        "iterations": int(outcome.iterations),
+        "cg_iterations": int(outcome.cg_iterations),
+        "newton_steps": int(outcome.newton_steps),
+        "message": outcome.message,
+    }
 
 
 def _render(result: pipeline.Result) -> tuple[dict, int]:
@@ -155,7 +166,8 @@ def run_verify(report_path: str | Path, instance_path: str | Path, tol: float = 
             yield ("payload", False, "status feasible but no Choi matrix present")
             return
         yield ("payload", True, "feasible report carries a Choi matrix")
-        phi = reports.report_matrix(doc, "choi", n * k, n * k)
+        p = inst.n * inst.k
+        phi = reports.report_matrix(doc, "choi", p, p)
         herm_gap = linalg.frobenius(phi - phi.conj().T)
         if herm_gap > tol * (1.0 + linalg.frobenius(phi)):
             yield ("hermitian", False, f"Choi matrix is not Hermitian (gap {herm_gap:.3g})")
@@ -229,7 +241,8 @@ def run_verify(report_path: str | Path, instance_path: str | Path, tol: float = 
            f"status {status!r} must not carry a solution")
 
 
-def _print_matrix(m: np.ndarray) -> None:
+def _print_matrix(m: np.ndarray, stream=None) -> None:
+    stream = stream or _sys.stdout
     for row in np.asarray(m, dtype=complex):
         cells = []
         for z in row:
@@ -237,7 +250,15 @@ def _print_matrix(m: np.ndarray) -> None:
                 cells.append(format(z.real, ".17g"))
             else:
                 cells.append(f"{format(z.real, '.17g')}{z.imag:+.17g}j")
-        _sys.stdout.write("  ".join(cells) + "\n")
+        stream.write("  ".join(cells) + "\n")
+
+
+def _emit_report(report: dict, out: str | None) -> None:
+    text = reports.dumps_canonical(report) + "\n"
+    if out:
+        Path(out).write_text(text)
+    else:
+        _sys.stdout.write(text)
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
@@ -298,11 +319,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cpinterp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, text in (("solve", "solve an instance and emit a report"),
-                       ("certify", "characterize feasibility with certificates")):
-        p_run = sub.add_parser(name, help=text)
-        p_run.add_argument("instance", help="instance JSON file")
-        _add_solver_flags(p_run)
+    p_solve = sub.add_parser("solve", help="solve an instance and emit a report")
+    p_solve.add_argument("instance", help="instance JSON file")
+    _add_solver_flags(p_solve)
+
+    p_cert = sub.add_parser("certify", help="characterize feasibility with certificates")
+    p_cert.add_argument("instance", help="instance JSON file")
+    _add_solver_flags(p_cert)
 
     p_apply = sub.add_parser("apply", help="apply a solved map to a matrix")
     p_apply.add_argument("report", help="report JSON file with a Choi matrix")
@@ -328,15 +351,12 @@ def main(argv=None) -> int:
             options = _options_from_args(args, reports.solver_options_from_jsonable(doc))
             run = run_solve if args.command == "solve" else run_certify
             report, code = run(inst, options)
-            text = reports.dumps_canonical(report) + "\n"
-            if args.out:
-                Path(args.out).write_text(text)
-            else:
-                _sys.stdout.write(text)
+            _emit_report(report, args.out)
             return code
 
         if args.command == "apply":
-            _print_matrix(run_apply(args.report, args.matrix))
+            result = run_apply(args.report, args.matrix)
+            _print_matrix(result)
             return 0
 
         if args.command == "kraus":
@@ -347,14 +367,19 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
+            failed = False
             tol = reports.checked_tol(args.tol, "--tol")
             for name, ok, detail in run_verify(args.report, args.instance, tol=tol):
                 _sys.stdout.write(f"{'ok' if ok else 'FAIL'}: {name}: {detail}\n")
                 if not ok:
-                    return EXIT_VERIFY_FAIL
-            return 0
+                    failed = True
+                    break
+            return EXIT_VERIFY_FAIL if failed else 0
 
-    except (InstanceFormatError, OSError) as exc:
+    except InstanceFormatError as exc:
+        _sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INPUT_ERROR
+    except OSError as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
     raise AssertionError("unreachable")

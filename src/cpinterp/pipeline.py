@@ -3,8 +3,8 @@
 ``run`` takes each stage once: build and prune, support reduction, the solve
 with the resolved method, the span check when ``strict``, the verdict, and
 for a feasible verdict the projection, ``verify`` and the Kraus elements.
-``cli`` renders its ``Result``; ``certify.feasibility_report`` calls its
-solve, span-check and verdict stage, ``decide``.
+``cli`` renders its ``Result``.  The solve, span-check and verdict stage is
+``certify.decide``, which ``certify.feasibility_report`` calls too.
 """
 
 from __future__ import annotations
@@ -59,16 +59,10 @@ class Result:
     seconds: float = 0.0
 
 
-def _method(options: SolveOptions, inst: ProblemInstance) -> tuple[str, Callable]:
-    """The name and solver of ``options.method``, with ``auto`` resolved.  The
-    table is made at each call, so a wrapper set on this module's solvers runs."""
-    method = options.method
-    if method == "auto":
-        method = "diagonal" if is_diagonal_instance(inst) else "exp"
-    solvers = {"exp": solve_exp, "barrier": solve_barrier, "diagonal": solve_diagonal}
-    if method not in solvers:
-        raise InstanceFormatError(f"unknown method {options.method!r}")
-    return method, solvers[method]
+def _solvers() -> dict[str, Callable]:
+    """The method table.  It is made at each call, so a wrapper set on this
+    module's solvers runs."""
+    return {"exp": solve_exp, "barrier": solve_barrier, "diagonal": solve_diagonal}
 
 
 def _linear_system_verdict(exc: InconsistentSystemError) -> FeasibilityReport:
@@ -84,23 +78,15 @@ def _linear_system_verdict(exc: InconsistentSystemError) -> FeasibilityReport:
     return FeasibilityReport(FeasibilityStatus.UNDETERMINED, None, None, None)
 
 
-def decide(pruned: ConstraintSystem, reduced: ConstraintSystem, solve: Callable,
-           cfg: ExpSolveConfig | None, strict: bool) -> FeasibilityReport:
-    """Solve ``reduced`` (``pruned`` or its support-reduced copy), check the
-    span of ``pruned`` when ``strict``, and take ``certify.verdict``."""
-    outcome = solve(reduced, cfg)
-    span = certify.span_contains_positive(pruned, cfg) if strict else None
-    status, cert = certify.verdict(pruned, outcome, strict)
-    return FeasibilityReport(status, outcome, cert, span)
-
-
 def run(inst: ProblemInstance, options: SolveOptions, strict: bool) -> Result:
     """Every stage from ``inst`` to a verdict, each once; the options are
     checked before the build.  ``strict`` asks for a strictly positive
     solution: the span check runs, and a feasible solve with a marginal
     witness is checked for a PD-excluding certificate."""
     started = time.perf_counter()
-    method, solve = _method(options, inst)
+    solvers = _solvers()
+    if options.method != "auto" and options.method not in solvers:
+        raise InstanceFormatError(f"unknown method {options.method!r}")
     cfg = ExpSolveConfig(gradient_tol=options.tol, max_iterations=options.max_iters)
     tp = inst.trace_preserving if options.trace_preserving is None else options.trace_preserving
     try:
@@ -111,7 +97,10 @@ def run(inst: ProblemInstance, options: SolveOptions, strict: bool) -> Result:
                         _linear_system_verdict(exc), inconsistency=exc)
     else:
         reduced, reduction = joint_support_reduce(pruned, inst)
-        feasibility = decide(pruned, reduced, solve, cfg, strict)
+        method = options.method
+        if method == "auto":
+            method = "diagonal" if is_diagonal_instance(inst) else "exp"
+        feasibility = certify.decide(pruned, reduced, solvers[method], cfg, strict)
         result = Result(inst, bool(tp), strict, built, pruned, feasibility,
                         method=method, reduction=reduction)
         if feasibility.status is FeasibilityStatus.FEASIBLE:

@@ -23,8 +23,8 @@ def test_pool_writes_one_line_per_run_and_diffs_them(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the run puts <src>/src first
     pool = load_pool()
     out = tmp_path / "head.jsonl"
-    recipes = "golden,bench-infeasible,zero-input"
-    assert pool.main(["run", "--count", "1", "--recipes", recipes, "--out", str(out)]) == 0
+    with out.open("w") as stream:
+        assert pool.run(ROOT, 1, ["golden", "bench-infeasible", "zero-input"], stream) == 6
     lines = [json.loads(text) for text in out.read_text().splitlines()]
     assert [line["run"] for line in lines] == [
         f"{name}/{command}" for name in ("golden", "bench-infeasible/0", "zero-input/0")
@@ -39,12 +39,11 @@ def test_pool_writes_one_line_per_run_and_diffs_them(tmp_path, monkeypatch):
     assert by_run["zero-input/0/solve"]["reduced_dim"] is None
     assert all(len(line["report_sha256"]) == 64 for line in lines)
 
-    assert pool.diff(out, out, [], io.StringIO()) == 0
+    assert pool.diff(out, out, io.StringIO()) == 0
     changed = tmp_path / "changed.jsonl"
     lines[0]["newton_steps"] += 1
     changed.write_text("".join(json.dumps(line) + "\n" for line in lines[:-1]))
     text = io.StringIO()
-    assert pool.diff(out, changed, [], text) == 2
+    assert pool.diff(out, changed, text) == 2
     assert f"{lines[0]['run']}: newton_steps" in text.getvalue()
     assert f"{lines[-1]['run']}: only in {out}" in text.getvalue()
-    assert pool.diff(out, changed, ["newton_steps"], io.StringIO()) == 1

@@ -201,7 +201,7 @@ def _read(path: Path) -> dict:
     return {line["run"]: line for line in lines}
 
 
-def diff(before: Path, after: Path, ignore: list[str], out) -> int:
+def diff(before: Path, after: Path, out) -> int:
     """Name every run whose lines differ; returns the number of such runs."""
     old, new = _read(before), _read(after)
     differing = 0
@@ -211,7 +211,7 @@ def diff(before: Path, after: Path, ignore: list[str], out) -> int:
             differing += 1
             continue
         keys = sorted(key for key in old[name].keys() | new[name].keys()
-                      if key not in ignore and old[name].get(key) != new[name].get(key))
+                      if old[name].get(key) != new[name].get(key))
         if keys:
             out.write(f"{name}: {', '.join(keys)}\n")
             differing += 1
@@ -224,28 +224,19 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="write one line per run")
     p_run.add_argument("--src", type=Path, default=ROOT, help="checkout to run (default: this one)")
-    p_run.add_argument("--count", type=int, default=DEFAULT_COUNT, help="seeds per recipe")
-    p_run.add_argument("--recipes", default=",".join(RECIPES),
-                       help="comma-separated recipes (default: all)")
     p_run.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
     p_diff = sub.add_parser("diff", help="name the runs whose lines differ")
     p_diff.add_argument("before", type=Path)
     p_diff.add_argument("after", type=Path)
-    p_diff.add_argument("--ignore", action="append", default=[],
-                        help="a line key to leave out of the comparison (repeatable)")
     args = parser.parse_args(argv)
 
     if args.command == "diff":
-        return 1 if diff(args.before, args.after, args.ignore, sys.stdout) else 0
-    recipes = args.recipes.split(",")
-    unknown = [r for r in recipes if r not in RECIPES]
-    if unknown:
-        parser.error(f"unknown recipes: {', '.join(unknown)}")
+        return 1 if diff(args.before, args.after, sys.stdout) else 0
     if args.out is None:
-        run(args.src.resolve(), args.count, recipes, sys.stdout)
+        run(args.src.resolve(), DEFAULT_COUNT, list(RECIPES), sys.stdout)
     else:
         with args.out.open("w") as out:
-            run(args.src.resolve(), args.count, recipes, out)
+            run(args.src.resolve(), DEFAULT_COUNT, list(RECIPES), out)
     return 0
 
 
