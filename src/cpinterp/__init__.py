@@ -2,10 +2,11 @@
 
 Given pairs (A_nu, B_nu), find a completely positive map phi: M_n -> M_k with
 phi(A_nu) = B_nu (optionally trace preserving).  The problem reduces to
-finding a PSD Choi matrix under linear trace constraints, solved either by
-minimizing a strictly convex exponential potential or a log-det barrier
-objective (one minimizer serves both), with infeasibility certificates and
-Kraus-operator extraction.
+finding a PSD Choi matrix under linear trace constraints, solved by
+minimizing a strictly convex exponential potential, with infeasibility
+certificates and Kraus-operator extraction.  ``solve_barrier``, the log-det
+barrier's central point on the same minimizer, is the library's second
+solver.
 """
 
 __version__ = "0.1.0"

@@ -157,17 +157,20 @@ def _strongest_kind(
     ``b . x = tr(S X) >= min(0, min eig S) tr X``, so x excludes every PSD
     solution only when ``b . x`` falls below ``-tol`` by more than that
     eigenvalue slack can explain, with ``tr X`` bounded by ``_trace_scale``.
-    It excludes every PD solution when ``b . x <= tol``.
+    It excludes every PD solution when ``b . x <= tol`` and ``S != 0``, which
+    within the tolerance is ``max eig S > tol``: a PD X has ``tr(S X) > 0``
+    only for a nonzero ``S >= 0``.
     """
     combo = sys.aggregate(x)
-    mineig = linalg.min_eigenvalue(combo) if linalg.frobenius(combo) > 0 else 0.0
+    w = np.linalg.eigvalsh(linalg.hermitian_part(combo)) if linalg.frobenius(combo) > 0 else [0.0]
+    mineig, maxeig = float(w[0]), float(w[-1])
     objective = float(x @ sys.targets)
     if mineig < -tol:
         return None, objective, mineig
     slack = -mineig * _trace_scale(sys, tol) if mineig < 0 else 0.0
     if objective < -tol - slack:
         return CertificateKind.EXCLUDES_PSD, objective, mineig
-    if objective <= tol:
+    if objective <= tol and maxeig > tol:
         return CertificateKind.EXCLUDES_PD, objective, mineig
     return None, objective, mineig
 
@@ -180,8 +183,9 @@ def validate(
     Both kinds require ``min eig(sum x C) >= -tol``.  EXCLUDES_PSD requires
     ``sum x b < -tol`` by a margin that the eigenvalue slack cannot explain
     (see ``_strongest_kind``); EXCLUDES_PD relaxes the objective to
-    ``<= tol``.  The verdict is invariant under positive rescaling of x (the
-    coefficients are normalized on construction).
+    ``<= tol`` and requires ``max eig(sum x C) > tol``.  The verdict is
+    invariant under positive rescaling of x (the coefficients are normalized
+    on construction).
     """
     x = cert.coefficients
     if len(x) != sys.q:

@@ -111,22 +111,14 @@ def apply_choi(c: ChoiMatrix, a: np.ndarray) -> np.ndarray:
 
 
 def kraus_to_choi(ks: KrausSet) -> ChoiMatrix:
-    """Choi matrix of ``A -> sum_i V_i^* A V_i``, via the matrix-unit images.
+    """Choi matrix of ``A -> sum_i V_i^* A V_i``, as one matmul.
 
-    ``(V^* E_ij V)[m, l] = conj(V[i, m]) V[j, l]``, so block (i, j) is the
-    outer product of the conjugated i-th and plain j-th rows of each element.
+    ``(V^* E_ij V)[m, l] = conj(V[i, m]) V[j, l]``, so with the elements
+    flattened row-major into the rows of W (one row each, entry ``i k + m``
+    holding ``V[i, m]``) the Choi matrix is ``W^* W``.
     """
-    images = [
-        [
-            sum(
-                (np.outer(v[i].conj(), v[j]) for v in ks.elements),
-                start=np.zeros((ks.k, ks.k), dtype=complex),
-            )
-            for j in range(ks.n)
-        ]
-        for i in range(ks.n)
-    ]
-    return choi_from_unit_images(ks.n, ks.k, images)
+    w = np.asarray(ks.elements, dtype=complex).reshape(len(ks.elements), ks.n * ks.k)
+    return ChoiMatrix(ks.n, ks.k, w.conj().T @ w)
 
 
 def _psd_spectrum(c: ChoiMatrix, tol: float | None) -> tuple[np.ndarray, np.ndarray, float]:

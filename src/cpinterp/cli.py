@@ -262,9 +262,6 @@ def _emit_report(report: dict, out: str | None) -> None:
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=reports.SOLVER_METHODS, default=None,
-                        help="solver: exponential potential, log-det barrier, or auto "
-                             "(diagonal fast path when applicable; default auto)")
     parser.add_argument("--tol", type=float, default=None,
                         help=f"residual tolerance (default {SolveOptions.tol:g})")
     parser.add_argument("--max-iters", type=int, default=None,
@@ -277,7 +274,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 
 def _options_from_args(args, file_options: dict) -> SolveOptions:
     opts = SolveOptions()
-    opts.method = args.method or file_options.get("method", opts.method)
     opts.tol = (
         reports.checked_tol(args.tol, "--tol") if args.tol is not None
         else file_options.get("tol", opts.tol)

@@ -566,7 +566,10 @@ def joint_support_reduce(
     ``sys`` itself is returned, with the identity basis, when the kernel is
     trivial, when ``sys`` has trace rows, and when it has no rows at all:
     compressing a system of no constraints onto its empty support would
-    leave only X = 0, while every positive X solves it.
+    leave only X = 0, while every positive X solves it.  So it is, too, when
+    the support is empty: rows that the build keeps (``STRUCTURE_RTOL``) can
+    lie in the kernel at the support cut (``SUPPORT_RTOL``), and skipping the
+    reduction never changes feasibility.
     """
     identity = sys, SupportReduction(basis=np.eye(sys.p, dtype=complex))
     # trace rows come last, and prune keeps the order
@@ -576,7 +579,7 @@ def joint_support_reduce(
     h = ha[kept]
     diagonal = bool(np.all(_diagonal_halves(h)))
     w, _ = linalg.joint_support(h.transpose(0, 2, 1).reshape(-1, inst.n), diagonal=diagonal)
-    if w.shape[1] == inst.n:
+    if w.shape[1] in (0, inst.n):
         return identity
     w = np.kron(w, np.eye(inst.k))
     reduced = w.conj().T @ sys.matrices @ w

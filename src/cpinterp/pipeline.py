@@ -1,8 +1,9 @@
 """The one pipeline from an instance to a verdict, behind ``solve`` and ``certify``.
 
 ``run`` takes each stage once: build and prune, support reduction, the solve
-with the resolved method, the span check when ``strict``, the verdict, and
-for a feasible verdict the projection, ``verify`` and the Kraus elements.
+(``solve_diagonal`` for diagonal data, ``solve_exp`` otherwise), the span
+check when ``strict``, the verdict, and for a feasible verdict the
+projection, ``verify`` and the Kraus elements.
 ``cli`` renders its ``Result``.  The solve, span-check and verdict stage is
 ``certify.decide``, which ``certify.feasibility_report`` calls too.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -22,15 +22,13 @@ from .constraints import (
     ConstraintSystem, InconsistentSystemError, ProblemInstance, SupportReduction, embed_solution,
     instance_system, is_diagonal_instance, joint_support_reduce, prune_dependent,
 )
-from .reports import InstanceFormatError
-from .solvers import ExpSolveConfig, VerifyReport, project_affine, solve_barrier, solve_diagonal
+from .solvers import ExpSolveConfig, VerifyReport, project_affine, solve_diagonal
 from .solvers import solve_exp, verify as verify_solution
 from .tolerances import KRAUS_FACTOR
 
 
 @dataclass
 class SolveOptions:
-    method: str = "auto"
     tol: float = ExpSolveConfig.gradient_tol
     max_iters: int = ExpSolveConfig.max_iterations
     trace_preserving: bool | None = None  # None: take the instance file's flag
@@ -40,9 +38,9 @@ class SolveOptions:
 class Result:
     """What ``run`` found.  ``system`` is the built system, or the one that
     the build or prune found contradictory, which then also stands for
-    ``pruned``, the system the certificate is over.  ``method`` is "none" and
-    ``reduction`` None when no solve ran; the map fields are None unless the
-    verdict is feasible."""
+    ``pruned``, the system the certificate is over.  ``method`` is the
+    solver, "exp" or "diagonal"; it is "none" and ``reduction`` None when no
+    solve ran.  The map fields are None unless the verdict is feasible."""
 
     instance: ProblemInstance
     trace_preserving: bool
@@ -59,12 +57,6 @@ class Result:
     seconds: float = 0.0
 
 
-def _solvers() -> dict[str, Callable]:
-    """The method table.  It is made at each call, so a wrapper set on this
-    module's solvers runs."""
-    return {"exp": solve_exp, "barrier": solve_barrier, "diagonal": solve_diagonal}
-
-
 def _linear_system_verdict(exc: InconsistentSystemError) -> FeasibilityReport:
     """The verdict on a contradiction that the build or prune found.  Pruning
     decides dependence with a tolerance, so on ill-conditioned data its
@@ -79,14 +71,12 @@ def _linear_system_verdict(exc: InconsistentSystemError) -> FeasibilityReport:
 
 
 def run(inst: ProblemInstance, options: SolveOptions, strict: bool) -> Result:
-    """Every stage from ``inst`` to a verdict, each once; the options are
-    checked before the build.  ``strict`` asks for a strictly positive
-    solution: the span check runs, and a feasible solve with a marginal
-    witness is checked for a PD-excluding certificate."""
+    """Every stage from ``inst`` to a verdict, each once.  ``strict`` asks
+    for a strictly positive solution: the span check runs, and a feasible
+    solve with a marginal witness is checked for a PD-excluding certificate.
+    The solvers are read off this module when called, so a wrapper set on
+    them here runs."""
     started = time.perf_counter()
-    solvers = _solvers()
-    if options.method != "auto" and options.method not in solvers:
-        raise InstanceFormatError(f"unknown method {options.method!r}")
     cfg = ExpSolveConfig(gradient_tol=options.tol, max_iterations=options.max_iters)
     tp = inst.trace_preserving if options.trace_preserving is None else options.trace_preserving
     try:
@@ -97,10 +87,9 @@ def run(inst: ProblemInstance, options: SolveOptions, strict: bool) -> Result:
                         _linear_system_verdict(exc), inconsistency=exc)
     else:
         reduced, reduction = joint_support_reduce(pruned, inst)
-        method = options.method
-        if method == "auto":
-            method = "diagonal" if is_diagonal_instance(inst) else "exp"
-        feasibility = certify.decide(pruned, reduced, solvers[method], cfg, strict)
+        method = "diagonal" if is_diagonal_instance(inst) else "exp"
+        solve = solve_diagonal if method == "diagonal" else solve_exp
+        feasibility = certify.decide(pruned, reduced, solve, cfg, strict)
         result = Result(inst, bool(tp), strict, built, pruned, feasibility,
                         method=method, reduction=reduction)
         if feasibility.status is FeasibilityStatus.FEASIBLE:

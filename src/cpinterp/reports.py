@@ -33,10 +33,6 @@ from .constraints import ProblemInstance
 # the exact types of JSON numbers; bool, a subclass of int, is not one
 _REAL_TYPES = frozenset((int, float))
 
-# the solver names that ``--method`` and an instance file's ``solver.method`` accept
-SOLVER_METHODS = ("exp", "barrier", "auto")
-
-
 class InstanceFormatError(ValueError):
     """Malformed instance or report file; the message names the location."""
 
@@ -166,18 +162,20 @@ def checked_tol(value: Any, where: str) -> float:
 
 
 def solver_options_from_jsonable(doc: Any) -> dict:
-    """Extract the optional per-file solver section (method, tol, max_iters);
-    other keys are ignored."""
+    """Extract the optional per-file solver section (tol, max_iters); other
+    keys are ignored.  ``method`` is checked, not returned: "exp" and "auto"
+    both name the one solve path, and any other value is refused."""
     if not isinstance(doc, dict):
         return {}
     solver = doc.get("solver", {})
     if not isinstance(solver, dict):
         raise InstanceFormatError("'solver' must be an object")
     out = {}
-    if "method" in solver:
-        if solver["method"] not in SOLVER_METHODS:
-            raise InstanceFormatError(f"solver.method must be one of {', '.join(SOLVER_METHODS)}")
-        out["method"] = solver["method"]
+    if solver.get("method", "auto") not in ("exp", "auto"):
+        raise InstanceFormatError(
+            "solver.method must be exp or auto; the log-det barrier is the library "
+            "function cpinterp.solve_barrier"
+        )
     if "tol" in solver:
         out["tol"] = checked_tol(solver["tol"], "solver.tol")
     if "max_iters" in solver:

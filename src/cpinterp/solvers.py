@@ -357,16 +357,6 @@ def _wolfe_search(fg_line, f0, slope0, c1, c2, alpha0):
     return alpha_prev if f_prev < f0 else None
 
 
-@dataclass
-class _MinimizeResult:
-    point: _Point
-    cg_iterations: int
-    newton_steps: int
-    converged: bool
-    diverged: bool
-    message: str = ""
-
-
 # Why a CG run stopped, besides convergence, and how a message puts it;
 # Newton's backtracking also stops on "trial-recedes".
 _CG_STOPS = {
@@ -500,9 +490,12 @@ def _newton_polish(
     return point, steps
 
 
-def _minimize(obj: _Objective, x0: np.ndarray, cfg: ExpSolveConfig) -> _MinimizeResult:
+def _minimize(
+    sys: ConstraintSystem, obj: _Objective, x0: np.ndarray, cfg: ExpSolveConfig
+) -> SolveOutcome:
     """A CG warm start, handed to Newton at ``NEWTON_HANDOFF``, with CG as the
-    stall fallback.
+    stall fallback; the outcome on ``sys``, whose residuals the gradient of
+    ``obj`` is.
 
     If Newton stalls short of ``cfg.gradient_tol``, CG resumes from Newton's
     point with the rest of the CG budget and without a second hand-off.  From
@@ -514,6 +507,10 @@ def _minimize(obj: _Objective, x0: np.ndarray, cfg: ExpSolveConfig) -> _Minimize
     Every point either method evaluates is tested for recession, and the
     first that passes ends the run as diverged.
     """
+
+    def converged(point: _Point) -> bool:
+        return float(np.linalg.norm(point.g)) <= cfg.gradient_tol
+
     point, cg_steps, stop = _minimize_cg(
         obj, obj.evaluate(x0), cfg, cfg.max_iterations, NEWTON_HANDOFF
     )
@@ -522,59 +519,35 @@ def _minimize(obj: _Objective, x0: np.ndarray, cfg: ExpSolveConfig) -> _Minimize
     if stop == "handoff":
         point, newton_steps = _newton_polish(obj, point, cfg.gradient_tol)
         if point.recedes:
-            message = f"Newton {_CG_STOPS['trial-recedes']}"
-            return _MinimizeResult(point, cg_steps, newton_steps, False, True, message)
-        if float(np.linalg.norm(point.g)) <= cfg.gradient_tol:
-            return _MinimizeResult(point, cg_steps, newton_steps, True, False)
-        point, more, stop = _minimize_cg(obj, point, cfg, cfg.max_iterations - cg_steps)
-        cg_steps += more
-        phase = "Newton stalled after hand-off; CG resumed and"
-    if stop == "converged":
-        return _MinimizeResult(point, cg_steps, newton_steps, True, False)
-    message = f"{phase} {_CG_STOPS[stop]}"
+            stop, phase = "trial-recedes", "Newton"
+        elif converged(point):
+            stop = "converged"
+        else:
+            point, more, stop = _minimize_cg(obj, point, cfg, cfg.max_iterations - cg_steps)
+            cg_steps += more
+            phase = "Newton stalled after hand-off; CG resumed and"
+    message = "" if stop == "converged" else f"{phase} {_CG_STOPS[stop]}"
+    if stop in ("stalled", "limit"):
+        point, more = _newton_polish(obj, point, cfg.gradient_tol)
+        newton_steps += more
+        if point.recedes:
+            stop = "trial-recedes"
+            message += f"; Newton polish {_CG_STOPS['trial-recedes']}"
+        elif converged(point):
+            stop, message = "converged", ""
+        else:
+            message += "; Newton polish did not converge"
     if stop in _DIVERGED:
-        return _MinimizeResult(point, cg_steps, newton_steps, False, True, message)
-    point, more = _newton_polish(obj, point, cfg.gradient_tol)
-    newton_steps += more
-    if point.recedes:
-        message += f"; Newton polish {_CG_STOPS['trial-recedes']}"
-        return _MinimizeResult(point, cg_steps, newton_steps, False, True, message)
-    if float(np.linalg.norm(point.g)) <= cfg.gradient_tol:
-        return _MinimizeResult(point, cg_steps, newton_steps, True, False)
-    message += "; Newton polish did not converge"
-    return _MinimizeResult(point, cg_steps, newton_steps, False, False, message)
-
-
-def _outcome_from_point(
-    sys: ConstraintSystem, obj: _Objective, result: _MinimizeResult
-) -> SolveOutcome:
-    point = result.point
-    if result.diverged:
         return SolveOutcome(
-            status=SolveStatus.NO_STRICTLY_POSITIVE_SOLUTION,
-            solution=None,
-            coefficients=point.x,
-            residuals=point.g,
-            max_residual=float(np.max(np.abs(point.g))),
-            min_eigenvalue=float("nan"),
-            cg_iterations=result.cg_iterations,
-            newton_steps=result.newton_steps,
-            message=result.message,
+            SolveStatus.NO_STRICTLY_POSITIVE_SOLUTION, None, point.x, point.g,
+            float(np.max(np.abs(point.g))), float("nan"), cg_steps, newton_steps, message,
         )
     solution = obj.solution(point)
     res = sys.residuals(solution)
-    max_res = float(np.max(np.abs(res), initial=0.0))
-    status = SolveStatus.FEASIBLE if result.converged else SolveStatus.ITERATION_LIMIT
+    status = SolveStatus.FEASIBLE if stop == "converged" else SolveStatus.ITERATION_LIMIT
     return SolveOutcome(
-        status=status,
-        solution=solution,
-        coefficients=point.x,
-        residuals=res,
-        max_residual=max_res,
-        min_eigenvalue=linalg.min_eigenvalue(solution),
-        cg_iterations=result.cg_iterations,
-        newton_steps=result.newton_steps,
-        message=result.message,
+        status, solution, point.x, res, float(np.max(np.abs(res), initial=0.0)),
+        linalg.min_eigenvalue(solution), cg_steps, newton_steps, message,
     )
 
 
@@ -596,9 +569,8 @@ def solve_exp(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> Solve
 
     Hitting the iteration cap is a soft outcome.
     """
-    cfg = cfg or ExpSolveConfig()
-    obj = _exp_objective(sys, EXPONENT_OFFSET)
-    return _outcome_from_point(sys, obj, _minimize(obj, np.zeros(sys.q), cfg))
+    return _minimize(sys, _exp_objective(sys, EXPONENT_OFFSET), np.zeros(sys.q),
+                     cfg or ExpSolveConfig())
 
 
 def solve_barrier(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> SolveOutcome:
@@ -610,9 +582,7 @@ def solve_barrier(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> S
     residuals equal to the final gradient; divergence reports that no
     strictly positive solution exists.
     """
-    cfg = cfg or ExpSolveConfig()
-    obj = _barrier_objective(sys)
-    return _outcome_from_point(sys, obj, _minimize(obj, np.zeros(sys.q), cfg))
+    return _minimize(sys, _barrier_objective(sys), np.zeros(sys.q), cfg or ExpSolveConfig())
 
 
 def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> SolveOutcome:
@@ -623,7 +593,6 @@ def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> 
     diagonal X and are dropped).  Each potential evaluation is O(p q): the
     matrix exponential is entrywise on the diagonal.
     """
-    cfg = cfg or ExpSolveConfig()
     coords = sys.coordinates()
     diag = coords[:, : sys.p]
     scale = STRUCTURE_RTOL * (1.0 + float(np.max(np.abs(coords), initial=0.0)))
@@ -636,15 +605,11 @@ def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> 
             f"constraint {sys.provenance[refused[0]]} is not diagonal and not droppable; "
             "the diagonal solver only applies to diagonal systems"
         )
-    coeffs = diag[active]  # (q_active, p)
-    targets = sys.targets[active]
-
-    obj = _diag_objective(coeffs, targets)
-    outcome = _outcome_from_point(sys, obj, _minimize(obj, np.zeros(len(targets)), cfg))
-    if outcome.coefficients is not None:
-        full = np.zeros(sys.q)
-        full[active] = outcome.coefficients
-        outcome.coefficients = full
+    obj = _diag_objective(diag[active], sys.targets[active])
+    outcome = _minimize(sys, obj, np.zeros(np.count_nonzero(active)), cfg or ExpSolveConfig())
+    full = np.zeros(sys.q)
+    full[active] = outcome.coefficients
+    outcome.coefficients = full
     return outcome
 
 

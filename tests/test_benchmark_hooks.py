@@ -112,3 +112,19 @@ def test_traced_certify_of_planted_infeasible_data_bounds_its_eigh_calls(tmp_pat
     assert code == cli.EXIT_CERTIFIED_INFEASIBLE
     assert capsys.readouterr().out == ""
     assert spans.calls["kernel.eigh"] <= 25
+
+
+def test_traced_solve_records_the_solver_the_pipeline_picks(tmp_path, capsys):
+    # the pipeline reads its solvers off its module when it calls them, so
+    # the wrappers the tracer sets there see every call
+    diagonal = tmp_path / "diagonal.json"
+    diagonal.write_text(json.dumps(
+        {"n": 2, "k": 2, "pairs": [{"A": [[2, 0], [0, 1]], "B": [[3, 0], [0, 1]]}]}
+    ))
+    for instance, picked, other in ((GOLDEN_INSTANCE, "solvers.exp", "solvers.diagonal"),
+                                    (diagonal, "solvers.diagonal", "solvers.exp")):
+        spans = load_tracer().Tracer()
+        code, _ = spans.call(cli.main, ["solve", str(instance), "--out", str(tmp_path / "r.json")])
+        assert code == cli.EXIT_FEASIBLE
+        assert (spans.calls[picked], spans.calls[other]) == (1, 0)
+    assert capsys.readouterr().out == ""

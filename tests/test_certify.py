@@ -72,9 +72,11 @@ def test_validate_rejects_an_objective_the_eigenvalue_slack_explains():
     psd_cert = Certificate(x, CertificateKind.EXCLUDES_PSD, objective, mineig)
     # but tr X = 2 on every solution, so b . x >= 2 * min eig S = -1.6e-9
     assert not validate(psd_cert, sys, tol=1e-9)
-    assert validate(Certificate(x, CertificateKind.EXCLUDES_PD, objective, mineig), sys, tol=1e-9)
-    found = certify._classify(sys, x, CertificateSource.SEARCH)
-    assert found.kind is CertificateKind.EXCLUDES_PD
+    # and S has no eigenvalue above the tolerance, so x cannot exclude the
+    # positive definite X either
+    pd_cert = Certificate(x, CertificateKind.EXCLUDES_PD, objective, mineig)
+    assert not validate(pd_cert, sys, tol=1e-9)
+    assert certify._classify(sys, x, CertificateSource.SEARCH) is None
 
 
 def test_no_valid_psd_certificate_on_feasible_golden_system():

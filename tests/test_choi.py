@@ -192,6 +192,19 @@ def test_choi_to_kraus_matches_the_per_eigenpair_reference():
     assert negative_pivot
 
 
+def test_kraus_to_choi_matches_the_unit_image_reference():
+    # block (i, j) is sum_v V^* E_ij V, assembled from the matrix-unit images;
+    # the matmul sums the same products in another order
+    rng = np.random.default_rng(12)
+    for n, k, count in [(2, 2, 1), (3, 2, 5), (2, 3, 0), (4, 4, 16)]:
+        ks = random_kraus_set(rng, n, k, count)
+        images = [[sum((v.conj().T @ matrix_unit(n, i, j) @ v for v in ks.elements),
+                       start=np.zeros((k, k), dtype=complex)) for j in range(n)]
+                  for i in range(n)]
+        ref = choi_from_unit_images(n, k, images).matrix
+        assert np.abs(kraus_to_choi(ks).matrix - ref).max() <= 1e-14 * (1.0 + np.abs(ref).max())
+
+
 def test_apply_matches_direct_kraus_evaluation():
     rng = np.random.default_rng(11)
     for _ in range(5):

@@ -11,7 +11,9 @@ from cpinterp.choi import ChoiMatrix, apply_choi, kraus_to_choi
 from cpinterp.constraints import (
     InconsistentSystemError,
     ProblemInstance,
+    embed_solution,
     instance_system,
+    joint_support_reduce,
     prune_dependent,
 )
 from cpinterp.linalg import hermitian_part
@@ -22,6 +24,7 @@ from cpinterp.reports import (
     instance_to_jsonable,
     parse_instance,
 )
+from cpinterp.solvers import ExpSolveConfig, project_affine, solve_barrier, solve_exp, verify
 from helpers import (
     A1,
     A2,
@@ -158,34 +161,40 @@ def test_solve_diagonal_instance_emits_diagonal_choi(tmp_path):
     assert np.abs(phi - np.diag(np.diag(phi))).max() == 0.0
 
 
-def test_solve_barrier_method(tmp_path):
-    out = tmp_path / "report.json"
-    code = cli.main(["solve", str(GOLDEN_INSTANCE), "--method", "barrier",
-                     "--tol", "1e-6", "--out", str(out)])
-    assert code == 0
-    rep = json.loads(out.read_text())
-    assert rep["status"] == "feasible"
-    assert rep["max_residual"] <= 1e-6
-    assert rep["min_eigenvalue"] > 0
+def run_library(inst, solve, strict=False, **cfg):
+    """The pipeline's stages with ``solve`` as the solver: the decision, and
+    for a feasible one the ``verify`` report of the projected solution."""
+    built = instance_system(inst)
+    pruned = prune_dependent(built)
+    reduced, reduction = joint_support_reduce(pruned, inst)
+    rep = certify.decide(pruned, reduced, solve, ExpSolveConfig(**cfg), strict)
+    if rep.status is not certify.FeasibilityStatus.FEASIBLE:
+        return rep, None
+    x = project_affine(embed_solution(rep.solve_outcome.solution, reduction), pruned)
+    return rep, verify(x, built)
 
 
-def test_solve_barrier_certifies_infeasibility_on_the_first_ray(tmp_path):
-    path = write_json(tmp_path / "bad.json", infeasible_doc())
-    out = tmp_path / "report.json"
-    assert cli.main(["solve", str(path), "--method", "barrier", "--out", str(out)]) == 2
-    rep = json.loads(out.read_text())
-    assert rep["solver"]["status"] == "no-strictly-positive-solution"
-    assert rep["certificate"]["source"] == "divergence-ray"
-    assert rep["solver"]["iterations"] <= 10
+def test_solve_barrier_method():
+    rep, check = run_library(parse_instance(GOLDEN_INSTANCE), solve_barrier, gradient_tol=1e-6)
+    assert rep.status is certify.FeasibilityStatus.FEASIBLE
+    assert check.max_residual <= 1e-6
+    assert check.min_eigenvalue > 0
 
 
-def test_solve_barrier_answers_a_zero_target(tmp_path):
+def test_solve_barrier_certifies_infeasibility_on_the_first_ray():
+    rep, _ = run_library(instance_from_jsonable(infeasible_doc()), solve_barrier)
+    assert rep.status is certify.FeasibilityStatus.CERTIFIED_INFEASIBLE
+    assert rep.solve_outcome.status.value == "no-strictly-positive-solution"
+    assert rep.certificate.source is certify.CertificateSource.DIVERGENCE_RAY
+    assert rep.solve_outcome.iterations <= 10
+
+
+def test_solve_barrier_answers_a_zero_target():
     # tr(diag(1, -1) X) = 0, which X = I solves
     doc = {"n": 2, "k": 1, "pairs": [{"A": [[1, 0], [0, -1]], "B": [[0]]}]}
-    path = write_json(tmp_path / "zero-target.json", doc)
-    out = tmp_path / "report.json"
-    assert cli.main(["solve", str(path), "--method", "barrier", "--out", str(out)]) == 0
-    assert cli.main(["verify", str(out), str(path)]) == 0
+    rep, check = run_library(instance_from_jsonable(doc), solve_barrier)
+    assert rep.status is certify.FeasibilityStatus.FEASIBLE
+    assert check.max_residual <= 1e-8 and check.positive_semidefinite
 
 
 def barrier_parity_pool(rng):
@@ -209,10 +218,10 @@ def barrier_parity_pool(rng):
 def test_barrier_and_exp_give_the_same_status():
     statuses = []
     for inst in barrier_parity_pool(np.random.default_rng(31)):
-        exp = cli.run_solve(inst, cli.SolveOptions(method="exp"))
-        barrier = cli.run_solve(inst, cli.SolveOptions(method="barrier"))
-        assert (barrier[0]["status"], barrier[1]) == (exp[0]["status"], exp[1])
-        statuses.append(exp[0]["status"])
+        exp, _ = run_library(inst, solve_exp)
+        barrier, _ = run_library(inst, solve_barrier)
+        assert barrier.status is exp.status
+        statuses.append(exp.status.value)
     assert statuses.count("feasible") == 24
     assert statuses.count("certified-infeasible") == 6
 
@@ -234,11 +243,9 @@ def test_barrier_stall_on_a_unitary_channel_certifies_nothing(seed):
     # the tolerance 1e-9 (-1.7e-9 and -8.4e-10 for seed 0).  Since tr X = 2
     # on every solution, that ray proves nothing.
     inst = unitary_channel_instance(seed, 2)
-    options = cli.SolveOptions(method="barrier", max_iters=200)
-    for run in (cli.run_solve, cli.run_certify):
-        report, code = run(inst, options)
-        assert report["status"] != "certified-infeasible"
-        assert code != cli.EXIT_CERTIFIED_INFEASIBLE
+    for strict in (False, True):
+        rep, _ = run_library(inst, solve_barrier, strict, max_iterations=200)
+        assert rep.status is not certify.FeasibilityStatus.CERTIFIED_INFEASIBLE
 
 
 def test_a_long_newton_trial_step_prints_no_warning():
@@ -247,7 +254,7 @@ def test_a_long_newton_trial_step_prints_no_warning():
     inst = unitary_channel_instance(180, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report, code = cli.run_solve(inst, cli.SolveOptions(method="exp"))
+        report, code = cli.run_solve(inst, cli.SolveOptions())
     assert (report["status"], code) == ("feasible", cli.EXIT_FEASIBLE)
 
 
@@ -283,13 +290,20 @@ def test_invalid_linear_system_certificate_is_undetermined(tmp_path, monkeypatch
     assert "fails validation" in rep["solver"]["message"]
 
 
-@pytest.mark.parametrize("args", [[], ["--method", "barrier", "--tol", "1e-6"]])
+@pytest.mark.parametrize("args", [[], ["--tol", "1e-6"]])
 def test_solver_block_splits_cg_and_newton_steps(tmp_path, args):
     out = tmp_path / "report.json"
     assert cli.main(["solve", str(GOLDEN_INSTANCE), *args, "--out", str(out)]) == 0
     solver = json.loads(out.read_text())["solver"]
     assert solver["cg_iterations"] + solver["newton_steps"] == solver["iterations"]
     assert solver["newton_steps"] >= 1
+
+
+def test_barrier_splits_cg_and_newton_steps():
+    rep, _ = run_library(parse_instance(GOLDEN_INSTANCE), solve_barrier, gradient_tol=1e-6)
+    outcome = rep.solve_outcome
+    assert outcome.cg_iterations + outcome.newton_steps == outcome.iterations
+    assert outcome.newton_steps >= 1
 
 
 def test_unitary_channel_solves_to_one_kraus_element(tmp_path):
@@ -627,21 +641,13 @@ def test_certify_report_is_the_solve_report_plus_span_check(tmp_path, doc):
     assert reps["certify"]["constraints"] == reps["solve"]["constraints"]
 
 
-def test_certify_honours_the_method_flag(tmp_path):
-    _, reps = run_both(tmp_path, json.loads(GOLDEN_INSTANCE.read_text()),
-                       "--method", "barrier", "--tol", "1e-6")
-    assert reps["certify"]["status"] == "feasible"
-    assert reps["certify"]["solver"]["method"] == "barrier"
-
-
-@pytest.mark.parametrize("run", [cli.run_solve, cli.run_certify])
-def test_an_unknown_method_is_refused_before_the_build(monkeypatch, run):
-    def no_build(*args, **kwargs):
-        raise AssertionError("the system was built")
-
-    monkeypatch.setattr(pipeline, "instance_system", no_build)
-    with pytest.raises(InstanceFormatError, match="unknown method 'newton'"):
-        run(parse_instance(GOLDEN_INSTANCE), cli.SolveOptions(method="newton"))
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_method_flag_is_a_usage_error(capsys, command):
+    # the solver is picked from the data; no flag selects it
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, str(GOLDEN_INSTANCE), "--method", "exp"])
+    assert exc.value.code == cli.EXIT_INPUT_ERROR
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
 def test_certify_takes_the_diagonal_path_under_auto(tmp_path):
@@ -693,7 +699,7 @@ def test_feasibility_report_and_certify_share_one_decision(case, status):
     else:
         planted, _ = planted_instance(np.random.default_rng(0), 3, 3, 3)
         inst = ProblemInstance(3, 3, planted.pairs + [(np.eye(3), -np.eye(3))])
-    report, _ = cli.run_certify(inst, cli.SolveOptions(method="exp"))
+    report, _ = cli.run_certify(inst, cli.SolveOptions())
     assert report["status"] == status
     assert_one_decision(inst, report)
 
@@ -748,13 +754,18 @@ def test_solve_and_certify_factor_no_p2_row_coordinate_matrix(monkeypatch):
 # options
 
 
-def test_file_solver_section_sets_method(tmp_path):
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_file_solver_method_barrier_is_input_error(tmp_path, monkeypatch, capsys, command):
+    # "exp" and "auto" name the one solve path; the barrier is a library solver
+    def no_build(*args, **kwargs):
+        raise AssertionError("the system was built")
+
+    monkeypatch.setattr(pipeline, "instance_system", no_build)
     doc = json.loads(GOLDEN_INSTANCE.read_text())
     doc["solver"] = {"method": "barrier", "tol": 1e-6}
     path = write_json(tmp_path / "inst.json", doc)
-    out = tmp_path / "report.json"
-    assert cli.main(["solve", str(path), "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["solver"]["method"] == "barrier"
+    assert cli.main([command, str(path)]) == cli.EXIT_INPUT_ERROR
+    assert "cpinterp.solve_barrier" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "certify"])
@@ -899,17 +910,19 @@ def test_all_zero_pairs_are_feasible(tmp_path, capsys, command, pairs):
     doc = {"n": 2, "k": 2, "pairs": [{"A": ZERO_2X2, "B": ZERO_2X2}] * pairs}
     path = write_json(tmp_path / "zero.json", doc)
     out = tmp_path / "report.json"
-    for method in ("auto", "barrier"):
-        assert cli.main([command, str(path), "--method", method, "--out", str(out)]) == 0
-        rep = json.loads(out.read_text())
-        assert rep["status"] == "feasible"
-        assert rep["solver"]["method"] in (method, "diagonal")
-        assert rep["constraints"] == []
-        assert rep["min_eigenvalue"] > 0
-        phi = report_matrix(rep, "choi")
-        assert np.linalg.eigvalsh(phi).min() > 0
-        assert cli.main(["verify", str(out), str(path)]) == 0
-        assert "FAIL" not in capsys.readouterr().out
+    assert cli.main([command, str(path), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["status"] == "feasible"
+    assert rep["solver"]["method"] == "diagonal"
+    assert rep["constraints"] == []
+    assert rep["min_eigenvalue"] > 0
+    phi = report_matrix(rep, "choi")
+    assert np.linalg.eigvalsh(phi).min() > 0
+    assert cli.main(["verify", str(out), str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    barrier, check = run_library(parse_instance(path), solve_barrier, command == "certify")
+    assert barrier.status is certify.FeasibilityStatus.FEASIBLE
+    assert check.min_eigenvalue > 0 and check.positive_semidefinite
 
 
 @pytest.mark.parametrize("command", ["solve", "certify"])
@@ -931,6 +944,43 @@ def test_zero_pair_beside_a_normal_pair_stays_feasible(tmp_path, command):
     assert cli.main([command, str(path), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["status"] == "feasible"
     assert cli.main(["verify", str(out), str(path)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# inputs at the scale of the tolerances
+
+
+def test_a_tiny_input_is_not_certified_no_strict(tmp_path):
+    # X = 1e9 solves phi(1e-9) = 1.  The combination -1e-9 is zero within the
+    # tolerance, so it excludes no positive definite X
+    doc = {"n": 1, "k": 1, "pairs": [{"A": [[1e-9]], "B": [[1]]}]}
+    path = write_json(tmp_path / "tiny.json", doc)
+    out = tmp_path / "report.json"
+    for command in ("solve", "certify"):
+        code = cli.main([command, str(path), "--out", str(out)])
+        rep = json.loads(out.read_text())
+        assert rep["certificate"] is None
+        assert (rep["status"], code) in (("feasible", 0), ("undetermined", 3))
+
+
+def tiny_inputs(case):
+    if case == "2x2-3e-11":
+        return ProblemInstance(2, 2, [(3e-11 * random_hermitian(np.random.default_rng(0), 2),
+                                       np.eye(2))])
+    return ProblemInstance(1, 1, [(np.array([[float(case[4:])]]), np.eye(1))])
+
+
+@pytest.mark.parametrize("case", ["1x1-1e-10", "1x1-1e-11", "2x2-3e-11"])
+def test_inputs_below_the_support_cut_are_solved_unreduced(case):
+    # the build keeps these rows, while the support cut reads them as all
+    # kernel; the solve runs on the unreduced system instead of a 0 x 0 one
+    inst = tiny_inputs(case)
+    for run in (cli.run_solve, cli.run_certify):
+        report, code = run(inst, cli.SolveOptions())
+        assert report["support"]["reduced_dim"] == report["support"]["full_dim"]
+        if inst.n == 1:  # feasible data: X = 1 / A solves them
+            assert report["certificate"] is None
+            assert (report["status"], code) in (("feasible", 0), ("undetermined", 3))
 
 
 # ---------------------------------------------------------------------------

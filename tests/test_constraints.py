@@ -645,6 +645,16 @@ def test_reduce_without_kernel_is_identity():
     assert np.abs(reduced.matrices - sys.matrices).max() == 0
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1e-11])
+def test_reduce_of_rows_below_the_support_cut_is_identity(scale):
+    # the build keeps a row above STRUCTURE_RTOL, but at SUPPORT_RTOL the
+    # whole space is kernel: compressing onto it would leave a 0 x 0 system
+    sys, (reduced, red) = reduce_scalar_instance([scale * np.eye(2)], [1.0])
+    assert sys.q == 1
+    assert np.array_equal(red.basis, np.eye(2))
+    assert reduced is sys
+
+
 def test_reduce_block_system_and_embed():
     rng = np.random.default_rng(31)
     mats = []

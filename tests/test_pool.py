@@ -1,6 +1,7 @@
 """Smoke test of the parity pool (``tools/pool.py``), so that the tool cannot rot.
 
-It runs a handful of lines of this checkout and diffs them.
+It runs a handful of lines of this checkout twice and diffs them: the two
+runs must not differ (the determinism gate), and a changed line must show.
 """
 
 import importlib.util
@@ -22,9 +23,11 @@ def load_pool():
 def test_pool_writes_one_line_per_run_and_diffs_them(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the run puts <src>/src first
     pool = load_pool()
-    out = tmp_path / "head.jsonl"
-    with out.open("w") as stream:
-        assert pool.run(ROOT, 1, ["golden", "bench-infeasible", "zero-input"], stream) == 6
+    out, again = tmp_path / "head.jsonl", tmp_path / "again.jsonl"
+    for path in (out, again):
+        with path.open("w") as stream:
+            assert pool.run(ROOT, 1, ["golden", "bench-infeasible", "zero-input"], stream) == 6
+    assert pool.diff(out, again, io.StringIO()) == 0
     lines = [json.loads(text) for text in out.read_text().splitlines()]
     assert [line["run"] for line in lines] == [
         f"{name}/{command}" for name in ("golden", "bench-infeasible/0", "zero-input/0")
@@ -34,9 +37,16 @@ def test_pool_writes_one_line_per_run_and_diffs_them(tmp_path, monkeypatch):
     golden = by_run["golden/solve"]
     assert (golden["status"], golden["exit"], golden["certificate"]) == ("feasible", 0, None)
     assert len(golden["choi"]) == 4 and golden["reduced_dim"] == 4
-    assert by_run["bench-infeasible/0/certify"]["certificate"] == ["excludes-psd", "divergence-ray"]
+    assert (golden["pruned_rows"], golden["message"], golden["span_check"]) == (8, "", None)
+    infeasible = by_run["bench-infeasible/0/certify"]
+    assert infeasible["certificate"] == ["excludes-psd", "divergence-ray"]
+    # the pair (I, -I) puts I in the span
+    assert infeasible["span_check"] == ["linear-system", True]
+    assert infeasible["message"].startswith("CG ")
     assert by_run["zero-input/0/solve"]["certificate"] == ["excludes-psd", "linear-system"]
     assert by_run["zero-input/0/solve"]["reduced_dim"] is None
+    assert by_run["zero-input/0/solve"]["pruned_rows"] is None
+    assert all(line["verified"] for line in lines)
     assert all(len(line["report_sha256"]) == 64 for line in lines)
 
     assert pool.diff(out, out, io.StringIO()) == 0

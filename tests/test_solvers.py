@@ -284,7 +284,8 @@ def test_solve_exp_unique_critical_point():
     cfg = ExpSolveConfig(gradient_tol=1e-11)
     obj = _exp_objective(sys, EXPONENT_OFFSET)
     x_first, x_second = (
-        _minimize(obj, rng.uniform(-0.5, 0.5, size=sys.q), cfg).point.x for _ in range(2)
+        _minimize(sys, obj, rng.uniform(-0.5, 0.5, size=sys.q), cfg).coefficients
+        for _ in range(2)
     )
     assert np.abs(x_first - x_second).max() < 1e-6
 

@@ -11,11 +11,14 @@ Usage (from the root of a checkout):
 ``run`` imports cpinterp from ``<src>/src`` (by default this checkout) and
 calls ``cli.run_solve`` and ``cli.run_certify`` in process.  Each line holds
 the run's name (recipe, seed, command), the status, the exit code, the
-certificate's kind and source, ``reduced_dim``, the CG and Newton step
-counts, the Choi matrix rounded to 1e-9, and the SHA-256 of the canonical
-report without its ``timing`` block, which pins the report byte for byte.
-A run that raises records the exception instead.  ``diff`` names every run
-whose lines differ, or that only one file has, and exits 1 if there is any.
+certificate's kind and source, the span check's source and answer,
+``reduced_dim``, the number of rows that ``prune_dependent`` keeps of
+``instance_system``'s, the CG and Newton step counts, the solver's message,
+whether ``cli.run_verify`` passes every check on the report, the Choi
+matrix rounded to 1e-9, and the SHA-256 of the canonical report without its
+``timing`` block, which pins the report byte for byte.  A run that raises
+records the exception instead.  ``diff`` names every run whose lines
+differ, or that only one file has, and exits 1 if there is any.
 
 The recipes live here, apart from the tests and the benchmark, so that an
 edit to either does not change the pool.  Only numpy draws the data.
@@ -34,13 +37,14 @@ import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "golden" / "qubit_pair.json"
-DEFAULT_COUNT = 67  # seeds per recipe: 1 610 runs, vv face 66 among them
+DEFAULT_COUNT = 67  # seeds per counted recipe, vv face 66 among them
 
 
 def random_hermitian(rng, p: int, scale: float = 1.0) -> np.ndarray:
@@ -115,50 +119,91 @@ def vv_face(rng, n: int = 3, k: int = 2):
     return n, k, [(a, sum(m @ a @ m.conj().T for m in kraus)) for a in (a1, vv - a1, a3)], False
 
 
-def golden(_rng):
+def qubit_channel(rng, rank: int, inputs: list):
+    """A trace-preserving map of M_2 with ``rank`` Kraus elements, the
+    2 x 2 blocks of a random isometry, seen on ``inputs``."""
+    q, _ = np.linalg.qr(random_complex(rng, 2 * rank, 2))
+    kraus = q.reshape(rank, 2, 2)
+    return 2, 2, [(a, sum(m @ a @ m.conj().T for m in kraus)) for a in inputs], True
+
+
+def golden(_seed=None, scale: float = 1.0):
+    """The golden instance, its second pair scaled by ``scale``."""
     doc = json.loads(GOLDEN.read_text())
     pairs = [(np.array(p["A"], dtype=complex), np.array(p["B"], dtype=complex))
              for p in doc["pairs"]]
+    pairs[1] = (scale * pairs[1][0], scale * pairs[1][1])
     return doc["n"], doc["k"], pairs, doc["trace_preserving"]
 
 
-# recipe -> (instance from a seeded generator, seeded).  The first three are
-# the benchmark's workloads.
+# Draws (seed -> index) of 4 x 4 diagonal data with 6 pairs whose input
+# diagonals have condition numbers 6e5, 2.8e4 and 1.3e4.
+ILL_CONDITIONED = {580057656: 7, 203: 57, 303: 102}
+
+
+def ill_conditioned_diagonal(seed: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(ILL_CONDITIONED[seed] + 1):
+        instance = planted_diagonal(rng, 4, 4, 6)
+    return instance
+
+
+def drawn(make):
+    """A recipe of a seed, from one of a seeded generator."""
+    return lambda seed: make(np.random.default_rng(seed))
+
+
+# recipe -> (instance from a seed, seeds; None for range(count)).  The first
+# three are the benchmark's workloads.
 RECIPES = {
-    "bench-exp": (lambda rng: planted(rng, 4, 4, 6), True),
-    "bench-diagonal": (lambda rng: planted_diagonal(rng, 4, 4, 6, max_cond=100.0), True),
-    "bench-infeasible": (lambda rng: with_negative_identity(planted(rng, 3, 3, 3)), True),
-    "hermitian": (lambda rng: planted(rng, 3, 2, 3), True),
-    "complex": (lambda rng: planted(rng, 2, 3, 3, hermitian=False), True),
-    "diagonal": (lambda rng: planted_diagonal(rng, 3, 3, 5), True),
+    "bench-exp": (drawn(lambda rng: planted(rng, 4, 4, 6)), None),
+    "bench-diagonal": (drawn(lambda rng: planted_diagonal(rng, 4, 4, 6, max_cond=100.0)), None),
+    "bench-infeasible": (drawn(lambda rng: with_negative_identity(planted(rng, 3, 3, 3))), None),
+    "hermitian": (drawn(lambda rng: planted(rng, 3, 2, 3)), None),
+    "complex": (drawn(lambda rng: planted(rng, 2, 3, 3, hermitian=False)), None),
+    "diagonal": (drawn(lambda rng: planted_diagonal(rng, 3, 3, 5)), None),
     "complex-infeasible": (
-        lambda rng: with_negative_identity(planted(rng, 3, 3, 2, hermitian=False)), True
+        drawn(lambda rng: with_negative_identity(planted(rng, 3, 3, 2, hermitian=False))), None
     ),
     "contradictory": (
-        lambda rng: with_contradiction(planted(rng, 2, 3, 2), rng, zero_input=False), True
+        drawn(lambda rng: with_contradiction(planted(rng, 2, 3, 2), rng, zero_input=False)), None
     ),
     "zero-input": (
-        lambda rng: with_contradiction(planted(rng, 2, 3, 2), rng, zero_input=True), True
+        drawn(lambda rng: with_contradiction(planted(rng, 2, 3, 2), rng, zero_input=True)), None
     ),
-    "unitary-2": (lambda rng: unitary_channel(rng, 2), True),
-    "unitary-3": (lambda rng: unitary_channel(rng, 3), True),
-    "vv-face": (vv_face, True),
-    "golden": (golden, False),
+    "unitary-2": (drawn(lambda rng: unitary_channel(rng, 2)), None),
+    "unitary-3": (drawn(lambda rng: unitary_channel(rng, 3)), None),
+    "vv-face": (drawn(vv_face), None),
+    "golden": (golden, [None]),
+    # pinned by 4 inputs: feasible, with no strictly positive solution
+    "channel-rank-2": (
+        drawn(lambda rng: qubit_channel(rng, 2, [random_hermitian(rng, 2) for _ in range(4)])),
+        None,
+    ),
+    # the seed is the exponent of the scale
+    "golden-scaled": (lambda seed: golden(scale=10.0**seed), range(9)),
+    "diagonal-ill": (ill_conditioned_diagonal, list(ILL_CONDITIONED)),
+    # 10 Hermitian halves against n^2 = 9
+    "complex-n3-k2": (drawn(lambda rng: planted(rng, 3, 2, 5, hermitian=False)), None),
+    "channel-identity": (
+        drawn(lambda rng: qubit_channel(
+            rng, 3, [np.eye(2), random_hermitian(rng, 2), random_hermitian(rng, 2)])),
+        None,
+    ),
 }
 
 
 def pool(count: int, recipes: list[str]):
     """(name, instance tuple) of every instance, in a fixed order."""
     for recipe in recipes:
-        make, seeded = RECIPES[recipe]
-        for seed in range(count) if seeded else [None]:
-            rng = np.random.default_rng(seed) if seeded else None
-            name = recipe if seed is None else f"{recipe}/{seed}"
-            yield name, make(rng)
+        make, seeds = RECIPES[recipe]
+        for seed in range(count) if seeds is None else seeds:
+            yield (recipe if seed is None else f"{recipe}/{seed}"), make(seed)
 
 
 def _line(name: str, report: dict, code: int, dumps) -> dict:
     cert = report.get("certificate")
+    span = report.get("span_check")
     solver = report["solver"]
     choi = report.get("choi")
     untimed = {key: value for key, value in report.items() if key != "timing"}
@@ -167,9 +212,12 @@ def _line(name: str, report: dict, code: int, dumps) -> dict:
         "status": report["status"],
         "exit": code,
         "certificate": None if cert is None else [cert["kind"], cert["source"]],
+        "span_check": None if span is None else [span["source"],
+                                                 span["contains_positive_definite"]],
         "reduced_dim": report.get("support", {}).get("reduced_dim"),
         "cg_iterations": solver["cg_iterations"],
         "newton_steps": solver["newton_steps"],
+        "message": solver["message"],
         "choi": None if choi is None else (np.round(np.array(choi), 9) + 0.0).tolist(),
         "report_sha256": hashlib.sha256(dumps(untimed).encode()).hexdigest(),
     }
@@ -179,20 +227,32 @@ def run(src: Path, count: int, recipes: list[str], out) -> int:
     """Write the pool's lines for the checkout at ``src``; returns the run count."""
     sys.path.insert(0, str(src / "src"))
     from cpinterp import cli, reports
-    from cpinterp.constraints import ProblemInstance
+    from cpinterp.constraints import (
+        InconsistentSystemError, ProblemInstance, instance_system, prune_dependent,
+    )
 
     runs = 0
-    for name, (n, k, pairs, tp) in pool(count, recipes):
-        options = cli.SolveOptions(method="exp" if name == "golden" else "auto")
-        inst = ProblemInstance(n, k, pairs, trace_preserving=tp)
-        for command, solve in (("solve", cli.run_solve), ("certify", cli.run_certify)):
-            label = f"{name}/{command}"
-            try:
-                line = _line(label, *solve(inst, options), reports.dumps_canonical)
-            except Exception as exc:  # a run that raises is a result of the pool
-                line = {"run": label, "error": f"{type(exc).__name__}: {exc}"}
-            out.write(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
-            runs += 1
+    with tempfile.TemporaryDirectory() as folder:
+        instance_path, report_path = Path(folder, "instance.json"), Path(folder, "report.json")
+        for name, (n, k, pairs, tp) in pool(count, recipes):
+            inst = ProblemInstance(n, k, pairs, trace_preserving=tp)
+            reports.write_instance(inst, instance_path)
+            for command, solve in (("solve", cli.run_solve), ("certify", cli.run_certify)):
+                label = f"{name}/{command}"
+                try:
+                    report, code = solve(inst, cli.SolveOptions())
+                    line = _line(label, report, code, reports.dumps_canonical)
+                    try:
+                        line["pruned_rows"] = prune_dependent(instance_system(inst, tp)).q
+                    except InconsistentSystemError:
+                        line["pruned_rows"] = None
+                    report_path.write_text(reports.dumps_canonical(report))
+                    checks = cli.run_verify(report_path, instance_path)
+                    line["verified"] = all(ok for _, ok, _ in checks)
+                except Exception as exc:  # a run that raises is a result of the pool
+                    line = {"run": label, "error": f"{type(exc).__name__}: {exc}"}
+                out.write(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
+                runs += 1
     return runs
 
 
