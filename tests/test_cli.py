@@ -650,6 +650,30 @@ def test_method_flag_is_a_usage_error(capsys, command):
     assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
+def test_certify_honours_the_method_flag(tmp_path):
+    # solver.method "exp" names the one solve path, and certify takes it too
+    doc = json.loads(GOLDEN_INSTANCE.read_text())
+    doc["solver"] = {"method": "exp"}
+    _, reps = run_both(tmp_path, doc, "--tol", "1e-6")
+    assert reps["certify"]["status"] == "feasible"
+    assert reps["certify"]["solver"]["method"] == "exp"
+
+
+@pytest.mark.parametrize("run", [cli.run_solve, cli.run_certify])
+def test_an_unknown_method_is_refused_before_the_build(tmp_path, monkeypatch, capsys, run):
+    # solver.method is checked when the file is read, before run_* is reached
+    def no_build(*args, **kwargs):
+        raise AssertionError("the system was built")
+
+    monkeypatch.setattr(pipeline, "instance_system", no_build)
+    doc = json.loads(GOLDEN_INSTANCE.read_text())
+    doc["solver"] = {"method": "newton"}
+    path = write_json(tmp_path / "inst.json", doc)
+    command = run.__name__.removeprefix("run_")
+    assert cli.main([command, str(path)]) == cli.EXIT_INPUT_ERROR
+    assert "solver.method must be exp or auto" in capsys.readouterr().err
+
+
 def test_certify_takes_the_diagonal_path_under_auto(tmp_path):
     doc = {"n": 2, "k": 2, "pairs": [{"A": [[2, 0], [0, 1]], "B": [[3, 0], [0, 1]]}]}
     _, reps = run_both(tmp_path, doc)
