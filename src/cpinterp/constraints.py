@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -130,7 +131,9 @@ class ConstraintSystem:
     each on the (q, p*p) view ``_flat``), ``coordinates`` (the p^2 real
     Hermitian coordinates of the rows, rotated and weighted as the Newton
     Hessians need), ``factor`` (the one triangular factor from which prune
-    and the projection decide linear dependence) and ``with_unit_trace``.
+    and the projection decide linear dependence), ``gram_solver`` (the
+    inverse of the rows' Gram matrix, applied through that factor) and
+    ``with_unit_trace``.
     """
 
     p: int
@@ -138,6 +141,8 @@ class ConstraintSystem:
     targets: np.ndarray
     provenance: list = field(default_factory=list)
     _factor: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (v, k^2): the first v columns of factor()'s R are R_H kron I_{k^2}
+    _kron: tuple = field(default=(0, 1), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrices = np.ascontiguousarray(self.matrices, dtype=complex)
@@ -160,14 +165,14 @@ class ConstraintSystem:
     @classmethod
     def _derived(
         cls, p: int, matrices: np.ndarray, targets: np.ndarray, provenance: list,
-        factor: tuple | None = None,
+        factor: tuple | None = None, kron: tuple = (0, 1),
     ) -> ConstraintSystem:
         """A system of exactly Hermitian rows derived from a checked system:
         C-contiguous complex ``matrices`` and float ``targets``, taken as they
         are, with one label per row, and without the Hermitian check."""
         system = cls.__new__(cls)
         system.p, system.matrices, system.targets = p, matrices, targets
-        system.provenance, system._factor = provenance, factor
+        system.provenance, system._factor, system._kron = provenance, factor, kron
         return system
 
     @property
@@ -206,9 +211,10 @@ class ConstraintSystem:
         stays zero), and the row norms.  ``R[j, j]^2`` is row j's squared
         residual after the rows before it.  ``instance_system`` builds it from
         the pairs, ``with_unit_trace`` extends the pruned system's, and
-        ``prune_dependent`` hands over the R of the rows it keeps.  Only a
-        system made from a raw stack of rows falls back to the QR of its
-        (p^2, q) coordinate matrix, once."""
+        ``prune_dependent`` hands over the R of the rows it keeps, and
+        ``joint_support_reduce`` carries it over unchanged.  Only a system
+        made from a raw stack of rows falls back to the QR of its (p^2, q)
+        coordinate matrix, once."""
         if self._factor is None:
             r = np.linalg.qr(self.coordinates().T, mode="r")
             # R's columns have the rows' norms, and scaling them is the QR of the scaled rows
@@ -217,33 +223,71 @@ class ConstraintSystem:
             self._factor = r, norms
         return self._factor
 
+    @functools.cached_property
+    def gram_solver(self) -> Callable[[np.ndarray], np.ndarray] | None:
+        """The map ``g -> G^{-1} g``, with ``G = N R^T R N`` the Gram matrix
+        ``tr(C(a) C(b))`` of the rows, R and N the triangular factor and the
+        row norms of ``factor()``; None unless R is square with every squared
+        pivot above ``DEPENDENCE_RTOL``, as for a pruned system.
+
+        It substitutes through R by blocks, each block by a triangular solve
+        (backward stable, where a product with an explicit inverse is not).
+        On a system built from pairs the first v columns of R are
+        ``R_H kron I_{k^2}`` (``_pair_factor``), so they cost two solves with
+        the h x h ``R_H`` on k^2 columns; the rest, the trace rows and the
+        unit trace column, at most n^2 + 1 columns, form R's last block
+        column.  A system made from a raw stack of rows has no such block.
+        """
+        r, norms = self.factor()
+        if r.shape != (self.q, self.q) or not np.all(np.diagonal(r) ** 2 > DEPENDENCE_RTOL):
+            return None
+        v, k2 = self._kron
+        h = v // k2
+        r_h, b, d = r[:v:k2, :v:k2], r[:v, v:], r[v:, v:]
+
+        def solve(g: np.ndarray) -> np.ndarray:
+            # z = R^{-T} N^{-1} g, then y = R^{-1} z, R = [[R_H kron I, B], [0, D]]
+            z = g / norms
+            z1 = np.linalg.solve(r_h.T, z[:v].reshape(h, k2)).ravel()
+            y2 = z[v:]
+            if len(d):
+                y2 = np.linalg.solve(d, np.linalg.solve(d.T, y2 - b.T @ z1))
+                z1 = z1 - b @ y2
+            y1 = np.linalg.solve(r_h, z1.reshape(h, k2)).ravel()
+            return np.concatenate([y1, y2]) / norms
+
+        return solve
+
     def with_unit_trace(self) -> ConstraintSystem:
         """The rows at target 0, then ``(I, 1)``: its PSD solutions are the
         X with ``tr X = 1`` and every ``tr(C(i) X) = 0``.
 
-        When ``factor()`` is square with every squared pivot above
-        ``DEPENDENCE_RTOL``, as for a pruned system, the column of the unit
-        identity ``I / sqrt p`` is appended to it: its coordinates c solve
-        ``R^T c = g``, with g its pairings ``tr C(i) / (|C(i)| sqrt p)`` with
-        the unit rows, and its pivot is the norm of its residual after them,
-        ``I / sqrt p - sum y_i C(i) / |C(i)|`` with ``R y = c``.  That norm is
-        taken directly: ``sqrt(1 - |c|^2)`` loses it to cancellation when I
-        is nearly in the span.
+        When ``gram_solver`` is defined, as for a pruned system, the column
+        of the unit identity ``I / sqrt p`` is appended to ``factor()``'s R:
+        its residual after the rows is ``I / sqrt p - sum y_i C(i)``, with
+        ``G y`` its pairings ``tr C(i) / sqrt p``; its coordinates along the
+        unit rows are ``c = R N y``, and its pivot is the residual's norm.
+        That norm is taken directly: ``sqrt(1 - |c|^2)`` loses it to
+        cancellation when I is nearly in the span.  The new column joins R's
+        last block column.
         """
         q, p = self.q, self.p
         extended = ConstraintSystem._derived(
             p, np.concatenate([self.matrices, np.eye(p)[None]]),
             np.append(np.zeros(q), 1.0), [*self.provenance, _UNIT_TRACE],
         )
-        r, norms = self.factor()
-        if len(r) == q and np.all(np.diagonal(r) ** 2 > DEPENDENCE_RTOL):
+        solve = self.gram_solver
+        if solve is not None:
+            r, norms = self.factor()
             unit = np.eye(p) / np.sqrt(p)
-            c = np.linalg.solve(r.T, self.traces(unit) / norms)
-            residual = unit - self.aggregate(np.linalg.solve(r, c) / norms)
+            y = solve(self.traces(unit))
+            residual = unit - self.aggregate(y)
+            c = r @ (norms * y)
             ext = np.zeros((min(p * p, q + 1), q + 1))
             ext[:q, :q], ext[:q, q] = r, c
             ext[q:, q] = np.linalg.norm(residual)
             extended._factor = ext, np.append(norms, np.sqrt(p))
+            extended._kron = self._kron
         return extended
 
 
@@ -478,7 +522,9 @@ def prune_dependent(sys: ConstraintSystem) -> ConstraintSystem:
     the unscaled rows is raised.  A system of no constraints (every pair of
     an instance is zero), and one that keeps every row, is returned as it
     is; a pruned copy carries the factor of the rows it keeps, the R of the
-    last round.
+    last round.  Rows depend on earlier pairs' rows only half by half, and
+    the QR of a block ``R_H kron I`` is ``QR(R_H) kron I``, so the kept value
+    rows' block of that R keeps its Kronecker form (``gram_solver``).
     """
     if sys.q == 0:
         return sys
@@ -531,9 +577,11 @@ def prune_dependent(sys: ConstraintSystem) -> ConstraintSystem:
         )
     if len(cols) == sys.q:
         return sys
+    v, k2 = sys._kron
     return ConstraintSystem._derived(
         sys.p, sys.matrices[cols], sys.targets[cols],
         [sys.provenance[i] for i in cols.tolist()], (r, norms[cols]),
+        (int(np.count_nonzero(cols < v)), k2),
     )
 
 
@@ -560,6 +608,8 @@ def joint_support_reduce(
     ``W = W_n kron I_k``, every row satisfies C(i) = P C(i) P for the
     projector P = W W^*, so ``tr(C(i) W X' W^*) = tr(W^* C(i) W X')`` and the
     compressed system ``(W^* C(i) W, b_i)`` has the same feasible targets.
+    W is an isometry on the rows' support, so the compressed rows have the
+    same pairings ``tr(C(a) C(b))``, and they carry ``sys``'s ``factor()``.
     When every H is diagonal (``_diagonal_halves``), W_n is a set of
     coordinate vectors, so a diagonal system stays diagonal.
 
@@ -585,7 +635,8 @@ def joint_support_reduce(
     reduced = w.conj().T @ sys.matrices @ w
     reduced = (reduced + np.conj(np.swapaxes(reduced, 1, 2))) / 2
     return (
-        ConstraintSystem._derived(w.shape[1], reduced, sys.targets.copy(), list(sys.provenance)),
+        ConstraintSystem._derived(w.shape[1], reduced, sys.targets.copy(), list(sys.provenance),
+                                  sys.factor(), sys._kron),
         SupportReduction(basis=w),
     )
 
@@ -678,4 +729,5 @@ def instance_system(
     system = ConstraintSystem(p, matrices, targets, provenance)
     if system.q:
         system._factor = _pair_factor(left, inst.k, tp)
+        system._kron = (len(left) * inst.k**2, inst.k**2)
     return system

@@ -11,11 +11,16 @@ constraint residual vector of a positive definite matrix:
   by a short warm start of Polak-Ribiere+ conjugate gradients with a
   strong-Wolfe line search, handed to damped Newton with the exact Hessian
   once the gradient norm has fallen to ``NEWTON_HANDOFF`` (0.3) of its
-  starting value.  CG converges only linearly and Newton quadratically, so
-  Newton does most of the work.  Should Newton stall short of the
-  tolerance, CG resumes from its point with the rest of the iteration
-  budget and no second hand-off, and a CG run that stalls or hits the cap
-  still ends in a Newton polish.  The gradient components of V are exactly
+  starting value.  The warm start runs in the metric of the Hessian at
+  x = 0, ``e^s G`` with G the Gram matrix ``tr(C(a) C(b))``, which the
+  system's triangular factor applies (``ConstraintSystem.gram_solver``):
+  its first step is the Newton step at x = 0, and on planted data it
+  evaluates about half the points that CG in the identity metric did.  CG
+  converges only linearly and Newton quadratically, so Newton does most of
+  the work.  Should Newton stall short of the tolerance, CG resumes from
+  its point in the identity metric, with the rest of the iteration budget
+  and no second hand-off, and a CG run that stalls or hits the cap still
+  ends in a Newton polish.  The gradient components of V are exactly
   the constraint residuals of ``X = exp(sum x C + s I)``, so a critical
   point is an exact strictly positive solution; V is coercive precisely
   when such a solution exists, and unbounded growth of the iterates
@@ -38,17 +43,20 @@ constraint residual vector of a positive definite matrix:
 
       F(y) = -b . y - ln det(I - sum_i y_i C(i))
 
-  on the domain where ``Z = I - sum y C`` is positive definite.  Its gradient
-  is the residual vector of ``X = Z^{-1}``, so ``X Z = I`` at its minimizer:
-  the mu = 1 point on the central path of the SDP ``min tr X`` subject to the
-  constraints and ``X >= 0`` (the max-det form of Vandenberghe, Boyd & Wu,
-  1998).  That point exists exactly when a strictly positive solution does,
-  and otherwise F falls without bound along a ray with ``sum y C <= 0`` and
-  ``b . y > 0``: the exp potential's recession test, word for word.
+  on the domain where ``Z = I - sum y C`` is positive definite, by the same
+  minimizer; at y = 0, Z = I, and the Hessian there, the warm start's
+  metric, is G.  Its gradient is the residual vector of ``X = Z^{-1}``, so
+  ``X Z = I`` at its minimizer: the mu = 1 point on the central path of the
+  SDP ``min tr X`` subject to the constraints and ``X >= 0`` (the max-det
+  form of Vandenberghe, Boyd & Wu, 1998).  That point exists exactly when a
+  strictly positive solution does, and otherwise F falls without bound
+  along a ray with ``sum y C <= 0`` and ``b . y > 0``: the exp potential's
+  recession test, word for word.
 
 ``solve_diagonal`` is the fast path for systems of diagonal matrices, where
-the exponential acts entrywise.  ``project_affine`` re-projects an
-approximate solution exactly onto the constraint subspace.
+the exponential acts entrywise; its CG keeps the identity metric.
+``project_affine`` re-projects an approximate solution exactly onto the
+constraint subspace.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ import numpy as np
 
 from . import linalg
 from .constraints import ConstraintSystem
-from .tolerances import DEPENDENCE_RTOL, GRADIENT_TOL, STRUCTURE_RTOL, VERIFY_TOL
+from .tolerances import GRADIENT_TOL, STRUCTURE_RTOL, VERIFY_TOL
 
 
 class SolveStatus(enum.Enum):
@@ -72,12 +80,13 @@ class SolveStatus(enum.Enum):
 
 # CG hands its iterate to Newton once the gradient norm is at most this
 # fraction of its starting value, so CG is only a warm start.  On planted
-# n = k = 4 data a run takes 2.9 CG and 4.8 Newton steps and 18.5 objective
-# evaluations: CG converges only linearly, Newton quadratically once it is
-# near the minimizer.  Newton from x = 0 is not safe: on infeasible data it
-# can run along a ray without the recession test firing.  On planted
-# infeasible data that test fires during CG, before the gradient falls to
-# 0.3 of its start (on all of 1 280 instances), so those runs stay CG only.
+# n = k = 4 data a run takes 1.9 CG and 4.0 Newton steps and 10.8 objective
+# evaluations (400 instances; 2.9, 4.9 and 18.2 in the identity metric): CG
+# converges only linearly, Newton quadratically once it is near the
+# minimizer.  Newton from x = 0 is not safe: on infeasible data it can run
+# along a ray without the recession test firing.  On planted infeasible
+# data that test fires during CG, before the gradient falls to 0.3 of its
+# start (on all of 1 280 instances), so those runs stay CG only.
 # A run that is handed off on infeasible data, as the span check's can be,
 # ends at the first Newton trial point that passes the test.
 NEWTON_HANDOFF = 0.3
@@ -159,10 +168,10 @@ def verify(x: np.ndarray, sys: ConstraintSystem, tol: float = VERIFY_TOL) -> Ver
 
 
 def _value_grad(sys: ConstraintSystem, x: np.ndarray, offset: float) -> tuple[float, np.ndarray]:
-    """The potential and its gradient at x; ``OverflowError`` past the exp range."""
+    """The potential and its gradient at x; ``OverflowError`` past the float range."""
     point = _exp_objective(sys, offset).evaluate(np.asarray(x, dtype=float))
     if point.g is None:
-        raise OverflowError("the exponent exceeds the exp() range of double precision")
+        raise OverflowError("the potential or its gradient exceeds the range of double precision")
     return point.f, point.g
 
 
@@ -187,8 +196,9 @@ def gradient(sys: ConstraintSystem, x: np.ndarray, offset: float = 0.0) -> np.nd
 class _Point:
     """An objective evaluated at x, all of it read off one factorization.
 
-    ``f = inf`` (and ``g = None``) on exponential overflow or outside the
-    domain, which the line searches treat as a step that went too far.
+    ``f = inf`` (and ``g = None``) where the exponential or the gradient
+    overflows, or outside the domain, which the line searches treat as a
+    step that went too far.
     ``recedes`` is True when the objective is provably unbounded below along
     the ray through x.  ``factor`` is the objective's factorization at x,
     which its ``hessian`` and ``solution`` reuse.
@@ -205,18 +215,31 @@ class _Point:
 class _Objective:
     """A smooth convex function: ``evaluate(x)`` factors x once, and
     ``hessian(point)`` and ``solution(point)`` (the positive definite matrix
-    whose residuals are the gradient) read the point's factorization."""
+    whose residuals are the gradient) read the point's factorization.
+    ``precondition(g)`` is ``M^{-1} g`` for the Hessian M at x = 0, CG's
+    metric from there; None when the objective has none."""
 
     evaluate: Callable[[np.ndarray], _Point]
     hessian: Callable[[_Point], np.ndarray]
     solution: Callable[[_Point], np.ndarray]
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def _gram_metric(sys: ConstraintSystem, weight: float) -> Callable[[np.ndarray], np.ndarray] | None:
+    """``g -> weight G^{-1} g``, the inverse of the Hessian ``G / weight`` at
+    x = 0, with G the rows' Gram matrix (``ConstraintSystem.gram_solver``);
+    None when G is singular, as on a system that keeps dependent rows."""
+    solve = sys.gram_solver
+    return None if solve is None else lambda g: weight * solve(g)
 
 
 def _exp_objective(sys: ConstraintSystem, offset: float) -> _Objective:
     """The exp potential, factored by one ``eigh`` of ``sum x C`` per point.
 
     Its recession test (``sum x C <= 0`` and ``b . x > 0``; see
-    ``_barrier_objective``) reads the top of that same spectrum.
+    ``_barrier_objective``) reads the top of that same spectrum.  At x = 0
+    every divided difference of exp is ``e^s``, so the Hessian there, CG's
+    metric, is ``e^s G`` with G the rows' Gram matrix.
     """
     targets = sys.targets
 
@@ -228,9 +251,12 @@ def _exp_objective(sys: ConstraintSystem, offset: float) -> _Objective:
             return _Point(x, np.inf)
         ew = np.exp(w)
         ex = (u * ew) @ u.conj().T
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = sys.residuals(ex)
+        if not np.all(np.isfinite(g)):  # the pairings with large rows overflow
+            return _Point(x, np.inf)
         bx = float(x @ targets)
-        return _Point(x, float(np.sum(ew) - bx), sys.residuals(ex), bx > 0.0 and top <= 0.0,
-                      (w, u, ex))
+        return _Point(x, float(np.sum(ew) - bx), g, bx > 0.0 and top <= 0.0, (w, u, ex))
 
     def hessian(point):
         w, u, _ = point.factor
@@ -246,7 +272,8 @@ def _exp_objective(sys: ConstraintSystem, offset: float) -> _Objective:
         rot = sys.coordinates(u, phi)
         return rot @ rot.T
 
-    return _Objective(evaluate, hessian, lambda point: linalg.hermitian_part(point.factor[2]))
+    return _Objective(evaluate, hessian, lambda point: linalg.hermitian_part(point.factor[2]),
+                      _gram_metric(sys, np.exp(-offset)))
 
 
 def _barrier_objective(sys: ConstraintSystem) -> _Objective:
@@ -265,7 +292,8 @@ def _barrier_objective(sys: ConstraintSystem) -> _Objective:
     infeasibility certificate.  The Cholesky factor does not show the top of
     the spectrum, so the test takes one ``eigvalsh`` when ``b . y > 0`` and
     no diagonal entry of ``sum y C`` is positive (one that is rules out
-    ``sum y C <= 0``).
+    ``sum y C <= 0``).  At y = 0, Z = I and the Hessian, CG's metric, is the
+    rows' Gram matrix.
     """
 
     def evaluate(y):
@@ -287,11 +315,15 @@ def _barrier_objective(sys: ConstraintSystem) -> _Objective:
         rot = sys.coordinates(k.conj().T)
         return rot @ rot.T
 
-    return _Objective(evaluate, hessian, lambda point: point.factor[1])
+    return _Objective(evaluate, hessian, lambda point: point.factor[1], _gram_metric(sys, 1.0))
 
 
 def _diag_objective(coeffs: np.ndarray, targets: np.ndarray) -> _Objective:
-    """Potential restricted to diagonal matrices: entrywise exponential."""
+    """Potential restricted to diagonal matrices: entrywise exponential.
+
+    CG keeps the identity metric: with its own Hessian at x = 0,
+    ``e^s D D^T``, ill-conditioned diagonal draws outgrow the norm cap.
+    """
 
     def evaluate(x):
         cx = coeffs.T @ x
@@ -383,13 +415,22 @@ def _minimize_cg(
     cfg: ExpSolveConfig,
     budget: int,
     handoff: float = 0.0,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[_Point, int, str]:
-    """Polak-Ribiere+ conjugate gradients with periodic restarts.
+    """Polak-Ribiere+ conjugate gradients with periodic restarts, in the
+    metric M whose inverse ``precondition`` applies, or the identity.
 
-    Takes at most ``budget`` steps and declares divergence once
-    ``|x| > DIVERGENCE_THRESHOLD * (1 + |x0|)``, or as soon as the start,
-    an iterate or a trial point of the line search passes the recession
-    test.  Returns the last point, the step count and why the run stopped:
+    The search directions are built from the preconditioned gradients
+    ``M^{-1} g`` (Nocedal & Wright, *Numerical Optimization*, 5.2).  With M
+    the Hessian at the start point, the first step is the Newton step
+    there, and every line search starts at ``alpha = 1``; a restart goes
+    along ``-M^{-1} g``.  In the identity metric the first step has no
+    natural length, and its search starts where the linear model has
+    fallen by ``2 max(|f|, 1)``.  Takes at most ``budget`` steps and
+    declares divergence once ``|x| > DIVERGENCE_THRESHOLD * (1 + |x0|)``,
+    or as soon as the start, an iterate or a trial point of the line search
+    passes the recession test.  Returns the last point, the step count and
+    why the run stopped:
     ``"converged"``, ``"handoff"`` (the gradient norm fell to ``handoff``
     times its starting value; 0 never hands off) or a key of ``_CG_STOPS``.
     """
@@ -398,9 +439,11 @@ def _minimize_cg(
     restart_every = max(len(start.x), 10)
     divergence_cap = DIVERGENCE_THRESHOLD * (1.0 + float(np.linalg.norm(start.x)))
     handoff_norm = handoff * float(np.linalg.norm(start.g))
+    metric = precondition or (lambda g: g)
     point = start
     since_restart = 0
-    d = -point.g
+    pg = metric(point.g)
+    d = -pg
     iterations = 0
 
     while iterations < budget:
@@ -415,9 +458,9 @@ def _minimize_cg(
         if gnorm <= handoff_norm:
             return point, iterations, "handoff"
         slope = float(g @ d)
-        if slope >= 0:  # not a descent direction: restart on steepest descent
-            d = -g
-            slope = -gnorm**2
+        if slope >= 0:  # not a descent direction: restart on -M^{-1} g
+            d = -pg
+            slope = -float(g @ pg)
             since_restart = 0
 
         probes: dict = {}
@@ -429,7 +472,9 @@ def _minimize_cg(
             _probes[alpha] = probe
             return probe.f, np.inf if probe.g is None else float(probe.g @ _d)
 
-        alpha0 = min(1.0, 2.0 * max(abs(f), 1.0) / max(gnorm**2, 1e-30)) if iterations == 0 else 1.0
+        alpha0 = 1.0
+        if precondition is None and iterations == 0:
+            alpha0 = min(1.0, 2.0 * max(abs(f), 1.0) / max(gnorm**2, 1e-30))
         iterations += 1
         try:
             alpha = _wolfe_search(fg_line, f, slope, SUFFICIENT_DECREASE, CURVATURE, alpha0)
@@ -439,13 +484,14 @@ def _minimize_cg(
             return point, iterations, "stalled"
         # every step the search accepts is one it evaluated with a finite value
         point = probes[alpha]
+        pg_prev, pg = pg, metric(point.g)
         since_restart += 1
         if since_restart >= restart_every:
             beta = 0.0
             since_restart = 0
         else:
-            beta = max(0.0, float(point.g @ (point.g - g)) / max(float(g @ g), 1e-300))
-        d = -point.g + beta * d
+            beta = max(0.0, float(pg @ (point.g - g)) / max(float(g @ pg_prev), 1e-300))
+        d = -pg + beta * d
 
     return point, iterations, "limit"
 
@@ -497,13 +543,16 @@ def _minimize(
     stall fallback; the outcome on ``sys``, whose residuals the gradient of
     ``obj`` is.
 
-    If Newton stalls short of ``cfg.gradient_tol``, CG resumes from Newton's
-    point with the rest of the CG budget and without a second hand-off.  From
-    there the run ends as a CG-only run does: on convergence, on the
-    recession test or the norm cap, or on a stall or the iteration cap
-    followed by a Newton polish.  The resumed run measures the norm cap from
-    Newton's point: on ill-conditioned data the minimizer can lie beyond the
-    cap of the first start, and Newton may have walked most of the way there.
+    The warm start runs in the metric of ``obj.precondition``, the Hessian
+    at x = 0.  If Newton stalls short of ``cfg.gradient_tol``, CG resumes
+    from Newton's point, where that is no longer the Hessian, in the
+    identity metric, with the rest of the CG budget and without a second
+    hand-off.  From there the run ends as a CG-only run does: on
+    convergence, on the recession test or the norm cap, or on a stall or the
+    iteration cap followed by a Newton polish.  The resumed run measures the
+    norm cap from Newton's point: on ill-conditioned data the minimizer can
+    lie beyond the cap of the first start, and Newton may have walked most
+    of the way there.
     Every point either method evaluates is tested for recession, and the
     first that passes ends the run as diverged.
     """
@@ -512,7 +561,7 @@ def _minimize(
         return float(np.linalg.norm(point.g)) <= cfg.gradient_tol
 
     point, cg_steps, stop = _minimize_cg(
-        obj, obj.evaluate(x0), cfg, cfg.max_iterations, NEWTON_HANDOFF
+        obj, obj.evaluate(x0), cfg, cfg.max_iterations, NEWTON_HANDOFF, obj.precondition
     )
     newton_steps = 0
     phase = "CG"
@@ -620,19 +669,18 @@ def project_affine(x: np.ndarray, sys: ConstraintSystem) -> np.ndarray:
     ``tr(C(a) C(b))``.  The system must be one that prune keeps whole, and
     the rank is decided on prune's own factor (``ConstraintSystem.factor``):
     ``G = N R^T R N``, with N the diagonal of the row norms and R the
-    triangular factor of the unit-norm rows, so y takes one solve with
-    ``R^T`` and one with R, and the squared pivots ``R[j, j]^2`` are the
-    squared residuals that ``prune_dependent`` cuts.  A ``ValueError`` is
-    raised when one is at most ``DEPENDENCE_RTOL``.  Positivity is not
-    preserved and must be re-checked by the caller.
+    triangular factor of the unit-norm rows, which ``gram_solver`` applies,
+    and the squared pivots ``R[j, j]^2`` are the squared residuals that
+    ``prune_dependent`` cuts.  A ``ValueError`` is raised when one is at
+    most ``DEPENDENCE_RTOL``.  Positivity is not preserved and must be
+    re-checked by the caller.
     """
     x = linalg.hermitian_part(linalg.as_complex_matrix(x, "candidate"))
-    r, norms = sys.factor()
-    if len(r) < sys.q or not np.all(np.diagonal(r) ** 2 > DEPENDENCE_RTOL):
+    solve = sys.gram_solver
+    if solve is None:
         raise ValueError(
             "the constraints are linearly dependent; run prune_dependent before projecting"
         )
     for _ in range(2):  # one refinement pass reaches machine precision
-        z = np.linalg.solve(r.T, sys.residuals(x) / norms)
-        x = x - sys.aggregate(np.linalg.solve(r, z) / norms)
+        x = x - sys.aggregate(solve(sys.residuals(x)))
     return linalg.hermitian_part(x)

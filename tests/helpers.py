@@ -89,7 +89,7 @@ def norm_cap_instance() -> ProblemInstance:
     """Planted data plus the pair (I, -I), on which CG's iterates outgrow the
     norm cap (``DIVERGENCE_THRESHOLD``) before any evaluated point passes the
     recession test."""
-    inst, _ = planted_instance(np.random.default_rng(87), 3, 3, 3)
+    inst, _ = planted_instance(np.random.default_rng(45), 3, 3, 3)
     eye = np.eye(3, dtype=complex)
     return ProblemInstance(3, 3, inst.pairs + [(eye, -eye)])
 
@@ -121,6 +121,14 @@ def random_channel_kraus(rng: np.random.Generator, n: int, count: int) -> KrausS
     w, u = np.linalg.eigh(s)
     s_inv_half = (u * (1.0 / np.sqrt(w))) @ u.conj().T
     return KrausSet(n, n, [s_inv_half @ v for v in vs])
+
+
+def with_common_kernel(inst: ProblemInstance) -> ProblemInstance:
+    """``inst`` on its inputs padded by a zero last row and column, without
+    trace preservation: the rows gain the common kernel ``e_{n+1} kron C^k``,
+    which ``joint_support_reduce`` compresses away."""
+    pairs = [(np.pad(a, ((0, 1), (0, 1))), b) for a, b in inst.pairs]
+    return ProblemInstance(inst.n + 1, inst.k, pairs)
 
 
 def vv_face_instance(seed: int, n: int = 3, k: int = 2) -> ProblemInstance:

@@ -239,7 +239,7 @@ def assert_exact_yes(sys, check):
     assert np.linalg.eigvalsh(combo)[0] == pytest.approx(check.best_min_eigenvalue)
 
 
-@pytest.mark.parametrize("seed, draw, mineig", [(7, 11, 0.032), (8, 1, 0.014)])
+@pytest.mark.parametrize("seed, draw, mineig", [(7, 11, 0.025), (8, 1, 0.014)])
 def test_span_check_finds_a_positive_combination_an_ascent_missed(seed, draw, mineig):
     # a supergradient ascent from the identity fit and 3 seeded starts
     # reached -0.048 and -0.141 on these systems
@@ -264,9 +264,9 @@ def solves(monkeypatch):
 
 
 def test_span_check_reads_the_witness_of_a_solve_that_hit_its_limit(solves):
-    # one CG step, then 14 Newton steps that neither converge nor reach a
+    # one CG step, then 5 Newton steps that neither converge nor reach a
     # point that passes the recession test
-    sys = planted_draw(5, (3, 3, 3), 23)
+    sys = planted_draw(5, (3, 3, 3), 36)
     check = span_contains_positive(sys, ExpSolveConfig(max_iterations=1))
     assert [o.status for _, o in solves] == [SolveStatus.ITERATION_LIMIT]
     assert_exact_yes(sys, check)

@@ -30,6 +30,8 @@ from helpers import (
     random_hermitian,
     reference_assemble,
     reference_instance_system,
+    vv_face_instance,
+    with_common_kernel,
 )
 
 
@@ -688,6 +690,32 @@ def test_embed_identity_and_projector():
     _, (_, red2) = reduce_scalar_instance([c], [1.0])
     proj = embed_solution(np.eye(red2.reduced_dim), red2)
     assert np.abs(proj - np.diag([1.0, 1.0, 0.0])).max() < 1e-12
+
+
+def unitary_channel_instance(seed, count=3):
+    """A qubit unitary channel seen on ``count`` Hermitian inputs."""
+    rng = np.random.default_rng(seed)
+    choi = kraus_to_choi(random_channel_kraus(rng, 2, 1))
+    inputs = [random_hermitian(rng, 2) for _ in range(count)]
+    return ProblemInstance(2, 2, [(a, apply_choi(choi, a)) for a in inputs])
+
+
+@pytest.mark.parametrize("make", [vv_face_instance, unitary_channel_instance],
+                         ids=["vv-face", "unitary-channel"])
+def test_the_reduced_system_carries_the_factor(make):
+    # the compression is an isometry on the rows' support, so the pruned
+    # system's R and row norms are those of the compressed rows
+    for seed in range(3):
+        inst = with_common_kernel(make(seed))
+        pruned = prune_dependent(instance_system(inst))
+        reduced, red = joint_support_reduce(pruned, inst)
+        assert red.reduced_dim < red.full_dim
+        r, norms = reduced.factor()
+        assert r is pruned.factor()[0]
+        raw = ConstraintSystem(reduced.p, reduced.matrices, reduced.targets, reduced.provenance)
+        r_qr, norms_qr = raw.factor()
+        assert np.abs(r.T @ r - r_qr.T @ r_qr).max() <= 1e-12
+        assert np.abs(norms / norms_qr - 1.0).max() <= 1e-12
 
 
 def test_reduce_keeps_diagonal_systems_diagonal():
