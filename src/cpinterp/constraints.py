@@ -16,7 +16,9 @@ with the selfadjoint matrix ``H^T kron F``.  Trace preservation is
 system "find X >= 0 with tr(C(i) X) = b_i" is what the solvers consume.
 
 ``instance_system`` builds that system: every row is one Kronecker product,
-written once into one stack.  It factors the rows from the pairs as well
+written once into one stack and kept as its factors, which the Newton
+Hessians' rotations read (``ConstraintSystem.coordinates``).  It factors the
+rows from the pairs as well
 (``ConstraintSystem.factor``, which the projection reuses): at unit norm the
 rows ``H^T kron F``, over an orthogonal basis of Herm(k), have the Gram
 matrix ``G_H kron I``, so one QR of the halves' n^2 coordinates, and one of
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -121,18 +123,25 @@ class ConstraintSystem:
     ``matrices`` has shape (q, p, p), C-contiguous, and every C(i) must be
     exactly Hermitian (a ``ValueError`` otherwise).  ``targets`` has shape
     (q,); ``provenance`` tracks the origin of every row for reporting.  The
-    check runs once on rows from outside: a system derived from a checked
-    one (prune's subset of its rows, its ``with_unit_trace`` extension, and
-    ``joint_support_reduce``'s symmetrized compression, all exactly
-    Hermitian by construction) is made by the private ``_derived``, which
-    skips it, and only this module calls that.  Only this module reads
-    ``matrices``; the package reads the rows through the
-    methods: ``traces``, ``residuals`` and ``aggregate`` (one complex GEMV
-    each on the (q, p*p) view ``_flat``), ``coordinates`` (the p^2 real
-    Hermitian coordinates of the rows, rotated and weighted as the Newton
-    Hessians need), ``factor`` (the one triangular factor from which prune
-    and the projection decide linear dependence), ``gram_solver`` (the
-    inverse of the rows' Gram matrix, applied through that factor) and
+    check runs once on rows from outside: the build from pairs and a system
+    derived from a checked one (prune's subset of its rows, its
+    ``with_unit_trace`` extension, and ``joint_support_reduce``'s
+    symmetrized compression), all exactly Hermitian by construction, are
+    made by the private ``_derived``, which skips it, and only this module
+    calls that.
+
+    Besides the stack, a system holds its rows as Kronecker blocks
+    (``_Block``: the rows ``L kron R`` of a left and a right stack) and the
+    index of the blocks' rows that it keeps, which prune sets; rows from
+    outside are the one block ``(C, [[1]])``.  Only this module reads
+    ``matrices``; the package reads the rows through the methods:
+    ``traces``, ``residuals`` and ``aggregate`` (one complex GEMV each on
+    the (q, p*p) view ``_flat`` of the stack), ``coordinates`` (the p^2
+    real Hermitian coordinates of the rows, read off the stack, or rotated
+    through the blocks and weighted as the Newton Hessians need),
+    ``factor`` (the one triangular factor from which prune and the
+    projection decide linear dependence), ``gram_solver`` (the inverse of
+    the rows' Gram matrix, applied through that factor) and
     ``with_unit_trace``.
     """
 
@@ -143,6 +152,10 @@ class ConstraintSystem:
     _factor: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # (v, k^2): the first v columns of factor()'s R are R_H kron I_{k^2}
     _kron: tuple = field(default=(0, 1), init=False, repr=False, compare=False)
+    # the rows as Kronecker blocks, and the indices of those rows that the
+    # system keeps, in order (None: all of them)
+    _blocks: tuple = field(default=(), init=False, repr=False, compare=False)
+    _kept: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrices = np.ascontiguousarray(self.matrices, dtype=complex)
@@ -161,18 +174,23 @@ class ConstraintSystem:
         if not np.array_equal(self.matrices, adjoint):
             i = int(np.flatnonzero(np.any(self.matrices != adjoint, axis=(1, 2)))[0])
             raise ValueError(f"constraint {self.provenance[i]} is not Hermitian")
+        self._blocks = (_Block(self.matrices, *_right_stack(1, True)),)
 
     @classmethod
     def _derived(
         cls, p: int, matrices: np.ndarray, targets: np.ndarray, provenance: list,
+        blocks: tuple, kept: np.ndarray | None = None,
         factor: tuple | None = None, kron: tuple = (0, 1),
     ) -> ConstraintSystem:
-        """A system of exactly Hermitian rows derived from a checked system:
-        C-contiguous complex ``matrices`` and float ``targets``, taken as they
-        are, with one label per row, and without the Hermitian check."""
+        """A system made without the Hermitian check, of rows that are exactly
+        Hermitian by construction: C-contiguous complex ``matrices`` and
+        float ``targets``, taken as they are, one label per row, and the
+        Kronecker ``blocks`` whose rows at ``kept`` (all when None) are
+        ``matrices``."""
         system = cls.__new__(cls)
         system.p, system.matrices, system.targets = p, matrices, targets
-        system.provenance, system._factor, system._kron = provenance, factor, kron
+        system.provenance, system._blocks, system._kept = provenance, blocks, kept
+        system._factor, system._kron = factor, kron
         return system
 
     @property
@@ -199,11 +217,73 @@ class ConstraintSystem:
     def coordinates(
         self, rotation: np.ndarray | None = None, weights: np.ndarray | None = None
     ) -> np.ndarray:
-        """``linalg.hermitian_coordinates(R^* C(i) R, weights)``, shape (q, p^2), for
-        the p x p ``rotation`` R (the rows themselves without one).  The first
-        p coordinates are the diagonal; the rest have the off-diagonal norm."""
-        rows = self.matrices if rotation is None else rotation.conj().T @ self.matrices @ rotation
-        return linalg.hermitian_coordinates(rows, weights)
+        """``linalg.hermitian_coordinates(U^* C(i) U, weights)``, shape (q, p^2), for
+        the p x p ``rotation`` U (the rows themselves, read off the stack,
+        without one).  The first p coordinates are the diagonal; the rest have
+        the off-diagonal norm.
+
+        A rotation is applied to the Kronecker blocks, not to the stack (Van
+        Loan, "The ubiquitous Kronecker product", 2000).  With V_m the n x p
+        rows of U at output index m (U reshaped as (n, k, p)), the rotated row
+        of ``L kron R`` is ``sum_{m,l} R[m, l] Y_ml`` with
+        ``Y_ml = V_m^* L V_l``.  Per block that is one complex GEMM
+        ``(a n x n) @ (n x k p)`` for the ``L V_l`` and, for each L, one real
+        product ``(k p x 2n) @ (2n x 2 k p)`` for the real and imaginary parts
+        of all its planes: about ``a k^2 p^2 n`` complex multiply-adds against
+        the stack's ``2 a k^2 p^3``.  The planes are formed for a group of
+        left factors at a time (``_PLANE_BYTES``).  Each R then reads its
+        planes as ``_right_stack``
+        says: one for ``E_mm``, two for ``E_lm + E_ml`` and
+        ``i (E_lm - E_ml)``, k for ``I_k``; each term is one ``take`` of the
+        planes' real and imaginary parts at the coordinates' entries
+        (``_plane_layout``), with its sign and weight.
+        """
+        if rotation is None:
+            return linalg.hermitian_coordinates(self.matrices, weights)
+        c = rotation.shape[1]
+        scale = linalg.coordinate_scale(c, weights)
+        sizes = [len(b.left) * len(b.right) for b in self._blocks]
+        rows = np.empty((sum(sizes), c * c))
+        start = 0
+        for (left, right, (m, l, imaginary, weight)), size in zip(self._blocks, sizes):
+            a, n, _ = left.shape
+            k = right.shape[-1]
+            kc = k * c
+            where, sign = _plane_layout(c, k)
+            # per term and R: the offset of the plane Y_ml, plus the entries
+            index = np.take(where, imaginary, axis=0)
+            index += (m * 2 * kc * c + l * c)[..., None]
+            factor = np.take(sign * scale, imaginary, axis=0)
+            factor *= weight[..., None]
+            # V^* (L V) as one real product per L: [Re V^*, Im V^*] times
+            # [[Re L V, Im L V], [-Im L V, Re L V]] is [Re Y | Im Y]
+            v = rotation.reshape(n, kc)
+            vh = v.conj().T
+            vh = np.concatenate([vh.real, vh.imag], axis=1)
+            lv = (left.reshape(a * n, n) @ v).reshape(a, n, kc)
+            lv2 = np.empty((a, 2 * n, 2 * kc))
+            lv2[:, :n, :kc] = lv2[:, n:, kc:] = lv.real
+            lv2[:, :n, kc:] = lv.imag
+            np.negative(lv.imag, out=lv2[:, n:, :kc])
+            out = rows[start : start + size].reshape(a, len(right), c * c)
+            step = max(1, min(a, _PLANE_BYTES // (16 * kc * kc)))
+            planes = np.empty((step, kc, 2 * kc))
+            term = np.empty((step, len(right), c * c))
+            for i in range(0, a, step):
+                g = min(step, a - i)
+                np.matmul(vh, lv2[i : i + g], out=planes[:g])
+                flat = planes[:g].reshape(g, -1)
+                part = out[i : i + g]
+                # the indices are in range by construction, and "clip" spares
+                # take the buffered copy it makes of ``out`` in the default mode
+                np.take(flat, index[0], axis=1, out=part, mode="clip")
+                part *= factor[0]
+                for r in range(1, len(index)):
+                    np.take(flat, index[r], axis=1, out=term[:g], mode="clip")
+                    term[:g] *= factor[r]
+                    part += term[:g]
+            start += size
+        return rows if self._kept is None else rows[self._kept]
 
     def factor(self) -> tuple[np.ndarray, np.ndarray]:
         """An upper triangular R, of shape (min(p^2, q), q), with ``R^T R`` the
@@ -269,12 +349,19 @@ class ConstraintSystem:
         unit rows are ``c = R N y``, and its pivot is the residual's norm.
         That norm is taken directly: ``sqrt(1 - |c|^2)`` loses it to
         cancellation when I is nearly in the span.  The new column joins R's
-        last block column.
+        last block column, and ``([I_n], [I_k])`` joins the Kronecker blocks
+        (``coordinates``), n and k being those of the first block.
         """
         q, p = self.q, self.p
+        n, k = self._blocks[0].left.shape[-1], self._blocks[0].right.shape[-1]
+        unit = _Block(np.eye(n, dtype=complex)[None], *_right_stack(k, True))
+        kept = self._kept
+        if kept is not None:
+            kept = np.append(kept, sum(len(b.left) * len(b.right) for b in self._blocks))
         extended = ConstraintSystem._derived(
             p, np.concatenate([self.matrices, np.eye(p)[None]]),
             np.append(np.zeros(q), 1.0), [*self.provenance, _UNIT_TRACE],
+            (*self._blocks, unit), kept,
         )
         solve = self.gram_solver
         if solve is not None:
@@ -292,6 +379,72 @@ class ConstraintSystem:
 
 
 _UNIT_TRACE = Provenance("unit-trace", ())
+
+# ``ConstraintSystem.coordinates`` forms the planes of a block's left factors in
+# groups of at most this many bytes (at least one factor's planes): at p = 16 a
+# product for all of them (393 KB) is mapped and faulted in afresh on every
+# call inside a solve, while groups this small are reused from the heap; at
+# p = 100 it bounds the temporaries by one factor's planes.
+_PLANE_BYTES = 1 << 17
+
+
+class _Block(NamedTuple):
+    """The rows ``kron(L, R)`` for L in ``left`` (a, n, n), then R in ``right``
+    (j, k, k), and ``right``'s reading (``_right_stack``).
+
+    An instance's value rows are ``(H^T, basis of Herm(k))``, its trace rows
+    ``(basis of Herm(n), [I_k])``, and the unit-trace row ``([I_n], [I_k])``;
+    a raw stack of rows C is ``(C, [[1]])``.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    reading: tuple
+
+
+@functools.cache
+def _right_stack(k: int, identity: bool) -> tuple[np.ndarray, tuple]:
+    """``[I_k]``, or the basis of Herm(k) (``_hermitian_basis``), read-only,
+    and its reading: the arrays ``(m, l, imaginary, w)``, of shape
+    (terms, j), whose column gives each R as the sum of its terms
+    ``w E_ml``, or ``w i E_ml`` where ``imaginary``, padded with ``w = 0``.
+    Every entry of these stacks is real or imaginary, so each gives one
+    term: ``E_mm`` has one, ``E_lm + E_ml`` and ``i (E_lm - E_ml)`` two,
+    and ``I_k`` has k."""
+    right = np.eye(k, dtype=complex)[None] if identity else _hermitian_basis(k)[0]
+    j, m, l = np.nonzero(right)
+    entry = right[j, m, l]
+    counts = np.bincount(j)
+    term = np.arange(len(j)) - np.repeat(np.cumsum(counts) - counts, counts)
+    table = np.zeros((4, np.max(counts), len(right)))
+    table[:, term, j] = m, l, entry.imag != 0, entry.real + entry.imag
+    reading = (*table[:3].astype(np.intp), table[3])
+    for a in (right, *reading):
+        a.flags.writeable = False
+    return right, reading
+
+
+@functools.cache
+def _plane_layout(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``ConstraintSystem.coordinates`` reads the p^2 Hermitian coordinates
+    (``linalg.hermitian_index``) of a plane, and with which sign, read-only.
+
+    A plane is a p x p block of the real parts of a (k p x k p) product, whose
+    imaginary parts follow in the same row, k p further: entry (a, b) sits
+    at ``a 2 k p + b`` from the plane's start.  Row 0 is for the plane
+    itself.  Row 1 is for i times the plane, whose real part is minus the
+    plane's imaginary part and whose imaginary part is the plane's real
+    part."""
+    where, entry, _ = linalg.hermitian_index(p)
+    rows, cols = divmod(entry, p)
+    imag = where - 2 * entry  # 1 for the coordinates of imaginary parts
+    base = rows * 2 * k * p + cols
+    layout = np.stack([base + imag * k * p, base + (1 - imag) * k * p]), np.stack(
+        [np.ones(p * p), np.where(imag == 1, 1.0, -1.0)]
+    )
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 @dataclass
@@ -389,10 +542,11 @@ def _pairings(g: np.ndarray) -> np.ndarray:
 
 
 def _kron_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The stack of ``kron(L, R)`` over L in ``left``, then R in ``right``."""
+    """The stack of ``kron(L, R)`` over L in ``left``, then R in ``right``: one
+    outer product and one transposing copy."""
     (a, n, _), (j, k, _) = left.shape, right.shape
-    rows = left[:, None, :, None, :, None] * right[None, :, None, :, None, :]
-    return rows.reshape(a * j, n * k, n * k)
+    rows = np.multiply.outer(left.ravel(), right.ravel()).reshape(a, n, n, j, k, k)
+    return rows.transpose(0, 3, 1, 4, 2, 5).reshape(a * j, n * k, n * k)
 
 
 def _pair_factor(
@@ -522,7 +676,8 @@ def prune_dependent(sys: ConstraintSystem) -> ConstraintSystem:
     the unscaled rows is raised.  A system of no constraints (every pair of
     an instance is zero), and one that keeps every row, is returned as it
     is; a pruned copy carries the factor of the rows it keeps, the R of the
-    last round.  Rows depend on earlier pairs' rows only half by half, and
+    last round, and the Kronecker blocks of ``sys`` with the index of the
+    rows it keeps.  Rows depend on earlier pairs' rows only half by half, and
     the QR of a block ``R_H kron I`` is ``QR(R_H) kron I``, so the kept value
     rows' block of that R keeps its Kronecker form (``gram_solver``).
     """
@@ -580,8 +735,9 @@ def prune_dependent(sys: ConstraintSystem) -> ConstraintSystem:
     v, k2 = sys._kron
     return ConstraintSystem._derived(
         sys.p, sys.matrices[cols], sys.targets[cols],
-        [sys.provenance[i] for i in cols.tolist()], (r, norms[cols]),
-        (int(np.count_nonzero(cols < v)), k2),
+        [sys.provenance[i] for i in cols.tolist()], sys._blocks,
+        cols if sys._kept is None else sys._kept[cols],
+        (r, norms[cols]), (int(np.count_nonzero(cols < v)), k2),
     )
 
 
@@ -610,6 +766,8 @@ def joint_support_reduce(
     compressed system ``(W^* C(i) W, b_i)`` has the same feasible targets.
     W is an isometry on the rows' support, so the compressed rows have the
     same pairings ``tr(C(a) C(b))``, and they carry ``sys``'s ``factor()``.
+    The Kronecker blocks are compressed in their left factors:
+    ``W^* (L kron F) W = (W_n^* L W_n) kron F``.
     When every H is diagonal (``_diagonal_halves``), W_n is a set of
     coordinate vectors, so a diagonal system stays diagonal.
 
@@ -628,15 +786,24 @@ def joint_support_reduce(
     ha, _, kept, _ = inst._halves
     h = ha[kept]
     diagonal = bool(np.all(_diagonal_halves(h)))
-    w, _ = linalg.joint_support(h.transpose(0, 2, 1).reshape(-1, inst.n), diagonal=diagonal)
-    if w.shape[1] in (0, inst.n):
+    w_n, _ = linalg.joint_support(h.transpose(0, 2, 1).reshape(-1, inst.n), diagonal=diagonal)
+    if w_n.shape[1] in (0, inst.n):
         return identity
-    w = np.kron(w, np.eye(inst.k))
-    reduced = w.conj().T @ sys.matrices @ w
-    reduced = (reduced + np.conj(np.swapaxes(reduced, 1, 2))) / 2
+
+    def compress(stack, w):
+        c = w.conj().T @ stack @ w
+        return (c + np.conj(np.swapaxes(c, 1, 2))) / 2
+
+    w = np.kron(w_n, np.eye(inst.k))
+    # a left factor of size n m is compressed by W_n kron I_m
+    blocks = tuple(
+        b._replace(left=compress(b.left, np.kron(w_n, np.eye(b.left.shape[-1] // inst.n))))
+        for b in sys._blocks
+    )
     return (
-        ConstraintSystem._derived(w.shape[1], reduced, sys.targets.copy(), list(sys.provenance),
-                                  sys.factor(), sys._kron),
+        ConstraintSystem._derived(w.shape[1], compress(sys.matrices, w), sys.targets.copy(),
+                                  list(sys.provenance), blocks, sys._kept, sys.factor(),
+                                  sys._kron),
         SupportReduction(basis=w),
     )
 
@@ -704,29 +871,37 @@ def instance_system(
     ``InconsistentSystemError`` is raised on the value rows followed by the
     zero rows of every contradicting half, with their targets ``tr(F G)``;
     it names the first contradicting half's row of largest ``|tr(F G)|``.
+
+    The system is made without ``ConstraintSystem``'s Hermitian check
+    (``_derived``): its rows are exactly Hermitian by construction.  The
+    halves are, since ``(A + A^*)/2`` and ``-i (A - A^*)/2`` are computed
+    entry by entry from the same two numbers, and so is every basis element;
+    an IEEE complex product keeps conjugate symmetry,
+    ``conj(x) conj(y) = conj(x y)`` exactly, so each entry of ``L kron R`` is
+    the conjugate of its transposed entry.
     """
     ha, hb, kept, bad = inst._halves
-    basis, labels = _hermitian_basis(inst.k)
     halves = np.concatenate([np.flatnonzero(kept), np.flatnonzero(bad)])
     # a contradicting half's rows are zero, with its own targets
     left = np.where(kept[:, None, None], ha, 0.0)[halves].transpose(0, 2, 1)
-    matrices = _kron_rows(left, basis)
-    targets = _pairings(hb[halves]).ravel()
+    blocks = [_Block(left, *_right_stack(inst.k, False))]
+    targets = [_pairings(hb[halves]).ravel()]
     provenance = list(_value_provenance(inst.k, tuple(halves.tolist())))
-    p = inst.n * inst.k
-    if bad.any():
-        first = int(np.count_nonzero(kept)) * len(labels)
-        block = targets[first : first + len(labels)]
-        system = ConstraintSystem(p, matrices, targets, provenance)
-        raise _contradiction(system, first + int(np.argmax(np.abs(block))))
-    tp = inst.trace_preserving if trace_preserving is None else trace_preserving
+    tp = not bad.any() and (inst.trace_preserving if trace_preserving is None
+                            else trace_preserving)
     if tp:
-        matrices = np.concatenate(
-            [matrices, _kron_rows(_hermitian_basis(inst.n)[0], np.eye(inst.k)[None])]
-        )
-        targets = np.concatenate([targets, _pairings(np.eye(inst.n)[None])[0]])
+        blocks.append(_Block(_hermitian_basis(inst.n)[0], *_right_stack(inst.k, True)))
+        targets.append(_pairings(np.eye(inst.n)[None])[0])
         provenance += _trace_provenance(inst.n)
-    system = ConstraintSystem(p, matrices, targets, provenance)
+    matrices = np.concatenate([_kron_rows(b.left, b.right) for b in blocks])
+    system = ConstraintSystem._derived(inst.n * inst.k, matrices, np.concatenate(targets),
+                                       provenance, tuple(blocks))
+    if bad.any():
+        k2 = inst.k**2
+        first = int(np.count_nonzero(kept)) * k2
+        raise _contradiction(
+            system, first + int(np.argmax(np.abs(system.targets[first : first + k2])))
+        )
     if system.q:
         system._factor = _pair_factor(left, inst.k, tp)
         system._kron = (len(left) * inst.k**2, inst.k**2)

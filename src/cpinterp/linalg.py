@@ -89,7 +89,7 @@ def joint_support(stack: np.ndarray, diagonal: bool = False) -> tuple[np.ndarray
 
 
 @functools.cache
-def _hermitian_index(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def hermitian_index(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where the p^2 real coordinates of a p x p Hermitian matrix sit.
 
     Returns their positions in the interleaved (re, im) view of the
@@ -107,6 +107,13 @@ def _hermitian_index(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return index
 
 
+def coordinate_scale(p: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """The scale of each of the p^2 Hermitian coordinates (``hermitian_index``),
+    times ``sqrt(phi_ab)`` of its entry for symmetric positive ``weights`` phi."""
+    _, entry, scale = hermitian_index(p)
+    return scale if weights is None else scale * np.sqrt(weights.ravel()[entry])
+
+
 def hermitian_coordinates(stack: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Real coordinates of a (m, p, p) stack of Hermitian matrices, shape (m, p^2).
 
@@ -119,9 +126,8 @@ def hermitian_coordinates(stack: np.ndarray, weights: np.ndarray | None = None) 
     dot product becomes ``sum_ab phi_ab Re(C_i[a, b] conj(C_j[a, b]))``.
     """
     m, p = stack.shape[0], stack.shape[-1]
-    where, entry, scale = _hermitian_index(p)
-    if weights is not None:
-        scale = scale * np.sqrt(weights.ravel()[entry])
+    where = hermitian_index(p)[0]
+    scale = coordinate_scale(p, weights)
     flat = np.ascontiguousarray(stack, dtype=complex).reshape(m, p * p).view(float)
     # take, unlike fancy indexing, gives a C-contiguous result for the SYRK
     coords = np.take(flat, where, axis=1)

@@ -30,14 +30,16 @@ constraint residual vector of a positive definite matrix:
   along the ray through x, and ``-x`` is itself an infeasibility
   certificate.  Each point is factored once, by one eigendecomposition of
   ``sum x C``, whose spectrum gives the value, the gradient, this test and,
-  for Newton, the Hessian.  On infeasible data the gradient, a residual
-  vector of a positive definite matrix, stays away from zero unless the
-  data are only weakly infeasible, and on planted infeasible data the
-  recession test fires before the hand-off; should a hand-off happen,
-  Newton cannot converge, and its backtracking or the resumed CG stops on
-  the recession test.  The scalar offset ``s`` (``EXPONENT_OFFSET``) shifts
-  the exponent by a multiple of the identity; it changes which feasible
-  point is found but not feasibility.
+  for Newton, the Hessian, whose rotation of the rows
+  (``ConstraintSystem.coordinates``) works on their n x n Kronecker factors.
+  On infeasible data the gradient, a residual vector of a positive definite
+  matrix, stays away from zero unless the data are only weakly infeasible,
+  and on planted infeasible data the recession test fires before the
+  hand-off; should a hand-off happen, Newton cannot converge, and its
+  backtracking or the resumed CG stops on the recession test.  The scalar
+  offset ``s`` (``EXPONENT_OFFSET``) shifts the exponent by a multiple of
+  the identity; it changes which feasible point is found but not
+  feasibility.
 
 * ``solve_barrier`` minimizes the log-det barrier objective
 
@@ -268,7 +270,8 @@ def _exp_objective(sys: ConstraintSystem, offset: float) -> _Objective:
         phi = np.where(near, (ew[:, None] + ew[None, :]) / 2, (ew[:, None] - ew[None, :]) / dw_safe)
         # H_ij = Re sum_ab phi_ab (U^* C(i) U)_ab conj((U^* C(j) U)_ab), and
         # phi is symmetric and positive (exp is increasing), so H is one SYRK
-        # of the rotated rows' Hermitian coordinates, each scaled by sqrt(phi)
+        # of the rotated rows' Hermitian coordinates, each scaled by sqrt(phi);
+        # the system rotates the rows' Kronecker factors, not p x p rows
         rot = sys.coordinates(u, phi)
         return rot @ rot.T
 
@@ -283,7 +286,8 @@ def _barrier_objective(sys: ConstraintSystem) -> _Objective:
     ``Z = L L^*``, so that ``X = Z^{-1} = K^* K``; y is outside the domain
     when Z is not positive definite.  The gradient is ``tr(C(i) X) - b_i``
     and the Hessian ``tr(X C(i) X C(j))``, the Gram matrix of the
-    ``K C(i) K^*``: one SYRK of their Hermitian coordinates.
+    ``K C(i) K^*``: one SYRK of their Hermitian coordinates, which the
+    system rotates through its Kronecker blocks as for the exp potential.
 
     The recession test, shared with the exp potential, is ``sum y C <= 0``
     and ``b . y > 0``: along ``t y`` the term ``-t b . y`` then falls without
@@ -503,7 +507,8 @@ def _newton_polish(
 
     Returns the last point and the step count.  A trial point of the
     backtracking that passes the recession test ends the run, and is
-    returned.
+    returned.  The backtracking halves the step at most 30 times, and stops
+    the run once the step no longer moves x: x itself is not evaluated again.
     """
     steps = 0
     gnorm = float(np.linalg.norm(point.g))
@@ -512,7 +517,7 @@ def _newton_polish(
         ridge = 0.0
         for _ in range(6):
             try:
-                delta = np.linalg.solve(h + ridge * np.eye(len(point.x)), -point.g)
+                delta = np.linalg.solve(h + ridge * np.eye(len(point.x)) if ridge else h, -point.g)
                 break
             except np.linalg.LinAlgError:
                 ridge = max(ridge * 10, 1e-12 * (1.0 + float(np.trace(h)) / len(point.x)))
@@ -521,7 +526,11 @@ def _newton_polish(
         steps += 1
         alpha = 1.0
         for _ in range(30):
-            trial = obj.evaluate(point.x + alpha * delta)
+            x = point.x + alpha * delta
+            if np.array_equal(x, point.x):
+                # every shorter step gives x again: no step lowers the gradient norm
+                return point, steps
+            trial = obj.evaluate(x)
             if trial.recedes:
                 return trial, steps
             # a long step's gradient can overflow the norm: inf rejects it

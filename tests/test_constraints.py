@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cpinterp import certify
-from cpinterp.linalg import hermitian_part
+from cpinterp.linalg import hermitian_coordinates, hermitian_part
 from cpinterp.choi import ChoiMatrix, KrausSet, apply_choi, kraus_to_choi, matrix_unit
 from cpinterp.constraints import (
     DEPENDENCE_RTOL,
@@ -604,6 +604,89 @@ def test_the_built_factor_matches_the_dense_qr(case):
 
 
 # ---------------------------------------------------------------------------
+# rotated coordinates, read off the Kronecker blocks
+
+
+def kept_reference_rows(sys, inst, trace_preserving=False):
+    """The reference rows (tests/helpers.py) of ``inst`` that ``sys`` keeps, by label."""
+    ref = reference_instance_system(inst, trace_preserving)
+    return ref.matrices[[ref.provenance.index(t) for t in sys.provenance]]
+
+
+def middle_pair_instance(rng):
+    """Planted data with the combination of the first two pairs inserted
+    third: prune drops that middle pair's rows."""
+    inst = planted_instance(rng, 3, 2, 4)[0]
+    (a1, b1), (a2, b2) = inst.pairs[:2]
+    return ProblemInstance(3, 2, inst.pairs[:2] + [(a1 - 2 * a2, b1 - 2 * b2)] + inst.pairs[2:])
+
+
+def rotation_case(case, rng):
+    """A system and its rows as a stack made from the reference rows."""
+    if case in ("built", "complex", "trace-preserving"):
+        inst = {
+            "built": lambda: planted_instance(rng, 3, 2, 4)[0],
+            "complex": lambda: planted_instance(rng, 2, 3, 3, hermitian_data=False)[0],
+            "trace-preserving": lambda: channel_instance(rng, 2, 3, False),
+        }[case]()
+        return instance_system(inst), reference_instance_system(inst, inst.trace_preserving).matrices
+    if case == "pruned of a middle pair":
+        inst = middle_pair_instance(rng)
+        sys = prune_dependent(instance_system(inst))
+        assert {t.indices[0] for t in sys.provenance} == {1, 2, 4, 5}
+        return sys, kept_reference_rows(sys, inst)
+    if case == "pruned of a trace row":
+        # a channel seen on I alone: its rows I^T kron F sum to one trace row
+        inst = channel_instance(rng, 3, 0, True)
+        full = instance_system(inst)
+        sys = prune_dependent(full)
+        dropped = set(full.provenance) - set(sys.provenance)
+        assert [t.kind for t in dropped] == ["trace"]
+        return sys, kept_reference_rows(sys, inst, True)
+    if case == "support-reduced":
+        inst = with_common_kernel(middle_pair_instance(rng))
+        pruned = prune_dependent(instance_system(inst))
+        sys, red = joint_support_reduce(pruned, inst)
+        assert red.reduced_dim < red.full_dim
+        w = red.basis
+        return sys, w.conj().T @ kept_reference_rows(pruned, inst) @ w
+    if case == "pruned, with unit trace":
+        inst = middle_pair_instance(rng)
+        pruned = prune_dependent(instance_system(inst))
+        rows = kept_reference_rows(pruned, inst)
+        return pruned.with_unit_trace(), np.concatenate([rows, np.eye(pruned.p)[None]])
+    mats = np.array([random_hermitian(rng, 5) for _ in range(7)])
+    sys = ConstraintSystem(5, mats, rng.standard_normal(7))
+    if case == "raw stack, with unit trace":
+        return sys.with_unit_trace(), np.concatenate([mats, np.eye(5)[None]])
+    return sys, mats
+
+
+ROTATION_CASES = ["built", "complex", "trace-preserving", "pruned of a middle pair",
+                  "pruned of a trace row", "support-reduced", "pruned, with unit trace",
+                  "raw stack", "raw stack, with unit trace"]
+
+
+@pytest.mark.parametrize("case", ROTATION_CASES)
+def test_rotated_coordinates_match_the_rotated_reference_rows(case):
+    # the exp Hessian's U^* C U, weighted by divided differences, and the
+    # barrier's K C K^*, against the p x p rotation of every reference row
+    rng = np.random.default_rng(33)
+    sys, rows = rotation_case(case, rng)
+    assert rows.shape == (sys.q, sys.p, sys.p)
+    for _ in range(2):
+        u = np.linalg.qr(random_complex(rng, sys.p, sys.p))[0]
+        w = rng.uniform(-1.0, 1.0, sys.p)
+        phi = np.exp((w[:, None] + w[None, :]) / 2)
+        z = np.eye(sys.p) - 0.4 * random_hermitian(rng, sys.p) / sys.p
+        k = np.linalg.inv(np.linalg.cholesky(z))
+        for got, ref in ((sys.coordinates(u, phi), hermitian_coordinates(u.conj().T @ rows @ u, phi)),
+                         (sys.coordinates(k.conj().T), hermitian_coordinates(k @ rows @ k.conj().T))):
+            assert got.shape == (sys.q, sys.p**2)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
 # joint_support_reduce / embed_solution
 
 
@@ -798,6 +881,13 @@ def test_is_diagonal_instance_cuts_a_relative_to_its_scale_and_b_at_the_target_c
 
 def assert_exactly_hermitian(sys):
     assert np.array_equal(sys.matrices, sys.matrices.conj().transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("trace_preserving", [False, True])
+def test_built_systems_are_exactly_hermitian(trace_preserving):
+    # the build skips the Hermitian check: its rows are Hermitian as made
+    for inst in build_cases():
+        assert_exactly_hermitian(instance_system(inst, trace_preserving=trace_preserving))
 
 
 def test_derived_systems_are_hermitian_and_keep_their_parents_labels():

@@ -6,8 +6,9 @@ system's methods (``traces``, ``aggregate``, ``coordinates``, ``factor``, ...),
 so the storage can change in one module.
 
 Rows from outside meet ``ConstraintSystem``'s exact Hermitian check.  Only
-``constraints.py`` derives systems from checked ones without it, through the
-private ``ConstraintSystem._derived``.
+``constraints.py`` makes systems without it, through the private
+``ConstraintSystem._derived``: systems derived from checked ones, and the
+build from pairs, whose rows are Hermitian by construction.
 """
 
 import ast
@@ -44,5 +45,5 @@ def test_only_the_constraints_module_skips_the_hermitian_check():
 
 def test_the_guard_sees_the_constraints_module_read_it():
     assert _attribute_uses(PACKAGE / "constraints.py")
-    # prune's copy, with_unit_trace and joint_support_reduce
-    assert len(_attribute_uses(PACKAGE / "constraints.py", UNCHECKED)) == 3
+    # prune's copy, with_unit_trace, joint_support_reduce and instance_system
+    assert len(_attribute_uses(PACKAGE / "constraints.py", UNCHECKED)) == 4

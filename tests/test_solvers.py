@@ -269,6 +269,41 @@ def test_the_cg_metric_is_the_hessian_at_zero(case):
         assert np.linalg.norm(obj.precondition(g) - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
+def dense_exp_hessian(sys, point):
+    """``Re sum_ab phi_ab (U^* C(i) U)_ab conj((U^* C(j) U)_ab)`` from the stack,
+    phi the divided differences of exp over the point's spectrum."""
+    w, u, _ = point.factor
+    ew = np.exp(w)
+    dw = w[:, None] - w[None, :]
+    near = np.abs(dw) < 1e-12
+    phi = np.where(near, (ew[:, None] + ew[None, :]) / 2,
+                   (ew[:, None] - ew[None, :]) / np.where(near, 1.0, dw))
+    rot = (u.conj().T @ sys.matrices @ u).view(float).reshape(sys.q, -1)
+    return (rot * np.repeat(phi.ravel(), 2)) @ rot.T
+
+
+def dense_barrier_hessian(sys, point):
+    """``tr(X C(i) X C(j))`` from the stack, X the point's solution."""
+    xc = point.factor[1] @ sys.matrices
+    return np.einsum("iab,jba->ij", xc, xc).real
+
+
+@pytest.mark.parametrize("case", METRIC_CASES)
+def test_the_hessians_match_the_dense_ones(case):
+    # the Hessians rotate the Kronecker blocks; the references rotate the stack
+    sys = METRIC_CASES[case]()
+    rng = np.random.default_rng(80)
+    for make, dense in ((lambda: _exp_objective(sys, EXPONENT_OFFSET), dense_exp_hessian),
+                        (lambda: _barrier_objective(sys), dense_barrier_hessian)):
+        obj = make()
+        for _ in range(2):
+            x = rng.uniform(-1.0, 1.0, size=sys.q)
+            x *= 0.5 / np.abs(np.linalg.eigvalsh(sys.aggregate(x))).max()
+            point = obj.evaluate(x)
+            ref = dense(sys, point)
+            assert np.abs(obj.hessian(point) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_a_system_with_dependent_rows_has_no_metric():
     c = np.eye(2, dtype=complex)
     sys = system_of([c, c], [2.0, 2.0])
@@ -490,6 +525,22 @@ def test_solve_exp_resumes_cg_when_newton_stalls(monkeypatch):
     assert out.message.startswith(
         "Newton stalled after hand-off; CG resumed and hit the iteration limit"
     )
+
+
+def test_a_stalled_newton_polish_evaluates_no_point_twice():
+    # no step lowers this gradient, and the Newton step -1 stops moving
+    # x = 1e15, whose spacing is 1/8, once it is halved to 1/16
+    evaluated = []
+
+    def evaluate(x):
+        evaluated.append(float(x[0]))
+        return solvers._Point(x, 0.0, np.ones(1))
+
+    obj = solvers._Objective(evaluate, lambda point: np.eye(1), lambda point: None)
+    start = solvers._Point(np.array([1e15]), 0.0, np.ones(1))
+    point, steps = solvers._newton_polish(obj, start, 1e-9)
+    assert point is start and steps == 1
+    assert evaluated == [1e15 - 1.0, 1e15 - 0.5, 1e15 - 0.25, 1e15 - 0.125]
 
 
 def test_solve_exp_non_hermitian_data():
