@@ -55,7 +55,7 @@ def _certificate_block(result: pipeline.Result) -> dict | None:
     return {
         "kind": cert.kind.value,
         "source": cert.source.value,
-        "coefficients": [float(v) for v in cert.coefficients],
+        "coefficients": np.array(cert.coefficients, dtype=float),
         "objective": float(cert.coefficients @ system.targets),
         "min_eigenvalue": float(linalg.min_eigenvalue(combo))
         if linalg.frobenius(combo) > 0
@@ -88,7 +88,13 @@ def _solver_block(result: pipeline.Result) -> dict:
 
 
 def _render(result: pipeline.Result) -> tuple[dict, int]:
-    """The report of a pipeline result, and the process exit code."""
+    """The report of a pipeline result, and the process exit code.
+
+    Its float blocks are float64 ndarrays, which ``reports.dumps_canonical``
+    writes in one pass each: ``choi`` (p, p, 2) and ``kraus`` (m, n, k, 2) as
+    ``[re, im]`` pairs, ``targets``, ``residuals`` and the certificate's
+    ``coefficients``.
+    """
     inst, feasibility, x = result.instance, result.feasibility, result.choi
     span = feasibility.span_check
     values = {
@@ -97,7 +103,7 @@ def _render(result: pipeline.Result) -> tuple[dict, int]:
         "problem": {"n": inst.n, "k": inst.k, "pairs": inst.count,
                     "trace_preserving": result.trace_preserving},
         "constraints": [str(t) for t in result.system.provenance],
-        "targets": [float(b) for b in result.system.targets],
+        "targets": np.array(result.system.targets, dtype=float),
         "solver": _solver_block(result),
         "choi": None,
         "kraus": None,
@@ -114,10 +120,11 @@ def _render(result: pipeline.Result) -> tuple[dict, int]:
             "source": span.source.value,
         }
     if x is not None:
-        values["choi"] = reports.matrix_to_jsonable(x)
-        values["kraus"] = [reports.matrix_to_jsonable(v) for v in result.kraus.elements]
-        values["kraus_count"] = len(result.kraus.elements)
-        values["residuals"] = [float(r) for r in result.check.residuals]
+        elements = result.kraus.elements
+        values["choi"] = reports.complex_parts(x)
+        values["kraus"] = reports.complex_parts(np.reshape(elements, (-1, inst.n, inst.k)))
+        values["kraus_count"] = len(elements)
+        values["residuals"] = np.array(result.check.residuals, dtype=float)
         values["max_residual"] = float(result.check.max_residual)
         values["min_eigenvalue"] = float(result.check.min_eigenvalue)
     keys = _SOLVED_KEYS if result.inconsistency is None else _INCONSISTENT_KEYS
@@ -125,12 +132,15 @@ def _render(result: pipeline.Result) -> tuple[dict, int]:
 
 
 def run_solve(inst: ProblemInstance, options: SolveOptions) -> tuple[dict, int]:
-    """Solve an instance: returns the report dictionary and the exit code."""
+    """Solve an instance: returns the report dictionary, whose float blocks are
+    ndarrays (see ``_render``), and the exit code."""
     return _render(pipeline.run(inst, options, strict=False))
 
 
 def run_certify(inst: ProblemInstance, options: SolveOptions) -> tuple[dict, int]:
-    """Solve asking for a strictly positive solution (see ``pipeline.run``)."""
+    """Solve asking for a strictly positive solution (see ``pipeline.run``):
+    returns the report dictionary, whose float blocks are ndarrays (see
+    ``_render``), and the exit code."""
     return _render(pipeline.run(inst, options, strict=True))
 
 

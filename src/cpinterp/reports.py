@@ -5,14 +5,25 @@ Instances are JSON documents; complex scalars are written as two-element
 Reports are emitted through a canonical writer that prints every float with
 17 significant digits, so identical runs produce byte-identical files.
 
-Both directions work on whole rows rather than single scalars.  The writer
-takes every rectangular nested list of floats (a Choi matrix as
-``[re, im]`` pairs, the list of Kraus elements, the targets) as one array:
-one ``%`` operation formats all of its floats, and a second fills them into
-a layout cached per shape and depth.  Only dicts, lists of other content and
-the scalars in them are written item by item.  The reader fills a matrix
-row from its ``[re, im]`` pairs, or its bare reals, at once; entry-by-entry
-checks run only on a row that fails, to name its first bad entry.
+Both directions work on whole blocks rather than single scalars.  The float
+blocks of a report (the Choi matrix and the stacked Kraus elements as
+``[re, im]`` pairs on a last axis, the targets, the residuals, the
+certificate's coefficients) reach the writer as float64 ndarrays; a
+rectangular nested list of floats is read into one.  Each block is written
+in one ``%`` pass through a template cached per shape and indent, with one
+slot per value.  A value takes ``%.17g``, except an integral value below
+1e17, which takes ``%.1f`` (as ``%#.1f``, the same five characters as
+``%.17g``).  Both print the same bytes as ``%.17g`` plus ``.0``, the token
+a report holds for such a value: below 1e17 an integer has at most 17
+digits, so ``%.17g`` prints all of them in fixed notation, and ``%.1f``
+prints the same exact digits and then ``.0`` (``-0.0`` included).  From
+1e17 on, ``%.17g`` switches to an exponent, and a value that is not
+integral always prints a point.  One ``np.isfinite`` check per block
+refuses NaN and infinities.  A list of strings is written with one join;
+only dicts, other lists and the scalars in them are written item by item.
+The reader fills a matrix row from its ``[re, im]`` pairs, or its bare
+reals, at once; entry-by-entry checks run only on a row that fails, to name
+its first bad entry.
 """
 
 from __future__ import annotations
@@ -103,19 +114,29 @@ def matrix_from_json(obj: Any, rows: int, cols: int, where: str) -> np.ndarray:
     return out
 
 
+def complex_parts(m: np.ndarray) -> np.ndarray:
+    """A complex array of any shape as float64 ``[re, im]`` pairs on a new last axis."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], axis=-1)
+
+
 def matrix_to_jsonable(m: np.ndarray) -> list:
     """Nested lists of ``[re, im]`` pairs of Python floats."""
-    m = np.asarray(m, dtype=complex)
-    return np.stack([m.real, m.imag], axis=-1).tolist()
+    return complex_parts(m).tolist()
 
 
 def load_json(path: str | Path) -> Any:
-    """Read and decode a JSON file; failures become ``InstanceFormatError``."""
+    """Read and decode a JSON file; failures become ``InstanceFormatError``.
+
+    The file is read as bytes, so ``json.loads`` detects UTF-8 (with or
+    without a byte-order mark), UTF-16 or UTF-32 (RFC 8259 section 8.1)
+    whatever the locale's encoding.
+    """
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_bytes())
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -248,22 +269,60 @@ def _layout(shape: tuple, indent: int) -> str:
     return "[\n" + ",\n".join([row] * shape[0]) + "\n" + "  " * indent + "]"
 
 
-def _dump_array(shape: tuple, values: list, indent: int) -> str:
-    count = len(values)
-    text = ("%.17g\n" * count)[:-1] % tuple(values)
-    tokens = text.split("\n")
-    # a token holds at most one ".", and one that holds it is final
-    if text.count(".") != count:
-        tokens = [_float_token(t) for t in tokens]
-    return _layout(shape, indent) % tuple(tokens)
+# The two slots of a float: "%#.1f" prints as "%.1f" (its "#" only keeps a
+# point that precision 1 always prints) and has the length of "%.17g".
+_G_SLOT, _F_SLOT = "%.17g", "%#.1f"
+_F_BYTES = np.frombuffer(_F_SLOT.encode(), dtype=np.uint8)
+
+
+@functools.lru_cache(maxsize=256)
+def _template(shape: tuple, indent: int) -> tuple[str, np.ndarray, np.ndarray]:
+    """``_layout(shape, indent)`` with a ``%.17g`` slot per value: as text, as
+    bytes, and the byte offsets of each value's slot (one row per value)."""
+    text = _layout(shape, indent) % ((_G_SLOT,) * math.prod(shape))
+    chars = np.frombuffer(text.encode(), dtype=np.uint8)
+    starts = np.flatnonzero(chars == ord("%"))
+    return text, chars, starts[:, None] + np.arange(len(_G_SLOT))
+
+
+def _dump_floats(shape: tuple, flat: np.ndarray, values: list, indent: int) -> str:
+    """A block of floats, ``flat`` and ``values`` row-major, in one ``%`` pass.
+
+    An integral value below 1e17 takes the ``%#.1f`` slot and any other the
+    ``%.17g`` one (see the module docstring).
+    """
+    finite = np.isfinite(flat)
+    if not finite.all():
+        first = values[int(np.argmin(finite))]
+        kind = "NaN" if first != first else "infinity"
+        raise ValueError(f"cannot serialize {kind} in a report")
+    text, chars, slots = _template(shape, indent)
+    short = (flat == np.trunc(flat)) & (np.abs(flat) < 1e17)
+    if short.any():
+        chars = chars.copy()
+        chars[slots[short]] = _F_BYTES
+        text = chars.tobytes().decode("ascii")
+    return text % tuple(values)
+
+
+def _dump_ndarray(block: np.ndarray, indent: int) -> str:
+    """A float64 array in one pass; any other array as its ``tolist()``."""
+    if block.dtype != np.float64 or block.size == 0 or block.ndim == 0:
+        return _dump(block.tolist(), indent)
+    flat = block.ravel()
+    return _dump_floats(block.shape, flat, flat.tolist(), indent)
 
 
 def _dump_list(obj: list | tuple, indent: int) -> str:
     if not obj:
         return "[]"
+    kinds = set(map(type, obj))
+    if kinds == {str}:
+        return "[" + ", ".join(map(encode_basestring_ascii, obj)) + "]"
     array = _float_array(obj)
     if array is not None:
-        return _dump_array(*array, indent)
+        shape, values = array
+        return _dump_floats(shape, np.array(values), values, indent)
     items = [_dump(v, indent + 1) for v in obj]
     if not any(isinstance(v, (list, tuple, dict)) for v in obj):
         return "[" + ", ".join(items) + "]"
@@ -293,6 +352,7 @@ _WRITERS = {
     list: _dump_list,
     tuple: _dump_list,
     dict: _dump_dict,
+    np.ndarray: _dump_ndarray,
 }
 
 
@@ -311,8 +371,9 @@ def dumps_canonical(obj: Any, indent: int = 0) -> str:
 
     Dicts and lists of containers take one line per item, indented two
     spaces per level; a list of scalars takes one line.  A float is printed
-    as ``%.17g`` with ``.0`` added when that reads as an int.  NaN and
-    infinities raise ``ValueError``; types other than JSON's (and their
+    as ``%.17g`` with ``.0`` added when that reads as an int.  An ndarray
+    is written as its ``tolist()`` would be.  NaN and infinities raise
+    ``ValueError``; types other than JSON's and ndarray (and their
     subclasses) raise ``TypeError``.
     """
     return _dump(obj, indent)

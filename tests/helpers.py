@@ -353,6 +353,8 @@ def _reference_format_float(x: float) -> str:
 
 def reference_dumps_canonical(obj: Any, indent: int = 0) -> str:
     """Deterministic JSON with all floats at 17 significant digits."""
+    if isinstance(obj, np.ndarray):  # written as the nested lists it holds
+        obj = obj.tolist()
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:

@@ -343,6 +343,35 @@ def test_solve_malformed_json_is_input_error(tmp_path, capsys):
     assert cli.main(["solve", str(path)]) == 4
 
 
+def without_timing(text: str) -> str:
+    return re.sub(r'"seconds": [^\n]*', '"seconds"', text)
+
+
+@pytest.mark.parametrize("encode", [
+    lambda text: b"\xef\xbb\xbf" + text.encode(),
+    lambda text: text.encode("utf-16"),
+    lambda text: text.encode("utf-32-be"),
+], ids=["utf-8-bom", "utf-16", "utf-32-be"])
+def test_an_instance_in_any_json_encoding_solves_as_the_plain_file(tmp_path, encode):
+    # RFC 8259 section 8.1: a reader may ignore a byte-order mark, and
+    # json.loads detects UTF-8, UTF-16 and UTF-32 from the bytes
+    encoded = tmp_path / "encoded.json"
+    encoded.write_bytes(encode(GOLDEN_INSTANCE.read_text()))
+    texts = []
+    for path in (GOLDEN_INSTANCE, encoded):
+        out = tmp_path / "report.json"
+        assert cli.main(["solve", str(path), "--out", str(out)]) == cli.EXIT_FEASIBLE
+        texts.append(without_timing(out.read_text()))
+    assert texts[0] == texts[1]
+
+
+def test_an_undecodable_instance_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 1, "k": 1, "note": "\xe9", "pairs": []}')
+    assert cli.main(["solve", str(path)]) == cli.EXIT_INPUT_ERROR
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
 def determinism_instance(tmp_path, case):
     if case == "golden":
         return GOLDEN_INSTANCE
@@ -369,7 +398,7 @@ def test_determinism_excluding_timing(tmp_path, command, case):
     for argv in ([command, path], ["certify", other_path], [command, path]):
         out = tmp_path / "report.json"
         cli.main([argv[0], str(argv[1]), "--out", str(out)])
-        texts.append(re.sub(r'"seconds": [^\n]*', '"seconds"', out.read_text()))
+        texts.append(without_timing(out.read_text()))
     assert texts[0] == texts[2]
     assert texts[0] != texts[1]
 

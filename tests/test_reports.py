@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpinterp import cli
+from cpinterp import cli, pipeline
+from cpinterp.choi import KrausSet
 from cpinterp.constraints import ProblemInstance
 from cpinterp.reports import (
     InstanceFormatError,
@@ -211,6 +212,125 @@ def test_unsupported_types_raise_type_error(value):
         with pytest.raises(TypeError) as raised:
             dumps_canonical(doc)
         assert str(raised.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# writer: float blocks as ndarrays and as nested lists
+
+LARGEST_BELOW_1E17 = 99999999999999984.0  # the double just below 1e17
+
+BLOCK_FLOATS = [
+    -0.0,
+    0.0,
+    0.37,
+    1e16,
+    2.0**53,
+    LARGEST_BELOW_1E17,
+    -LARGEST_BELOW_1E17,
+    1e17,
+    -1e17,
+    5e-324,
+    -3.0,
+    -123456789.0,
+    1.5,
+]
+
+
+def _blocks():
+    rng = np.random.default_rng(29)
+    dense = rng.standard_normal((4, 3, 2))
+    mixed = dense.copy()
+    mixed[::2, 1] = 0.0  # exact zeros among dense values
+    mixed[1, 2, 0] = -0.0
+    edge = np.array(BLOCK_FLOATS)
+    return {
+        "edge": edge,
+        "edge-2d": np.stack([edge, -edge[::-1]]),
+        "dense": dense,
+        "mixed": mixed,
+        "zeros": np.zeros((2, 2, 2)),
+        "integral": np.arange(-6.0, 6.0).reshape(3, 2, 2),
+        "one": np.array([7.0]),
+        "empty": np.zeros(0),
+        "empty-rows": np.zeros((2, 0)),
+        "no-kraus": np.zeros((0, 2, 3, 2)),
+    }
+
+
+BLOCKS = _blocks()
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["ndarray", "nested-list"])
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+def test_float_blocks_match_reference_writer(name, as_list):
+    block = BLOCKS[name].tolist() if as_list else BLOCKS[name]
+    for doc in (block, {"a": {"choi": block, "b": [1.0, 0.0]}}, [{"kraus": block}, 2.0]):
+        for indent in (0, 3):
+            assert dumps_canonical(doc, indent) == reference_dumps_canonical(doc, indent)
+
+
+def test_integral_tokens_of_a_block():
+    text = dumps_canonical(np.array(BLOCK_FLOATS))
+    assert text == (
+        "[-0.0, 0.0, 0.37, 10000000000000000.0, 9007199254740992.0, "
+        "99999999999999984.0, -99999999999999984.0, 1e+17, -1e+17, "
+        "4.9406564584124654e-324, -3.0, -123456789.0, 1.5]"
+    )
+    assert json.loads(text) == BLOCK_FLOATS
+
+
+@pytest.mark.parametrize(
+    "block, tokens",
+    [
+        (np.arange(3), "[0, 1, 2]"),
+        (np.array([True, False]), "[true, false]"),
+        (np.array(2.5), "2.5"),
+        (np.array([[1.0, 2.0]], dtype=np.float32), "[\n  [1.0, 2.0]\n]"),
+    ],
+    ids=["int", "bool", "0-d", "float32"],
+)
+def test_other_arrays_are_written_as_their_lists(block, tokens):
+    assert dumps_canonical(block) == reference_dumps_canonical(block) == tokens
+
+
+def test_a_complex_array_raises_type_error():
+    with pytest.raises(TypeError, match="cannot serialize complex"):
+        dumps_canonical({"a": np.ones(2, dtype=complex)})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("position", [0, 7, -1])
+@pytest.mark.parametrize("shape", [(12,), (3, 2, 2)])
+def test_non_finite_values_in_an_ndarray_raise(value, position, shape):
+    block = np.linspace(-1.0, 1.0, 12)
+    block[position] = value
+    block = block.reshape(shape)
+    with pytest.raises(ValueError) as expected:
+        reference_dumps_canonical(block)
+    for doc in (block, {"a": [1.0], "b": block}):
+        with pytest.raises(ValueError) as raised:
+            dumps_canonical(doc)
+        assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("first, second", [("nan", "inf"), ("-inf", "nan")])
+def test_the_first_non_finite_value_names_the_error(first, second):
+    block = np.array([[0.0, float(first)], [float(second), 1.0]])
+    kind = "NaN" if first == "nan" else "infinity"
+    with pytest.raises(ValueError, match=f"^cannot serialize {kind} in a report$"):
+        dumps_canonical(block)
+
+
+def test_a_feasible_report_with_no_kraus_element(monkeypatch):
+    # an empty Kraus set stacks to a (0, n, k, 2) block, written as []
+    monkeypatch.setattr(pipeline, "choi_to_kraus", lambda c, tol: KrausSet(c.n, c.k, []))
+    inst = planted_instance(np.random.default_rng(31), 3, 2, 4)[0]
+    report, code = cli.run_solve(inst, cli.SolveOptions())
+    assert (report["status"], code, report["kraus_count"]) == ("feasible", 0, 0)
+    assert report["kraus"].shape == (0, 3, 2, 2)
+    text = dumps_canonical(report)
+    assert text == reference_dumps_canonical(report)
+    assert '"kraus": [],' in text
 
 
 # ---------------------------------------------------------------------------
