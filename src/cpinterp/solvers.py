@@ -59,6 +59,14 @@ constraint residual vector of a positive definite matrix:
 the exponential acts entrywise; its CG keeps the identity metric.
 ``project_affine`` re-projects an approximate solution exactly onto the
 constraint subspace.
+
+When the rows determine X, ``solve_exp`` and ``solve_diagonal`` do not run
+the minimizer (``_closed_form``): q = p^2 independent rows, or p independent
+diagonal rows, have one solution, and the potential's minimizer is that
+point.  One linear solve gives it, and its logarithm gives the dual point x.
+The answer stands when the solution is positive definite and the gradient at
+x passes ``gradient_tol``; it reports 0 CG and 0 Newton steps.  In every
+other case, infeasible and boundary data included, the minimizer runs.
 """
 
 from __future__ import annotations
@@ -473,8 +481,14 @@ def _minimize_cg(
             probe = obj.evaluate(_x + alpha * _d)
             if probe.recedes:
                 raise _TrialRecedes(probe)
+            if probe.g is None:
+                return probe.f, np.inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                slope = float(probe.g @ _d)
+            if not np.isfinite(slope):  # the pairing overflows: the step went too far
+                return np.inf, np.inf
             _probes[alpha] = probe
-            return probe.f, np.inf if probe.g is None else float(probe.g @ _d)
+            return probe.f, slope
 
         alpha0 = 1.0
         if precondition is None and iterations == 0:
@@ -600,13 +614,69 @@ def _minimize(
             SolveStatus.NO_STRICTLY_POSITIVE_SOLUTION, None, point.x, point.g,
             float(np.max(np.abs(point.g))), float("nan"), cg_steps, newton_steps, message,
         )
+    status = SolveStatus.FEASIBLE if stop == "converged" else SolveStatus.ITERATION_LIMIT
+    return _solved(sys, obj, point, status, cg_steps, newton_steps, message)
+
+
+def _solved(
+    sys: ConstraintSystem, obj: _Objective, point: _Point, status: SolveStatus,
+    cg_steps: int, newton_steps: int, message: str,
+) -> SolveOutcome:
+    """The outcome that returns ``obj``'s positive definite matrix at ``point``."""
     solution = obj.solution(point)
     res = sys.residuals(solution)
-    status = SolveStatus.FEASIBLE if stop == "converged" else SolveStatus.ITERATION_LIMIT
     return SolveOutcome(
         status, solution, point.x, res, float(np.max(np.abs(res), initial=0.0)),
         linalg.min_eigenvalue(solution), cg_steps, newton_steps, message,
     )
+
+
+def _closed_form(
+    sys: ConstraintSystem, obj: _Objective, x: np.ndarray | None, cfg: ExpSolveConfig
+) -> SolveOutcome | None:
+    """A ``FEASIBLE`` outcome at the dual point x of the one solution of
+    rows that determine X, with 0 CG and 0 Newton steps; None when there is
+    no such x, or when x fails the minimizer's own test: the gradient at x,
+    the residual vector of ``obj``'s matrix there, must be finite and of
+    2-norm at most ``cfg.gradient_tol``.  Then the minimizer runs instead."""
+    if x is None or not np.all(np.isfinite(x)):
+        return None
+    point = obj.evaluate(x)
+    if point.g is None or float(np.linalg.norm(point.g)) > cfg.gradient_tol:
+        return None
+    return _solved(sys, obj, point, SolveStatus.FEASIBLE, 0, 0, "")
+
+
+def _determined_dual(sys: ConstraintSystem) -> np.ndarray | None:
+    """The exp potential's minimizer when the rows determine X: q = p^2
+    independent rows (``gram_solver`` defined) span the Hermitian matrices,
+    so the one solution is ``X = sum y C`` with ``G y = b``.  When X is
+    positive definite, the x with ``sum x C = log X - s I`` is
+    ``G^{-1} tr(C(i) (log X - s I))``, read off one ``eigh`` of X; None
+    otherwise."""
+    solve = sys.gram_solver if sys.q == sys.p * sys.p else None
+    if solve is None:
+        return None
+    try:
+        w, u = np.linalg.eigh(linalg.hermitian_part(sys.aggregate(solve(sys.targets))))
+    except np.linalg.LinAlgError:
+        return None
+    if not w[0] > 0.0:
+        return None
+    return solve(sys.traces((u * (np.log(w) - EXPONENT_OFFSET)) @ u.conj().T))
+
+
+def _determined_diagonal_dual(coeffs: np.ndarray, targets: np.ndarray) -> np.ndarray | None:
+    """``_diag_objective``'s minimizer when p independent rows determine the
+    diagonal: d solves ``D d = b``, and x solves ``D^T x = log d - s``; None
+    unless d is positive, or when D is singular."""
+    try:
+        d = np.linalg.solve(coeffs, targets)
+        if not np.min(d) > 0.0:
+            return None
+        return np.linalg.solve(coeffs.T, np.log(d) - EXPONENT_OFFSET)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def solve_exp(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> SolveOutcome:
@@ -626,9 +696,16 @@ def solve_exp(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> Solve
     decomposition that evaluated the last point.
 
     Hitting the iteration cap is a soft outcome.
+
+    Rows that determine X (q = p^2 with ``gram_solver`` defined) skip the
+    minimizer when their one solution is positive definite and passes the
+    gradient test (``_determined_dual``, ``_closed_form``): the outcome then
+    has 0 CG and 0 Newton steps.
     """
-    return _minimize(sys, _exp_objective(sys, EXPONENT_OFFSET), np.zeros(sys.q),
-                     cfg or ExpSolveConfig())
+    cfg = cfg or ExpSolveConfig()
+    obj = _exp_objective(sys, EXPONENT_OFFSET)
+    return _closed_form(sys, obj, _determined_dual(sys), cfg) or _minimize(
+        sys, obj, np.zeros(sys.q), cfg)
 
 
 def solve_barrier(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> SolveOutcome:
@@ -649,7 +726,12 @@ def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> 
     Requires every constraint matrix to be diagonal, or strictly
     off-diagonal with a zero target (such constraints are satisfied by any
     diagonal X and are dropped).  Each potential evaluation is O(p q): the
-    matrix exponential is entrywise on the diagonal.
+    matrix exponential is entrywise on the diagonal.  When p rows remain,
+    prune has made them independent and they determine the diagonal d: if
+    ``D d = b`` gives a positive d that passes the gradient test, the
+    outcome is read off it with 0 CG and 0 Newton steps
+    (``_determined_diagonal_dual``, ``_closed_form``), and otherwise the
+    minimizer runs.
     """
     coords = sys.coordinates()
     diag = coords[:, : sys.p]
@@ -663,8 +745,11 @@ def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> 
             f"constraint {sys.provenance[refused[0]]} is not diagonal and not droppable; "
             "the diagonal solver only applies to diagonal systems"
         )
-    obj = _diag_objective(diag[active], sys.targets[active])
-    outcome = _minimize(sys, obj, np.zeros(np.count_nonzero(active)), cfg or ExpSolveConfig())
+    cfg = cfg or ExpSolveConfig()
+    coeffs, targets = diag[active], sys.targets[active]
+    obj = _diag_objective(coeffs, targets)
+    x = _determined_diagonal_dual(coeffs, targets) if len(targets) == sys.p else None
+    outcome = _closed_form(sys, obj, x, cfg) or _minimize(sys, obj, np.zeros(len(targets)), cfg)
     full = np.zeros(sys.q)
     full[active] = outcome.coefficients
     outcome.coefficients = full

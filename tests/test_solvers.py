@@ -336,6 +336,21 @@ def test_line_search_backtracks_through_overflow():
     assert abs(s) <= 0.4 * abs(slope0)
 
 
+def test_cg_reads_an_overflowing_slope_as_a_step_too_far():
+    # f = (x - 1)^2, whose gradient is reported as 1e308 past x = 1.5: the
+    # first trial point, x = 20, pairs it with d = 20 past the float range
+    def evaluate(x):
+        g = 2.0 * (x - 1.0) if x[0] <= 1.5 else np.full(1, 1e308)
+        return solvers._Point(x, float((x[0] - 1.0) ** 2), g)
+
+    obj = solvers._Objective(evaluate, lambda point: np.eye(1), lambda point: None)
+    with np.errstate(all="raise"):
+        point, steps, stop = solvers._minimize_cg(
+            obj, evaluate(np.zeros(1)), ExpSolveConfig(), 50, precondition=lambda g: 10.0 * g)
+    assert stop == "converged"
+    assert abs(point.x[0] - 1.0) <= 1e-9 and steps >= 1
+
+
 def test_potential_midpoint_convexity():
     rng = np.random.default_rng(56)
     sys = golden_system()
@@ -483,10 +498,12 @@ def test_solve_exp_hands_planted_data_to_newton():
 
 
 def test_solve_diagonal_hands_planted_data_to_newton():
-    # the diagonal fast path shares the hand-off: at most 6 CG steps here
+    # the diagonal fast path shares the hand-off: at most 5 CG steps here.
+    # Three pairs keep 12 rows for p = 16, too few to determine the diagonal,
+    # so the minimizer runs
     rng = np.random.default_rng(404)
     for _ in range(40):
-        inst, _ = planted_diagonal_instance(rng, 4, 4, 6)
+        inst, _ = planted_diagonal_instance(rng, 4, 4, 3)
         out = solve_diagonal(prune_dependent(instance_system(inst)))
         assert out.status is SolveStatus.FEASIBLE
         assert out.cg_iterations <= 8
@@ -570,6 +587,68 @@ def test_solve_exp_iteration_limit_is_soft(monkeypatch):
     out = solve_exp(sys, ExpSolveConfig(max_iterations=1))
     assert out.status is SolveStatus.ITERATION_LIMIT
     assert out.solution is not None  # best iterate still reported
+
+
+# ---------------------------------------------------------------------------
+# determined systems: one linear solve
+
+
+def negative_diagonal_instance():
+    """p = 2 rows that determine the diagonal as (1, -1): no PSD solution."""
+    return ProblemInstance(2, 1, [(np.diag([1.0, 0.0]), np.ones((1, 1))),
+                                  (np.diag([0.0, 1.0]), -np.ones((1, 1)))])
+
+
+def determined_systems():
+    """A diagonal system whose 16 kept rows determine the diagonal, and a
+    dense one with q = p^2 = 36 independent rows, each with its solver."""
+    diagonal, _ = planted_diagonal_instance(np.random.default_rng(410), 4, 4, 6)
+    dense, _ = planted_instance(np.random.default_rng(411), 2, 3, 3, hermitian_data=False)
+    systems = [(prune_dependent(instance_system(inst)), solve)
+               for inst, solve in ((diagonal, solve_diagonal), (dense, solve_exp))]
+    assert systems[1][0].q == 36
+    return systems
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_determined_systems_take_no_step(case, monkeypatch):
+    sys, solve = determined_systems()[case]
+    out = solve(sys)
+    assert out.status is SolveStatus.FEASIBLE
+    assert (out.cg_iterations, out.newton_steps, out.message) == (0, 0, "")
+    tol = ExpSolveConfig().gradient_tol
+    assert np.linalg.norm(gradient(sys, out.coefficients, EXPONENT_OFFSET)) <= tol
+    # the minimizer on the same objective finds the same point
+    monkeypatch.setattr(solvers, "_closed_form", lambda *args: None)
+    minimized = solve(sys)
+    assert minimized.status is SolveStatus.FEASIBLE and minimized.iterations > 0
+    scale = np.abs(minimized.solution).max()
+    assert np.abs(out.solution - minimized.solution).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_determined_systems_run_the_minimizer_when_the_tolerance_is_out_of_reach(case):
+    sys, solve = determined_systems()[case]
+    out = solve(sys, ExpSolveConfig(gradient_tol=1e-30, max_iterations=20))
+    assert out.iterations > 0
+
+
+def test_a_determined_diagonal_with_a_negative_entry_diverges_through_cg():
+    sys = prune_dependent(instance_system(negative_diagonal_instance()))
+    assert sys.q == sys.p == 2
+    out = solve_diagonal(sys)
+    assert out.status is SolveStatus.NO_STRICTLY_POSITIVE_SOLUTION
+    assert out.cg_iterations > 0 and out.newton_steps == 0
+    assert "unbounded below" in out.message
+
+
+def test_a_determined_diagonal_with_a_negative_entry_is_certified_infeasible():
+    from cpinterp import cli
+
+    for run in (cli.run_solve, cli.run_certify):
+        report, code = run(negative_diagonal_instance(), cli.SolveOptions())
+        assert (report["status"], code) == ("certified-infeasible", cli.EXIT_CERTIFIED_INFEASIBLE)
+        assert report["certificate"]["source"] == "divergence-ray"
 
 
 # ---------------------------------------------------------------------------
