@@ -6,23 +6,28 @@ nonnegative combination).  With ``sum x_i b_i <= 0`` and x nonzero it still
 proves that no strictly positive solution exists, provided the C(i) are
 linearly independent.
 
-A system that pruning accepted gets its certificate from three steps, tried
-in order.  First the divergence ray: when the exponential potential is
-unbounded below, its iterates run off along a direction d with
-``sum d C <= 0`` and ``d . b > 0``, so the normalized ``-x`` at solver exit is
-a PSD-excluding certificate: an exact one when the solver stopped on its
-recession test (at an iterate or at a line-search trial point, whichever
-passed it first), otherwise one up to an ``O(1/|x|)`` lag.  Second, a short
-hinge descent repairs a ray that misses the cone by that lag.  Only when neither
-yields a PSD-excluding certificate does a search from fixed starts run:
-each row's ``+e_i`` and ``-e_i`` and the target direction ``-b/|b|``, each
-classified as it is and repaired onto the cone, and then again after a
-penalized descent from it; its failure to find one proves nothing.  No step
-uses randomness.  Whatever the source, a certificate is returned
-only after the exact eigenvalue check in ``validate``, which is independent
-of how the certificate was found.
+Under the strict verdict a system that pruning accepted is first asked whether
+the span of its C(i) holds a positive definite matrix
+(``span_contains_positive``).  A witness ``S = sum y C > 0`` with
+``b . y < 0`` excludes every PSD solution (``tr(S X) >= 0``), and that is the
+certificate, with no solve.  Otherwise the solve runs, and a certificate comes
+from three steps, tried in order.  First the divergence ray: when the
+exponential potential is unbounded below, its iterates run off along a
+direction d with ``sum d C <= 0`` and ``d . b > 0``, so the normalized ``-x``
+at solver exit is a PSD-excluding certificate: an exact one when the solver
+stopped on its recession test (at an iterate or at a line-search trial point,
+whichever passed it first), otherwise one up to an ``O(1/|x|)`` lag.  Second,
+a short hinge descent repairs a ray that misses the cone by that lag.  Only
+when neither yields a PSD-excluding certificate does a search from fixed
+starts run: each row's ``+e_i`` and ``-e_i`` and the target direction
+``-b/|b|``, each classified as it is and repaired onto the cone, and then
+again after a penalized descent from it; its failure to find one proves
+nothing.  No step uses randomness.  Whatever the source, a certificate is
+returned only after the exact eigenvalue check in ``validate``, which is
+independent of how the certificate was found.
 ``span_contains_positive`` decides with prune and the exp solve whether the
-span of the C(i) holds a positive definite matrix.
+span of the C(i) holds a positive definite matrix; ``decide`` puts the
+steps in their order.
 """
 
 from __future__ import annotations
@@ -410,12 +415,37 @@ def span_contains_positive(sys: ConstraintSystem, cfg: ExpSolveConfig | None = N
     return SpanCheck(mineig > VALIDATION_TOL, mineig, y, source)
 
 
+def _span_certificate(sys: ConstraintSystem, span: SpanCheck) -> Certificate | None:
+    """The PSD-excluding certificate that a span check's "yes" gives when its
+    witness y pairs negatively with the targets, else None.
+
+    For ``S = sum y C > 0`` every PSD solution X has ``b . y = tr(S X) >= 0``,
+    so ``b . y < 0`` leaves none.  The certificate is classified and
+    validated like every other; its source is the span witness's
+    (``linear-system``, else ``divergence-ray``: y is ``-x`` read off the
+    final point of the span check's exp solve).
+    """
+    if not span.contains_positive_definite:
+        return None
+    linear = span.source is SpanSource.LINEAR_SYSTEM
+    source = CertificateSource.LINEAR_SYSTEM if linear else CertificateSource.DIVERGENCE_RAY
+    cert = _classify(sys, span.witness, source)
+    if cert is not None and cert.kind is CertificateKind.EXCLUDES_PSD and validate(cert, sys):
+        return cert
+    return None
+
+
 def decide(pruned: ConstraintSystem, reduced: ConstraintSystem, solve: Callable,
            cfg: ExpSolveConfig | None, strict: bool) -> FeasibilityReport:
-    """Solve ``reduced`` (``pruned`` or its support-reduced copy), check the
-    span of ``pruned`` when ``strict``, and take the ``verdict``."""
-    outcome = solve(reduced, cfg)
+    """Check the span of ``pruned`` when ``strict``; when its witness is a
+    PSD-excluding certificate (``_span_certificate``) that is the verdict, and
+    no solve runs.  Otherwise solve ``reduced`` (``pruned`` or its
+    support-reduced copy) and take the ``verdict``."""
     span = span_contains_positive(pruned, cfg) if strict else None
+    cert = None if span is None else _span_certificate(pruned, span)
+    if cert is not None:
+        return FeasibilityReport(FeasibilityStatus.CERTIFIED_INFEASIBLE, None, cert, span)
+    outcome = solve(reduced, cfg)
     status, cert = verdict(pruned, outcome, strict)
     return FeasibilityReport(status, outcome, cert, span)
 
@@ -423,7 +453,9 @@ def decide(pruned: ConstraintSystem, reduced: ConstraintSystem, solve: Callable,
 def feasibility_report(
     sys: ConstraintSystem, exp_config: ExpSolveConfig | None = None
 ) -> FeasibilityReport:
-    """Solve with the exp potential and take the strict ``verdict`` (``decide``).
+    """Check the span, then solve with the exp potential and take the strict
+    ``verdict`` (``decide``); a span witness that certifies infeasibility
+    answers alone, with ``solve_outcome`` None.
 
     Outcomes: ``feasible`` with a positive solution; ``certified-infeasible``
     (no PSD solution at all); ``certified-no-strict`` (no strictly positive

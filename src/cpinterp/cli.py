@@ -66,6 +66,16 @@ def _certificate_block(result: pipeline.Result) -> dict | None:
 
 def _solver_block(result: pipeline.Result) -> dict:
     outcome, exc = result.feasibility.solve_outcome, result.inconsistency
+    if outcome is None and exc is None:  # the span check decided (certify.decide)
+        return {
+            "method": result.method,
+            "status": "not-run",
+            "iterations": 0,
+            "cg_iterations": 0,
+            "newton_steps": 0,
+            "message": "the span check's positive definite combination of the rows pairs "
+                       "negatively with the targets; no solve ran",
+        }
     if outcome is None:
         return {
             "method": "none",

@@ -1,10 +1,11 @@
 """The one pipeline from an instance to a verdict, behind ``solve`` and ``certify``.
 
-``run`` takes each stage once: build and prune, support reduction, the solve
-(``solve_diagonal`` for diagonal data, ``solve_exp`` otherwise), the span
-check when ``strict``, the verdict, and for a feasible verdict the
-projection, ``verify`` and the Kraus elements.
-``cli`` renders its ``Result``.  The solve, span-check and verdict stage is
+``run`` takes each stage once: build and prune, support reduction, the span
+check when ``strict``, the solve (``solve_diagonal`` for diagonal data,
+``solve_exp`` otherwise) unless the span check's witness already certifies
+infeasibility, the verdict, and for a feasible verdict the projection,
+``verify`` and the Kraus elements.
+``cli`` renders its ``Result``.  The span-check, solve and verdict stage is
 ``certify.decide``, which ``certify.feasibility_report`` calls too.
 """
 
@@ -39,8 +40,10 @@ class Result:
     """What ``run`` found.  ``system`` is the built system, or the one that
     the build or prune found contradictory, which then also stands for
     ``pruned``, the system the certificate is over.  ``method`` is the
-    solver, "exp" or "diagonal"; it is "none" and ``reduction`` None when no
-    solve ran.  The map fields are None unless the verdict is feasible."""
+    solver, "exp" or "diagonal", and "none" when no solve ran: ``reduction``
+    is then None after a contradiction, and still set when the span check
+    decided (``certify.decide``).  The map fields are None unless the verdict
+    is feasible."""
 
     instance: ProblemInstance
     trace_preserving: bool
@@ -72,7 +75,8 @@ def _linear_system_verdict(exc: InconsistentSystemError) -> FeasibilityReport:
 
 def run(inst: ProblemInstance, options: SolveOptions, strict: bool) -> Result:
     """Every stage from ``inst`` to a verdict, each once.  ``strict`` asks
-    for a strictly positive solution: the span check runs, and a feasible
+    for a strictly positive solution: the span check runs, a witness of it
+    that certifies infeasibility answers without a solve, and a feasible
     solve with a marginal witness is checked for a PD-excluding certificate.
     The solvers are read off this module when called, so a wrapper set on
     them here runs."""
@@ -90,6 +94,8 @@ def run(inst: ProblemInstance, options: SolveOptions, strict: bool) -> Result:
         method = "diagonal" if is_diagonal_instance(inst) else "exp"
         solve = solve_diagonal if method == "diagonal" else solve_exp
         feasibility = certify.decide(pruned, reduced, solve, cfg, strict)
+        if feasibility.solve_outcome is None:  # the span check decided
+            method = "none"
         result = Result(inst, bool(tp), strict, built, pruned, feasibility,
                         method=method, reduction=reduction)
         if feasibility.status is FeasibilityStatus.FEASIBLE:

@@ -361,7 +361,15 @@ def test_report_certifies_planted_infeasible_from_the_ray(monkeypatch):
         instances.append(ProblemInstance(n, n, planted.pairs + [(np.eye(n), -np.eye(n))]))
     for inst in instances:
         sys = prune_dependent(instance_system(inst))
+        # the pair (I, -I) puts I in the span, pairing negatively: the strict
+        # report answers from the span check and runs no solve
         rep = feasibility_report(sys)
+        assert rep.status is FeasibilityStatus.CERTIFIED_INFEASIBLE
+        assert rep.certificate.source is CertificateSource.LINEAR_SYSTEM
+        assert rep.solve_outcome is None
+        assert validate(rep.certificate, sys, tol=1e-9)
+        # without the span check the exp solve diverges, and its ray certifies
+        rep = certify.decide(sys, sys, solve_exp, None, False)
         assert rep.status is FeasibilityStatus.CERTIFIED_INFEASIBLE
         assert rep.certificate.source is CertificateSource.DIVERGENCE_RAY
         assert validate(rep.certificate, sys, tol=1e-9)

@@ -552,12 +552,15 @@ def test_verify_validates_certificate_report(tmp_path, capsys):
 
 
 def test_certify_ray_certificate_round_trip(tmp_path, capsys):
+    # (I, -I) puts I in the span with a negative pairing, so certify answers
+    # from the span check; test_verify_validates_certificate_report covers
+    # the round trip of solve's ray certificate
     inst_path = write_json(tmp_path / "bad.json", infeasible_doc())
     rep_path = tmp_path / "report.json"
     assert cli.main(["certify", str(inst_path), "--out", str(rep_path)]) == 2
     rep = json.loads(rep_path.read_text())
     assert rep["status"] == "certified-infeasible"
-    assert rep["certificate"]["source"] == "divergence-ray"
+    assert rep["certificate"]["source"] == "linear-system"
     assert cli.main(["verify", str(rep_path), str(inst_path)]) == 0
     assert "certificate validates" in capsys.readouterr().out
 
@@ -668,6 +671,72 @@ def test_certify_report_is_the_solve_report_plus_span_check(tmp_path, doc):
     assert set(reps["certify"]) == set(reps["solve"]) | {"span_check"}
     assert reps["certify"]["status"] == reps["solve"]["status"]
     assert reps["certify"]["constraints"] == reps["solve"]["constraints"]
+
+
+def refuse_solves(monkeypatch):
+    """Make the pipeline's solvers fail the test when called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline ran a solve")
+
+    for name in ("solve_exp", "solve_diagonal"):
+        monkeypatch.setattr(pipeline, name, refuse)
+
+
+def test_certify_answers_from_the_span_check_without_a_solve(tmp_path, monkeypatch, capsys):
+    # (I, -I) puts I in the span, and I pairs negatively with the targets
+    inst_path = write_json(tmp_path / "bad.json", infeasible_doc())
+    solve_report, _ = cli.run_solve(instance_from_jsonable(infeasible_doc()), cli.SolveOptions())
+    refuse_solves(monkeypatch)
+    rep_path = tmp_path / "report.json"
+    assert cli.main(["certify", str(inst_path), "--out", str(rep_path)]) == 2
+    rep = json.loads(rep_path.read_text())
+    assert rep["status"] == "certified-infeasible"
+    assert rep["certificate"]["source"] == "linear-system"
+    solver = rep["solver"]
+    assert (solver["method"], solver["status"]) == ("none", "not-run")
+    assert (solver["iterations"], solver["cg_iterations"], solver["newton_steps"]) == (0, 0, 0)
+    assert "span check" in solver["message"]
+    assert set(rep) == set(solve_report) | {"span_check"}
+    assert cli.main(["verify", str(rep_path), str(inst_path)]) == 0
+    assert "certificate validates" in capsys.readouterr().out
+
+
+def test_certify_takes_the_ray_of_the_span_checks_own_solve(tmp_path, monkeypatch):
+    # one row diag(1, 2) at target -1: I is not in the span, so the span
+    # check solves, and its solve diverges along the positive definite row
+    inst = ProblemInstance(2, 1, [(np.diag([1.0, 2.0]), np.array([[-1.0]]))])
+    span = certify.span_contains_positive(prune_dependent(instance_system(inst)))
+    assert span.contains_positive_definite
+    assert span.source is certify.SpanSource.DIVERGENCE_RAY
+    solve_report, solve_code = cli.run_solve(inst, cli.SolveOptions())
+    assert (solve_report["status"], solve_code) == ("certified-infeasible", 2)
+    assert solve_report["solver"]["method"] == "diagonal"
+    assert solve_report["solver"]["message"].startswith("CG ")
+    assert solve_report["certificate"]["source"] == "divergence-ray"
+    refuse_solves(monkeypatch)
+    report, code = cli.run_certify(inst, cli.SolveOptions())
+    assert (report["status"], code) == ("certified-infeasible", 2)
+    assert report["certificate"]["source"] == "divergence-ray"
+    assert (report["solver"]["method"], report["solver"]["status"]) == ("none", "not-run")
+    assert_verify_accepts(tmp_path, inst, report)
+
+
+def test_certify_solves_when_the_span_witness_pairs_positively(monkeypatch):
+    # a channel's trace rows put I in the span, paired with tr I_n = n > 0:
+    # that proves nothing, so the solve runs and finds the planted map
+    rng = np.random.default_rng(7)
+    choi = kraus_to_choi(random_channel_kraus(rng, 2, 4))
+    pairs = [(a, apply_choi(choi, a)) for a in (random_hermitian(rng, 2) for _ in range(2))]
+    inst = ProblemInstance(2, 2, pairs, trace_preserving=True)
+    solves = []
+    solve = pipeline.solve_exp
+    monkeypatch.setattr(pipeline, "solve_exp", lambda *args: solves.append(1) or solve(*args))
+    report, code = cli.run_certify(inst, cli.SolveOptions())
+    assert (report["status"], code) == ("feasible", cli.EXIT_FEASIBLE)
+    assert report["span_check"]["source"] == "linear-system"
+    assert report["span_check"]["contains_positive_definite"]
+    assert solves == [1]
+    assert (report["solver"]["method"], report["solver"]["status"]) == ("exp", "feasible")
 
 
 @pytest.mark.parametrize("command", ["solve", "certify"])
@@ -1087,7 +1156,7 @@ def test_golden_with_a_pair_scaled_by_1e6_solves_feasible(tmp_path, capsys):
 
 
 def test_norm_cap_stop_certifies_infeasibility():
-    report, code = cli.run_certify(norm_cap_instance(), cli.SolveOptions())
+    report, code = cli.run_solve(norm_cap_instance(), cli.SolveOptions())
     assert report["solver"]["message"] == (
         "CG saw the iterates diverge with the objective still decreasing"
     )

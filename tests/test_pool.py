@@ -38,11 +38,19 @@ def test_pool_writes_one_line_per_run_and_diffs_them(tmp_path, monkeypatch):
     assert (golden["status"], golden["exit"], golden["certificate"]) == ("feasible", 0, None)
     assert len(golden["choi"]) == 4 and golden["reduced_dim"] == 4
     assert (golden["pruned_rows"], golden["message"], golden["span_check"]) == (8, "", None)
+    ray = by_run["bench-infeasible/0/solve"]
+    assert ray["certificate"] == ["excludes-psd", "divergence-ray"]
+    assert ray["message"] == "CG found the objective unbounded below along the ray through a trial point"
     infeasible = by_run["bench-infeasible/0/certify"]
-    assert infeasible["certificate"] == ["excludes-psd", "divergence-ray"]
-    # the pair (I, -I) puts I in the span
+    # the pair (I, -I) puts I in the span, and its witness pairs negatively
+    # with the targets: certify answers from the span check, with no solve
     assert infeasible["span_check"] == ["linear-system", True]
-    assert infeasible["message"].startswith("CG ")
+    assert infeasible["certificate"] == ["excludes-psd", "linear-system"]
+    assert infeasible["message"] == (
+        "the span check's positive definite combination of the rows pairs negatively "
+        "with the targets; no solve ran"
+    )
+    assert (infeasible["cg_iterations"], infeasible["newton_steps"]) == (0, 0)
     assert by_run["zero-input/0/solve"]["certificate"] == ["excludes-psd", "linear-system"]
     assert by_run["zero-input/0/solve"]["reduced_dim"] is None
     assert by_run["zero-input/0/solve"]["pruned_rows"] is None
