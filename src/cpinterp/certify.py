@@ -25,9 +25,11 @@ again after a penalized descent from it; its failure to find one proves
 nothing.  No step uses randomness.  Whatever the source, a certificate is
 returned only after the exact eigenvalue check in ``validate``, which is
 independent of how the certificate was found.
-``span_contains_positive`` decides with prune and the exp solve whether the
-span of the C(i) holds a positive definite matrix; ``decide`` puts the
-steps in their order.
+``span_contains_positive`` decides whether the span of the C(i) holds a
+positive definite matrix, from the identity's fit by the rows, else the exp
+solve; ``decide`` puts the steps in their order, and
+``linear_system_verdict`` answers a contradiction that the build or prune
+found.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .constraints import ConstraintSystem, InconsistentSystemError, prune_dependent
+from .constraints import ConstraintSystem
 from .solvers import ExpSolveConfig, SolveOutcome, SolveStatus, solve_exp
-from .tolerances import MARGINAL_FACTOR, REPAIR_FRACTION, VALIDATION_TOL
+from .tolerances import DEPENDENCE_RTOL, MARGINAL_FACTOR, REPAIR_FRACTION, VALIDATION_TOL
 
 
 class CertificateKind(enum.Enum):
@@ -58,7 +60,8 @@ class CertificateSource(enum.Enum):
 class SpanSource(enum.Enum):
     """Where a span check's witness came from; a "yes" is exact from any.
 
-    ``linear-system``: prune found I in the span.  ``solution``: the solve
+    ``linear-system``: I is in the span, and the witness is its fit by the
+    rows (``span_contains_positive``).  ``solution``: the solve
     found ``X > 0``, ``tr X = 1``, every ``tr(C(i) X)`` within its gradient
     tolerance of 0, so no unit combination's least eigenvalue is above about
     that tolerance.  ``divergence-ray``: the solve diverged or hit its cap.
@@ -87,16 +90,12 @@ CERTIFIED_STATUS = {
 class Certificate:
     """A normalized coefficient vector witnessing infeasibility.
 
-    ``objective`` is ``sum x_i b_i`` and ``min_eigenvalue`` that of
-    ``sum x_i C(i)``; both are recomputed during validation.  ``source``
-    names the mechanism that found the certificate (None when it was read
-    back from a report); it plays no part in validation.
+    ``source`` names the mechanism that found the certificate (None when it
+    was read back from a report); it plays no part in validation.
     """
 
     coefficients: np.ndarray
     kind: CertificateKind
-    objective: float
-    min_eigenvalue: float
     source: CertificateSource | None = None
 
     def __post_init__(self):
@@ -152,13 +151,10 @@ def _trace_scale(sys: ConstraintSystem, tol: float) -> float:
     return float(sys.p)
 
 
-def _strongest_kind(
-    sys: ConstraintSystem, x: np.ndarray, tol: float
-) -> tuple[CertificateKind | None, float, float]:
-    """The strongest certificate kind the unit vector x supports, if any,
-    with its objective ``b . x`` and the least eigenvalue of ``S = sum x C``.
+def _strongest_kind(sys: ConstraintSystem, x: np.ndarray, tol: float) -> CertificateKind | None:
+    """The strongest certificate kind the unit vector x supports, if any.
 
-    No kind when ``min eig S < -tol``.  Every PSD solution X has
+    With ``S = sum x C``, no kind when ``min eig S < -tol``.  Every PSD solution X has
     ``b . x = tr(S X) >= min(0, min eig S) tr X``, so x excludes every PSD
     solution only when ``b . x`` falls below ``-tol`` by more than that
     eigenvalue slack can explain, with ``tr X`` bounded by ``_trace_scale``.
@@ -171,13 +167,13 @@ def _strongest_kind(
     mineig, maxeig = float(w[0]), float(w[-1])
     objective = float(x @ sys.targets)
     if mineig < -tol:
-        return None, objective, mineig
+        return None
     slack = -mineig * _trace_scale(sys, tol) if mineig < 0 else 0.0
     if objective < -tol - slack:
-        return CertificateKind.EXCLUDES_PSD, objective, mineig
+        return CertificateKind.EXCLUDES_PSD
     if objective <= tol and maxeig > tol:
-        return CertificateKind.EXCLUDES_PD, objective, mineig
-    return None, objective, mineig
+        return CertificateKind.EXCLUDES_PD
+    return None
 
 
 def validate(
@@ -195,7 +191,7 @@ def validate(
     x = cert.coefficients
     if len(x) != sys.q:
         raise ValueError(f"certificate length {len(x)} does not match q = {sys.q}")
-    kind, _, _ = _strongest_kind(sys, x, tol)
+    kind = _strongest_kind(sys, x, tol)
     if kind is CertificateKind.EXCLUDES_PSD:
         return True
     return kind is not None and cert.kind is CertificateKind.EXCLUDES_PD
@@ -284,10 +280,8 @@ def _classify(
     if norm == 0.0:
         return None
     x = x / norm
-    kind, objective, mineig = _strongest_kind(sys, x, VALIDATION_TOL)
-    if kind is None:
-        return None
-    return Certificate(x, kind, objective, mineig, source)
+    kind = _strongest_kind(sys, x, VALIDATION_TOL)
+    return None if kind is None else Certificate(x, kind, source)
 
 
 def ray_certificate(sys: ConstraintSystem, coefficients: np.ndarray | None) -> Certificate | None:
@@ -332,7 +326,7 @@ def search_certificate(sys: ConstraintSystem) -> Certificate | None:
     source = CertificateSource.SEARCH
 
     def rank(cert: Certificate) -> tuple[bool, float]:
-        return cert.kind is CertificateKind.EXCLUDES_PSD, -cert.objective
+        return cert.kind is CertificateKind.EXCLUDES_PSD, -float(cert.coefficients @ sys.targets)
 
     best: Certificate | None = None
     for x0 in starts:
@@ -388,22 +382,19 @@ def span_contains_positive(sys: ConstraintSystem, cfg: ExpSolveConfig | None = N
 
     Exactly one holds (theorem of alternatives): some ``sum y C > 0``, or
     some ``X >= 0`` solving the rows of ``sys`` at target 0 and ``tr X = 1``.
-    Prune finding the row ``(I, 1)`` dependent gives ``sum y C = c I`` with
-    ``c > 0``; else y is ``-x`` for the final point x of the exp solve under
-    ``cfg``.  The answer is ``min eig(sum y C) > VALIDATION_TOL`` for the
-    unit y.  The extended system carries ``sys.factor()`` with the
-    identity's column appended (``with_unit_trace``), so prune factors no
-    coordinate matrix for it.
-    ``sys`` must be pruned: a row that prune drops raises ``ValueError``.
+    When the squared residual of the unit identity's fit by the rows
+    (``ConstraintSystem._unit_fit``) is at most ``DEPENDENCE_RTOL``, prune's
+    test for the row ``(I, 1)``, I is in the span and y is the fit.  Else
+    ``with_unit_trace`` needs no prune, and y is ``-x`` for the final point x
+    of its exp solve under ``cfg``.  The answer is
+    ``min eig(sum y C) > VALIDATION_TOL`` for the unit y.  ``sys`` must be
+    pruned (a ``ValueError`` otherwise).
     """
-    try:
-        pruned = prune_dependent(sys.with_unit_trace())
-    except InconsistentSystemError as exc:
-        y, source = exc.certificate_coefficients[: sys.q], SpanSource.LINEAR_SYSTEM
+    y, residual = sys._unit_fit
+    if residual**2 <= DEPENDENCE_RTOL:
+        source = SpanSource.LINEAR_SYSTEM
     else:
-        if pruned.q <= sys.q:
-            raise ValueError("span_contains_positive needs a pruned system")
-        outcome = solve_exp(pruned, cfg)
+        outcome = solve_exp(sys.with_unit_trace(), cfg)
         y = -outcome.coefficients[: sys.q]
         solved = outcome.status is SolveStatus.FEASIBLE
         source = SpanSource.SOLUTION if solved else SpanSource.DIVERGENCE_RAY
@@ -433,6 +424,17 @@ def _span_certificate(sys: ConstraintSystem, span: SpanCheck) -> Certificate | N
     if cert is not None and cert.kind is CertificateKind.EXCLUDES_PSD and validate(cert, sys):
         return cert
     return None
+
+
+def linear_system_verdict(system: ConstraintSystem, coefficients: np.ndarray) -> FeasibilityReport:
+    """The verdict on a contradiction that the build or prune found in
+    ``system``, with the coefficients of its certificate.  Pruning decides
+    dependence with a tolerance, so on ill-conditioned data that certificate
+    can fail the exact check; then nothing is proven."""
+    cert = Certificate(coefficients, CertificateKind.EXCLUDES_PSD, CertificateSource.LINEAR_SYSTEM)
+    if validate(cert, system):
+        return FeasibilityReport(FeasibilityStatus.CERTIFIED_INFEASIBLE, None, cert, None)
+    return FeasibilityReport(FeasibilityStatus.UNDETERMINED, None, None, None)
 
 
 def decide(pruned: ConstraintSystem, reduced: ConstraintSystem, solve: Callable,

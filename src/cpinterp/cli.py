@@ -244,8 +244,7 @@ def run_verify(report_path: str | Path, instance_path: str | Path, tol: float = 
                    "the rebuilt system")
             return
         try:
-            cert = certify.Certificate(np.asarray(cert_doc.get("coefficients"), dtype=float),
-                                       kind, objective=0.0, min_eigenvalue=0.0)
+            cert = certify.Certificate(np.asarray(cert_doc.get("coefficients"), dtype=float), kind)
             valid = certify.validate(cert, system)
         except (TypeError, ValueError) as exc:
             yield ("certificate", False, f"malformed certificate coefficients: {exc}")

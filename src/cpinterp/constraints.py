@@ -338,44 +338,52 @@ class ConstraintSystem:
 
         return solve
 
+    @functools.cached_property
+    def _unit_fit(self) -> tuple[np.ndarray, float]:
+        """The fit ``sum y_i C(i)`` of the unit identity ``I / sqrt p`` by the
+        rows, with ``G y`` its pairings ``tr C(i) / sqrt p``, and the norm of
+        its residual ``I / sqrt p - sum y_i C(i)``: the identity's pivot after
+        the rows.  That norm is taken directly: ``sqrt(1 - |R N y|^2)`` loses
+        it to cancellation when I is nearly in the span.  y is read-only.  A
+        ``ValueError`` unless ``gram_solver`` is defined, as for a pruned
+        system.
+        """
+        solve = self.gram_solver
+        if solve is None:
+            raise ValueError("the identity fit needs a pruned system")
+        unit = np.eye(self.p) / np.sqrt(self.p)
+        y = solve(self.traces(unit))
+        y.flags.writeable = False
+        return y, float(np.linalg.norm(unit - self.aggregate(y)))
+
     def with_unit_trace(self) -> ConstraintSystem:
         """The rows at target 0, then ``(I, 1)``: its PSD solutions are the
-        X with ``tr X = 1`` and every ``tr(C(i) X) = 0``.
+        X with ``tr X = 1`` and every ``tr(C(i) X) = 0``.  ``self`` must be
+        pruned (``_unit_fit``).
 
-        When ``gram_solver`` is defined, as for a pruned system, the column
-        of the unit identity ``I / sqrt p`` is appended to ``factor()``'s R:
-        its residual after the rows is ``I / sqrt p - sum y_i C(i)``, with
-        ``G y`` its pairings ``tr C(i) / sqrt p``; its coordinates along the
-        unit rows are ``c = R N y``, and its pivot is the residual's norm.
-        That norm is taken directly: ``sqrt(1 - |c|^2)`` loses it to
-        cancellation when I is nearly in the span.  The new column joins R's
-        last block column, and ``([I_n], [I_k])`` joins the Kronecker blocks
-        (``coordinates``), n and k being those of the first block.
+        The column of the unit identity ``I / sqrt p`` is appended to
+        ``factor()``'s R: its coordinates along the unit rows are ``R N y``
+        for the fit y of ``_unit_fit``, and its pivot is the fit's residual
+        norm.  The new column joins R's last block column, and
+        ``([I_n], [I_k])`` joins the Kronecker blocks (``coordinates``), n
+        and k being those of the first block.
         """
         q, p = self.q, self.p
+        r, norms = self.factor()
+        y, pivot = self._unit_fit
+        ext = np.zeros((min(p * p, q + 1), q + 1))
+        ext[:q, :q], ext[:q, q] = r, r @ (norms * y)
+        ext[q:, q] = pivot
         n, k = self._blocks[0].left.shape[-1], self._blocks[0].right.shape[-1]
         unit = _Block(np.eye(n, dtype=complex)[None], *_right_stack(k, True))
         kept = self._kept
         if kept is not None:
             kept = np.append(kept, sum(len(b.left) * len(b.right) for b in self._blocks))
-        extended = ConstraintSystem._derived(
+        return ConstraintSystem._derived(
             p, np.concatenate([self.matrices, np.eye(p)[None]]),
             np.append(np.zeros(q), 1.0), [*self.provenance, _UNIT_TRACE],
-            (*self._blocks, unit), kept,
+            (*self._blocks, unit), kept, (ext, np.append(norms, np.sqrt(p))), self._kron,
         )
-        solve = self.gram_solver
-        if solve is not None:
-            r, norms = self.factor()
-            unit = np.eye(p) / np.sqrt(p)
-            y = solve(self.traces(unit))
-            residual = unit - self.aggregate(y)
-            c = r @ (norms * y)
-            ext = np.zeros((min(p * p, q + 1), q + 1))
-            ext[:q, :q], ext[:q, q] = r, c
-            ext[q:, q] = np.linalg.norm(residual)
-            extended._factor = ext, np.append(norms, np.sqrt(p))
-            extended._kron = self._kron
-        return extended
 
 
 _UNIT_TRACE = Provenance("unit-trace", ())

@@ -60,19 +60,6 @@ class Result:
     seconds: float = 0.0
 
 
-def _linear_system_verdict(exc: InconsistentSystemError) -> FeasibilityReport:
-    """The verdict on a contradiction that the build or prune found.  Pruning
-    decides dependence with a tolerance, so on ill-conditioned data its
-    certificate can fail the exact check; then nothing is proven."""
-    coeffs = exc.certificate_coefficients
-    cert = certify.Certificate(
-        coeffs, certify.CertificateKind.EXCLUDES_PSD, float(coeffs @ exc.system.targets),
-        min_eigenvalue=0.0, source=certify.CertificateSource.LINEAR_SYSTEM)
-    if certify.validate(cert, exc.system):
-        return FeasibilityReport(FeasibilityStatus.CERTIFIED_INFEASIBLE, None, cert, None)
-    return FeasibilityReport(FeasibilityStatus.UNDETERMINED, None, None, None)
-
-
 def run(inst: ProblemInstance, options: SolveOptions, strict: bool) -> Result:
     """Every stage from ``inst`` to a verdict, each once.  ``strict`` asks
     for a strictly positive solution: the span check runs, a witness of it
@@ -88,7 +75,8 @@ def run(inst: ProblemInstance, options: SolveOptions, strict: bool) -> Result:
         pruned = prune_dependent(built)
     except InconsistentSystemError as exc:
         result = Result(inst, bool(tp), strict, exc.system, exc.system,
-                        _linear_system_verdict(exc), inconsistency=exc)
+                        certify.linear_system_verdict(exc.system, exc.certificate_coefficients),
+                        inconsistency=exc)
     else:
         reduced, reduction = joint_support_reduce(pruned, inst)
         method = "diagonal" if is_diagonal_instance(inst) else "exp"

@@ -23,7 +23,9 @@ STRUCTURE_RTOL = 1e-12
 # scaled to unit norm is dependent when its squared residual after the rows
 # kept before it is at most this: a squared pivot of the rows' triangular
 # factor R (``ConstraintSystem.factor``).  The projection solves with prune's
-# own R, so it refuses exactly the systems that prune would not keep whole.
+# own R, so it refuses exactly the systems that prune would not keep whole,
+# and the span check finds I in the span exactly when the identity's squared
+# residual after a pruned system's rows is at most this.
 DEPENDENCE_RTOL = 1e-10
 
 # A dependent row contradicts its combination of kept rows when their scaled

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpinterp import certify
+from cpinterp import certify, constraints
 from cpinterp.certify import (
     Certificate,
     CertificateKind,
@@ -36,28 +36,28 @@ def e11(p=2):
 
 def test_validate_psd_excluding_coordinate_certificate():
     sys = system_of([e11()], [-1.0])
-    cert = Certificate(np.array([1.0]), CertificateKind.EXCLUDES_PSD, -1.0, 0.0)
+    cert = Certificate(np.array([1.0]), CertificateKind.EXCLUDES_PSD)
     assert validate(cert, sys, tol=1e-9)
 
 
 def test_validate_pd_but_not_psd_excluding():
     sys = system_of([e11()], [0.0])
-    pd_cert = Certificate(np.array([1.0]), CertificateKind.EXCLUDES_PD, 0.0, 0.0)
-    psd_cert = Certificate(np.array([1.0]), CertificateKind.EXCLUDES_PSD, 0.0, 0.0)
+    pd_cert = Certificate(np.array([1.0]), CertificateKind.EXCLUDES_PD)
+    psd_cert = Certificate(np.array([1.0]), CertificateKind.EXCLUDES_PSD)
     assert validate(pd_cert, sys, tol=1e-9)
     assert not validate(psd_cert, sys, tol=1e-9)  # X = E_22 is PSD feasible
 
 
 def test_validate_rejects_outside_cone():
     sys = system_of([np.diag([1.0, -1.0])], [-1.0])
-    cert = Certificate(np.array([1.0]), CertificateKind.EXCLUDES_PSD, -1.0, -1.0)
+    cert = Certificate(np.array([1.0]), CertificateKind.EXCLUDES_PSD)
     assert not validate(cert, sys, tol=1e-9)
 
 
 def test_validate_scale_invariance():
     sys = system_of([e11()], [-1.0])
     for scale in (1.0, 7.0, 1e-3):
-        cert = Certificate(np.array([scale]), CertificateKind.EXCLUDES_PSD, 0.0, 0.0)
+        cert = Certificate(np.array([scale]), CertificateKind.EXCLUDES_PSD)
         assert validate(cert, sys, tol=1e-9)
 
 
@@ -69,12 +69,13 @@ def test_validate_rejects_an_objective_the_eigenvalue_slack_explains():
     x = np.array([1.0, -1.0])
     objective, mineig = -1.2e-9, -8e-10  # each clears the tolerance 1e-9 on its own
     assert np.isclose(x @ sys.targets / np.sqrt(2.0), objective, rtol=1e-6)
-    psd_cert = Certificate(x, CertificateKind.EXCLUDES_PSD, objective, mineig)
+    assert np.isclose(np.linalg.eigvalsh(sys.aggregate(x / np.sqrt(2.0)))[0], mineig, rtol=1e-6)
+    psd_cert = Certificate(x, CertificateKind.EXCLUDES_PSD)
     # but tr X = 2 on every solution, so b . x >= 2 * min eig S = -1.6e-9
     assert not validate(psd_cert, sys, tol=1e-9)
     # and S has no eigenvalue above the tolerance, so x cannot exclude the
     # positive definite X either
-    pd_cert = Certificate(x, CertificateKind.EXCLUDES_PD, objective, mineig)
+    pd_cert = Certificate(x, CertificateKind.EXCLUDES_PD)
     assert not validate(pd_cert, sys, tol=1e-9)
     assert certify._classify(sys, x, CertificateSource.SEARCH) is None
 
@@ -84,7 +85,7 @@ def test_no_valid_psd_certificate_on_feasible_golden_system():
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = rng.standard_normal(sys.q)
-        cert = Certificate(x, CertificateKind.EXCLUDES_PSD, 0.0, 0.0)
+        cert = Certificate(x, CertificateKind.EXCLUDES_PSD)
         assert not validate(cert, sys, tol=1e-9)
     found = search_certificate(sys)
     assert found is None
@@ -110,7 +111,7 @@ def test_search_certifies_negative_identity_instance():
     assert cert is not None
     assert cert.kind is CertificateKind.EXCLUDES_PSD
     assert validate(cert, sys, tol=1e-9)
-    assert cert.objective < -0.5
+    assert cert.coefficients @ sys.targets < -0.5
 
 
 def test_search_returns_none_on_planted_feasible():
@@ -184,7 +185,7 @@ def test_search_draws_no_random_numbers(monkeypatch):
 def test_ray_certificate_repairs_a_ray_just_outside_the_cone():
     sys = system_of([e11(), np.diag([0.0, 1.0])], [-1.0, -1.0])
     coefficients = -np.array([1.0, -1e-3])  # a diverging x runs along minus the ray
-    raw = Certificate(-coefficients, CertificateKind.EXCLUDES_PSD, 0.0, 0.0)
+    raw = Certificate(-coefficients, CertificateKind.EXCLUDES_PSD)
     assert not validate(raw, sys, tol=1e-9)  # the raw ray's min eigenvalue is about -1e-3
     cert = ray_certificate(sys, coefficients)
     assert cert is not None
@@ -309,6 +310,26 @@ def test_span_check_sources():
     assert_exact_yes(sys, yes)
     assert yes.source is SpanSource.LINEAR_SYSTEM
     assert yes.witness == pytest.approx(np.full(2, np.sqrt(0.5)))
+
+
+def test_span_check_never_prunes(monkeypatch):
+    # the identity's pivot is read off the pruned system's own factor
+    linear = system_of([e11(), np.diag([0.0, 1.0])], [1.0, 2.0])
+    ray = planted_draw(7, (4, 4, 6), 11)
+
+    def refuse(sys):
+        raise AssertionError("the span check pruned")
+
+    for module in (constraints, certify):
+        monkeypatch.setattr(module, "prune_dependent", refuse, raising=False)
+    yes = span_contains_positive(linear)
+    assert_exact_yes(linear, yes)
+    assert yes.source is SpanSource.LINEAR_SYSTEM
+    assert yes.witness == pytest.approx(np.full(2, np.sqrt(0.5)))
+    check = span_contains_positive(ray)
+    assert_exact_yes(ray, check)
+    assert check.best_min_eigenvalue == pytest.approx(0.025, abs=2e-3)
+    assert check.source is SpanSource.DIVERGENCE_RAY
 
 
 def test_span_check_without_rows_is_no():

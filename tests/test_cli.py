@@ -739,6 +739,24 @@ def test_certify_solves_when_the_span_witness_pairs_positively(monkeypatch):
     assert (report["solver"]["method"], report["solver"]["status"]) == ("exp", "feasible")
 
 
+def test_certify_reports_on_rows_that_hold_the_identity_at_a_huge_combination(tmp_path):
+    # prune keeps all three rows, their squared pivots 1.02e-10 just above the
+    # cut, and I is their combination with coefficients of l1 norm 8e9: a
+    # second prune's target-gap test, scaled by 1 + that norm, once dropped
+    # the unit row silently and the span check raised instead of answering
+    eps = 1.01e-5
+    s = np.sqrt((1.0 - eps**2) / 2.0)
+    inputs = [np.diag([1.0, 0.0, 0.0]), np.diag([np.sqrt(1.0 - eps**2), eps, 0.0]),
+              np.diag([s, s, eps])]
+    inst = ProblemInstance(3, 1, [(a, np.eye(1)) for a in inputs])
+    assert prune_dependent(instance_system(inst)).q == 3
+    doc = {"n": 3, "k": 1, "pairs": [{"A": a.tolist(), "B": [[1.0]]} for a in inputs]}
+    path, out = write_json(tmp_path / "near.json", doc), tmp_path / "report.json"
+    # the verdict is not pinned: the solve of these feasible data ends on its cap
+    assert cli.main(["certify", str(path), "--out", str(out)]) in (0, 2, 3)
+    assert json.loads(out.read_text())["span_check"]["source"] == "linear-system"
+
+
 @pytest.mark.parametrize("command", ["solve", "certify"])
 def test_method_flag_is_a_usage_error(capsys, command):
     # the solver is picked from the data; no flag selects it

@@ -156,12 +156,7 @@ def test_a_complex_diagonal_of_b_contradicts_on_a_value_i_row():
     # the half (A - A^*)/2i is zero, and its B-part is diag(0, 0.5, 1)
     assert exc.offending == Provenance("value-i", (1, 3, 3), "whole")
     assert exc.system.targets[exc.system.provenance.index(exc.offending)] == 1.0
-    cert = certify.Certificate(
-        exc.certificate_coefficients,
-        certify.CertificateKind.EXCLUDES_PSD,
-        objective=float(exc.certificate_coefficients @ exc.system.targets),
-        min_eigenvalue=0.0,
-    )
+    cert = certify.Certificate(exc.certificate_coefficients, certify.CertificateKind.EXCLUDES_PSD)
     assert certify.validate(cert, exc.system)
 
 
@@ -409,12 +404,7 @@ def test_prune_certificate_validates_on_a_perturbed_target():
         with pytest.raises(InconsistentSystemError) as err:
             prune_dependent(base_system(sys.matrices, targets))
         exc = err.value
-        cert = certify.Certificate(
-            exc.certificate_coefficients,
-            certify.CertificateKind.EXCLUDES_PSD,
-            objective=float(exc.certificate_coefficients @ exc.system.targets),
-            min_eigenvalue=0.0,
-        )
+        cert = certify.Certificate(exc.certificate_coefficients, certify.CertificateKind.EXCLUDES_PSD)
         assert certify.validate(cert, exc.system)
 
 
