@@ -386,9 +386,10 @@ def span_contains_positive(sys: ConstraintSystem, cfg: ExpSolveConfig | None = N
     (``ConstraintSystem._unit_fit``) is at most ``DEPENDENCE_RTOL``, prune's
     test for the row ``(I, 1)``, I is in the span and y is the fit.  Else
     ``with_unit_trace`` needs no prune, and y is ``-x`` for the final point x
-    of its exp solve under ``cfg``.  The answer is
-    ``min eig(sum y C) > VALIDATION_TOL`` for the unit y.  ``sys`` must be
-    pruned (a ``ValueError`` otherwise).
+    of its exp solve under ``cfg``.  The answer is ``min eig(sum y C) >
+    VALIDATION_TOL``, reported for the unit y and judged for the fit at its
+    own scale, ``I / sqrt p`` up to the residual however large y is.
+    ``sys`` must be pruned (a ``ValueError`` otherwise).
     """
     y, residual = sys._unit_fit
     if residual**2 <= DEPENDENCE_RTOL:
@@ -403,7 +404,8 @@ def span_contains_positive(sys: ConstraintSystem, cfg: ExpSolveConfig | None = N
         return SpanCheck(False, 0.0, None, source)
     y = y / norm
     mineig = linalg.min_eigenvalue(sys.aggregate(y))
-    return SpanCheck(mineig > VALIDATION_TOL, mineig, y, source)
+    scale = norm if source is SpanSource.LINEAR_SYSTEM else 1.0
+    return SpanCheck(mineig * scale > VALIDATION_TOL, mineig, y, source)
 
 
 def _span_certificate(sys: ConstraintSystem, span: SpanCheck) -> Certificate | None:

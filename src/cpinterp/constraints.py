@@ -15,27 +15,23 @@ with the selfadjoint matrix ``H^T kron F``.  Trace preservation is
 ``tr((G kron I_k) X) = tr G`` for G over a basis of Herm(n).  The resulting
 system "find X >= 0 with tr(C(i) X) = b_i" is what the solvers consume.
 
-``instance_system`` builds that system: every row is one Kronecker product,
-written once into one stack and kept as its factors, which the Newton
-Hessians' rotations read (``ConstraintSystem.coordinates``).  It factors the
-rows from the pairs as well
-(``ConstraintSystem.factor``, which the projection reuses): at unit norm the
-rows ``H^T kron F``, over an orthogonal basis of Herm(k), have the Gram
-matrix ``G_H kron I``, so one QR of the halves' n^2 coordinates, and one of
-the trace rows' residual in n^2 coordinates, give the triangular factor R of
-all q rows (block QR, Golub & Van Loan, *Matrix Computations*, 5.2).
-``prune_dependent`` then drops the real-linearly dependent rows, reading the
-pivots off that R: no factorization when no row is dependent, and one of a
-shrinking trailing block per round of dropped rows.
-``joint_support_reduce`` compresses the system onto the joint support of
-its rows, which it reads off the n x n inputs: the rows share the kernel
-``K kron C^k``, with K the common kernel of the halves' ``H^T``.
+``instance_system`` builds that system, each row kept only as the factors
+of its Kronecker product (``ConstraintSystem``), and factors the rows from
+the pairs (``ConstraintSystem.factor``): at unit norm the rows ``H^T kron F``,
+over an orthogonal basis of Herm(k), have the Gram matrix ``G_H kron I``, so
+one QR of the halves' n^2 coordinates, and one of the trace rows' residual
+in n^2 coordinates, give the triangular factor R of all q rows (block QR,
+Golub & Van Loan, *Matrix Computations*, 5.2).  ``prune_dependent`` drops
+the real-linearly dependent rows, reading the pivots off that R.
+``joint_support_reduce`` compresses the system onto the joint support of its
+rows, the complement of ``K kron C^k`` for K the common kernel of the
+halves' ``H^T``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -118,78 +114,59 @@ class ProblemInstance:
 
 @dataclass
 class ConstraintSystem:
-    """Selfadjoint constraint matrices with real targets.
+    """Selfadjoint constraint rows with real targets.
 
-    ``matrices`` has shape (q, p, p), C-contiguous, and every C(i) must be
-    exactly Hermitian (a ``ValueError`` otherwise).  ``targets`` has shape
-    (q,); ``provenance`` tracks the origin of every row for reporting.  The
-    check runs once on rows from outside: the build from pairs and a system
-    derived from a checked one (prune's subset of its rows, its
-    ``with_unit_trace`` extension, and ``joint_support_reduce``'s
-    symmetrized compression), all exactly Hermitian by construction, are
-    made by the private ``_derived``, which skips it, and only this module
-    calls that.
-
-    Besides the stack, a system holds its rows as Kronecker blocks
-    (``_Block``: the rows ``L kron R`` of a left and a right stack) and the
-    index of the blocks' rows that it keeps, which prune sets; rows from
-    outside are the one block ``(C, [[1]])``.  Only this module reads
-    ``matrices``; the package reads the rows through the methods:
-    ``traces``, ``residuals`` and ``aggregate`` (one complex GEMV each on
-    the (q, p*p) view ``_flat`` of the stack), ``coordinates`` (the p^2
-    real Hermitian coordinates of the rows, read off the stack, or rotated
-    through the blocks and weighted as the Newton Hessians need),
-    ``factor`` (the one triangular factor from which prune and the
-    projection decide linear dependence), ``gram_solver`` (the inverse of
-    the rows' Gram matrix, applied through that factor) and
-    ``with_unit_trace``.
+    A system holds its rows only as Kronecker blocks (``_Block``: the rows
+    ``L kron R`` of a left and a right stack) and the index ``_kept`` of the
+    blocks' rows that it keeps, which prune sets.  A raw (q, p, p) stack
+    ``matrices`` must be exactly Hermitian (a ``ValueError`` otherwise) and
+    becomes the one block ``(C, [[1]])``.  ``provenance`` labels the rows.
+    The build from pairs and the systems derived from a checked one (prune's
+    subset, ``with_unit_trace`` and ``joint_support_reduce``), all exactly
+    Hermitian by construction, are made by the private ``_derived``, which
+    skips the check; only this module calls it.  The package reads the rows
+    through ``traces``, ``residuals``, ``aggregate``, ``coordinates``,
+    ``diagonals``, ``factor`` (the triangular factor from which prune and
+    the projection decide linear dependence) and ``gram_solver``.
     """
 
     p: int
-    matrices: np.ndarray
+    matrices: InitVar[np.ndarray]
     targets: np.ndarray
     provenance: list = field(default_factory=list)
     _factor: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # (v, k^2): the first v columns of factor()'s R are R_H kron I_{k^2}
     _kron: tuple = field(default=(0, 1), init=False, repr=False, compare=False)
-    # the rows as Kronecker blocks, and the indices of those rows that the
-    # system keeps, in order (None: all of them)
+    # the rows as Kronecker blocks, and the indices of the kept ones in order (None: all)
     _blocks: tuple = field(default=(), init=False, repr=False, compare=False)
     _kept: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.matrices = np.ascontiguousarray(self.matrices, dtype=complex)
+    def __post_init__(self, matrices):
+        matrices = np.ascontiguousarray(matrices, dtype=complex)
         self.targets = np.asarray(self.targets, dtype=float)
-        if self.matrices.shape != (len(self.targets), self.p, self.p):
-            raise ValueError(
-                f"expected ({len(self.targets)}, {self.p}, {self.p}) matrices, "
-                f"got {self.matrices.shape}"
-            )
-        if len(self.provenance) != len(self.targets):
-            self.provenance = [
-                Provenance("value", (i + 1,)) for i in range(len(self.targets))
-            ]
+        q = len(self.targets)
+        if matrices.shape != (q, self.p, self.p):
+            raise ValueError(f"expected ({q}, {self.p}, {self.p}) matrices, got {matrices.shape}")
+        if len(self.provenance) != q:
+            self.provenance = [Provenance("value", (i + 1,)) for i in range(q)]
         # exact equality: a tolerance test through np.abs costs 3-4 times as much
-        adjoint = self.matrices.transpose(0, 2, 1).conj()
-        if not np.array_equal(self.matrices, adjoint):
-            i = int(np.flatnonzero(np.any(self.matrices != adjoint, axis=(1, 2)))[0])
+        adjoint = matrices.transpose(0, 2, 1).conj()
+        if not np.array_equal(matrices, adjoint):
+            i = int(np.flatnonzero(np.any(matrices != adjoint, axis=(1, 2)))[0])
             raise ValueError(f"constraint {self.provenance[i]} is not Hermitian")
-        self._blocks = (_Block(self.matrices, *_right_stack(1, True)),)
+        self._blocks = (_Block(matrices, *_right_stack(1, True)),)
 
     @classmethod
     def _derived(
-        cls, p: int, matrices: np.ndarray, targets: np.ndarray, provenance: list,
-        blocks: tuple, kept: np.ndarray | None = None,
-        factor: tuple | None = None, kron: tuple = (0, 1),
+        cls, p: int, targets: np.ndarray, provenance: list, blocks: tuple,
+        kept: np.ndarray | None = None, factor: tuple | None = None, kron: tuple = (0, 1),
     ) -> ConstraintSystem:
-        """A system made without the Hermitian check, of rows that are exactly
-        Hermitian by construction: C-contiguous complex ``matrices`` and
-        float ``targets``, taken as they are, one label per row, and the
-        Kronecker ``blocks`` whose rows at ``kept`` (all when None) are
-        ``matrices``."""
+        """A system, without the Hermitian check, of the rows at ``kept`` (all
+        when None) of the Kronecker ``blocks``, which are exactly Hermitian by
+        construction, with float ``targets`` and one label per row."""
         system = cls.__new__(cls)
-        system.p, system.matrices, system.targets = p, matrices, targets
-        system.provenance, system._blocks, system._kept = provenance, blocks, kept
+        system.p, system.targets, system.provenance = p, targets, provenance
+        system._blocks, system._kept = blocks, kept
         system._factor, system._kron = factor, kron
         return system
 
@@ -198,52 +175,85 @@ class ConstraintSystem:
         return len(self.targets)
 
     @property
-    def _flat(self) -> np.ndarray:
-        """The (q, p*p) view of ``matrices``: row i is C(i) read row by row."""
-        return self.matrices.reshape(self.q, self.p * self.p)
+    def _size(self) -> int:  # the number of the blocks' rows, kept or not
+        return sum(len(b.left) * len(b.right) for b in self._blocks)
+
+    def _rows(self, values: list) -> np.ndarray:
+        """The per-block ``values`` of the blocks' rows, at the kept rows."""
+        values = values[0] if len(values) == 1 else np.concatenate(values)
+        return values if self._kept is None else values[self._kept]
 
     def traces(self, x: np.ndarray) -> np.ndarray:
-        """Real parts of ``tr(C(i) x)`` for every row, as one GEMV."""
-        return (self._flat @ np.asarray(x, dtype=complex).T.ravel()).real
+        """Real parts of ``tr(C(i) x)``: ``sum L[s, t] R[u, v] x[(t, v), (s, u)]``
+        for the rows ``L kron R`` of a block, all of them ``L_flat Z R_flat^T``,
+        (a, n^2) (n^2, k^2) (k^2, j), with x^T regrouped as Z (n^2, k^2)."""
+        x = np.asarray(x, dtype=complex)
+        values = []
+        for left, right, _ in self._blocks:
+            (a, n, _), (j, k, _) = left.shape, right.shape
+            z = x.reshape(n, k, n, k).transpose(2, 0, 3, 1).reshape(n * n, k * k)
+            values.append((left.reshape(a, n * n) @ z @ right.reshape(j, k * k).T).real.ravel())
+        return self._rows(values)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Per-constraint residuals ``tr(C(i) x) - b_i`` for Hermitian x."""
         return self.traces(x) - self.targets
 
     def aggregate(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real linear combination ``sum_i coeffs[i] C(i)``."""
-        return (np.asarray(coeffs, dtype=float) @ self._flat).reshape(self.p, self.p)
+        """Real linear combination ``sum_i coeffs[i] C(i)``: per block the
+        transpose of ``traces``, ``c^T (j, a) L_flat`` as one real GEMM on L's
+        interleaved parts, times ``R_flat`` (j, k^2), regrouped to (p, p)."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        if self._kept is not None:
+            coeffs = np.bincount(self._kept, coeffs, self._size)
+        parts, start = [], 0
+        for left, right, _ in self._blocks:
+            (a, n, _), (j, k, _) = left.shape, right.shape
+            c = coeffs[start : start + a * j].reshape(a, j)
+            mixed = (c.T @ left.reshape(a, n * n).view(float)).view(complex)
+            parts.append((mixed.T @ right.reshape(j, k * k)).reshape(n, n, k, k).transpose(
+                0, 2, 1, 3).reshape(self.p, self.p))
+            start += a * j
+        return functools.reduce(np.add, parts)
+
+    def diagonals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows' diagonals (q, p) and off-diagonal norms (q,): ``L kron R``
+        has the diagonal ``kron(diag L, diag R)`` and the off-diagonal norm
+        ``sqrt(|off L|^2 |R|^2 + |diag L|^2 |off R|^2)``, which keeps its own
+        precision where a difference of squares would cancel."""
+        diagonals, norms = [], []
+        for left, right, _ in self._blocks:
+            (dl, dl2, ol2), (dr, dr2, or2) = _split(left), _split(right)
+            (a, n), (j, k) = dl.shape, dr.shape
+            diagonals.append((dl[:, None, :, None] * dr[None, :, None, :]).reshape(a * j, n * k))
+            norms.append(np.sqrt(np.outer(ol2, dr2 + or2) + np.outer(dl2, or2)).ravel())
+        return self._rows(diagonals), self._rows(norms)
 
     def coordinates(
         self, rotation: np.ndarray | None = None, weights: np.ndarray | None = None
     ) -> np.ndarray:
         """``linalg.hermitian_coordinates(U^* C(i) U, weights)``, shape (q, p^2), for
-        the p x p ``rotation`` U (the rows themselves, read off the stack,
-        without one).  The first p coordinates are the diagonal; the rest have
-        the off-diagonal norm.
+        the p x p ``rotation`` U (the identity without one).  The first p
+        coordinates are the diagonal; the rest have the off-diagonal norm.
 
-        A rotation is applied to the Kronecker blocks, not to the stack (Van
-        Loan, "The ubiquitous Kronecker product", 2000).  With V_m the n x p
-        rows of U at output index m (U reshaped as (n, k, p)), the rotated row
-        of ``L kron R`` is ``sum_{m,l} R[m, l] Y_ml`` with
+        The rotation acts on the Kronecker blocks (Van Loan, "The ubiquitous
+        Kronecker product", 2000).  With V_m the n x p rows of U at output
+        index m, the rotated ``L kron R`` is ``sum_{m,l} R[m, l] Y_ml`` with
         ``Y_ml = V_m^* L V_l``.  Per block that is one complex GEMM
-        ``(a n x n) @ (n x k p)`` for the ``L V_l`` and, for each L, one real
-        product ``(k p x 2n) @ (2n x 2 k p)`` for the real and imaginary parts
-        of all its planes: about ``a k^2 p^2 n`` complex multiply-adds against
-        the stack's ``2 a k^2 p^3``.  The planes are formed for a group of
-        left factors at a time (``_PLANE_BYTES``).  Each R then reads its
-        planes as ``_right_stack``
-        says: one for ``E_mm``, two for ``E_lm + E_ml`` and
-        ``i (E_lm - E_ml)``, k for ``I_k``; each term is one ``take`` of the
-        planes' real and imaginary parts at the coordinates' entries
-        (``_plane_layout``), with its sign and weight.
+        ``(a n x n) @ (n x k p)`` and, per L, one real product
+        ``(k p x 2n) @ (2n x 2 k p)`` for all its planes' real and imaginary
+        parts, formed a group of factors at a time (``_PLANE_BYTES``): about
+        ``a k^2 p^2 n`` multiply-adds against the ``2 a k^2 p^3`` of rotating
+        each row.  Each R reads its planes as ``_right_stack`` says, one
+        ``take`` per term at the coordinates' entries (``_plane_layout``),
+        with its sign and weight.
         """
         if rotation is None:
-            return linalg.hermitian_coordinates(self.matrices, weights)
+            rotation = np.eye(self.p)
         c = rotation.shape[1]
         scale = linalg.coordinate_scale(c, weights)
         sizes = [len(b.left) * len(b.right) for b in self._blocks]
-        rows = np.empty((sum(sizes), c * c))
+        rows = np.empty((self._size, c * c))
         start = 0
         for (left, right, (m, l, imaginary, weight)), size in zip(self._blocks, sizes):
             a, n, _ = left.shape
@@ -288,13 +298,10 @@ class ConstraintSystem:
     def factor(self) -> tuple[np.ndarray, np.ndarray]:
         """An upper triangular R, of shape (min(p^2, q), q), with ``R^T R`` the
         Gram matrix ``tr(C(a) C(b))`` of the rows at unit norm (a zero row
-        stays zero), and the row norms.  ``R[j, j]^2`` is row j's squared
-        residual after the rows before it.  ``instance_system`` builds it from
-        the pairs, ``with_unit_trace`` extends the pruned system's, and
-        ``prune_dependent`` hands over the R of the rows it keeps, and
-        ``joint_support_reduce`` carries it over unchanged.  Only a system
-        made from a raw stack of rows falls back to the QR of its (p^2, q)
-        coordinate matrix, once."""
+        stays zero), and the row norms; ``R[j, j]^2`` is row j's squared
+        residual after the rows before it.  The build, ``with_unit_trace``,
+        prune and ``joint_support_reduce`` hand it over; only a system made
+        from a raw stack of rows takes the QR of its coordinates, once."""
         if self._factor is None:
             r = np.linalg.qr(self.coordinates().T, mode="r")
             # R's columns have the rows' norms, and scaling them is the QR of the scaled rows
@@ -340,14 +347,12 @@ class ConstraintSystem:
 
     @functools.cached_property
     def _unit_fit(self) -> tuple[np.ndarray, float]:
-        """The fit ``sum y_i C(i)`` of the unit identity ``I / sqrt p`` by the
-        rows, with ``G y`` its pairings ``tr C(i) / sqrt p``, and the norm of
-        its residual ``I / sqrt p - sum y_i C(i)``: the identity's pivot after
-        the rows.  That norm is taken directly: ``sqrt(1 - |R N y|^2)`` loses
-        it to cancellation when I is nearly in the span.  y is read-only.  A
+        """The fit ``sum y_i C(i)`` of ``I / sqrt p`` by the rows (``G y`` is
+        its pairings ``tr C(i) / sqrt p``), read-only, and the norm of its
+        residual, the identity's pivot after the rows, taken directly, where
+        ``sqrt(1 - |R N y|^2)`` would cancel when I is nearly in the span.  A
         ``ValueError`` unless ``gram_solver`` is defined, as for a pruned
-        system.
-        """
+        system."""
         solve = self.gram_solver
         if solve is None:
             raise ValueError("the identity fit needs a pruned system")
@@ -359,14 +364,10 @@ class ConstraintSystem:
     def with_unit_trace(self) -> ConstraintSystem:
         """The rows at target 0, then ``(I, 1)``: its PSD solutions are the
         X with ``tr X = 1`` and every ``tr(C(i) X) = 0``.  ``self`` must be
-        pruned (``_unit_fit``).
-
-        The column of the unit identity ``I / sqrt p`` is appended to
-        ``factor()``'s R: its coordinates along the unit rows are ``R N y``
-        for the fit y of ``_unit_fit``, and its pivot is the fit's residual
-        norm.  The new column joins R's last block column, and
-        ``([I_n], [I_k])`` joins the Kronecker blocks (``coordinates``), n
-        and k being those of the first block.
+        pruned (``_unit_fit``).  The unit identity's column joins R's last
+        block column: its coordinates along the unit rows are ``R N y`` for
+        the fit y, and its pivot is the fit's residual norm.  The block
+        ``([I_n], [I_k])`` joins the blocks, with n and k those of the first.
         """
         q, p = self.q, self.p
         r, norms = self.factor()
@@ -376,12 +377,9 @@ class ConstraintSystem:
         ext[q:, q] = pivot
         n, k = self._blocks[0].left.shape[-1], self._blocks[0].right.shape[-1]
         unit = _Block(np.eye(n, dtype=complex)[None], *_right_stack(k, True))
-        kept = self._kept
-        if kept is not None:
-            kept = np.append(kept, sum(len(b.left) * len(b.right) for b in self._blocks))
+        kept = None if self._kept is None else np.append(self._kept, self._size)
         return ConstraintSystem._derived(
-            p, np.concatenate([self.matrices, np.eye(p)[None]]),
-            np.append(np.zeros(q), 1.0), [*self.provenance, _UNIT_TRACE],
+            p, np.append(np.zeros(q), 1.0), [*self.provenance, _UNIT_TRACE],
             (*self._blocks, unit), kept, (ext, np.append(norms, np.sqrt(p))), self._kron,
         )
 
@@ -398,12 +396,10 @@ _PLANE_BYTES = 1 << 17
 
 class _Block(NamedTuple):
     """The rows ``kron(L, R)`` for L in ``left`` (a, n, n), then R in ``right``
-    (j, k, k), and ``right``'s reading (``_right_stack``).
-
-    An instance's value rows are ``(H^T, basis of Herm(k))``, its trace rows
-    ``(basis of Herm(n), [I_k])``, and the unit-trace row ``([I_n], [I_k])``;
-    a raw stack of rows C is ``(C, [[1]])``.
-    """
+    (j, k, k), and ``right``'s reading (``_right_stack``): an instance's
+    value rows are ``(H^T, basis of Herm(k))``, its trace rows
+    ``(basis of Herm(n), [I_k])``, the unit-trace row ``([I_n], [I_k])``, and
+    a raw stack of rows C is ``(C, [[1]])``."""
 
     left: np.ndarray
     right: np.ndarray
@@ -549,14 +545,6 @@ def _pairings(g: np.ndarray) -> np.ndarray:
     return np.where(im, -2.0 * values.imag, factor * values.real)
 
 
-def _kron_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The stack of ``kron(L, R)`` over L in ``left``, then R in ``right``: one
-    outer product and one transposing copy."""
-    (a, n, _), (j, k, _) = left.shape, right.shape
-    rows = np.multiply.outer(left.ravel(), right.ravel()).reshape(a, n, n, j, k, k)
-    return rows.transpose(0, 3, 1, 4, 2, 5).reshape(a * j, n * k, n * k)
-
-
 def _pair_factor(
     halves: np.ndarray, k: int, trace_preserving: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -681,13 +669,12 @@ def prune_dependent(sys: ConstraintSystem) -> ConstraintSystem:
     misses its combination's by more than ``TARGET_GAP_RTOL * (1 + max|b|)
     * (1 + ||c||_1)``, with b the scaled targets, the whole system is
     contradictory, and an ``InconsistentSystemError`` with a certificate in
-    the unscaled rows is raised.  A system of no constraints (every pair of
-    an instance is zero), and one that keeps every row, is returned as it
-    is; a pruned copy carries the factor of the rows it keeps, the R of the
-    last round, and the Kronecker blocks of ``sys`` with the index of the
-    rows it keeps.  Rows depend on earlier pairs' rows only half by half, and
-    the QR of a block ``R_H kron I`` is ``QR(R_H) kron I``, so the kept value
-    rows' block of that R keeps its Kronecker form (``gram_solver``).
+    the unscaled rows is raised.  A system of no constraints, and one that
+    keeps every row, is returned as it is; a pruned copy holds ``sys``'s
+    blocks, the index of the rows it keeps, and their factor, the R of the
+    last round.  Rows depend on earlier pairs' rows only half by half, and
+    the QR of ``R_H kron I`` is ``QR(R_H) kron I``, so the kept value rows'
+    block of that R keeps its Kronecker form (``gram_solver``).
     """
     if sys.q == 0:
         return sys
@@ -742,17 +729,35 @@ def prune_dependent(sys: ConstraintSystem) -> ConstraintSystem:
         return sys
     v, k2 = sys._kron
     return ConstraintSystem._derived(
-        sys.p, sys.matrices[cols], sys.targets[cols],
-        [sys.provenance[i] for i in cols.tolist()], sys._blocks,
+        sys.p, sys.targets[cols], [sys.provenance[i] for i in cols.tolist()], sys._blocks,
         cols if sys._kept is None else sys._kept[cols],
         (r, norms[cols]), (int(np.count_nonzero(cols < v)), k2),
     )
 
 
+@functools.cache
+def _split_masks(m: int) -> np.ndarray:
+    """Columns that pick an m x m matrix's real diagonal and off-diagonal parts."""
+    diagonal = np.eye(m, dtype=bool).ravel()
+    masks = np.zeros((m * m, 2, 2))
+    masks[diagonal, 0, 0], masks[~diagonal, :, 1] = 1.0, 1.0
+    masks.flags.writeable = False
+    return masks.reshape(2 * m * m, 2)
+
+
+def _split(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real diagonals of a stack of Hermitian matrices, and the squared norms
+    of the diagonals and of the off-diagonal parts, each summed over its own entries."""
+    m = stack.shape[-1]
+    flat = np.ascontiguousarray(stack).reshape(len(stack), m * m)
+    norms = np.square(flat.view(float)) @ _split_masks(m)
+    return flat[:, :: m + 1].real, norms[:, 0], norms[:, 1]
+
+
 def _diagonal_halves(h: np.ndarray) -> np.ndarray:
     """Whether each matrix of the stack ``h`` is diagonal: its off-diagonal
     part has norm at most ``STRUCTURE_RTOL * (1 + max |H|)``."""
-    off = np.linalg.norm(np.where(np.eye(h.shape[-1], dtype=bool), 0.0, h), axis=(1, 2))
+    off = np.sqrt(_split(h)[2])
     return off <= STRUCTURE_RTOL * (1.0 + np.max(np.abs(h), axis=(1, 2), initial=0.0))
 
 
@@ -762,22 +767,18 @@ def joint_support_reduce(
     """Compress a system built from ``inst`` onto the joint support of its rows.
 
     Every value row of ``instance_system(inst)`` is ``H^T kron F``, with H
-    the A-part of a kept Hermitian half and F a k x k matrix, and every trace
-    row is ``G kron I_k``.  So the common kernel K of the halves' ``H^T``
-    gives the common kernel ``K kron C^k`` of the value rows (``conj(H)`` is
-    ``H^T``, so no more matrices are needed), and trace rows leave none.
-    Prune drops only combinations of kept rows, so the same holds for
-    ``sys`` when it is a pruned copy.  With W_n an orthonormal basis of K's
-    complement (``linalg.joint_support`` on the stacked ``H^T``) and
-    ``W = W_n kron I_k``, every row satisfies C(i) = P C(i) P for the
-    projector P = W W^*, so ``tr(C(i) W X' W^*) = tr(W^* C(i) W X')`` and the
-    compressed system ``(W^* C(i) W, b_i)`` has the same feasible targets.
-    W is an isometry on the rows' support, so the compressed rows have the
-    same pairings ``tr(C(a) C(b))``, and they carry ``sys``'s ``factor()``.
-    The Kronecker blocks are compressed in their left factors:
-    ``W^* (L kron F) W = (W_n^* L W_n) kron F``.
-    When every H is diagonal (``_diagonal_halves``), W_n is a set of
-    coordinate vectors, so a diagonal system stays diagonal.
+    the A-part of a kept Hermitian half, and every trace row is
+    ``G kron I_k``.  So the common kernel K of the halves' ``H^T`` gives the
+    common kernel ``K kron C^k`` of the value rows (``conj(H)`` is ``H^T``),
+    and trace rows leave none; prune keeps a subset, for which the same
+    holds.  With W_n an orthonormal basis of K's complement
+    (``linalg.joint_support`` on the stacked ``H^T``) and
+    ``W = W_n kron I_k``, every row has C(i) = P C(i) P for P = W W^*, so the
+    compressed rows ``W^* C(i) W = (W_n^* L W_n) kron F``, compressed in
+    their left factors, have the same feasible targets and the same
+    pairings ``tr(C(a) C(b))``, and carry ``sys``'s ``factor()``.  When
+    every H is diagonal (``_diagonal_halves``), W_n is a set of coordinate
+    vectors, so a diagonal system stays diagonal.
 
     ``sys`` itself is returned, with the identity basis, when the kernel is
     trivial, when ``sys`` has trace rows, and when it has no rows at all:
@@ -802,16 +803,15 @@ def joint_support_reduce(
         c = w.conj().T @ stack @ w
         return (c + np.conj(np.swapaxes(c, 1, 2))) / 2
 
-    w = np.kron(w_n, np.eye(inst.k))
     # a left factor of size n m is compressed by W_n kron I_m
     blocks = tuple(
         b._replace(left=compress(b.left, np.kron(w_n, np.eye(b.left.shape[-1] // inst.n))))
         for b in sys._blocks
     )
+    w = np.kron(w_n, np.eye(inst.k))
     return (
-        ConstraintSystem._derived(w.shape[1], compress(sys.matrices, w), sys.targets.copy(),
-                                  list(sys.provenance), blocks, sys._kept, sys.factor(),
-                                  sys._kron),
+        ConstraintSystem._derived(w.shape[1], sys.targets.copy(), list(sys.provenance),
+                                  blocks, sys._kept, sys.factor(), sys._kron),
         SupportReduction(basis=w),
     )
 
@@ -834,8 +834,8 @@ def is_diagonal_instance(inst: ProblemInstance) -> bool:
     ``H^T kron F``.  For a diagonal F the row's off-diagonal part is H's, so
     H must be diagonal: its off-diagonal part must have norm at most
     ``STRUCTURE_RTOL * (1 + max |H|)``, which is at most the cut at which
-    ``solve_diagonal`` keeps the row, since the row's own coordinates hold
-    H's entries.  For an off-diagonal F the row has a zero diagonal, and
+    ``solve_diagonal`` keeps the row, since a row's norm is at least its
+    own H's largest entry.  For an off-diagonal F the row has a zero diagonal, and
     ``solve_diagonal`` drops it only when its target ``tr(F G)``
     (``_pairings``: ``2 Re G[m, l]`` or ``-2 Im G[m, l]``) is at most
     ``STRUCTURE_RTOL``: that is the rule for G's off-diagonal entries.
@@ -880,18 +880,17 @@ def instance_system(
     zero rows of every contradicting half, with their targets ``tr(F G)``;
     it names the first contradicting half's row of largest ``|tr(F G)|``.
 
-    The system is made without ``ConstraintSystem``'s Hermitian check
-    (``_derived``): its rows are exactly Hermitian by construction.  The
-    halves are, since ``(A + A^*)/2`` and ``-i (A - A^*)/2`` are computed
-    entry by entry from the same two numbers, and so is every basis element;
-    an IEEE complex product keeps conjugate symmetry,
-    ``conj(x) conj(y) = conj(x y)`` exactly, so each entry of ``L kron R`` is
-    the conjugate of its transposed entry.
+    The system skips ``ConstraintSystem``'s Hermitian check (``_derived``):
+    the halves are exactly Hermitian, since ``(A + A^*)/2`` and
+    ``-i (A - A^*)/2`` are computed entry by entry from the same two numbers,
+    and so is every basis element; an IEEE complex product keeps conjugate
+    symmetry exactly, so each entry of ``L kron R`` is the conjugate of its
+    transposed entry.
     """
     ha, hb, kept, bad = inst._halves
     halves = np.concatenate([np.flatnonzero(kept), np.flatnonzero(bad)])
     # a contradicting half's rows are zero, with its own targets
-    left = np.where(kept[:, None, None], ha, 0.0)[halves].transpose(0, 2, 1)
+    left = np.ascontiguousarray(np.where(kept[:, None, None], ha, 0.0)[halves].transpose(0, 2, 1))
     blocks = [_Block(left, *_right_stack(inst.k, False))]
     targets = [_pairings(hb[halves]).ravel()]
     provenance = list(_value_provenance(inst.k, tuple(halves.tolist())))
@@ -901,9 +900,8 @@ def instance_system(
         blocks.append(_Block(_hermitian_basis(inst.n)[0], *_right_stack(inst.k, True)))
         targets.append(_pairings(np.eye(inst.n)[None])[0])
         provenance += _trace_provenance(inst.n)
-    matrices = np.concatenate([_kron_rows(b.left, b.right) for b in blocks])
-    system = ConstraintSystem._derived(inst.n * inst.k, matrices, np.concatenate(targets),
-                                       provenance, tuple(blocks))
+    system = ConstraintSystem._derived(inst.n * inst.k, np.concatenate(targets), provenance,
+                                       tuple(blocks))
     if bad.any():
         k2 = inst.k**2
         first = int(np.count_nonzero(kept)) * k2

@@ -725,20 +725,20 @@ def solve_diagonal(sys: ConstraintSystem, cfg: ExpSolveConfig | None = None) -> 
 
     Requires every constraint matrix to be diagonal, or strictly
     off-diagonal with a zero target (such constraints are satisfied by any
-    diagonal X and are dropped).  Each potential evaluation is O(p q): the
-    matrix exponential is entrywise on the diagonal.  When p rows remain,
+    diagonal X and are dropped), up to ``STRUCTURE_RTOL (1 + max row norm)``
+    (``ConstraintSystem.diagonals``).  Each potential evaluation is O(p q):
+    the matrix exponential is entrywise on the diagonal.  When p rows remain,
     prune has made them independent and they determine the diagonal d: if
     ``D d = b`` gives a positive d that passes the gradient test, the
     outcome is read off it with 0 CG and 0 Newton steps
     (``_determined_diagonal_dual``, ``_closed_form``), and otherwise the
     minimizer runs.
     """
-    coords = sys.coordinates()
-    diag = coords[:, : sys.p]
-    scale = STRUCTURE_RTOL * (1.0 + float(np.max(np.abs(coords), initial=0.0)))
-    # the norm of the other coordinates is that of the off-diagonal entries
-    active = np.linalg.norm(coords[:, sys.p :], axis=1) <= scale
-    droppable = (np.linalg.norm(diag, axis=1) <= scale) & (np.abs(sys.targets) <= STRUCTURE_RTOL)
+    diag, off = sys.diagonals()
+    diag_norms = np.linalg.norm(diag, axis=1)
+    scale = STRUCTURE_RTOL * (1.0 + float(np.max(np.hypot(diag_norms, off), initial=0.0)))
+    active = off <= scale
+    droppable = (diag_norms <= scale) & (np.abs(sys.targets) <= STRUCTURE_RTOL)
     refused = np.flatnonzero(~(active | droppable))
     if refused.size:
         raise ValueError(

@@ -151,6 +151,26 @@ def vv_face_instance(seed: int, n: int = 3, k: int = 2) -> ProblemInstance:
 
 
 # ---------------------------------------------------------------------------
+# Reference rows: the dense (q, p, p) stack of a system, as the package once
+# stored it.  The block readers of cpinterp.constraints must agree with it.
+
+
+def reference_stack(sys: ConstraintSystem) -> np.ndarray:
+    """The rows of ``sys`` as a (q, p, p) stack: ``kron(L, R)`` for L, then R,
+    in each of its Kronecker blocks (for a built system, L runs over the
+    halves' ``H^T``), written by one outer product and one transposing copy
+    per block, then the rows that ``sys`` keeps.  No method of ``sys`` is
+    called."""
+    rows = []
+    for left, right, _ in sys._blocks:
+        (a, n, _), (j, k, _) = left.shape, right.shape
+        outer = np.multiply.outer(left.ravel(), right.ravel()).reshape(a, n, n, j, k, k)
+        rows.append(outer.transpose(0, 3, 1, 4, 2, 5).reshape(a * j, n * k, n * k))
+    stack = np.concatenate(rows)
+    return stack if sys._kept is None else stack[sys._kept]
+
+
+# ---------------------------------------------------------------------------
 # Reference build: the Hermitian halves of every pair, one kron and one
 # RawConstraint per output entry of a half, and a row-by-row hermitization.
 # The array-shaped build in cpinterp.constraints must give the same rows.
@@ -288,7 +308,7 @@ def reference_instance_system(inst: ProblemInstance, trace_preserving: bool = Fa
         first = sys.q + int(np.argmax(np.abs(zero.targets[: zero.q // len(bad)])))
         system = ConstraintSystem(
             sys.p,
-            np.concatenate([sys.matrices, zero.matrices]),
+            np.concatenate([reference_stack(sys), reference_stack(zero)]),
             np.concatenate([sys.targets, zero.targets]),
             list(sys.provenance) + list(zero.provenance),
         )
@@ -305,7 +325,7 @@ def reference_instance_system(inst: ProblemInstance, trace_preserving: bool = Fa
         tp = reference_hermitize(reference_trace_preserving_raw(inst.n, inst.k))
         sys = ConstraintSystem(
             sys.p,
-            np.concatenate([sys.matrices, tp.matrices]),
+            np.concatenate([reference_stack(sys), reference_stack(tp)]),
             np.concatenate([sys.targets, tp.targets]),
             list(sys.provenance) + list(tp.provenance),
         )

@@ -754,7 +754,13 @@ def test_certify_reports_on_rows_that_hold_the_identity_at_a_huge_combination(tm
     path, out = write_json(tmp_path / "near.json", doc), tmp_path / "report.json"
     # the verdict is not pinned: the solve of these feasible data ends on its cap
     assert cli.main(["certify", str(path), "--out", str(out)]) in (0, 2, 3)
-    assert json.loads(out.read_text())["span_check"]["source"] == "linear-system"
+    span = json.loads(out.read_text())["span_check"]
+    assert span["source"] == "linear-system"
+    # I is in the span: the fit is judged at its own scale, where sum y C is
+    # I / sqrt 3 up to the residual, not at its unit multiple's least
+    # eigenvalue, about 1e-10
+    assert span["contains_positive_definite"] is True
+    assert 0.0 < span["best_min_eigenvalue"] < 1e-9
 
 
 @pytest.mark.parametrize("command", ["solve", "certify"])

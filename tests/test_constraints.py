@@ -30,6 +30,7 @@ from helpers import (
     random_hermitian,
     reference_assemble,
     reference_instance_system,
+    reference_stack,
     vv_face_instance,
     with_common_kernel,
 )
@@ -60,7 +61,7 @@ def test_assemble_reference_entries():
     # the built system keeps the selfadjoint raw row whole
     sys = instance_system(golden_instance())
     i = sys.provenance.index(Provenance("value", (1, 1, 1)))
-    assert np.abs(sys.matrices[i] - expected).max() == 0
+    assert np.abs(reference_stack(sys)[i] - expected).max() == 0
     assert sys.targets[i] == 4.0
 
 
@@ -81,7 +82,7 @@ def test_hermitize_passes_selfadjoint_through():
     c = np.diag([1.0, 2.0]).astype(complex)
     sys = instance_system(ProblemInstance(2, 1, [(c, np.array([[3.0]]))]))
     assert sys.q == 1
-    assert np.abs(sys.matrices[0] - c).max() == 0
+    assert np.abs(reference_stack(sys)[0] - c).max() == 0
     assert sys.targets[0] == 3.0
     assert sys.provenance[0].part == "whole"
 
@@ -168,7 +169,7 @@ def assert_same_system(new, ref):
     """Equal matrices and targets bit for bit (zeros of either sign count as
     equal), and equal provenance."""
     assert new.p == ref.p
-    assert (new.matrices + 0.0).tobytes() == (ref.matrices + 0.0).tobytes()
+    assert (reference_stack(new) + 0.0).tobytes() == (reference_stack(ref) + 0.0).tobytes()
     assert (new.targets + 0.0).tobytes() == (ref.targets + 0.0).tobytes()
     assert new.provenance == ref.provenance
 
@@ -229,7 +230,7 @@ def test_trace_preserving_scalar():
     trace_rows = [i for i, t in enumerate(sys.provenance) if t.kind == "trace"]
     assert len(trace_rows) == 1
     i = trace_rows[0]
-    assert np.abs(sys.matrices[i] - np.eye(1)).max() == 0
+    assert np.abs(reference_stack(sys)[i] - np.eye(1)).max() == 0
     assert sys.targets[i] == 1.0
 
 
@@ -244,7 +245,7 @@ def test_trace_preserving_raw_structure():
         if tag.part == "whole":
             ii = tag.indices[0] - 1
             expected = np.kron(matrix_unit(2, ii, ii), np.eye(2))
-            assert np.abs(sys.matrices[i] - expected).max() == 0
+            assert np.abs(reference_stack(sys)[i] - expected).max() == 0
             assert sys.targets[i] == 1.0
         else:
             assert sys.targets[i] == 0.0
@@ -343,7 +344,7 @@ def planted_dependent_system(rng, p, independent, dependent):
 
 
 def real_vectors(sys):
-    flat = sys.matrices.reshape(sys.q, -1)
+    flat = reference_stack(sys).reshape(sys.q, -1)
     return np.concatenate([flat.real, flat.imag], axis=1)
 
 
@@ -402,7 +403,7 @@ def test_prune_certificate_validates_on_a_perturbed_target():
         targets = sys.targets.copy()
         targets[dropped[-1]] += 1.0
         with pytest.raises(InconsistentSystemError) as err:
-            prune_dependent(base_system(sys.matrices, targets))
+            prune_dependent(base_system(reference_stack(sys), targets))
         exc = err.value
         cert = certify.Certificate(exc.certificate_coefficients, certify.CertificateKind.EXCLUDES_PSD)
         assert certify.validate(cert, exc.system)
@@ -500,7 +501,7 @@ def test_prune_matches_the_reference_on_exactly_dependent_rows():
         targets = sys.targets.copy()
         # two offenders where possible, so the first in order must be named
         targets[rng.choice(dropped, size=min(2, len(dropped)), replace=False)] += 1.0
-        perturbed = base_system(sys.matrices, targets)
+        perturbed = base_system(reference_stack(sys), targets)
         with pytest.raises(InconsistentSystemError) as err:
             prune_dependent(perturbed)
         assert err.value.offending == reference_offending(perturbed)
@@ -587,7 +588,7 @@ def test_the_built_factor_matches_the_dense_qr(case):
     for _ in range(3):
         sys = instance_system(FACTOR_CASES[case](rng))
         assert_factor_is_the_dense_qr(sys)
-        raw = ConstraintSystem(sys.p, sys.matrices, sys.targets, sys.provenance)
+        raw = ConstraintSystem(sys.p, reference_stack(sys), sys.targets, sys.provenance)
         pruned = prune_dependent(sys)
         assert pruned.provenance == prune_dependent(raw).provenance
         assert_factor_is_the_dense_qr(pruned.with_unit_trace())
@@ -600,7 +601,7 @@ def test_the_built_factor_matches_the_dense_qr(case):
 def kept_reference_rows(sys, inst, trace_preserving=False):
     """The reference rows (tests/helpers.py) of ``inst`` that ``sys`` keeps, by label."""
     ref = reference_instance_system(inst, trace_preserving)
-    return ref.matrices[[ref.provenance.index(t) for t in sys.provenance]]
+    return reference_stack(ref)[[ref.provenance.index(t) for t in sys.provenance]]
 
 
 def middle_pair_instance(rng):
@@ -619,7 +620,8 @@ def rotation_case(case, rng):
             "complex": lambda: planted_instance(rng, 2, 3, 3, hermitian_data=False)[0],
             "trace-preserving": lambda: channel_instance(rng, 2, 3, False),
         }[case]()
-        return instance_system(inst), reference_instance_system(inst, inst.trace_preserving).matrices
+        ref = reference_instance_system(inst, inst.trace_preserving)
+        return instance_system(inst), reference_stack(ref)
     if case == "pruned of a middle pair":
         inst = middle_pair_instance(rng)
         sys = prune_dependent(instance_system(inst))
@@ -676,6 +678,56 @@ def test_rotated_coordinates_match_the_rotated_reference_rows(case):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def reader_case(case, rng):
+    """``rotation_case``, or diagonal data whose inputs carry off-diagonal
+    round-off of 1e-9, with no reference rows."""
+    if case != "diagonal, off-diagonal round-off":
+        return rotation_case(case, rng)
+    inst = planted_diagonal_instance(rng, 3, 2, 4)[0]
+    pairs = []
+    for a, b in inst.pairs:
+        h = random_hermitian(rng, 3)
+        pairs.append((a + 1e-9 * (h - np.diag(np.diag(h))), b))
+    return instance_system(ProblemInstance(3, 2, pairs)), None
+
+
+@pytest.mark.parametrize("case", [*ROTATION_CASES, "diagonal, off-diagonal round-off"])
+def test_the_block_readers_match_the_reference_stack(case):
+    # every reader of the rows works on the Kronecker blocks; the dense rows
+    # that reference_stack rebuilds from them must give the same values,
+    # within 1e-14 of the size of the terms each value sums (times p for a
+    # sum over p^2 entries)
+    rng = np.random.default_rng(35)
+    sys, rows = reader_case(case, rng)
+    stack = reference_stack(sys)
+    assert stack.shape == (sys.q, sys.p, sys.p)
+    if rows is not None:  # the helper agrees with the row-by-row reference build
+        assert np.abs(stack - rows).max() <= 1e-14 * np.abs(rows).max()
+    norms = np.linalg.norm(stack, axis=(1, 2))
+    x = random_hermitian(rng, sys.p)
+    traces = np.einsum("iab,ba->i", stack, x).real
+    assert np.all(np.abs(sys.traces(x) - traces) <= 1e-14 * sys.p * norms * np.linalg.norm(x))
+    assert np.array_equal(sys.residuals(x), sys.traces(x) - sys.targets)
+    c = rng.standard_normal(sys.q)
+    combo = np.tensordot(c, stack, axes=1)
+    assert np.abs(sys.aggregate(c) - combo).max() <= 1e-14 * sys.p * (np.abs(c) @ norms)
+    coords = hermitian_coordinates(stack)
+    assert np.all(np.abs(sys.coordinates() - coords) <= 1e-14 * norms[:, None])
+    u = np.linalg.qr(random_complex(rng, sys.p, sys.p))[0]
+    w = rng.uniform(-1.0, 1.0, sys.p)
+    phi = np.exp((w[:, None] + w[None, :]) / 2)
+    rotated = hermitian_coordinates(u.conj().T @ stack @ u, phi)
+    assert np.all(np.abs(sys.coordinates(u, phi) - rotated) <= 1e-14 * sys.p * norms[:, None])
+    # the off-diagonal norm holds its own relative precision, also where it
+    # is 1e-9 of the diagonal's, which a difference of squares would lose
+    diagonals, off = sys.diagonals()
+    assert np.array_equal(diagonals, coords[:, : sys.p])
+    off_ref = np.linalg.norm(coords[:, sys.p :], axis=1)
+    assert np.all(np.abs(off - off_ref) <= 1e-14 * off_ref)
+    if rows is None:
+        assert 0.0 < off_ref.min() and off_ref.min() <= 1e-8 * norms.max()
+
+
 # ---------------------------------------------------------------------------
 # joint_support_reduce / embed_solution
 
@@ -691,7 +743,7 @@ def scalar_instance(mats, targets):
 def reduce_scalar_instance(mats, targets):
     inst = scalar_instance(mats, targets)
     sys = instance_system(inst)
-    assert np.abs(sys.matrices - np.asarray(mats)).max() < 1e-15
+    assert np.abs(reference_stack(sys) - np.asarray(mats)).max() < 1e-15
     return sys, joint_support_reduce(sys, inst)
 
 
@@ -717,7 +769,7 @@ def test_reduce_without_kernel_is_identity():
     sys, (reduced, red) = reduce_scalar_instance([np.eye(3)], [1.0])
     assert red.reduced_dim == 3
     assert np.abs(red.basis - np.eye(3)).max() == 0
-    assert np.abs(reduced.matrices - sys.matrices).max() == 0
+    assert np.abs(reference_stack(reduced) - reference_stack(sys)).max() == 0
 
 
 @pytest.mark.parametrize("scale", [1e-10, 1e-11])
@@ -785,7 +837,8 @@ def test_the_reduced_system_carries_the_factor(make):
         assert red.reduced_dim < red.full_dim
         r, norms = reduced.factor()
         assert r is pruned.factor()[0]
-        raw = ConstraintSystem(reduced.p, reduced.matrices, reduced.targets, reduced.provenance)
+        raw = ConstraintSystem(reduced.p, reference_stack(reduced), reduced.targets,
+                               reduced.provenance)
         r_qr, norms_qr = raw.factor()
         assert np.abs(r.T @ r - r_qr.T @ r_qr).max() <= 1e-12
         assert np.abs(norms / norms_qr - 1.0).max() <= 1e-12
@@ -796,7 +849,7 @@ def test_reduce_keeps_diagonal_systems_diagonal():
         [np.diag([1.0, 0.0, 2.0]), np.diag([0.0, 0.0, 1.0])], [1.0, 1.0]
     )
     assert red.reduced_dim == 2
-    for m in reduced.matrices:
+    for m in reference_stack(reduced):
         assert np.abs(m - np.diag(np.diag(m))).max() == 0
 
 
@@ -870,7 +923,7 @@ def test_is_diagonal_instance_cuts_a_relative_to_its_scale_and_b_at_the_target_c
 
 
 def assert_exactly_hermitian(sys):
-    assert np.array_equal(sys.matrices, sys.matrices.conj().transpose(0, 2, 1))
+    assert np.array_equal(reference_stack(sys), reference_stack(sys).conj().transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("trace_preserving", [False, True])

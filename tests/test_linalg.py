@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cpinterp import linalg
-from cpinterp.constraints import ConstraintSystem, _kron_rows
-from helpers import A1, X_REF, random_hermitian
+from cpinterp.constraints import ConstraintSystem, Provenance, instance_system
+from helpers import X_REF, golden_instance, random_hermitian
 
 
 def unit(p, i, j):
@@ -17,18 +17,21 @@ def unit(p, i, j):
 
 
 def test_kron_reproduces_reference_constraint_matrices():
-    # A1^T kron E_11 and A1^T kron E_21 of the golden instance, as the rows are built
-    e11 = unit(2, 0, 0)
-    e21 = unit(2, 1, 0)
+    # the golden rows A1^T kron E_11 and A1^T kron (E_21 + E_12), read back
+    # off the Kronecker blocks by aggregate, which is exact on a unit vector
+    sys = instance_system(golden_instance())
     expected_11 = np.array(
         [[2, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]], dtype=complex
     )
     expected_21 = np.array(
         [[0, 0, 0, 0], [2, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]], dtype=complex
     )
-    rows = _kron_rows(A1.T[None], np.array([e11, e21]))
-    assert np.abs(rows[0] - expected_11).max() == 0
-    assert np.abs(rows[1] - expected_21).max() == 0
+
+    def row(*label):
+        return sys.aggregate(np.eye(sys.q)[sys.provenance.index(Provenance(*label))])
+
+    assert np.abs(row("value", (1, 1, 1)) - expected_11).max() == 0
+    assert np.abs(row("value", (1, 1, 2), "re") - (expected_21 + expected_21.T)).max() == 0
 
 
 # ---------------------------------------------------------------------------

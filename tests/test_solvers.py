@@ -35,6 +35,7 @@ from helpers import (
     planted_instance,
     random_channel_kraus,
     random_hermitian,
+    reference_stack,
     with_common_kernel,
 )
 
@@ -91,7 +92,7 @@ def test_potential_scalar_family():
 def test_gradient_at_zero():
     sys = golden_system()
     g = gradient(sys, np.zeros(sys.q))
-    expected = np.einsum("qii->q", sys.matrices).real - sys.targets
+    expected = np.einsum("qii->q", reference_stack(sys)).real - sys.targets
     assert np.abs(g - expected).max() < 1e-12
 
 
@@ -148,7 +149,7 @@ def test_exp_hessian_matches_finite_differences():
     # k = 1: the one row of the pair (c^T, [tr(c X)]) is c
     inst = ProblemInstance(p, 1, [(c.T, np.array([[np.trace(c @ x_true).real]])) for c in mats])
     pruned = prune_dependent(instance_system(inst))
-    assert np.abs(pruned.matrices - mats).max() < 1e-15
+    assert np.abs(reference_stack(pruned) - mats).max() < 1e-15
     reduced, red = joint_support_reduce(pruned, inst)
     assert red.reduced_dim < p
     for sys in (pruned, reduced):
@@ -183,7 +184,7 @@ def test_exp_hessian_at_zero_matches_the_interleaved_formula():
         w, u, _ = point.factor
         assert np.all(w == w[0])
         phi = np.full((sys.p, sys.p), np.exp(w[0]))
-        rot = (u.conj().T @ sys.matrices @ u).view(float).reshape(sys.q, -1)
+        rot = (u.conj().T @ reference_stack(sys) @ u).view(float).reshape(sys.q, -1)
         interleaved = (rot * np.repeat(phi.ravel(), 2)) @ rot.T
         h = obj.hessian(point)
         assert np.abs(h - interleaved).max() <= 1e-13 * np.abs(interleaved).max()
@@ -278,13 +279,13 @@ def dense_exp_hessian(sys, point):
     near = np.abs(dw) < 1e-12
     phi = np.where(near, (ew[:, None] + ew[None, :]) / 2,
                    (ew[:, None] - ew[None, :]) / np.where(near, 1.0, dw))
-    rot = (u.conj().T @ sys.matrices @ u).view(float).reshape(sys.q, -1)
+    rot = (u.conj().T @ reference_stack(sys) @ u).view(float).reshape(sys.q, -1)
     return (rot * np.repeat(phi.ravel(), 2)) @ rot.T
 
 
 def dense_barrier_hessian(sys, point):
     """``tr(X C(i) X C(j))`` from the stack, X the point's solution."""
-    xc = point.factor[1] @ sys.matrices
+    xc = point.factor[1] @ reference_stack(sys)
     return np.einsum("iab,jba->ij", xc, xc).real
 
 
@@ -755,7 +756,7 @@ def test_project_affine_accepts_what_prune_keeps_at_any_row_scale():
         sys = prune_dependent(instance_system(inst))
         projected = project_affine(random_hermitian(rng, sys.p), sys)
         # round-off of each row's pairing with the result, with room
-        norms = np.linalg.norm(sys.matrices, axis=(1, 2))
+        norms = np.linalg.norm(reference_stack(sys), axis=(1, 2))
         bound = 1e-14 * norms * (1.0 + np.linalg.norm(projected))
         assert np.all(np.abs(sys.residuals(projected)) <= bound)
 
